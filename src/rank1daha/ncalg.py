@@ -18,11 +18,12 @@ shift-operator identities, and centralizer / center probes.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import BudgetExhausted, DegenerateParameters, UnknownIdentity
-from .params import Params, RatFunc, structure_constants
+from .params import Params, RatFunc, _params_cache_entry, structure_constants
 
 __all__ = [
     "DAHA_ALPHABET",
@@ -569,16 +570,13 @@ def _word_key(word: Word) -> tuple[int, int, int]:
     return (m, n, i)
 
 
-_SYSTEMS: dict[Params, RewriteSystem] = {}
+_SYSTEMS: OrderedDict[Params, RewriteSystem] = OrderedDict()
 
 
 def rewrite_system(params: Params) -> RewriteSystem:
-    """The shared rewrite system for one parameter set (built once)."""
-    system = _SYSTEMS.get(params)
-    if system is None:
-        system = RewriteSystem(params)
-        _SYSTEMS[params] = system
-    return system
+    """The shared rewrite system for one parameter set, built once and kept
+    while the parameter set is among the most recently used."""
+    return _params_cache_entry(_SYSTEMS, params, RewriteSystem)
 
 
 def reduce(

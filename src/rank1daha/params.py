@@ -6,6 +6,13 @@ carrying a linear term in the adjoined square root s with s^2 = abcd/q.
 Equality of scalars is decided structurally on reduced fractions, so the
 identity checks in the rest of the package are exact, never numeric.
 
+Almost every coefficient the kernel builds has a one-term denominator: the
+rewrite rules invert only q, ab, cd and abcd/q, and the q-difference
+operator on z^k + z^-k only powers of q.  When both operands of an add,
+multiply or inverse have one, the reduced result is built directly, in
+exactly the form sympy's ``cancel`` gives, without a polynomial gcd.  Other
+operands, such as the idempotent scalars (1-ab)^-1, go through sympy.
+
 :class:`Params` fixes how the five parameter names are interpreted: as free
 indeterminates (symbolic mode), as concrete rationals (specialized mode), or
 as derived values such as the shifted family (qa, qb, c, d) and the dual
@@ -17,9 +24,11 @@ computed from those values by a single code path.
 from __future__ import annotations
 
 import dataclasses
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from math import gcd
+from typing import Callable, Mapping, Sequence, TypeVar
 
 import random
 
@@ -40,7 +49,6 @@ __all__ = [
     "Params",
     "StructureConstants",
     "make_params",
-    "ratfunc_arith",
     "elementary_symmetric",
     "structure_constants",
     "eigenvalue",
@@ -51,7 +59,10 @@ __all__ = [
 PARAM_NAMES = ("q", "a", "b", "c", "d")
 
 _FIELD, _GQ, _GA, _GB, _GC, _GD = _make_field("q,a,b,c,d", QQ)
-_RING_GENS = _FIELD.zero.numer.ring.gens
+_RING = _FIELD.ring
+_RING_GENS = _RING.gens
+_POLY = _RING.dtype  # PolyElement.new: wraps a term dict as it is
+_ZERO_MONOM = _RING.zero_monom
 _QQ_ZERO = QQ.zero
 _QQ_ONE = QQ.one
 # the square of the adjoined symbol s
@@ -68,6 +79,106 @@ def _to_qq(x: _Rational):
 
 def _frac_of_ground(v) -> Fraction:
     return Fraction(int(v.numerator), int(v.denominator))
+
+
+# ---------------------------------------------------------------------------
+# Field arithmetic without a gcd for one-term denominators
+#
+# Every field element here is in the reduced form sympy's ``cancel`` gives:
+# numerator and denominator coprime, with integer coefficients whose overall
+# content is 1 and a positive leading denominator coefficient.  That form is
+# unique, so when both operands have a one-term denominator c*x^m the result
+# is built in it directly; the gcd with a monomial is a content and a
+# monomial, no polynomial gcd is needed.  Anything else goes through sympy.
+
+_mmul = _RING.monomial_mul
+_mldiv = _RING.monomial_ldiv
+_mgcd = _RING.monomial_gcd
+_mlcm = _RING.monomial_lcm
+_QQ_NEW = QQ.dtype
+
+
+def _reduced(terms: dict, dm: tuple, dc: int):
+    """The field element sum(terms) / (dc * x^dm), reduced.
+
+    ``terms`` maps monomials to integers (zeros allowed).  Divides out the
+    content shared with ``dc``, makes the denominator coefficient positive,
+    and divides out each variable of x^dm that divides every numerator term.
+    """
+    num = {m: c for m, c in terms.items() if c}
+    if not num:
+        return _FIELD.zero
+    g = gcd(dc, *num.values())
+    if dc < 0:
+        g = -g
+    if dm != _ZERO_MONOM:
+        common = dm
+        for m in num:
+            common = _mgcd(common, m)
+            if common == _ZERO_MONOM:
+                break
+        else:
+            num = {_mldiv(m, common): c for m, c in num.items()}
+            dm = _mldiv(dm, common)
+    numer = _POLY({m: _QQ_NEW(c // g) for m, c in num.items()})
+    return _FIELD.raw_new(numer, _POLY({dm: _QQ_NEW(dc // g)}))
+
+
+def _one_term(p) -> tuple[tuple, int] | None:
+    """(monomial, integer coefficient) of a one-term polynomial, else None."""
+    if len(p) != 1:
+        return None
+    ((m, c),) = p.items()
+    return m, c.numerator
+
+
+def _fadd(x, y):
+    """x + y for field elements."""
+    if not x:
+        return y
+    if not y:
+        return x
+    tx, ty = _one_term(x.denom), _one_term(y.denom)
+    if tx is None or ty is None:
+        return x + y
+    (mx, cx), (my, cy) = tx, ty
+    dm = _mlcm(mx, my)
+    dc = cx * cy // gcd(cx, cy)
+    terms: dict = {}
+    for numer, m0, c0 in ((x.numer, mx, cx), (y.numer, my, cy)):
+        shift, scale = _mldiv(dm, m0), dc // c0
+        for m, c in numer.items():
+            m = _mmul(m, shift)
+            terms[m] = terms.get(m, 0) + c.numerator * scale
+    return _reduced(terms, dm, dc)
+
+
+def _fmul(x, y):
+    """x * y for field elements."""
+    if not x or not y:
+        return _FIELD.zero
+    tx, ty = _one_term(x.denom), _one_term(y.denom)
+    if tx is None or ty is None:
+        return x * y
+    nx, ny = x.numer, y.numer
+    if len(nx) > len(ny):
+        nx, ny = ny, nx
+    inner = [(m, c.numerator) for m, c in ny.items()]
+    terms: dict = {}
+    for m1, c1 in nx.items():
+        c1 = c1.numerator
+        for m2, c2 in inner:
+            m = _mmul(m1, m2)
+            terms[m] = terms.get(m, 0) + c1 * c2
+    return _reduced(terms, _mmul(tx[0], ty[0]), tx[1] * ty[1])
+
+
+def _finv(x):
+    """1 / x for a nonzero field element."""
+    t = _one_term(x.numer)
+    if t is None:
+        return _FIELD.one / x
+    return _reduced({m: c.numerator for m, c in x.denom.items()}, *t)
 
 
 class RatFunc:
@@ -109,7 +220,14 @@ class RatFunc:
     def _fe(self):
         """The (r0, r1) field components, materialized on demand."""
         if self.r0 is None:
-            self.r0 = _FIELD.ground_new(self.g)
+            g = self.g
+            if g:
+                self.r0 = _FIELD.raw_new(
+                    _POLY({_ZERO_MONOM: _QQ_NEW(g.numerator)}),
+                    _POLY({_ZERO_MONOM: _QQ_NEW(g.denominator)}),
+                )
+            else:
+                self.r0 = _FIELD.zero
             self.r1 = _FIELD.zero
         return self.r0, self.r1
 
@@ -191,7 +309,7 @@ class RatFunc:
             return RatFunc._from_ground(self.g + o.g)
         a0, a1 = self._fe()
         b0, b1 = o._fe()
-        return RatFunc(a0 + b0, a1 + b1)
+        return RatFunc(_fadd(a0, b0), _fadd(a1, b1))
 
     __radd__ = __add__
 
@@ -208,7 +326,7 @@ class RatFunc:
             return RatFunc._from_ground(self.g - o.g)
         a0, a1 = self._fe()
         b0, b1 = o._fe()
-        return RatFunc(a0 - b0, a1 - b1)
+        return RatFunc(_fadd(a0, -b0), _fadd(a1, -b1))
 
     def __rsub__(self, other):
         o = RatFunc._coerce(other)
@@ -225,10 +343,10 @@ class RatFunc:
         a0, a1 = self._fe()
         b0, b1 = o._fe()
         if not a1 and not b1:
-            return RatFunc(a0 * b0)
+            return RatFunc(_fmul(a0, b0))
         return RatFunc(
-            a0 * b0 + a1 * b1 * _S_SQUARE,
-            a0 * b1 + a1 * b0,
+            _fadd(_fmul(a0, b0), _fmul(_fmul(a1, b1), _S_SQUARE)),
+            _fadd(_fmul(a0, b1), _fmul(a1, b0)),
         )
 
     __rmul__ = __mul__
@@ -239,10 +357,12 @@ class RatFunc:
         if self.g is not None:
             return RatFunc._from_ground(_QQ_ONE / self.g)
         if not self.r1:
-            return RatFunc(_FIELD.one / self.r0)
-        norm = self.r0 * self.r0 - self.r1 * self.r1 * _S_SQUARE
+            return RatFunc(_finv(self.r0))
+        r0, r1 = self.r0, self.r1
+        norm = _fadd(_fmul(r0, r0), -_fmul(_fmul(r1, r1), _S_SQUARE))
         # norm = 0 would force abcd/q to be a square in the function field
-        return RatFunc(self.r0 / norm, -self.r1 / norm)
+        norm_inv = _finv(norm)
+        return RatFunc(_fmul(r0, norm_inv), -_fmul(r1, norm_inv))
 
     def __truediv__(self, other):
         o = RatFunc._coerce(other)
@@ -341,32 +461,6 @@ _GENS: dict[str, RatFunc] = {
 
 _ZERO = RatFunc.zero()
 _ONE = RatFunc.one()
-
-
-def ratfunc_arith(op: str, x: RatFunc, y: RatFunc | None = None):
-    """Uniform entry point for scalar arithmetic.
-
-    ``op`` is one of add, sub, mul, div, neg, inv, eq.  Binary operations
-    require ``y``; div and inv raise :class:`DivisionByZero` on a zero
-    divisor.  ``eq`` is exact structural equality of canonical forms.
-    """
-    unary = {"neg": lambda v: -v, "inv": lambda v: v.inv()}
-    binary = {
-        "add": lambda u, v: u + v,
-        "sub": lambda u, v: u - v,
-        "mul": lambda u, v: u * v,
-        "div": lambda u, v: u / v,
-        "eq": lambda u, v: u == v,
-    }
-    if op in unary:
-        if y is not None:
-            raise ValueError(f"{op} is unary")
-        return unary[op](x)
-    if op in binary:
-        if y is None:
-            raise ValueError(f"{op} needs two operands")
-        return binary[op](x, y)
-    raise ValueError(f"unknown scalar operation {op!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -534,6 +628,29 @@ def _ratfunc_sqrt(t: RatFunc) -> RatFunc | None:
             root *= base ** (exp // 2)
         root_parts.append(root)
     return RatFunc(_FIELD.from_expr(root_parts[0]) / _FIELD.from_expr(root_parts[1]))
+
+
+# Caches keyed by a parameter set (rewrite systems, operator images) keep
+# only this many most recently used sets, so a run over many random points
+# stays bounded in memory.
+_PARAMS_CACHE_BOUND = 8
+
+_T = TypeVar("_T")
+
+
+def _params_cache_entry(
+    cache: OrderedDict[Params, _T], params: Params, build: Callable[[Params], _T]
+) -> _T:
+    """The cached entry for ``params``, built on a miss; evicts the least
+    recently used parameter set beyond the bound."""
+    entry = cache.get(params)
+    if entry is None:
+        entry = cache[params] = build(params)
+        if len(cache) > _PARAMS_CACHE_BOUND:
+            cache.popitem(last=False)
+    else:
+        cache.move_to_end(params)
+    return entry
 
 
 def make_params(

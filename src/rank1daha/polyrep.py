@@ -12,10 +12,17 @@ eigenvalues lambda_n = q^-n + abcd q^(n-1).  The operator is evaluated
 with exact rational-function coefficients over a common denominator and
 the final division is checked to be remainder-free, so a nonzero
 denominator residue signals an arithmetic bug rather than rounding.
+
+D is linear over the scalars, so it is applied to f = sum_k c_k (z^k + z^-k)
+as sum_k c_k D(z^k + z^-k).  The basis images come from the
+common-denominator path and are memoized per parameter set, for the most
+recently used parameter sets only.  They carry only monomial denominators,
+while the c_k (the coefficients of P_n, say) need not.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -23,7 +30,13 @@ from .errors import (
     InternalDenominatorResidue,
     NotSymmetric,
 )
-from .params import Params, RatFunc, eigenvalue, structure_constants
+from .params import (
+    Params,
+    RatFunc,
+    _params_cache_entry,
+    eigenvalue,
+    structure_constants,
+)
 
 __all__ = [
     "LaurentPoly",
@@ -182,9 +195,32 @@ def _require_symmetric(f: LaurentPoly) -> None:
         raise NotSymmetric("operator input must satisfy coeff(k) = coeff(-k)")
 
 
+# D(z^k + z^-k) by k, per parameter set
+_DSYM_IMAGES: OrderedDict[Params, dict[int, LaurentPoly]] = OrderedDict()
+
+
 def apply_dsym(f: LaurentPoly, params: Params) -> LaurentPoly:
     """The second-order q-difference operator on a symmetric Laurent
-    polynomial, computed exactly."""
+    polynomial, computed exactly from the memoized basis images."""
+    _require_symmetric(f)
+    images = _params_cache_entry(_DSYM_IMAGES, params, lambda _: {})
+    out: dict[int, RatFunc] = {}
+    for k, c in f.coeffs.items():
+        if k < 0:
+            continue
+        image = images.get(k)
+        if image is None:
+            image = images[k] = _apply_dsym_direct(
+                LaurentPoly.symmetric_basis(k), params
+            )
+        for kk, v in image.coeffs.items():
+            out[kk] = out.get(kk, _ZERO) + c * v
+    return LaurentPoly(out)
+
+
+def _apply_dsym_direct(f: LaurentPoly, params: Params) -> LaurentPoly:
+    """D on a symmetric Laurent polynomial over the common denominator
+    (1-z^2)(1-qz^2)(q-z^2), with an exact final division."""
     _require_symmetric(f)
     vals = params.values()
     q, a, b, c, d = (vals[k] for k in ("q", "a", "b", "c", "d"))

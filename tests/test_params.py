@@ -1,8 +1,10 @@
 import random
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from sympy import QQ
 
 from rank1daha.errors import (
     DegenerateParameters,
@@ -11,13 +13,19 @@ from rank1daha.errors import (
     MissingAssignment,
 )
 from rank1daha.params import (
+    _FIELD,
+    _PARAMS_CACHE_BOUND,
+    _S_SQUARE,
     RatFunc,
+    _fadd,
+    _finv,
+    _fmul,
+    _params_cache_entry,
     eigenvalue,
     elementary_symmetric,
     make_params,
     prob_equal,
     random_admissible_point,
-    ratfunc_arith,
     structure_constants,
 )
 
@@ -99,19 +107,19 @@ def test_symbolic_takes_no_assignments():
 
 
 def test_mul_inverse_cancels():
-    assert ratfunc_arith("mul", Q.inv(), Q) == RatFunc.one()
+    assert Q.inv() * Q == RatFunc.one()
 
 
 def test_p_over_p_minus_one_is_zero():
     p = A * A * B * Q - C
-    assert ratfunc_arith("sub", p / p, RatFunc.one()).is_zero()
+    assert (p / p - RatFunc.one()).is_zero()
 
 
 def test_division_by_zero():
     with pytest.raises(DivisionByZero):
-        ratfunc_arith("inv", RatFunc.zero())
+        RatFunc.zero().inv()
     with pytest.raises(DivisionByZero):
-        ratfunc_arith("div", Q, RatFunc.zero())
+        Q / RatFunc.zero()
 
 
 def test_canonical_form_is_stable():
@@ -145,6 +153,101 @@ def test_field_axioms(x, y, z):
     assert (x * y) * z == x * (y * z)
     if not x.is_zero():
         assert x * x.inv() == RatFunc.one()
+
+
+# The one-term-denominator arithmetic must give exactly what sympy's own
+# field operations give: the same numerator and denominator polynomials.
+
+_coefs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+_monoms = st.tuples(*[st.integers(min_value=0, max_value=2)] * 5)
+_terms = st.lists(st.tuples(_coefs, _monoms), min_size=1, max_size=4)
+
+
+def _poly(terms):
+    out = _FIELD.zero
+    for coef, exps in terms:
+        term = _FIELD(QQ(coef.numerator, coef.denominator))
+        for gen, e in zip(_FIELD.gens, exps):
+            term = term * gen**e
+        out = out + term
+    return out
+
+
+@st.composite
+def field_elements(draw):
+    """Sympy field elements with a one-term or a many-term denominator."""
+    numer = _poly(draw(_terms))
+    if draw(st.booleans()):
+        denom = _poly([(draw(_coefs), draw(_monoms))])
+    else:
+        denom = _poly(draw(st.lists(st.tuples(_coefs, _monoms), min_size=2, max_size=3)))
+    assume(denom)
+    return numer / denom
+
+
+def assert_same_element(got, want):
+    assert got.numer == want.numer and got.denom == want.denom
+    for poly in (got.numer, got.denom):
+        assert all(type(c) is QQ.dtype for c in poly.values())
+    assert str(got) == str(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_elements(), field_elements())
+def test_one_term_denominator_arithmetic_matches_sympy(x, y):
+    assert_same_element(_fadd(x, y), x + y)
+    assert_same_element(_fadd(x, -y), x - y)
+    assert_same_element(_fmul(x, y), x * y)
+    assert_same_element(_fmul(x, _S_SQUARE), x * _S_SQUARE)
+    if x:
+        assert_same_element(_finv(x), _FIELD.one / x)
+
+
+@settings(max_examples=30, deadline=None)
+@given(field_elements(), field_elements(), field_elements(), field_elements())
+def test_s_extended_products_and_inverses_match_sympy(r0, r1, t0, t1):
+    x, y = RatFunc(r0, r1), RatFunc(t0, t1)
+    prod = (x * y)._fe()
+    assert_same_element(prod[0], r0 * t0 + r1 * t1 * _S_SQUARE)
+    assert_same_element(prod[1], r0 * t1 + r1 * t0)
+    if x:
+        inv = x.inv()._fe()
+        if r1:
+            norm = r0 * r0 - r1 * r1 * _S_SQUARE
+            assert_same_element(inv[0], r0 / norm)
+            assert_same_element(inv[1], -r1 / norm)
+        else:
+            assert_same_element(inv[0], _FIELD.one / r0)
+            assert not inv[1]
+
+
+@given(_coefs, field_elements())
+def test_ground_scalars_enter_the_field_reduced(c, x):
+    g = RatFunc.from_rational(c)
+    assert_same_element(g._fe()[0], _FIELD(QQ(c.numerator, c.denominator)))
+    assert_same_element((g * RatFunc(x))._fe()[0], x * QQ(c.numerator, c.denominator))
+
+
+def test_params_cache_keeps_the_most_recently_used():
+    points = [
+        make_params("specialized", {"q": Fraction(3, 2), "a": 2, "b": 3, "c": 5, "d": 7 + i})
+        for i in range(_PARAMS_CACHE_BOUND + 1)
+    ]
+    cache = OrderedDict()
+    built = []
+
+    def build(params):
+        built.append(params)
+        return object()
+
+    first = _params_cache_entry(cache, points[0], build)
+    for p in points[1:-1]:
+        _params_cache_entry(cache, p, build)
+    assert _params_cache_entry(cache, points[0], build) is first  # a hit
+    _params_cache_entry(cache, points[-1], build)  # evicts points[1]
+    assert len(cache) == _PARAMS_CACHE_BOUND
+    assert points[0] in cache and points[1] not in cache
+    assert built == points
 
 
 def test_s_extension_square():

@@ -9,10 +9,12 @@ hypergeometric-sum code check each other.
 """
 
 import random
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
 
+from rank1daha import polyrep
 from rank1daha.errors import DegenerateParameters, NotSymmetric
 from rank1daha.params import RatFunc, eigenvalue, make_params
 from rank1daha.polyrep import (
@@ -113,6 +115,33 @@ def test_dsym_rejects_asymmetric_input(gpoint):
         apply_dsym(LaurentPoly.monomial(1), gpoint)
     with pytest.raises(NotSymmetric):
         apply_word(("K0",), LaurentPoly.monomial(2), gpoint)
+
+
+@pytest.mark.parametrize("which", ["sym", "gpoint"])
+def test_memoized_dsym_matches_common_denominator_path(which, request, monkeypatch):
+    params = request.getfixturevalue(which)
+    monkeypatch.setattr(polyrep, "_DSYM_IMAGES", OrderedDict())
+    q, a, b, c, d = vals(params)
+    pool = [
+        RatFunc.from_rational(Fraction(-3, 2)),
+        RatFunc.from_rational(7),
+        a * c / q,
+        (ONE - a * b).inv(),
+        b + d * d,
+    ]
+    rng = random.Random(3)
+    for degree in (0, 1, 2, 3, 4, 4):
+        coeffs = {}
+        for k in range(degree + 1):
+            if k == degree or rng.random() < 0.7:
+                coeffs[k] = coeffs[-k] = rng.choice(pool) * rng.choice(pool)
+        f = LaurentPoly(coeffs)
+        assert f.degree() == degree
+        got = apply_dsym(f, params)
+        want = polyrep._apply_dsym_direct(f, params)
+        assert got == want
+        assert str(got) == str(want)
+    assert set(polyrep._DSYM_IMAGES) == {params}
 
 
 def test_apply_word_rejects_unknown_letter(gpoint):

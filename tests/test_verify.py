@@ -2,16 +2,21 @@
 
 import dataclasses
 import json
+import random
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
+from sympy.polys.rings import PolyElement
 
+from rank1daha import cli, ncalg, polyrep, verify
 from rank1daha.errors import ConfigError, ParseError
 from rank1daha.ncalg import Element
-from rank1daha.params import RatFunc, make_params
+from rank1daha.params import _PARAMS_CACHE_BOUND, RatFunc, make_params
 from rank1daha.verify import (
     CHECK_CATALOG,
     TOOL_VERSION,
+    CheckSpec,
     RunConfig,
     check_ids,
     emit_report,
@@ -104,6 +109,60 @@ def test_check_error_is_captured_not_raised():
     assert result.verdict == "error"
     assert "DegenerateParameters" in result.residual_summary
     assert report.overall == "fail"
+
+
+def test_any_runner_exception_still_yields_a_report(monkeypatch, tmp_path):
+    def runner(params, bounds, rng):
+        raise RuntimeError("runner broke")
+
+    spec = CheckSpec("raises", "a check whose runner raises", "exact", runner)
+    monkeypatch.setattr(verify, "CHECK_CATALOG", [*CHECK_CATALOG, spec])
+    monkeypatch.setitem(verify._CATALOG_BY_ID, spec.id, spec)
+    out = tmp_path / "report.json"
+    code = cli.main(
+        ["verify", "run", "--checks", "raises,idempotents", "--format", "json", "--out", str(out)]
+    )
+    assert code == 1
+    data = json.loads(out.read_text())
+    assert data["overall"] == "fail"
+    verdicts = {r["id"]: (r["verdict"], r["residual_summary"]) for r in data["results"]}
+    assert verdicts == {
+        "idempotents": ("pass", ""),
+        "raises": ("error", "RuntimeError: runner broke"),
+    }
+
+
+def test_prob_run_keeps_per_params_caches_bounded():
+    config = RunConfig(
+        checks=["iso.spherical.mult", "casimir.scalar"],
+        mode="prob",
+        trials=16,
+        max_degree=1,
+    )
+    report = run_checks(config)
+    assert [(r.verdict, r.trials) for r in report.results] == [("pass", 16)] * 2
+    assert len(ncalg._SYSTEMS) <= _PARAMS_CACHE_BOUND
+    assert len(polyrep._DSYM_IMAGES) <= _PARAMS_CACHE_BOUND
+
+
+def test_symbolic_checks_take_no_general_gcd(monkeypatch, sym):
+    """Work gate: over symbolic parameters these checks only meet one-term
+    denominators, so sympy's general cancel must never run."""
+    calls = []
+    cancel = PolyElement.cancel
+
+    def counted_cancel(self, other):
+        calls.append(1)
+        return cancel(self, other)
+
+    monkeypatch.setattr(PolyElement, "cancel", counted_cancel)
+    monkeypatch.setattr(ncalg, "_SYSTEMS", OrderedDict())
+    monkeypatch.setattr(polyrep, "_DSYM_IMAGES", OrderedDict())
+    bounds = {"max_mn": 1, "max_degree": 2, "max_n": 2}
+    for check_id in ("awrel.inrep", "casimir.scalar", "embed.rel34"):
+        runner = verify._CATALOG_BY_ID[check_id].runner
+        assert runner(sym, bounds, random.Random(0)) == ""
+    assert len(calls) == 0
 
 
 def test_reports_deterministic_for_fixed_seed(tmp_path):
