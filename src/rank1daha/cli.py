@@ -62,7 +62,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--mode",
         choices=["exact", "prob"],
-        help="force one mode for every check (default: per-check)",
+        help="force one mode for every check (default: exact at a --params point, "
+        "else per-check)",
     )
     p_run.add_argument("--seed", type=int, metavar="N")
     p_run.add_argument("--trials", type=int, metavar="N")

@@ -8,22 +8,52 @@ Z^m Y^n T1^i (m, n integers, i in {0, 1}); :func:`reduce` computes it by
 exhaustive rewriting of adjacent letter pairs.
 
 On top of the rewriting core this module provides: the three-generator
-central extension of the Askey-Wilson q-commutator algebra and its
+central extension of the Askey-Wilson q-commutator algebra, its defining
+relations (:func:`aw_relations`, :func:`quotient_relations`) and its
 embedding (:func:`embed_aw`), the symmetrizing idempotents and the
 spherical / antispherical maps, the strict-dominance filtration predicate
 :func:`is_o_of`, the catalog of step identities used to prove the two
 subalgebra isomorphisms (:func:`check_step_identity`), duality anti-maps,
 shift-operator identities, and centralizer / center probes.
+
+The step identities are data.  Each row of :data:`STEP_IDENTITIES` states
+LHS = (leading terms + dominated rest) F, with F = T1+1 for the spherical
+family ("sym") and F = T1+ab for the antispherical one ("asym").  A row
+holds:
+
+- ``signs`` (sm, sn), each in {1, -1, 0}: the signs of the exponents m and
+  n in the left side, 0 where the identity does not read that exponent
+  (an exact row reads neither, and sm is the sign of its one letter);
+- ``kind``, the shape of the left side:
+  "sandwich" F Z^(sm m) Y^(sn n) F;
+  "embed" K1^(|sm| m) K0^(|sn| n) F, the K-letters embedded;
+  "mixed" K1^(m-1) w K0^(n-1) F with the middle word w of ``middle``;
+  "exact" F Z^sm F, a one-letter compression whose residual must vanish;
+  "step3" (1-q^2) F Z^(sm m) Y^(sn n) F - c K1^(m-1) w K0^(n-1) F, with
+  c = ``scalar``, whose whole left side is dominated (no leading terms);
+- ``leading``: (sk, sl) -> coefficient of Z^(sk m) Y^(sl n);
+- ``check`` and ``statement``: the verification-catalog check the row
+  belongs to and, on that check's first row, the check's statement.
+
+Every coefficient is a tuple of integer terms (c, i, j, k, l) meaning the
+sum of c q^i a^j b^k u^(l n) with u = abcd/q.  One evaluator,
+:func:`check_step_identity`, serves every row.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import BudgetExhausted, DegenerateParameters, UnknownIdentity
-from .params import Params, RatFunc, _params_cache_entry, structure_constants
+from .params import (
+    Params,
+    RatFunc,
+    StructureConstants,
+    _params_cache_entry,
+    structure_constants,
+)
 
 __all__ = [
     "DAHA_ALPHABET",
@@ -37,7 +67,8 @@ __all__ = [
     "multiply",
     "embed_element",
     "embed_aw",
-    "aw_equal",
+    "aw_relations",
+    "quotient_relations",
     "idempotents",
     "spherical",
     "antispherical",
@@ -46,6 +77,7 @@ __all__ = [
     "is_o_of",
     "check_step_identity",
     "STEP_IDENTITIES",
+    "StepRow",
     "duality_image",
     "centralizer_probe",
     "shift_operator_identities",
@@ -58,6 +90,8 @@ AW_ALPHABET = ("K0", "K1", "T1")
 DEFAULT_BUDGET = 10**6
 
 Word = tuple[str, ...]
+# a scalar as terms (c, i, j, k, l): the sum of c q^i a^j b^k u^(l n), u = abcd/q
+Coef = tuple[tuple[int, int, int, int, int], ...]
 
 _ONE = RatFunc.one()
 
@@ -644,9 +678,68 @@ def embed_aw(
     return reduce(embed_element(e, params), params, budget)
 
 
-def aw_equal(u: Element, v: Element, params: Params) -> bool:
-    """Equality oracle for the three-generator central extension."""
-    return embed_aw(u, params) == embed_aw(v, params)
+def aw_relations(
+    params: Params, sc: StructureConstants | None = None
+) -> dict[str, Element]:
+    """The defining relations of the central extension over K0/K1/T1, each
+    as one element (left side minus right side) whose embedding reduces to
+    zero: the two deformed q-commutator relations rel34 and rel35, the
+    Casimir relation rel36, the centrality of T1, and the quadratic.  The
+    structure constants default to those of ``params``."""
+    if sc is None:
+        sc = structure_constants(params)
+    q = params.value("q")
+    ab = params.value("a") * params.value("b")
+    qpqi = q + q.inv()
+    clin = q + _ONE + q.inv()
+    cmid = q * q + _ONE + (q * q).inv()
+    # the terms in T1+ab are written out: X (T1+ab) = X T1 + ab X
+    rows = {
+        "rel34": (
+            (qpqi, "K1 K0 K1"), (-1, "K1 K1 K0"), (-1, "K0 K1 K1"),
+            (-(sc.B + ab * sc.E), "K1"), (-sc.E, "K1 T1"), (-sc.C0, "K0"),
+            (-(sc.D0 + ab * sc.F0), ""), (-sc.F0, "T1"),
+        ),
+        "rel35": (
+            (qpqi, "K0 K1 K0"), (-1, "K0 K0 K1"), (-1, "K1 K0 K0"),
+            (-(sc.B + ab * sc.E), "K0"), (-sc.E, "K0 T1"), (-sc.C1, "K1"),
+            (-(sc.D1 + ab * sc.F1), ""), (-sc.F1, "T1"),
+        ),
+        "rel36": (
+            (1, "K1 K0 K1 K0"), (-cmid, "K0 K1 K0 K1"), (qpqi, "K0 K0 K1 K1"),
+            (qpqi * sc.C0, "K0 K0"), (qpqi * sc.C1, "K1 K1"),
+            (clin * (sc.B + ab * sc.E), "K0 K1"), (clin * sc.E, "K0 K1 T1"),
+            (sc.B + ab * sc.E, "K1 K0"), (sc.E, "K1 K0 T1"),
+            (clin * (sc.D0 + ab * sc.F0), "K0"), (clin * sc.F0, "K0 T1"),
+            (clin * (sc.D1 + ab * sc.F1), "K1"), (clin * sc.F1, "K1 T1"),
+            (sc.G, "T1"), (ab * sc.G - sc.Q0, ""),
+        ),
+        "central0": ((1, "K0 T1"), (-1, "T1 K0")),
+        "central1": ((1, "K1 T1"), (-1, "T1 K1")),
+        "quad": ((1, "T1 T1"), (ab + 1, "T1"), (ab, "")),
+    }
+    out = {}
+    for name, terms in rows.items():
+        acc: dict[Word, RatFunc] = {}
+        for coef, word in terms:
+            _acc(acc, tuple(word.split()), _coerce_scalar(coef))
+        out[name] = Element("aw", acc)
+    return out
+
+
+def quotient_relations(
+    params: Params, sc: StructureConstants | None = None
+) -> dict[str, Element]:
+    """The relations of the two-generator quotient T1 = -ab: rel1 and rel2
+    (the q-commutator relations) and the Casimir relation, which is the
+    degree-four Casimir word combination minus its scalar Q0.  They are
+    rel34, rel35 and rel36 of :func:`aw_relations` with T1 replaced by -ab."""
+    rels = aw_relations(params, sc)
+    minus_ab = -(params.value("a") * params.value("b"))
+    return {
+        name: rels[source].substitute_t1(minus_ab)
+        for name, source in (("rel1", "rel34"), ("rel2", "rel35"), ("casimir", "rel36"))
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -729,20 +822,12 @@ def iso_antispherical(
 # The strict-dominance filtration
 
 
-def is_o_of(
-    nf: NormalForm, m: int, n: int, idempotent_side: str = "plain"
-) -> bool:
-    """Strict-dominance test: every monomial Z^k Y^l (T1^i) must satisfy
-    |k| <= |m|, |l| <= |n| and (|k|, |l|) != (|m|, |n|).
-
-    With ``idempotent_side="plain"`` the element must be free of T1 (it is
-    read as a combination of Z^k Y^l only); with ``"times_T1_factor"`` the
-    dominance condition is applied to both T1-layers.
-    """
-    if idempotent_side not in ("plain", "times_T1_factor"):
-        raise ValueError(f"unknown idempotent_side {idempotent_side!r}")
+def is_o_of(nf: NormalForm, m: int, n: int) -> bool:
+    """Strict-dominance test: the element must be free of T1 and every
+    monomial Z^k Y^l must satisfy |k| <= |m|, |l| <= |n| and
+    (|k|, |l|) != (|m|, |n|)."""
     for (k, l, i) in nf.terms:
-        if i and idempotent_side == "plain":
+        if i:
             return False
         if abs(k) > abs(m) or abs(l) > abs(n):
             return False
@@ -773,541 +858,295 @@ def _factor_out_right(
 # ---------------------------------------------------------------------------
 # The step-identity catalog
 
-# Each identity states:  LHS = (sum of leading terms + dominated rest) * F
-# where F is T1+1 (spherical family) or T1+ab (antispherical family).
-# The builders receive (m, n, scalars) and return the left side as an
-# element and the leading terms as a map (k, l) -> coefficient.  Exact
-# identities have an empty dominated rest.
+
+# coefficient shorthands, named by their monomial: M = minus, AB = ab,
+# UN = u^n, UMN = u^-n
+_1 = ((1, 0, 0, 0, 0),)
+_M1 = ((-1, 0, 0, 0, 0),)
+_AB = ((1, 0, 1, 1, 0),)
+_MAB = ((-1, 0, 1, 1, 0),)
+_UN = ((1, 0, 0, 0, 1),)
+_MUN = ((-1, 0, 0, 0, 1),)
+_UMN = ((1, 0, 0, 0, -1),)
+_MABUN = ((-1, 0, 1, 1, 1),)
+_ABUMN = ((1, 0, 1, 1, -1),)
+_M1MAB = ((-1, 0, 0, 0, 0), (-1, 0, 1, 1, 0))
+_1AB = ((1, 0, 0, 0, 0), (1, 0, 1, 1, 0))
+_ONE_MINUS_Q2 = ((1, 0, 0, 0, 0), (-1, 2, 0, 0, 0))
+
+# middle words w of the step-3 rows
+_K1K0_MINUS_QK0K1 = {("K1", "K0"): _1, ("K0", "K1"): ((-1, 1, 0, 0, 0),)}
+_MINUS_QK1K0_PLUS_K0K1 = {("K1", "K0"): ((-1, 1, 0, 0, 0),), ("K0", "K1"): _1}
 
 
 @dataclass(frozen=True)
-class _StepSpec:
-    family: str  # "sym" | "asym"
-    exact: bool
-    lhs: Callable
-    leading: Callable
-    box: Callable  # (m, n) -> (M, N) bound for the dominance predicate
-    uses: str  # which of m, n the identity depends on: "m", "n", "mn"
+class StepRow:
+    """One step identity as plain data; the module docstring gives the
+    format.  ``statement`` is the catalog statement of ``check``, given on
+    the first row of that check only."""
+
+    check: str
+    family: str  # "sym" (F = T1+1) | "asym" (F = T1+ab)
+    kind: str  # "sandwich" | "embed" | "mixed" | "exact" | "step3"
+    signs: tuple[int, int]
+    leading: Mapping[tuple[int, int], Coef]
+    statement: str = ""
+    middle: Mapping[Word, Coef] = field(default_factory=dict)
+    scalar: Coef = _1
+
+    def uses(self) -> tuple[bool, bool]:
+        """Whether the identity reads m and whether it reads n; the exact
+        one-letter compressions read neither."""
+        if self.kind == "exact":
+            return False, False
+        return self.signs[0] != 0, self.signs[1] != 0
+
+    def leading_at(self, m: int, n: int, params: Params) -> dict[tuple[int, int], RatFunc]:
+        """The leading terms at exponents (m, n): (k, l) -> coefficient."""
+        m, n = _step_exponents(self, m, n)
+        bases = _coef_bases(params)
+        return {
+            (sk * m, sl * n): _coef(coef, n, bases)
+            for (sk, sl), coef in self.leading.items()
+        }
 
 
-def _scalars(params: Params):
+def _coef_bases(params: Params) -> tuple[RatFunc, RatFunc, RatFunc, RatFunc]:
     vals = params.values()
-    q, a, b, c, d = (vals[k] for k in ("q", "a", "b", "c", "d"))
-    ab = a * b
-    u = ab * c * d / q
-    return q, a, b, ab, u
+    q, a, b = vals["q"], vals["a"], vals["b"]
+    return q, a, b, a * b * vals["c"] * vals["d"] / q
 
 
-def _zy_word(m: int, n: int) -> Element:
-    return Element("daha", {_basis_word(m, n, 0): _ONE})
+def _coef(terms: Coef, n: int, bases: tuple[RatFunc, ...]) -> RatFunc:
+    """Evaluate a coefficient: the sum of c q^i a^j b^k u^(l n), u = abcd/q,
+    with bases (q, a, b, u)."""
+    out = RatFunc.zero()
+    for c, i, j, k, l in terms:
+        term = RatFunc.from_rational(c)
+        for base, e in zip(bases, (i, j, k, l * n)):
+            if e:
+                term = term * base**e
+        out = out + term
+    return out
 
 
-def _k_power_word(m: int, n: int) -> Element:
-    # K1^m K0^n over the three-letter alphabet
-    return Element("aw", {("K1",) * m + ("K0",) * n: _ONE})
-
-
-def _k_mixed_word(m: int, n: int, middle: Element) -> Element:
-    # K1^(m-1) * middle * K0^(n-1)
-    left = Element("aw", {("K1",) * (m - 1): _ONE})
-    right = Element("aw", {("K0",) * (n - 1): _ONE})
-    return left * middle * right
-
-
-def _k1k0(params: Params) -> Element:
-    return Element("aw", {("K1", "K0"): _ONE})
-
-
-def _k0k1(params: Params) -> Element:
-    return Element("aw", {("K0", "K1"): _ONE})
-
-
-def _build_step_table() -> dict[str, _StepSpec]:
-    table: dict[str, _StepSpec] = {}
-
-    def sandwich(m, n, factor_scalar, params):
-        f = _t1_plus(factor_scalar)
-        return f * _zy_word(m, n) * f
-
-    def add(name, family, exact, lhs, leading, box, uses):
-        table[name] = _StepSpec(family, exact, lhs, leading, box, uses)
-
-    one = lambda p: _ONE  # noqa: E731
-
-    # -- spherical step 1 --------------------------------------------------
-    def lhs_sym(mexp, nexp):
-        def build(m, n, params):
-            q, a, b, ab, u = _scalars(params)
-            return sandwich(mexp(m), nexp(n), _ONE, params)
-
-        return build
-
-    def lhs_asym(mexp, nexp):
-        def build(m, n, params):
-            q, a, b, ab, u = _scalars(params)
-            return sandwich(mexp(m), nexp(n), ab, params)
-
-        return build
-
-    add(
-        "44",
-        "sym",
-        False,
-        lhs_sym(lambda m: m, lambda n: 0),
-        lambda m, n, p: {(m, 0): _ONE, (-m, 0): _ONE},
-        lambda m, n: (m, 0),
-        "m",
-    )
-    add(
-        "45",
-        "sym",
-        False,
-        lhs_sym(lambda m: -m, lambda n: 0),
-        lambda m, n, p: {(m, 0): -_scalars(p)[3], (-m, 0): -_scalars(p)[3]},
-        lambda m, n: (m, 0),
-        "m",
-    )
-    add(
-        "47",
-        "sym",
-        False,
-        lhs_sym(lambda m: 0, lambda n: n),
-        lambda m, n, p: {
-            (0, n): -_scalars(p)[3],
-            (0, -n): -_scalars(p)[3] * _scalars(p)[4] ** n,
+# In catalog order: each spherical row next to its antispherical analogue.
+STEP_IDENTITIES: dict[str, StepRow] = {
+    # -- step 1: sandwiches F Z^(+-m) Y^(+-n) F
+    "44": StepRow(
+        "step.44", "sym", "sandwich", (1, 0), {(1, 0): _1, (-1, 0): _1},
+        "(T1+1) Z^m (T1+1) = (Z^m + Z^-m + dominated) (T1+1)",
+    ),
+    "a44": StepRow(
+        "astep.44", "asym", "sandwich", (1, 0), {(1, 0): _AB, (-1, 0): _AB},
+        "antispherical analogue: (T1+ab) Z^m (T1+ab) = (Z^m + Z^-m + dominated) (T1+ab)",
+    ),
+    "45": StepRow(
+        "step.45", "sym", "sandwich", (-1, 0), {(1, 0): _MAB, (-1, 0): _MAB},
+        "(T1+1) Z^-m (T1+1) = (-ab(Z^m + Z^-m) + dominated) (T1+1)",
+    ),
+    "a45": StepRow(
+        "astep.45", "asym", "sandwich", (-1, 0), {(1, 0): _M1, (-1, 0): _M1},
+        "antispherical analogue: (T1+ab) Z^-m (T1+ab) = (-ab(Z^m + Z^-m) + dominated) "
+        "(T1+ab)",
+    ),
+    "47": StepRow(
+        "step.47", "sym", "sandwich", (0, 1), {(0, 1): _MAB, (0, -1): _MABUN},
+        "(T1+1) Y^n (T1+1) = (-ab(Y^n + u^n Y^-n) + dominated) (T1+1), u = abcd/q",
+    ),
+    "a47": StepRow(
+        "astep.47", "asym", "sandwich", (0, 1), {(0, 1): _M1, (0, -1): _MUN},
+        "antispherical analogue: (T1+ab) Y^n (T1+ab) = (-ab(Y^n + u^n Y^-n) + dominated) "
+        "(T1+ab), u = abcd/q",
+    ),
+    "48": StepRow(
+        "step.48", "sym", "sandwich", (0, -1), {(0, 1): _UMN, (0, -1): _1},
+        "(T1+1) Y^-n (T1+1) = (u^-n Y^n + Y^-n + dominated) (T1+1)",
+    ),
+    "a48": StepRow(
+        "astep.48", "asym", "sandwich", (0, -1), {(0, 1): _ABUMN, (0, -1): _AB},
+        "antispherical analogue: (T1+ab) Y^-n (T1+ab) = (u^-n Y^n + Y^-n + dominated) (T1+ab)",
+    ),
+    "49": StepRow(
+        "step.49", "sym", "sandwich", (1, 1), {(1, 1): _1, (-1, -1): _MABUN},
+        "(T1+1) Z^m Y^n (T1+1) = (Z^m Y^n - ab u^n Z^-m Y^-n + dominated) (T1+1)",
+    ),
+    "a49": StepRow(
+        "astep.49", "asym", "sandwich", (1, 1), {(1, 1): _AB, (-1, -1): _MUN},
+        "antispherical analogue: (T1+ab) Z^m Y^n (T1+ab) = (Z^m Y^n - ab u^n Z^-m Y^-n "
+        "+ dominated) (T1+ab)",
+    ),
+    "50": StepRow(
+        "step.50", "sym", "sandwich", (-1, 1),
+        {(1, 1): _M1MAB, (1, -1): _MABUN, (-1, 1): _MAB},
+        "(T1+1) Z^-m Y^n (T1+1) = (-(ab+1) Z^m Y^n - ab u^n Z^m Y^-n - ab Z^-m Y^n "
+        "+ dominated) (T1+1)",
+    ),
+    "a50": StepRow(
+        "astep.50", "asym", "sandwich", (-1, 1),
+        {(1, 1): _M1MAB, (1, -1): _MUN, (-1, 1): _M1},
+        "antispherical analogue: (T1+ab) Z^-m Y^n (T1+ab) = (-(ab+1) Z^m Y^n - ab u^n "
+        "Z^m Y^-n - ab Z^-m Y^n + dominated) (T1+ab)",
+    ),
+    "51": StepRow(
+        "step.51", "sym", "sandwich", (1, -1),
+        {(1, -1): _1, (-1, 1): _UMN, (-1, -1): _1AB},
+        "(T1+1) Z^m Y^-n (T1+1) = (Z^m Y^-n + u^-n Z^-m Y^n + (1+ab) Z^-m Y^-n "
+        "+ dominated) (T1+1)",
+    ),
+    "a51": StepRow(
+        "astep.51", "asym", "sandwich", (1, -1),
+        {(1, -1): _AB, (-1, 1): _ABUMN, (-1, -1): _1AB},
+        "antispherical analogue: (T1+ab) Z^m Y^-n (T1+ab) = (Z^m Y^-n + u^-n Z^-m Y^n "
+        "+ (1+ab) Z^-m Y^-n + dominated) (T1+ab)",
+    ),
+    "52": StepRow(
+        "step.52", "sym", "sandwich", (-1, -1), {(1, 1): _UMN, (-1, -1): _MAB},
+        "(T1+1) Z^-m Y^-n (T1+1) = (u^-n Z^m Y^n - ab Z^-m Y^-n + dominated) (T1+1)",
+    ),
+    "a52": StepRow(
+        "astep.52", "asym", "sandwich", (-1, -1), {(1, 1): _ABUMN, (-1, -1): _M1},
+        "antispherical analogue: (T1+ab) Z^-m Y^-n (T1+ab) = (u^-n Z^m Y^n - ab Z^-m Y^-n "
+        "+ dominated) (T1+ab)",
+    ),
+    # -- step 2: embedded K1^m K0^n F and the mixed word K1^(m-1) K0 K1 K0^(n-1) F
+    "53": StepRow(
+        "step.53", "sym", "embed", (1, 0), {(1, 0): _1, (-1, 0): _1},
+        "K1^m (T1+1) = (Z^m + Z^-m + dominated) (T1+1), K-letters embedded",
+    ),
+    "a53": StepRow(
+        "astep.53", "asym", "embed", (1, 0), {(1, 0): _1, (-1, 0): _1},
+        "antispherical analogue: K1^m (T1+ab) = (Z^m + Z^-m + dominated) (T1+ab), "
+        "K-letters embedded",
+    ),
+    "54": StepRow(
+        "step.54", "sym", "embed", (0, 1), {(0, 1): _1, (0, -1): _UN},
+        "K0^n (T1+1) = (Y^n + u^n Y^-n + dominated) (T1+1)",
+    ),
+    "a54": StepRow(
+        "astep.54", "asym", "embed", (0, 1), {(0, 1): _1, (0, -1): _UN},
+        "antispherical analogue: K0^n (T1+ab) = (Y^n + u^n Y^-n + dominated) (T1+ab)",
+    ),
+    "55": StepRow(
+        "step.55", "sym", "embed", (1, 1),
+        {(1, 1): _1, (-1, 1): _1, (1, -1): _UN, (-1, -1): _UN},
+        "K1^m K0^n (T1+1) = (Z^m Y^n + Z^-m Y^n + u^n Z^m Y^-n + u^n Z^-m Y^-n "
+        "+ dominated) (T1+1)",
+    ),
+    "a55": StepRow(
+        "astep.55", "asym", "embed", (1, 1),
+        {(1, 1): _1, (-1, 1): _1, (1, -1): _UN, (-1, -1): _UN},
+        "antispherical analogue: K1^m K0^n (T1+ab) = (Z^m Y^n + Z^-m Y^n + u^n Z^m Y^-n "
+        "+ u^n Z^-m Y^-n + dominated) (T1+ab)",
+    ),
+    "56": StepRow(
+        "step.56", "sym", "mixed", (1, 1),
+        {
+            (1, 1): ((1, 1, 0, 0, 0),),
+            (-1, 1): ((1, -1, 0, 0, 0),),
+            (1, -1): ((1, -1, 0, 0, 1),),
+            (-1, -1): ((1, -1, 0, 0, 1), (1, -1, 1, 1, 1), (-1, 1, 1, 1, 1)),
         },
-        lambda m, n: (0, n),
-        "n",
-    )
-    add(
-        "48",
-        "sym",
-        False,
-        lhs_sym(lambda m: 0, lambda n: -n),
-        lambda m, n, p: {(0, n): _scalars(p)[4] ** (-n), (0, -n): _ONE},
-        lambda m, n: (0, n),
-        "n",
-    )
-    add(
-        "49",
-        "sym",
-        False,
-        lhs_sym(lambda m: m, lambda n: n),
-        lambda m, n, p: {
-            (m, n): _ONE,
-            (-m, -n): -_scalars(p)[3] * _scalars(p)[4] ** n,
+        "K1^(m-1) K0 K1 K0^(n-1) (T1+1) = (q Z^m Y^n + q^-1 Z^-m Y^n + q^-1 u^n Z^m Y^-n "
+        "+ q^-1 u^n (1+ab-q^2 ab) Z^-m Y^-n + dominated) (T1+1)",
+        middle={("K0", "K1"): _1},
+    ),
+    "a56": StepRow(
+        "astep.56", "asym", "mixed", (1, 1),
+        {
+            (1, 1): ((1, 1, 0, 0, 0),),
+            (-1, 1): ((1, -1, 0, 0, 0),),
+            (1, -1): ((1, -1, 0, 0, 1),),
+            (-1, -1): ((1, -1, -1, -1, 1), (1, -1, 0, 0, 1), (-1, 1, -1, -1, 1)),
         },
-        lambda m, n: (m, n),
-        "mn",
-    )
-    add(
-        "50",
-        "sym",
-        False,
-        lhs_sym(lambda m: -m, lambda n: n),
-        lambda m, n, p: {
-            (m, n): -(_scalars(p)[3] + _ONE),
-            (m, -n): -_scalars(p)[3] * _scalars(p)[4] ** n,
-            (-m, n): -_scalars(p)[3],
+        "antispherical analogue: K1^(m-1) K0 K1 K0^(n-1) (T1+ab) = (q Z^m Y^n + q^-1 Z^-m "
+        "Y^n + q^-1 u^n Z^m Y^-n + q^-1 u^n (1+ab-q^2 ab) Z^-m Y^-n + dominated) (T1+ab)",
+        middle={("K0", "K1"): _1},
+    ),
+    # -- the two exact one-letter compressions F Z^(+-1) F
+    "44.exact": StepRow(
+        "step.44.exact", "sym", "exact", (1, 0),
+        {(1, 0): _1, (-1, 0): _1, (0, 0): ((-1, 0, 1, 0, 0), (-1, 0, 0, 1, 0))},
+        "(T1+1) Z (T1+1) = (Z + Z^-1 - (a+b)) (T1+1), coefficient-exact",
+    ),
+    "45.exact": StepRow(
+        "step.45.exact", "sym", "exact", (-1, 0),
+        {(1, 0): _MAB, (-1, 0): _MAB, (0, 0): ((1, 0, 1, 0, 0), (1, 0, 0, 1, 0))},
+        "(T1+1) Z^-1 (T1+1) = (-ab(Z + Z^-1) + a+b) (T1+1), coefficient-exact",
+    ),
+    # -- step 3: (1-q^2) F Z^(+-m) Y^(+-n) F - c K1^(m-1) w K0^(n-1) F is dominated
+    "sph3.1": StepRow(
+        "step3.spherical", "sym", "step3", (1, 1), {},
+        "the four leading-coefficient displays expressing (T1+1) Z^(+-m) Y^(+-n) (T1+1) "
+        "through embedded K-words times (T1+1), up to dominated terms",
+        middle=_K1K0_MINUS_QK0K1,
+    ),
+    "sph3.2": StepRow(
+        "step3.spherical", "sym", "step3", (-1, 1), {},
+        middle={
+            ("K1", "K0"): ((-1, -1, 0, 0, 0), (-1, -1, 1, 1, 0), (1, 1, 1, 1, 0)),
+            ("K0", "K1"): _1,
         },
-        lambda m, n: (m, n),
-        "mn",
-    )
-    add(
-        "51",
-        "sym",
-        False,
-        lhs_sym(lambda m: m, lambda n: -n),
-        lambda m, n, p: {
-            (m, -n): _ONE,
-            (-m, n): _scalars(p)[4] ** (-n),
-            (-m, -n): _ONE + _scalars(p)[3],
+        scalar=((1, 1, 0, 0, 0),),
+    ),
+    "sph3.3": StepRow(
+        "step3.spherical", "sym", "step3", (1, -1), {},
+        middle=_MINUS_QK1K0_PLUS_K0K1, scalar=((1, 1, 0, 0, -1),),
+    ),
+    "sph3.4": StepRow(
+        "step3.spherical", "sym", "step3", (-1, -1), {},
+        middle=_K1K0_MINUS_QK0K1, scalar=_UMN,
+    ),
+    "asph3.1": StepRow(
+        "step3.antispherical", "asym", "step3", (1, 1), {},
+        "the four antispherical leading-coefficient displays with factor (T1+ab) "
+        "and K0 read at shifted parameters",
+        middle=_K1K0_MINUS_QK0K1, scalar=_AB,
+    ),
+    "asph3.2": StepRow(
+        "step3.antispherical", "asym", "step3", (-1, 1), {},
+        middle={
+            ("K1", "K0"): ((-1, 0, 0, 0, 0), (-1, 0, 1, 1, 0), (1, 2, 0, 0, 0)),
+            ("K0", "K1"): ((1, 1, 1, 1, 0),),
         },
-        lambda m, n: (m, n),
-        "mn",
-    )
-    add(
-        "52",
-        "sym",
-        False,
-        lhs_sym(lambda m: -m, lambda n: -n),
-        lambda m, n, p: {
-            (m, n): _scalars(p)[4] ** (-n),
-            (-m, -n): -_scalars(p)[3],
-        },
-        lambda m, n: (m, n),
-        "mn",
-    )
+    ),
+    "asph3.3": StepRow(
+        "step3.antispherical", "asym", "step3", (1, -1), {},
+        middle=_MINUS_QK1K0_PLUS_K0K1, scalar=((1, 1, 1, 1, -1),),
+    ),
+    "asph3.4": StepRow(
+        "step3.antispherical", "asym", "step3", (-1, -1), {},
+        middle=_K1K0_MINUS_QK0K1, scalar=_ABUMN,
+    ),
+}
 
-    # -- spherical step 2 (words in the embedded generators) ----------------
-    def lhs_k_power(sym: bool, zpow, ypow):
-        def build(m, n, params):
-            q, a, b, ab, u = _scalars(params)
-            factor = _t1_plus(_ONE if sym else ab)
-            return embed_element(_k_power_word(zpow(m), ypow(n)), params) * factor
 
-        return build
+def _step_exponents(row: StepRow, m: int, n: int) -> tuple[int, int]:
+    # the exact rows compress one letter whatever the exponents
+    return (1, 1) if row.kind == "exact" else (m, n)
 
-    add(
-        "53",
-        "sym",
-        False,
-        lhs_k_power(True, lambda m: m, lambda n: 0),
-        lambda m, n, p: {(m, 0): _ONE, (-m, 0): _ONE},
-        lambda m, n: (m, 0),
-        "m",
-    )
-    add(
-        "54",
-        "sym",
-        False,
-        lhs_k_power(True, lambda m: 0, lambda n: n),
-        lambda m, n, p: {(0, n): _ONE, (0, -n): _scalars(p)[4] ** n},
-        lambda m, n: (0, n),
-        "n",
-    )
-    add(
-        "55",
-        "sym",
-        False,
-        lhs_k_power(True, lambda m: m, lambda n: n),
-        lambda m, n, p: {
-            (m, n): _ONE,
-            (-m, n): _ONE,
-            (m, -n): _scalars(p)[4] ** n,
-            (-m, -n): _scalars(p)[4] ** n,
-        },
-        lambda m, n: (m, n),
-        "mn",
-    )
 
-    def lhs_56(sym: bool):
-        def build(m, n, params):
-            q, a, b, ab, u = _scalars(params)
-            factor = _t1_plus(_ONE if sym else ab)
-            word = _k_mixed_word(m, n, _k0k1(params))
-            return embed_element(word, params) * factor
-
-        return build
-
-    def lead_56(m, n, p):
-        q, a, b, ab, u = _scalars(p)
-        return {
-            (m, n): q,
-            (-m, n): q.inv(),
-            (m, -n): q.inv() * u**n,
-            (-m, -n): q.inv() * u**n * (_ONE + ab - q * q * ab),
+def _step_lhs(row: StepRow, m: int, n: int, params: Params) -> Element:
+    m, n = _step_exponents(row, m, n)
+    bases = _coef_bases(params)
+    f = _t1_plus(_ONE if row.family == "sym" else bases[1] * bases[2])
+    sm, sn = row.signs
+    if row.kind == "embed":
+        k_word = {("K1",) * (abs(sm) * m) + ("K0",) * (abs(sn) * n): _ONE}
+    else:
+        k_word = {
+            ("K1",) * (m - 1) + w + ("K0",) * (n - 1): _coef(coef, n, bases)
+            for w, coef in row.middle.items()
         }
-
-    add("56", "sym", False, lhs_56(True), lead_56, lambda m, n: (m, n), "mn")
-
-    # -- the two exact one-letter compressions ------------------------------
-    def lhs_44_exact(m, n, params):
-        f = _t1_plus(_ONE)
-        q, a, b, ab, u = _scalars(params)
-        rhs = (
-            Element("daha", {("Z",): _ONE, ("Zi",): _ONE, (): -(a + b)}) * f
+    embedded = embed_element(Element("aw", k_word), params) * f
+    if row.kind in ("embed", "mixed"):
+        return embedded
+    sandwich = f * Element("daha", {_basis_word(sm * m, sn * n, 0): _ONE}) * f
+    if row.kind == "step3":
+        return sandwich.scale(_coef(_ONE_MINUS_Q2, n, bases)) - embedded.scale(
+            _coef(row.scalar, n, bases)
         )
-        return f * Element.generator("Z") * f - rhs
-
-    def lhs_45_exact(m, n, params):
-        f = _t1_plus(_ONE)
-        q, a, b, ab, u = _scalars(params)
-        rhs = (
-            Element("daha", {("Z",): -ab, ("Zi",): -ab, (): a + b}) * f
-        )
-        return f * Element.generator("Zi") * f - rhs
-
-    add("44.exact", "sym", True, lhs_44_exact, lambda m, n, p: {}, lambda m, n: (0, 0), "m")
-    add("45.exact", "sym", True, lhs_45_exact, lambda m, n, p: {}, lambda m, n: (0, 0), "m")
-
-    # -- spherical step 3 ----------------------------------------------------
-    def lhs_step3(sign_m, sign_n, scalar_fn, middle_fn, sym: bool):
-        def build(m, n, params):
-            q, a, b, ab, u = _scalars(params)
-            factor = _t1_plus(_ONE if sym else ab)
-            lhs = sandwich(sign_m * m, sign_n * n, _ONE if sym else ab, params)
-            word = _k_mixed_word(m, n, middle_fn(params))
-            rhs = (embed_element(word, params) * factor).scale(
-                scalar_fn(m, n, params)
-            )
-            return lhs - rhs
-
-        return build
-
-    def mid_k1k0_minus_qk0k1(p):
-        q = _scalars(p)[0]
-        return _k1k0(p) - _k0k1(p).scale(q)
-
-    def mid_sph2(p):
-        q, a, b, ab, u = _scalars(p)
-        return _k1k0(p).scale(-(q.inv()) * (_ONE + ab - q * q * ab)) + _k0k1(p)
-
-    def mid_minus_qk1k0_plus_k0k1(p):
-        q = _scalars(p)[0]
-        return _k1k0(p).scale(-q) + _k0k1(p)
-
-    one_minus_q2 = lambda p: _ONE - _scalars(p)[0] ** 2  # noqa: E731
-
-    add(
-        "sph3.1",
-        "sym",
-        False,
-        lhs_step3(1, 1, lambda m, n, p: one_minus_q2(p).inv(), mid_k1k0_minus_qk0k1, True),
-        lambda m, n, p: {},
-        lambda m, n: (m, n),
-        "mn",
-    )
-    add(
-        "sph3.2",
-        "sym",
-        False,
-        lhs_step3(
-            -1,
-            1,
-            lambda m, n, p: _scalars(p)[0] * one_minus_q2(p).inv(),
-            mid_sph2,
-            True,
-        ),
-        lambda m, n, p: {},
-        lambda m, n: (m, n),
-        "mn",
-    )
-    add(
-        "sph3.3",
-        "sym",
-        False,
-        lhs_step3(
-            1,
-            -1,
-            lambda m, n, p: _scalars(p)[0]
-            * (one_minus_q2(p) * _scalars(p)[4] ** n).inv(),
-            mid_minus_qk1k0_plus_k0k1,
-            True,
-        ),
-        lambda m, n, p: {},
-        lambda m, n: (m, n),
-        "mn",
-    )
-    add(
-        "sph3.4",
-        "sym",
-        False,
-        lhs_step3(
-            -1,
-            -1,
-            lambda m, n, p: (one_minus_q2(p) * _scalars(p)[4] ** n).inv(),
-            mid_k1k0_minus_qk0k1,
-            True,
-        ),
-        lambda m, n, p: {},
-        lambda m, n: (m, n),
-        "mn",
-    )
-
-    # -- antispherical step 1 ------------------------------------------------
-    add(
-        "a44",
-        "asym",
-        False,
-        lhs_asym(lambda m: m, lambda n: 0),
-        lambda m, n, p: {(m, 0): _scalars(p)[3], (-m, 0): _scalars(p)[3]},
-        lambda m, n: (m, 0),
-        "m",
-    )
-    add(
-        "a45",
-        "asym",
-        False,
-        lhs_asym(lambda m: -m, lambda n: 0),
-        lambda m, n, p: {(m, 0): -_ONE, (-m, 0): -_ONE},
-        lambda m, n: (m, 0),
-        "m",
-    )
-    add(
-        "a47",
-        "asym",
-        False,
-        lhs_asym(lambda m: 0, lambda n: n),
-        lambda m, n, p: {(0, n): -_ONE, (0, -n): -(_scalars(p)[4] ** n)},
-        lambda m, n: (0, n),
-        "n",
-    )
-    add(
-        "a48",
-        "asym",
-        False,
-        lhs_asym(lambda m: 0, lambda n: -n),
-        lambda m, n, p: {
-            (0, n): _scalars(p)[3] * _scalars(p)[4] ** (-n),
-            (0, -n): _scalars(p)[3],
-        },
-        lambda m, n: (0, n),
-        "n",
-    )
-    add(
-        "a49",
-        "asym",
-        False,
-        lhs_asym(lambda m: m, lambda n: n),
-        lambda m, n, p: {
-            (m, n): _scalars(p)[3],
-            (-m, -n): -(_scalars(p)[4] ** n),
-        },
-        lambda m, n: (m, n),
-        "mn",
-    )
-    add(
-        "a50",
-        "asym",
-        False,
-        lhs_asym(lambda m: -m, lambda n: n),
-        lambda m, n, p: {
-            (m, n): -(_scalars(p)[3] + _ONE),
-            (m, -n): -(_scalars(p)[4] ** n),
-            (-m, n): -_ONE,
-        },
-        lambda m, n: (m, n),
-        "mn",
-    )
-    add(
-        "a51",
-        "asym",
-        False,
-        lhs_asym(lambda m: m, lambda n: -n),
-        lambda m, n, p: {
-            (-m, n): _scalars(p)[3] * _scalars(p)[4] ** (-n),
-            (m, -n): _scalars(p)[3],
-            (-m, -n): _ONE + _scalars(p)[3],
-        },
-        lambda m, n: (m, n),
-        "mn",
-    )
-    add(
-        "a52",
-        "asym",
-        False,
-        lhs_asym(lambda m: -m, lambda n: -n),
-        lambda m, n, p: {
-            (m, n): _scalars(p)[3] * _scalars(p)[4] ** (-n),
-            (-m, -n): -_ONE,
-        },
-        lambda m, n: (m, n),
-        "mn",
-    )
-
-    # -- antispherical step 2 -----------------------------------------------
-    add(
-        "a53",
-        "asym",
-        False,
-        lhs_k_power(False, lambda m: m, lambda n: 0),
-        lambda m, n, p: {(m, 0): _ONE, (-m, 0): _ONE},
-        lambda m, n: (m, 0),
-        "m",
-    )
-    add(
-        "a54",
-        "asym",
-        False,
-        lhs_k_power(False, lambda m: 0, lambda n: n),
-        lambda m, n, p: {(0, n): _ONE, (0, -n): _scalars(p)[4] ** n},
-        lambda m, n: (0, n),
-        "n",
-    )
-    add(
-        "a55",
-        "asym",
-        False,
-        lhs_k_power(False, lambda m: m, lambda n: n),
-        lambda m, n, p: {
-            (m, n): _ONE,
-            (-m, n): _ONE,
-            (m, -n): _scalars(p)[4] ** n,
-            (-m, -n): _scalars(p)[4] ** n,
-        },
-        lambda m, n: (m, n),
-        "mn",
-    )
-
-    def lead_a56(m, n, p):
-        q, a, b, ab, u = _scalars(p)
-        return {
-            (m, n): q,
-            (-m, n): q.inv(),
-            (m, -n): q.inv() * u**n,
-            (-m, -n): (q * ab).inv() * u**n * (_ONE + ab - q * q),
-        }
-
-    add("a56", "asym", False, lhs_56(False), lead_a56, lambda m, n: (m, n), "mn")
-
-    # -- antispherical step 3 -------------------------------------------------
-    def mid_asym2(p):
-        q, a, b, ab, u = _scalars(p)
-        return _k1k0(p).scale(-(_ONE + ab - q * q)) + _k0k1(p).scale(q * ab)
-
-    add(
-        "asph3.1",
-        "asym",
-        False,
-        lhs_step3(
-            1,
-            1,
-            lambda m, n, p: _scalars(p)[3] * one_minus_q2(p).inv(),
-            mid_k1k0_minus_qk0k1,
-            False,
-        ),
-        lambda m, n, p: {},
-        lambda m, n: (m, n),
-        "mn",
-    )
-    add(
-        "asph3.2",
-        "asym",
-        False,
-        lhs_step3(-1, 1, lambda m, n, p: one_minus_q2(p).inv(), mid_asym2, False),
-        lambda m, n, p: {},
-        lambda m, n: (m, n),
-        "mn",
-    )
-    add(
-        "asph3.3",
-        "asym",
-        False,
-        lhs_step3(
-            1,
-            -1,
-            lambda m, n, p: _scalars(p)[0]
-            * _scalars(p)[3]
-            * (one_minus_q2(p) * _scalars(p)[4] ** n).inv(),
-            mid_minus_qk1k0_plus_k0k1,
-            False,
-        ),
-        lambda m, n, p: {},
-        lambda m, n: (m, n),
-        "mn",
-    )
-    add(
-        "asph3.4",
-        "asym",
-        False,
-        lhs_step3(
-            -1,
-            -1,
-            lambda m, n, p: _scalars(p)[3]
-            * (one_minus_q2(p) * _scalars(p)[4] ** n).inv(),
-            mid_k1k0_minus_qk0k1,
-            False,
-        ),
-        lambda m, n, p: {},
-        lambda m, n: (m, n),
-        "mn",
-    )
-
-    return table
-
-
-STEP_IDENTITIES: dict[str, _StepSpec] = _build_step_table()
+    return sandwich
 
 
 def check_step_identity(
@@ -1320,36 +1159,33 @@ def check_step_identity(
     """Verify one step identity at exponents (m, n).
 
     Returns (residual, verdict): the residual is the reduction of the left
-    side minus the stated leading terms; the verdict is True when the
-    residual factors as R * (T1+1) (spherical family) or R * (T1+ab)
-    (antispherical family) with R strictly dominated by the identity's
-    exponent box, and for exact identities when the residual is zero.
+    side minus the stated leading terms times F; the verdict is True when
+    the residual factors as R * (T1+1) (spherical family) or R * (T1+ab)
+    (antispherical family) with R strictly dominated by the exponents the
+    identity reads, and for exact identities when the residual is zero.
     One-index identities read only the exponent they use.
     """
-    spec = STEP_IDENTITIES.get(identity)
-    if spec is None:
+    row = STEP_IDENTITIES.get(identity)
+    if row is None:
         raise UnknownIdentity(
             f"unknown step identity {identity!r}; known: {sorted(STEP_IDENTITIES)}"
         )
     if m < 1 or n < 1:
         raise ValueError("step identities take positive exponents")
-    vals = params.values()
-    ab = vals["a"] * vals["b"]
-    lhs = spec.lhs(m, n, params)
-    nf = reduce(lhs, params, budget)
-    leading = spec.leading(m, n, params)
+    ab = params.value("a") * params.value("b")
+    nf = reduce(_step_lhs(row, m, n, params), params, budget)
     lead_terms: dict[tuple[int, int, int], RatFunc] = {}
-    for (k, l), coef in leading.items():
+    for (k, l), coef in row.leading_at(m, n, params).items():
         _acc(lead_terms, (k, l, 1), coef)
-        _acc(lead_terms, (k, l, 0), coef * (_ONE if spec.family == "sym" else ab))
+        _acc(lead_terms, (k, l, 0), coef if row.family == "sym" else coef * ab)
     residual = nf - NormalForm(lead_terms)
-    if spec.exact:
+    if row.kind == "exact":
         return residual, residual.is_zero()
-    rest = _factor_out_right(residual, spec.family, params)
+    rest = _factor_out_right(residual, row.family, params)
     if rest is None:
         return residual, False
-    box_m, box_n = spec.box(m, n)
-    return residual, is_o_of(rest, box_m, box_n, "plain")
+    uses_m, uses_n = row.uses()
+    return residual, is_o_of(rest, m if uses_m else 0, n if uses_n else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -18,23 +18,28 @@ as sum_k c_k D(z^k + z^-k).  The basis images come from the
 common-denominator path and are memoized per parameter set, for the most
 recently used parameter sets only.  They carry only monomial denominators,
 while the c_k (the coefficients of P_n, say) need not.
+
+The Casimir word combination and the two q-commutator relations are the
+quotient relations of :mod:`rank1daha.ncalg`, applied word by word as
+operators.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from collections import OrderedDict
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     DegenerateParameters,
     InternalDenominatorResidue,
     NotSymmetric,
 )
+from .ncalg import Element, quotient_relations
 from .params import (
     Params,
     RatFunc,
     _params_cache_entry,
-    eigenvalue,
     structure_constants,
 )
 
@@ -393,33 +398,21 @@ def recurrence_coeffs(n: int, params: Params) -> tuple[RatFunc, RatFunc]:
     return beta, gamma
 
 
-def _casimir_word_combination(params: Params) -> list[tuple[RatFunc, tuple[str, ...]]]:
-    sc = structure_constants(params)
-    q = params.value("q")
-    qpqi = q + q.inv()
-    cmid = q * q + _ONE + (q * q).inv()
-    clin = q + _ONE + q.inv()
-    return [
-        (_ONE, ("K1", "K0", "K1", "K0")),
-        (-cmid, ("K0", "K1", "K0", "K1")),
-        (qpqi, ("K0", "K0", "K1", "K1")),
-        (qpqi * sc.C0, ("K0", "K0")),
-        (qpqi * sc.C1, ("K1", "K1")),
-        (sc.B * clin, ("K0", "K1")),
-        (sc.B, ("K1", "K0")),
-        (clin * sc.D0, ("K0",)),
-        (clin * sc.D1, ("K1",)),
-    ]
+def _apply_element(e: Element, f: LaurentPoly, params: Params) -> LaurentPoly:
+    """Apply a combination of K0/K1 words as operators."""
+    out = LaurentPoly.zero()
+    for word, coef in e.terms.items():
+        out = out + apply_word(word, f, params).scale(coef)
+    return out
 
 
 def casimir_apply(f: LaurentPoly, params: Params) -> LaurentPoly:
     """Apply the degree-four Casimir word combination; on every symmetric
     Laurent polynomial the result is the scalar Q0 times the input."""
     _require_symmetric(f)
-    out = LaurentPoly.zero()
-    for coef, word in _casimir_word_combination(params):
-        out = out + apply_word(word, f, params).scale(coef)
-    return out
+    sc = structure_constants(params)
+    casimir = quotient_relations(params, sc)["casimir"] + sc.Q0
+    return _apply_element(casimir, f, params)
 
 
 def check_aw_relations_in_rep(
@@ -433,28 +426,12 @@ def check_aw_relations_in_rep(
     All residuals are zero for the true structure constants;
     ``perturb_B`` shifts the constant B (negative control)."""
     sc = structure_constants(params)
-    q = params.value("q")
-    qpqi = q + q.inv()
-    b_used = sc.B + perturb_B if perturb_B is not None else sc.B
+    if perturb_B is not None:
+        sc = dataclasses.replace(sc, B=sc.B + perturb_B)
+    rels = quotient_relations(params, sc)
     residuals = []
     for k in range(max_degree + 1):
         f = LaurentPoly.symmetric_basis(k)
-        rel1 = (
-            apply_word(("K1", "K0", "K1"), f, params).scale(qpqi)
-            - apply_word(("K1", "K1", "K0"), f, params)
-            - apply_word(("K0", "K1", "K1"), f, params)
-            - apply_k1(f).scale(b_used)
-            - apply_dsym(f, params).scale(sc.C0)
-            - f.scale(sc.D0)
-        )
-        rel2 = (
-            apply_word(("K0", "K1", "K0"), f, params).scale(qpqi)
-            - apply_word(("K0", "K0", "K1"), f, params)
-            - apply_word(("K1", "K0", "K0"), f, params)
-            - apply_dsym(f, params).scale(b_used)
-            - apply_k1(f).scale(sc.C1)
-            - f.scale(sc.D1)
-        )
-        residuals.append(rel1)
-        residuals.append(rel2)
+        residuals.append(_apply_element(rels["rel1"], f, params))
+        residuals.append(_apply_element(rels["rel2"], f, params))
     return residuals

@@ -15,9 +15,9 @@ import dataclasses
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import ncalg, polyrep
 from .errors import ConfigError, DegenerateParameters, ParseError
@@ -56,8 +56,8 @@ _ONE = RatFunc.one()
 
 @dataclass(frozen=True)
 class CheckSpec:
-    """One catalog entry: a stable id, the knob bounds it reads, and its
-    default mode when the run does not force one."""
+    """One catalog entry: a stable id, its statement, and its default mode
+    when the run neither forces a mode nor gives a parameter point."""
 
     id: str
     statement: str
@@ -104,7 +104,7 @@ class Report:
 @dataclass
 class RunConfig:
     checks: Sequence[str] | None = None  # None or empty = all
-    mode: str | None = None  # None = per-check default, else "exact"|"prob"
+    mode: str | None = None  # None: exact if params is set, else per-check default
     seed: int = 1729
     trials: int = 8
     max_mn: int = 3
@@ -158,116 +158,16 @@ def _check_confluence_spot(params, bounds, rng) -> str:
     return ""
 
 
-def _aw_relation_elements(params) -> dict[str, Element]:
-    """The defining relations of the central extension, as elements whose
-    embeddings must reduce to zero."""
-    sc = structure_constants(params)
-    vals = params.values()
-    q = vals["q"]
-    ab = vals["a"] * vals["b"]
-    K0 = Element.generator("K0")
-    K1 = Element.generator("K1")
-    T1 = Element.generator("T1", "aw")
-    one = Element.one("aw")
-    qpqi = q + q.inv()
-    tfac = T1 + ab
-    rel34 = (
-        (K1 * K0 * K1).scale(qpqi)
-        - K1 * K1 * K0
-        - K0 * K1 * K1
-        - K1.scale(sc.B)
-        - K0.scale(sc.C0)
-        - one.scale(sc.D0)
-        - (K1 * tfac).scale(sc.E)
-        - tfac.scale(sc.F0)
-    )
-    rel35 = (
-        (K0 * K1 * K0).scale(qpqi)
-        - K0 * K0 * K1
-        - K1 * K0 * K0
-        - K0.scale(sc.B)
-        - K1.scale(sc.C1)
-        - one.scale(sc.D1)
-        - (K0 * tfac).scale(sc.E)
-        - tfac.scale(sc.F1)
-    )
-    cmid = q * q + _ONE + (q * q).inv()
-    clin = q + _ONE + q.inv()
-    rel36 = (
-        (K1 * K0) * (K1 * K0)
-        - (K0 * (K1 * K0) * K1).scale(cmid)
-        + (K0 * K0 * K1 * K1).scale(qpqi)
-        + (K0 * K0).scale(qpqi * sc.C0)
-        + (K1 * K1).scale(qpqi * sc.C1)
-        + ((K0 * K1).scale(clin) + K1 * K0) * (one.scale(sc.B) + tfac.scale(sc.E))
-        + K0.scale(clin) * (one.scale(sc.D0) + tfac.scale(sc.F0))
-        + K1.scale(clin) * (one.scale(sc.D1) + tfac.scale(sc.F1))
-        + tfac.scale(sc.G)
-        - one.scale(sc.Q0)
-    )
-    return {
-        "rel34": rel34,
-        "rel35": rel35,
-        "rel36": rel36,
-        "central0": K0 * T1 - T1 * K0,
-        "central1": K1 * T1 - T1 * K1,
-        "quad": (T1 + ab) * (T1 + _ONE),
-    }
-
-
-def _plain_aw_relation_elements(params) -> dict[str, Element]:
-    """The two q-commutator relations and the Casimir relation of the
-    two-generator quotient (these hold only modulo the T1 = -ab ideal)."""
-    sc = structure_constants(params)
-    q = params.value("q")
-    K0 = Element.generator("K0")
-    K1 = Element.generator("K1")
-    one = Element.one("aw")
-    qpqi = q + q.inv()
-    rel1 = (
-        (K1 * K0 * K1).scale(qpqi)
-        - K1 * K1 * K0
-        - K0 * K1 * K1
-        - K1.scale(sc.B)
-        - K0.scale(sc.C0)
-        - one.scale(sc.D0)
-    )
-    rel2 = (
-        (K0 * K1 * K0).scale(qpqi)
-        - K0 * K0 * K1
-        - K1 * K0 * K0
-        - K0.scale(sc.B)
-        - K1.scale(sc.C1)
-        - one.scale(sc.D1)
-    )
-    return {"rel1": rel1, "rel2": rel2, "casimir": _casimir_element(params) - one.scale(sc.Q0)}
-
-
-def _casimir_element(params) -> Element:
-    """The degree-four central word combination over K0/K1."""
-    K0 = Element.generator("K0")
-    K1 = Element.generator("K1")
-    words = {"K0": K0, "K1": K1}
-    out = Element.zero("aw")
-    for coef, word in polyrep._casimir_word_combination(params):
-        prod = Element.one("aw")
-        for letter in word:
-            prod = prod * words[letter]
-        out = out + prod.scale(coef)
-    return out
-
-
 def _embed_check(name: str):
     def run(params, bounds, rng) -> str:
-        rel = _aw_relation_elements(params)[name]
-        nf = ncalg.embed_aw(rel, params)
+        nf = ncalg.embed_aw(ncalg.aw_relations(params)[name], params)
         return "" if nf.is_zero() else _fmt_nf(nf)
 
     return run
 
 
 def _check_t1central(params, bounds, rng) -> str:
-    rels = _aw_relation_elements(params)
+    rels = ncalg.aw_relations(params)
     for name in ("central0", "central1"):
         nf = ncalg.embed_aw(rels[name], params)
         if not nf.is_zero():
@@ -283,20 +183,13 @@ def _check_idempotents(params, bounds, rng) -> str:
         "asym idempotent": p_asym * p_asym - p_asym,
         "sum to one": p_sym + p_asym - one,
         "orthogonal": p_sym * p_asym,
-        "T1 quadratic": _quad_element(params),
+        "T1 quadratic": ncalg.embed_element(ncalg.aw_relations(params)["quad"], params),
     }
     for name, e in cases.items():
         nf = ncalg.reduce(e, params)
         if not nf.is_zero():
             return f"{name}: {_fmt_nf(nf)}"
     return ""
-
-
-def _quad_element(params) -> Element:
-    vals = params.values()
-    ab = vals["a"] * vals["b"]
-    T1 = Element.generator("T1", "daha")
-    return (T1 + ab) * (T1 + _ONE)
 
 
 def _random_daha_word(rng, max_len=3) -> Element:
@@ -356,34 +249,18 @@ def _check_iso_mult(which: str):
     return run
 
 
-def _check_step(identity: str):
+def _check_steps(names: tuple[str, ...]):
+    # rows of one catalog check; a row's signs give the exponents it reads
     def run(params, bounds, rng) -> str:
-        spec = ncalg.STEP_IDENTITIES[identity]
-        bound = bounds.get("max_mn", 3)
-        if spec.uses == "m":
-            pairs = [(m, 1) for m in range(1, bound + 1)]
-        elif spec.uses == "n":
-            pairs = [(1, n) for n in range(1, bound + 1)]
-        else:
-            pairs = [(m, n) for m in range(1, bound + 1) for n in range(1, bound + 1)]
-        for m, n in pairs:
-            residual, ok = ncalg.check_step_identity(identity, m, n, params)
-            if not ok:
-                return f"(m,n)=({m},{n}): {_fmt_nf(residual)}"
-        return ""
-
-    return run
-
-
-def _check_step_group(identities: Sequence[str]):
-    def run(params, bounds, rng) -> str:
-        bound = bounds.get("max_mn", 3)
-        for identity in identities:
-            for m in range(1, bound + 1):
-                for n in range(1, bound + 1):
-                    residual, ok = ncalg.check_step_identity(identity, m, n, params)
+        exponents = range(1, bounds["max_mn"] + 1)
+        for name in names:
+            uses_m, uses_n = ncalg.STEP_IDENTITIES[name].uses()
+            for m in exponents if uses_m else (1,):
+                for n in exponents if uses_n else (1,):
+                    residual, ok = ncalg.check_step_identity(name, m, n, params)
                     if not ok:
-                        return f"{identity} (m,n)=({m},{n}): {_fmt_nf(residual)}"
+                        where = f"{name} " if len(names) > 1 else ""
+                        return f"{where}(m,n)=({m},{n}): {_fmt_nf(residual)}"
         return ""
 
     return run
@@ -401,12 +278,7 @@ def _check_o_filtration(params, bounds, rng) -> str:
         (ncalg.is_o_of(edge, 2, 2), True, "edge (|k|,|l|)!=(|m|,|n|) accepted"),
         (ncalg.is_o_of(corner, 2, 2), False, "corner rejected"),
         (ncalg.is_o_of(corner, 3, 3), True, "corner inside larger box accepted"),
-        (ncalg.is_o_of(t1_term, 2, 2, "plain"), False, "plain mode rejects T1"),
-        (
-            ncalg.is_o_of(t1_term, 2, 2, "times_T1_factor"),
-            True,
-            "layered mode accepts dominated T1 term",
-        ),
+        (ncalg.is_o_of(t1_term, 2, 2), False, "T1 term rejected"),
         (ncalg.is_o_of(NormalForm({}), 1, 1), True, "zero accepted"),
     ]
     for got, want, label in cases:
@@ -418,14 +290,16 @@ def _check_o_filtration(params, bounds, rng) -> str:
 def _check_duality_aw(params, bounds, rng) -> str:
     target = params.dual()
     # relations of the central extension map to exact zero
-    for name, rel in _aw_relation_elements(params).items():
+    for name, rel in ncalg.aw_relations(params).items():
         img, tgt = ncalg.duality_image(rel, "AW", params)
         nf = ncalg.embed_aw(img, tgt)
         if not nf.is_zero():
             return f"{name} image: {_fmt_nf(nf)}"
     # quotient relations map to zero modulo the T1 = -ab ideal
     killer = Element("daha", {("T1",): _ONE, (): _ONE})
-    for name, rel in _plain_aw_relation_elements(params).items():
+    sc, sc_dual = structure_constants(params), structure_constants(target)
+    quotient = ncalg.quotient_relations(params, sc)
+    for name, rel in quotient.items():
         img, tgt = ncalg.duality_image(rel, "AW", params)
         nf = ncalg.reduce(ncalg.embed_element(img, tgt) * killer, tgt)
         if not nf.is_zero():
@@ -433,11 +307,12 @@ def _check_duality_aw(params, bounds, rng) -> str:
     # the Casimir scalar transforms by qa/(bcd) ...
     vals = params.values()
     factor = vals["q"] * vals["a"] / (vals["b"] * vals["c"] * vals["d"])
-    if structure_constants(target).Q0 != factor * structure_constants(params).Q0:
+    if sc_dual.Q0 != factor * sc.Q0:
         return "dual Casimir scalar is not qa/(bcd) times the source scalar"
     # ... while the Casimir word expression transforms by the reciprocal
-    q_img, tgt = ncalg.duality_image(_casimir_element(params), "AW", params)
-    q_dual = _casimir_element(target)
+    casimir = quotient["casimir"] + sc.Q0
+    q_img, tgt = ncalg.duality_image(casimir, "AW", params)
+    q_dual = ncalg.quotient_relations(target, sc_dual)["casimir"] + sc_dual.Q0
     diff = ncalg.embed_aw(q_img, tgt) - ncalg.embed_aw(q_dual, tgt).scale(
         factor.inv()
     )
@@ -537,17 +412,18 @@ def _check_centralizer(params, bounds, rng) -> str:
     return ""
 
 
+_CENTER_DEGREE = 3
+
+
 def _check_center_daha(params, bounds, rng) -> str:
-    degree = bounds.get("center_degree", 3)
-    for key, noncommuting in ncalg.center_probe(degree, params):
+    for key, noncommuting in ncalg.center_probe(_CENTER_DEGREE, params):
         if not noncommuting:
             return f"basis element {key} commutes with all generators"
     return ""
 
 
 def _check_eigen_pn(params, bounds, rng) -> str:
-    max_n = bounds.get("max_n", 8)
-    for n in range(max_n + 1):
+    for n in range(bounds["max_n"] + 1):
         p_n = polyrep.askey_wilson(n, params)
         if p_n.coeff(n) != _ONE:
             return f"P_{n} is not monic"
@@ -572,13 +448,13 @@ def _check_recurrence(params, bounds, rng) -> str:
         if n == 0 and not gamma.is_zero():
             return "gamma_0 != 0"
         if n >= 1 and gamma.is_zero():
-            return f"gamma_{n} = 0 at generic parameters"
+            return f"gamma_{n} = 0"
     return ""
 
 
 def _check_casimir_scalar(params, bounds, rng) -> str:
     q0 = structure_constants(params).Q0
-    for k in range(bounds.get("max_degree", 6) + 1):
+    for k in range(bounds["max_degree"] + 1):
         f = polyrep.LaurentPoly.symmetric_basis(k)
         out = polyrep.casimir_apply(f, params)
         want = f.scale(q0)
@@ -588,9 +464,7 @@ def _check_casimir_scalar(params, bounds, rng) -> str:
 
 
 def _check_awrel_inrep(params, bounds, rng) -> str:
-    residuals = polyrep.check_aw_relations_in_rep(
-        bounds.get("max_degree", 6), params
-    )
+    residuals = polyrep.check_aw_relations_in_rep(bounds["max_degree"], params)
     for idx, res in enumerate(residuals):
         if not res.is_zero():
             rel = 1 + (idx % 2)
@@ -634,70 +508,19 @@ def _check_symmetry_abcd(params, bounds, rng) -> str:
 
 
 def _step_catalog_entries() -> list[CheckSpec]:
-    entries = []
-    descriptions = {
-        "44": "(T1+1) Z^m (T1+1) = (Z^m + Z^-m + dominated) (T1+1)",
-        "45": "(T1+1) Z^-m (T1+1) = (-ab(Z^m + Z^-m) + dominated) (T1+1)",
-        "47": "(T1+1) Y^n (T1+1) = (-ab(Y^n + u^n Y^-n) + dominated) (T1+1), u = abcd/q",
-        "48": "(T1+1) Y^-n (T1+1) = (u^-n Y^n + Y^-n + dominated) (T1+1)",
-        "49": "(T1+1) Z^m Y^n (T1+1) = (Z^m Y^n - ab u^n Z^-m Y^-n + dominated) (T1+1)",
-        "50": "(T1+1) Z^-m Y^n (T1+1) = (-(ab+1) Z^m Y^n - ab u^n Z^m Y^-n - ab Z^-m Y^n + dominated) (T1+1)",
-        "51": "(T1+1) Z^m Y^-n (T1+1) = (Z^m Y^-n + u^-n Z^-m Y^n + (1+ab) Z^-m Y^-n + dominated) (T1+1)",
-        "52": "(T1+1) Z^-m Y^-n (T1+1) = (u^-n Z^m Y^n - ab Z^-m Y^-n + dominated) (T1+1)",
-        "53": "K1^m (T1+1) = (Z^m + Z^-m + dominated) (T1+1), K-letters embedded",
-        "54": "K0^n (T1+1) = (Y^n + u^n Y^-n + dominated) (T1+1)",
-        "55": "K1^m K0^n (T1+1) = (Z^m Y^n + Z^-m Y^n + u^n Z^m Y^-n + u^n Z^-m Y^-n + dominated) (T1+1)",
-        "56": "K1^(m-1) K0 K1 K0^(n-1) (T1+1) = (q Z^m Y^n + q^-1 Z^-m Y^n + q^-1 u^n Z^m Y^-n + q^-1 u^n (1+ab-q^2 ab) Z^-m Y^-n + dominated) (T1+1)",
-    }
-    for num, desc in descriptions.items():
-        entries.append(
-            CheckSpec(f"step.{num}", desc, "exact", _check_step(num))
-        )
-        a_desc = desc.replace("(T1+1)", "(T1+ab)")
-        if f"a{num}" in ncalg.STEP_IDENTITIES:
-            entries.append(
-                CheckSpec(
-                    f"astep.{num}",
-                    "antispherical analogue: " + a_desc,
-                    "exact",
-                    _check_step(f"a{num}"),
-                )
-            )
-    entries.append(
+    # one check per run of table rows with the same check id, in table order
+    groups: dict[str, list[str]] = {}
+    for name, row in ncalg.STEP_IDENTITIES.items():
+        groups.setdefault(row.check, []).append(name)
+    return [
         CheckSpec(
-            "step.44.exact",
-            "(T1+1) Z (T1+1) = (Z + Z^-1 - (a+b)) (T1+1), coefficient-exact",
+            check_id,
+            ncalg.STEP_IDENTITIES[names[0]].statement,
             "exact",
-            _check_step("44.exact"),
+            _check_steps(tuple(names)),
         )
-    )
-    entries.append(
-        CheckSpec(
-            "step.45.exact",
-            "(T1+1) Z^-1 (T1+1) = (-ab(Z + Z^-1) + a+b) (T1+1), coefficient-exact",
-            "exact",
-            _check_step("45.exact"),
-        )
-    )
-    entries.append(
-        CheckSpec(
-            "step3.spherical",
-            "the four leading-coefficient displays expressing (T1+1) Z^(+-m) Y^(+-n) (T1+1) "
-            "through embedded K-words times (T1+1), up to dominated terms",
-            "exact",
-            _check_step_group(["sph3.1", "sph3.2", "sph3.3", "sph3.4"]),
-        )
-    )
-    entries.append(
-        CheckSpec(
-            "step3.antispherical",
-            "the four antispherical leading-coefficient displays with factor (T1+ab) "
-            "and K0 read at shifted parameters",
-            "exact",
-            _check_step_group(["asph3.1", "asph3.2", "asph3.3", "asph3.4"]),
-        )
-    )
-    return entries
+        for check_id, names in groups.items()
+    ]
 
 
 def _build_catalog() -> list[CheckSpec]:
@@ -813,8 +636,8 @@ def _build_catalog() -> list[CheckSpec]:
             ),
             CheckSpec(
                 "center.daha",
-                "every non-identity basis element Z^m Y^n T1^i with |m|+|n|+i <= 3 "
-                "fails to commute with at least one generator",
+                "every non-identity basis element Z^m Y^n T1^i with "
+                f"|m|+|n|+i <= {_CENTER_DEGREE} fails to commute with at least one generator",
                 "exact",
                 _check_center_daha,
             ),
@@ -872,7 +695,8 @@ def check_ids() -> list[str]:
 def _run_one(
     spec: CheckSpec, config: RunConfig
 ) -> CheckResult:
-    mode = config.mode or spec.default_mode
+    # a user-given point is checked exactly there, never at random points
+    mode = config.mode or ("exact" if config.params else spec.default_mode)
     bounds = {
         "max_mn": config.max_mn,
         "max_degree": config.max_degree,

@@ -7,8 +7,11 @@ The checker returns the residual and a verdict, so the tests can pin
 literal leading coefficients as well as sweep the whole table.
 """
 
+import dataclasses
+
 import pytest
 
+from rank1daha import ncalg
 from rank1daha.errors import UnknownIdentity
 from rank1daha.ncalg import STEP_IDENTITIES, check_step_identity
 
@@ -54,7 +57,7 @@ def test_mixed_power_leading_terms(sym):
     ab = v["a"] * v["b"]
     u = u_of(sym)
     spec = STEP_IDENTITIES["49"]
-    assert spec.leading(1, 1, sym) == {(1, 1): 1, (-1, -1): -ab * u}
+    assert spec.leading_at(1, 1, sym) == {(1, 1): 1, (-1, -1): -ab * u}
 
 
 def test_sandwiched_product_leading_terms(sym):
@@ -68,7 +71,7 @@ def test_sandwiched_product_leading_terms(sym):
         (2, -2): q.inv() * u**2,
         (-2, -2): q.inv() * u**2 * (1 + ab - q * q * ab),
     }
-    assert spec.leading(2, 2, sym) == expected
+    assert spec.leading_at(2, 2, sym) == expected
 
 
 def test_exact_compressions_have_zero_residual(sym):
@@ -76,6 +79,47 @@ def test_exact_compressions_have_zero_residual(sym):
         residual, ok = check_step_identity(name, 1, 1, sym)
         assert ok
         assert residual.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# Negative controls: one perturbed row of each left-side kind must fail
+
+
+def _plus_one(coef):
+    return coef + ((1, 0, 0, 0, 0),)
+
+
+# one row of each left-side kind, and the coefficient to perturb (None: the
+# step-3 scalar c)
+_CONTROLS = [
+    ("49", (-1, -1)),
+    ("a55", (1, -1)),
+    ("56", (-1, -1)),
+    ("45.exact", (0, 0)),
+    ("sph3.2", None),
+]
+
+
+def test_controls_cover_every_kind():
+    kinds = {row.kind for row in STEP_IDENTITIES.values()}
+    assert {STEP_IDENTITIES[name].kind for name, _ in _CONTROLS} == kinds
+    assert len(STEP_IDENTITIES) == 34
+
+
+@pytest.mark.parametrize("name, key", _CONTROLS)
+def test_perturbed_row_fails(monkeypatch, gpoint, name, key):
+    row = STEP_IDENTITIES[name]
+    assert check_step_identity(name, 2, 2, gpoint)[1]
+    if key is None:
+        bad = dataclasses.replace(row, scalar=_plus_one(row.scalar))
+    else:
+        leading = dict(row.leading)
+        leading[key] = _plus_one(leading[key])
+        bad = dataclasses.replace(row, leading=leading)
+    monkeypatch.setitem(ncalg.STEP_IDENTITIES, name, bad)
+    residual, ok = check_step_identity(name, 2, 2, gpoint)
+    assert not ok
+    assert not residual.is_zero()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The check catalog, runner, reports, and the expression/config parsers."""
 
 import dataclasses
+import hashlib
 import json
 import random
 from collections import OrderedDict
@@ -62,6 +63,14 @@ def test_catalog_statements_self_contained():
     for spec in CHECK_CATALOG:
         assert spec.statement.strip()
         assert spec.default_mode in ("exact", "prob")
+
+
+def test_catalog_output_pinned(capsys):
+    # ids, order, statements and default modes are part of the interface;
+    # the hash is that of `python -m rank1daha.cli catalog`
+    assert cli.main(["catalog"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "71b58e9c073afa263f5a9d3030ce14493ea717eb305c830f7e765ac557cb6264"
 
 
 # ---------------------------------------------------------------------------
@@ -159,10 +168,60 @@ def test_symbolic_checks_take_no_general_gcd(monkeypatch, sym):
     monkeypatch.setattr(ncalg, "_SYSTEMS", OrderedDict())
     monkeypatch.setattr(polyrep, "_DSYM_IMAGES", OrderedDict())
     bounds = {"max_mn": 1, "max_degree": 2, "max_n": 2}
-    for check_id in ("awrel.inrep", "casimir.scalar", "embed.rel34"):
+    for check_id in (
+        "awrel.inrep",
+        "casimir.scalar",
+        "embed.rel34",
+        "step3.spherical",
+        "step3.antispherical",
+    ):
         runner = verify._CATALOG_BY_ID[check_id].runner
         assert runner(sym, bounds, random.Random(0)) == ""
     assert len(calls) == 0
+
+
+def test_step_check_failure_summaries(monkeypatch):
+    # a step check fails on a perturbed row; a group names the failing row
+    point = make_params(
+        "specialized", {"q": Fraction(3, 2), "a": 2, "b": 3, "c": 5, "d": 7}
+    )
+    bounds = {"max_mn": 2, "max_degree": 0, "max_n": 0}
+    perturb = ((1, 0, 0, 0, 0),)
+    row = ncalg.STEP_IDENTITIES["49"]
+    leading = {**row.leading, (1, 1): row.leading[(1, 1)] + perturb}
+    monkeypatch.setitem(
+        ncalg.STEP_IDENTITIES, "49", dataclasses.replace(row, leading=leading)
+    )
+    row = ncalg.STEP_IDENTITIES["sph3.3"]
+    monkeypatch.setitem(
+        ncalg.STEP_IDENTITIES, "sph3.3", dataclasses.replace(row, scalar=row.scalar + perturb)
+    )
+
+    def summary(check_id):
+        return verify._CATALOG_BY_ID[check_id].runner(point, bounds, random.Random(0))
+
+    assert summary("step.49").startswith("(m,n)=(1,1): ")
+    assert summary("step3.spherical").startswith("sph3.3 (m,n)=(1,1): ")
+    assert summary("step.50") == ""
+
+
+def test_given_point_runs_exact_there():
+    # a prob-default check runs once, exactly, at a user-given point: the
+    # point ac = 1 makes gamma_1 vanish, where random points would pass
+    degenerate = make_params(
+        "specialized", {"q": Fraction(3, 2), "a": 2, "b": 3, "c": Fraction(1, 2), "d": 7}
+    )
+    report = run_checks(RunConfig(checks=["recurrence"], params=degenerate))
+    (result,) = report.results
+    assert (result.verdict, result.trials) == ("fail", 1)
+    assert result.residual_summary == "gamma_1 = 0"
+    generic = make_params(
+        "specialized", {"q": Fraction(3, 2), "a": 2, "b": 3, "c": 5, "d": 7}
+    )
+    report = run_checks(RunConfig(checks=["recurrence"], params=generic))
+    (result,) = report.results
+    assert (result.verdict, result.trials) == ("pass", 1)
+    assert report.overall == "pass"
 
 
 def test_reports_deterministic_for_fixed_seed(tmp_path):
