@@ -418,8 +418,7 @@ class RewriteSystem:
 
     def __init__(self, params: Params):
         self.params = params
-        vals = params.values()
-        q, a, b, c, d = (vals[n] for n in ("q", "a", "b", "c", "d"))
+        q, a, b, c, d = params.vals
         one = _ONE
         ab = a * b
         cd = c * d
@@ -939,7 +938,7 @@ STEP_IDENTITIES: dict[str, StepRow] = {
     ),
     "a44": StepRow(
         "astep.44", "asym", "sandwich", (1, 0), {(1, 0): _AB, (-1, 0): _AB},
-        "antispherical analogue: (T1+ab) Z^m (T1+ab) = (Z^m + Z^-m + dominated) (T1+ab)",
+        "antispherical analogue: (T1+ab) Z^m (T1+ab) = (ab(Z^m + Z^-m) + dominated) (T1+ab)",
     ),
     "45": StepRow(
         "step.45", "sym", "sandwich", (-1, 0), {(1, 0): _MAB, (-1, 0): _MAB},
@@ -947,8 +946,7 @@ STEP_IDENTITIES: dict[str, StepRow] = {
     ),
     "a45": StepRow(
         "astep.45", "asym", "sandwich", (-1, 0), {(1, 0): _M1, (-1, 0): _M1},
-        "antispherical analogue: (T1+ab) Z^-m (T1+ab) = (-ab(Z^m + Z^-m) + dominated) "
-        "(T1+ab)",
+        "antispherical analogue: (T1+ab) Z^-m (T1+ab) = (-(Z^m + Z^-m) + dominated) (T1+ab)",
     ),
     "47": StepRow(
         "step.47", "sym", "sandwich", (0, 1), {(0, 1): _MAB, (0, -1): _MABUN},
@@ -956,7 +954,7 @@ STEP_IDENTITIES: dict[str, StepRow] = {
     ),
     "a47": StepRow(
         "astep.47", "asym", "sandwich", (0, 1), {(0, 1): _M1, (0, -1): _MUN},
-        "antispherical analogue: (T1+ab) Y^n (T1+ab) = (-ab(Y^n + u^n Y^-n) + dominated) "
+        "antispherical analogue: (T1+ab) Y^n (T1+ab) = (-(Y^n + u^n Y^-n) + dominated) "
         "(T1+ab), u = abcd/q",
     ),
     "48": StepRow(
@@ -965,7 +963,8 @@ STEP_IDENTITIES: dict[str, StepRow] = {
     ),
     "a48": StepRow(
         "astep.48", "asym", "sandwich", (0, -1), {(0, 1): _ABUMN, (0, -1): _AB},
-        "antispherical analogue: (T1+ab) Y^-n (T1+ab) = (u^-n Y^n + Y^-n + dominated) (T1+ab)",
+        "antispherical analogue: (T1+ab) Y^-n (T1+ab) = (ab(u^-n Y^n + Y^-n) + dominated) "
+        "(T1+ab)",
     ),
     "49": StepRow(
         "step.49", "sym", "sandwich", (1, 1), {(1, 1): _1, (-1, -1): _MABUN},
@@ -973,7 +972,7 @@ STEP_IDENTITIES: dict[str, StepRow] = {
     ),
     "a49": StepRow(
         "astep.49", "asym", "sandwich", (1, 1), {(1, 1): _AB, (-1, -1): _MUN},
-        "antispherical analogue: (T1+ab) Z^m Y^n (T1+ab) = (Z^m Y^n - ab u^n Z^-m Y^-n "
+        "antispherical analogue: (T1+ab) Z^m Y^n (T1+ab) = (ab Z^m Y^n - u^n Z^-m Y^-n "
         "+ dominated) (T1+ab)",
     ),
     "50": StepRow(
@@ -985,8 +984,8 @@ STEP_IDENTITIES: dict[str, StepRow] = {
     "a50": StepRow(
         "astep.50", "asym", "sandwich", (-1, 1),
         {(1, 1): _M1MAB, (1, -1): _MUN, (-1, 1): _M1},
-        "antispherical analogue: (T1+ab) Z^-m Y^n (T1+ab) = (-(ab+1) Z^m Y^n - ab u^n "
-        "Z^m Y^-n - ab Z^-m Y^n + dominated) (T1+ab)",
+        "antispherical analogue: (T1+ab) Z^-m Y^n (T1+ab) = (-(ab+1) Z^m Y^n - u^n "
+        "Z^m Y^-n - Z^-m Y^n + dominated) (T1+ab)",
     ),
     "51": StepRow(
         "step.51", "sym", "sandwich", (1, -1),
@@ -997,7 +996,7 @@ STEP_IDENTITIES: dict[str, StepRow] = {
     "a51": StepRow(
         "astep.51", "asym", "sandwich", (1, -1),
         {(1, -1): _AB, (-1, 1): _ABUMN, (-1, -1): _1AB},
-        "antispherical analogue: (T1+ab) Z^m Y^-n (T1+ab) = (Z^m Y^-n + u^-n Z^-m Y^n "
+        "antispherical analogue: (T1+ab) Z^m Y^-n (T1+ab) = (ab Z^m Y^-n + ab u^-n Z^-m Y^n "
         "+ (1+ab) Z^-m Y^-n + dominated) (T1+ab)",
     ),
     "52": StepRow(
@@ -1006,7 +1005,7 @@ STEP_IDENTITIES: dict[str, StepRow] = {
     ),
     "a52": StepRow(
         "astep.52", "asym", "sandwich", (-1, -1), {(1, 1): _ABUMN, (-1, -1): _M1},
-        "antispherical analogue: (T1+ab) Z^-m Y^-n (T1+ab) = (u^-n Z^m Y^n - ab Z^-m Y^-n "
+        "antispherical analogue: (T1+ab) Z^-m Y^-n (T1+ab) = (ab u^-n Z^m Y^n - Z^-m Y^-n "
         "+ dominated) (T1+ab)",
     ),
     # -- step 2: embedded K1^m K0^n F and the mixed word K1^(m-1) K0 K1 K0^(n-1) F
@@ -1060,7 +1059,7 @@ STEP_IDENTITIES: dict[str, StepRow] = {
             (-1, -1): ((1, -1, -1, -1, 1), (1, -1, 0, 0, 1), (-1, 1, -1, -1, 1)),
         },
         "antispherical analogue: K1^(m-1) K0 K1 K0^(n-1) (T1+ab) = (q Z^m Y^n + q^-1 Z^-m "
-        "Y^n + q^-1 u^n Z^m Y^-n + q^-1 u^n (1+ab-q^2 ab) Z^-m Y^-n + dominated) (T1+ab)",
+        "Y^n + q^-1 u^n Z^m Y^-n + (q ab)^-1 u^n (1+ab-q^2) Z^-m Y^-n + dominated) (T1+ab)",
         middle={("K0", "K1"): _1},
     ),
     # -- the two exact one-letter compressions F Z^(+-1) F
@@ -1257,8 +1256,7 @@ def shift_operator_identities(
     The first compresses Y + (a^2 b^2 cd/q) Y^-1 - (abcd/q + ab) between
     two copies of T1+1; the second compresses Y + (cd/q) Y^-1 - (cd/q + 1)
     between two copies of T1+ab."""
-    vals = params.values()
-    q, a, b, c, d = (vals[k] for k in ("q", "a", "b", "c", "d"))
+    q, a, b, c, d = params.vals
     ab = a * b
     cd = c * d
     d_minus = Element(

@@ -13,17 +13,19 @@ multiply or inverse have one, the reduced result is built directly, in
 exactly the form sympy's ``cancel`` gives, without a polynomial gcd.  Other
 operands, such as the idempotent scalars (1-ab)^-1, go through sympy.
 
-:class:`Params` fixes how the five parameter names are interpreted: as free
-indeterminates (symbolic mode), as concrete rationals (specialized mode), or
-as derived values such as the shifted family (qa, qb, c, d) and the dual
-family (s, ab/s, ac/s, ad/s).  All derived scalar quantities (elementary
-symmetric polynomials, structure constants, Casimir scalar, eigenvalues) are
-computed from those values by a single code path.
+:class:`Params` is one parameter set, stored as its five values: free
+indeterminates (:func:`make_params` in symbolic mode), rational constants
+(specialized mode), or the derived values of the shifted family
+(qa, qb, c, d), the dual family (s, ab/s, ac/s, ad/s) and the swapped
+families.  :func:`make_params` validates outside input; the derived families
+come from one method that checks every all-rational family against the same
+genericity conditions.  All derived scalar quantities (elementary symmetric
+polynomials, structure constants, Casimir scalar, eigenvalues) are computed
+from the values by a single code path.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,10 +55,10 @@ __all__ = [
     "structure_constants",
     "eigenvalue",
     "random_admissible_point",
-    "prob_equal",
 ]
 
 PARAM_NAMES = ("q", "a", "b", "c", "d")
+_PARAM_INDEX = {name: i for i, name in enumerate(PARAM_NAMES)}
 
 _FIELD, _GQ, _GA, _GB, _GC, _GD = _make_field("q,a,b,c,d", QQ)
 _RING = _FIELD.ring
@@ -489,66 +491,67 @@ def _check_admissible(vals: Mapping[str, Fraction], bound: int) -> None:
         raise DegenerateParameters("ab = 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Params:
-    """A validated interpretation of the five parameter names.
+    """One parameter set: the values of q, a, b, c, d, the genericity bound
+    M of the admissibility conditions, and a label for reports.
 
-    ``mode`` is "symbolic" or "specialized".  ``assignments`` holds the
-    rational values in specialized mode.  Derived families (shifted, dual)
-    carry their values in ``value_override`` and keep the mode of the family
-    they came from.
+    ``vals`` holds the five values in :data:`PARAM_NAMES` order, as formal
+    indeterminates, rational constants or derived rational functions.
+    Equality and hashing read the values and the bound, not the label; the
+    hash is computed once, since parameter sets key the rewrite-system and
+    operator-image caches on every lookup.
     """
 
-    mode: str
-    assignments: tuple[tuple[str, Fraction], ...] | None
+    vals: tuple[RatFunc, ...]
     genericity_bound: int
     label: str
-    value_override: tuple[tuple[str, RatFunc], ...] | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.vals, self.genericity_bound)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Params):
+            return NotImplemented
+        return self.vals == other.vals and self.genericity_bound == other.genericity_bound
+
+    def __hash__(self) -> int:
+        return self._hash
 
     # -- values ---------------------------------------------------------
 
     def values(self) -> dict[str, RatFunc]:
-        if self.value_override is not None:
-            return dict(self.value_override)
-        if self.mode == "symbolic":
-            return dict(_GENS)
-        point = dict(self.assignments or ())
-        return {name: RatFunc.from_rational(point[name]) for name in PARAM_NAMES}
+        return dict(zip(PARAM_NAMES, self.vals))
 
     def value(self, name: str) -> RatFunc:
-        return self.values()[name]
+        return self.vals[_PARAM_INDEX[name]]
 
     @property
     def is_symbolic(self) -> bool:
-        return self.mode == "symbolic"
-
-    def assignment_dict(self) -> dict[str, Fraction]:
-        if self.assignments is None:
-            raise MissingAssignment("symbolic parameters carry no assignment")
-        return dict(self.assignments)
+        return any(v.g is None for v in self.vals)
 
     # -- derived families -------------------------------------------------
 
+    def _derived(self, vals: Sequence[RatFunc], suffix: str) -> "Params":
+        """The family with values ``vals``, labelled by this label and
+        ``suffix``; all-rational values must satisfy the genericity
+        conditions."""
+        if all(v.g is not None for v in vals):
+            point = {n: v.as_fraction() for n, v in zip(PARAM_NAMES, vals)}
+            _check_admissible(point, self.genericity_bound)
+        return Params(tuple(vals), self.genericity_bound, self.label + suffix)
+
     def shifted(self) -> "Params":
         """The same parameters with a -> qa and b -> qb (c, d, q fixed)."""
-        if self.mode == "specialized" and self.value_override is None:
-            point = self.assignment_dict()
-            new_point = dict(point)
-            new_point["a"] = point["q"] * point["a"]
-            new_point["b"] = point["q"] * point["b"]
-            shifted = make_params("specialized", new_point, self.genericity_bound)
-            return dataclasses.replace(shifted, label=self.label + ";shift(a->qa,b->qb)")
-        vals = self.values()
-        new_vals = dict(vals)
-        new_vals["a"] = vals["q"] * vals["a"]
-        new_vals["b"] = vals["q"] * vals["b"]
-        return Params(
-            mode=self.mode,
-            assignments=self.assignments,
-            genericity_bound=self.genericity_bound,
-            label=self.label + ";shift(a->qa,b->qb)",
-            value_override=tuple(new_vals.items()),
-        )
+        q, a, b, c, d = self.vals
+        return self._derived((q, q * a, q * b, c, d), ";shift(a->qa,b->qb)")
+
+    def swapped(self, x: str, y: str) -> "Params":
+        """The same parameters with the values of ``x`` and ``y`` exchanged."""
+        vals = list(self.vals)
+        i, j = _PARAM_INDEX[x], _PARAM_INDEX[y]
+        vals[i], vals[j] = vals[j], vals[i]
+        return self._derived(vals, f";swap({x},{y})")
 
     def dual(self) -> "Params":
         """The dual family (s, ab/s, ac/s, ad/s) with s^2 = abcd/q.
@@ -558,8 +561,7 @@ class Params:
         otherwise the extension is unavailable and this raises
         :class:`ExtensionDisabled`.
         """
-        vals = self.values()
-        q, a, b, c, d = (vals[n] for n in PARAM_NAMES)
+        q, a, b, c, d = self.vals
         t = a * b * c * d / q
         if t == RatFunc(_S_SQUARE):
             s_val = RatFunc.s()
@@ -570,25 +572,9 @@ class Params:
                     f"dual parameters need an exact square root of abcd/q, "
                     f"but {t} has none in the coefficient field"
                 )
-        new_vals = {
-            "q": q,
-            "a": s_val,
-            "b": a * b / s_val,
-            "c": a * c / s_val,
-            "d": a * d / s_val,
-        }
-        try:
-            point = {n: v.as_fraction() for n, v in new_vals.items()}
-        except ValueError:
-            pass  # generic values: admissible by genericity
-        else:
-            _check_admissible(point, self.genericity_bound)
-        return Params(
-            mode=self.mode,
-            assignments=self.assignments,
-            genericity_bound=self.genericity_bound,
-            label=self.label + ";dual(s,ab/s,ac/s,ad/s)",
-            value_override=tuple(new_vals.items()),
+        return self._derived(
+            (q, s_val, a * b / s_val, a * c / s_val, a * d / s_val),
+            ";dual(s,ab/s,ac/s,ad/s)",
         )
 
     def __str__(self) -> str:
@@ -670,7 +656,7 @@ def make_params(
     if mode == "symbolic":
         if assignments:
             raise ValueError("symbolic mode takes no assignments")
-        return Params("symbolic", None, genericity_bound, "symbolic")
+        return Params(tuple(_GENS[n] for n in PARAM_NAMES), genericity_bound, "symbolic")
     if mode != "specialized":
         raise ValueError(f"unknown mode {mode!r}")
     if assignments is None:
@@ -684,7 +670,9 @@ def make_params(
     point = {n: Fraction(assignments[n]) for n in PARAM_NAMES}
     _check_admissible(point, genericity_bound)
     label = ",".join(f"{n}={point[n]}" for n in PARAM_NAMES)
-    return Params("specialized", tuple(point.items()), genericity_bound, label)
+    return Params(
+        tuple(RatFunc.from_rational(v) for v in point.values()), genericity_bound, label
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -693,8 +681,7 @@ def make_params(
 
 def elementary_symmetric(params: Params) -> tuple[RatFunc, RatFunc, RatFunc, RatFunc]:
     """The four elementary symmetric polynomials of a, b, c, d."""
-    vals = params.values()
-    a, b, c, d = (vals[n] for n in ("a", "b", "c", "d"))
+    _, a, b, c, d = params.vals
     e1 = a + b + c + d
     e2 = a * b + a * c + a * d + b * c + b * d + c * d
     e3 = a * b * c + a * b * d + a * c * d + b * c * d
@@ -725,8 +712,7 @@ class StructureConstants:
 
 def structure_constants(params: Params) -> StructureConstants:
     """Compute every structure constant from the parameter values."""
-    vals = params.values()
-    q, a, b, c, d = (vals[n] for n in PARAM_NAMES)
+    q, a, b, c, d = params.vals
     e1, e2, e3, e4 = elementary_symmetric(params)
     one = _ONE
     qi = q.inv()
@@ -758,14 +744,12 @@ def eigenvalue(n: int, params: Params) -> RatFunc:
     """The n-th eigenvalue q^-n + abcd q^(n-1) of the q-difference operator."""
     if n < 0:
         raise ValueError("eigenvalue index must be nonnegative")
-    vals = params.values()
-    q = vals["q"]
-    e4 = vals["a"] * vals["b"] * vals["c"] * vals["d"]
-    return q ** (-n) + e4 * q ** (n - 1)
+    q, a, b, c, d = params.vals
+    return q ** (-n) + a * b * c * d * q ** (n - 1)
 
 
 # ---------------------------------------------------------------------------
-# Probabilistic identity testing
+# Random admissible points
 
 
 def _random_fraction(rng: random.Random) -> Fraction:
@@ -785,27 +769,3 @@ def random_admissible_point(
             continue
         return point
 
-
-def prob_equal(
-    x: RatFunc,
-    y: RatFunc,
-    rng: random.Random,
-    trials: int = 8,
-    genericity_bound: int = 16,
-) -> bool:
-    """Randomized equality screen: evaluate both scalars at random admissible
-    points and compare exactly.  Disagreement proves inequality; agreement at
-    every point makes equality overwhelmingly likely (each extra point
-    multiplies the failure odds by roughly degree/|sample space|)."""
-    for _ in range(trials):
-        while True:
-            point = random_admissible_point(rng, genericity_bound)
-            try:
-                vx = x.evaluate(point)
-                vy = y.evaluate(point)
-            except DivisionByZero:
-                continue
-            break
-        if vx != vy:
-            return False
-    return True

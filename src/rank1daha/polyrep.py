@@ -227,8 +227,7 @@ def _apply_dsym_direct(f: LaurentPoly, params: Params) -> LaurentPoly:
     """D on a symmetric Laurent polynomial over the common denominator
     (1-z^2)(1-qz^2)(q-z^2), with an exact final division."""
     _require_symmetric(f)
-    vals = params.values()
-    q, a, b, c, d = (vals[k] for k in ("q", "a", "b", "c", "d"))
+    q, a, b, c, d = params.vals
     lam0 = _ONE + a * b * c * d / q
     z = LaurentPoly.monomial(1)
     z2 = LaurentPoly.monomial(2)
@@ -325,8 +324,7 @@ def askey_wilson(n: int, params: Params) -> LaurentPoly:
     """
     if n < 0:
         raise ValueError("polynomial degree must be nonnegative")
-    vals = params.values()
-    q, a, b, c, d = (vals[k] for k in ("q", "a", "b", "c", "d"))
+    q, a, b, c, d = params.vals
     abcd = a * b * c * d
     qn = q**n
 
@@ -335,7 +333,10 @@ def askey_wilson(n: int, params: Params) -> LaurentPoly:
         raise DegenerateParameters("abcd*q^m = 1", m=None)
 
     total = LaurentPoly.zero()
-    one = LaurentPoly.one()
+    # Laurent part of summand k: (az;q)_k (a z^-1;q)_k
+    #   = prod_{j<k} (1 - a q^j (z + z^-1) + a^2 q^(2j)),
+    # extended by one factor per summand
+    lau = LaurentPoly.one()
     for k in range(n + 1):
         # scalar part:  (q^-n;q)_k (abcd q^(n-1);q)_k q^k / (q;q)_k
         #             * (ab q^k;q)_(n-k) (ac q^k;q)_(n-k) (ad q^k;q)_(n-k)
@@ -347,15 +348,10 @@ def askey_wilson(n: int, params: Params) -> LaurentPoly:
         )
         for x in (a * b, a * c, a * d):
             scal = scal * qpochhammer(x * q**k, n - k, params)
-        # Laurent part: (az;q)_k (a z^-1;q)_k
-        #   = prod_{j<k} (1 - a q^j (z + z^-1) + a^2 q^(2j))
-        lau = one
-        for j in range(k):
-            aqj = a * q**j
-            lau = lau * LaurentPoly(
-                {0: _ONE + aqj * aqj, 1: -aqj, -1: -aqj}
-            )
         total = total + lau.scale(scal)
+        if k < n:
+            aqk = a * q**k
+            lau = lau * LaurentPoly({0: _ONE + aqk * aqk, 1: -aqk, -1: -aqk})
     return total.scale(a ** (-n) / divisor)
 
 
@@ -375,27 +371,30 @@ def shifted_qn(n: int, params: Params) -> LaurentPoly:
     return prefactor * p_shift
 
 
-def recurrence_coeffs(n: int, params: Params) -> tuple[RatFunc, RatFunc]:
-    """The three-term recurrence coefficients beta_n, gamma_n with
-    (z + z^-1) P_n = P_(n+1) + beta_n P_n + gamma_n P_(n-1), recovered by
-    triangular projection onto the monic family (gamma_0 = 0)."""
-    if n < 0:
+def recurrence_coeffs(max_n: int, params: Params) -> list[tuple[RatFunc, RatFunc]]:
+    """The three-term recurrence coefficients (beta_n, gamma_n) for
+    n = 0..max_n, with (z + z^-1) P_n = P_(n+1) + beta_n P_n + gamma_n P_(n-1),
+    recovered by triangular projection onto the monic family (gamma_0 = 0).
+    Each of P_0..P_(max_n+1) is built once."""
+    if max_n < 0:
         raise ValueError("recurrence index must be nonnegative")
-    p_n = askey_wilson(n, params)
-    p_up = askey_wilson(n + 1, params)
-    rest = apply_k1(p_n) - p_up
-    beta = rest.coeff(n)
-    rest = rest - p_n.scale(beta)
-    if n == 0:
-        gamma = _ZERO
-    else:
-        gamma = rest.coeff(n - 1)
-        rest = rest - askey_wilson(n - 1, params).scale(gamma)
-    if not rest.is_zero():
-        raise AssertionError(
-            "three-term projection left a residual; the monic family is broken"
-        )
-    return beta, gamma
+    family = [askey_wilson(n, params) for n in range(max_n + 2)]
+    out = []
+    for n in range(max_n + 1):
+        rest = apply_k1(family[n]) - family[n + 1]
+        beta = rest.coeff(n)
+        rest = rest - family[n].scale(beta)
+        if n == 0:
+            gamma = _ZERO
+        else:
+            gamma = rest.coeff(n - 1)
+            rest = rest - family[n - 1].scale(gamma)
+        if not rest.is_zero():
+            raise AssertionError(
+                "three-term projection left a residual; the monic family is broken"
+            )
+        out.append((beta, gamma))
+    return out
 
 
 def _apply_element(e: Element, f: LaurentPoly, params: Params) -> LaurentPoly:
@@ -406,13 +405,13 @@ def _apply_element(e: Element, f: LaurentPoly, params: Params) -> LaurentPoly:
     return out
 
 
-def casimir_apply(f: LaurentPoly, params: Params) -> LaurentPoly:
-    """Apply the degree-four Casimir word combination; on every symmetric
-    Laurent polynomial the result is the scalar Q0 times the input."""
-    _require_symmetric(f)
+def casimir_apply(fs: Sequence[LaurentPoly], params: Params) -> list[LaurentPoly]:
+    """Apply the degree-four Casimir word combination to each of ``fs``,
+    building it once; on every symmetric Laurent polynomial the result is
+    the scalar Q0 times the input."""
     sc = structure_constants(params)
     casimir = quotient_relations(params, sc)["casimir"] + sc.Q0
-    return _apply_element(casimir, f, params)
+    return [_apply_element(casimir, f, params) for f in fs]
 
 
 def check_aw_relations_in_rep(

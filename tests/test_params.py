@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import OrderedDict
 from fractions import Fraction
@@ -16,6 +17,7 @@ from rank1daha.params import (
     _FIELD,
     _PARAMS_CACHE_BOUND,
     _S_SQUARE,
+    Params,
     RatFunc,
     _fadd,
     _finv,
@@ -24,7 +26,6 @@ from rank1daha.params import (
     eigenvalue,
     elementary_symmetric,
     make_params,
-    prob_equal,
     random_admissible_point,
     structure_constants,
 )
@@ -256,18 +257,6 @@ def test_s_extension_square():
     assert s.has_s() and not (s * s).has_s()
 
 
-def test_prob_equal_agrees_with_exact():
-    rng = random.Random(11)
-    for i in range(100):
-        x = (A + i) * (B - C) + Q
-        hidden = (A * A - 1) / (A * A - 1)  # = 1 in canonical form
-        same = x * hidden
-        different = x + Fraction(1, i + 2)
-        assert x == same
-        assert prob_equal(x, same, rng, trials=4)
-        assert not prob_equal(x, different, rng, trials=4)
-
-
 def test_random_admissible_point_respects_constraints():
     rng = random.Random(5)
     for _ in range(20):
@@ -364,3 +353,63 @@ def test_dual_needs_exact_square_root(gpoint):
     # abcd/q = 140 has no rational square root
     with pytest.raises(ExtensionDisabled):
         gpoint.dual()
+
+
+def test_params_hold_values_bound_and_label(gpoint):
+    assert [f.name for f in dataclasses.fields(Params)] == ["vals", "genericity_bound", "label"]
+    assert gpoint.label == "q=3/2,a=2,b=3,c=5,d=7"
+    assert [v.as_fraction() for v in gpoint.vals] == [Fraction(3, 2), 2, 3, 5, 7]
+    values = gpoint.values()
+    values["a"] = RatFunc.one()  # callers may mutate the dict they get
+    assert gpoint.value("a").as_fraction() == 2
+    # equality and hashing ignore the label, not the genericity bound
+    relabelled = dataclasses.replace(gpoint, label="elsewhere")
+    assert relabelled == gpoint and hash(relabelled) == hash(gpoint)
+    assert dataclasses.replace(gpoint, genericity_bound=8) != gpoint
+
+
+def test_shifted_point_equals_the_point_it_names(gpoint):
+    shifted = gpoint.shifted()
+    direct = make_params("specialized", {"q": Fraction(3, 2), "a": 3, "b": Fraction(9, 2),
+                                         "c": 5, "d": 7})
+    assert shifted == direct and hash(shifted) == hash(direct)
+    assert shifted.label == "q=3/2,a=2,b=3,c=5,d=7;shift(a->qa,b->qb)"
+
+
+def test_derived_labels(spoint, sym):
+    assert spoint.dual().label == spoint.label + ";dual(s,ab/s,ac/s,ad/s)"
+    assert sym.dual().shifted().label == "symbolic;dual(s,ab/s,ac/s,ad/s);shift(a->qa,b->qb)"
+    assert sym.swapped("a", "c").label == "symbolic;swap(a,c)"
+
+
+def test_swapped_params(sym, gpoint):
+    swapped = sym.swapped("a", "c")
+    assert (swapped.value("a"), swapped.value("c"), swapped.value("b")) == (C, A, B)
+    assert swapped.is_symbolic
+    assert gpoint.swapped("b", "d") == make_params(
+        "specialized", {"q": Fraction(3, 2), "a": 2, "b": 7, "c": 5, "d": 3}
+    )
+
+
+def test_every_rational_family_is_validated():
+    # q^2 ab = 1 here, so the shifted family has ab = 1
+    point = make_params(
+        "specialized",
+        {"q": 2, "a": Fraction(1, 3), "b": Fraction(3, 4), "c": Fraction(1, 4),
+         "d": Fraction(9, 2)},
+    )
+    with pytest.raises(DegenerateParameters):
+        point.shifted()
+    # the dual family (3/8, 2/3, 2/9, 4) is admissible, but q^2 a'b' = 1 again
+    dual = point.dual()
+    assert [v.as_fraction() for v in dual.vals] == [
+        2, Fraction(3, 8), Fraction(2, 3), Fraction(2, 9), 4
+    ]
+    with pytest.raises(DegenerateParameters):
+        dual.shifted()
+    # swapping a and c gives ab = 1
+    point = make_params(
+        "specialized", {"q": Fraction(3, 2), "a": 2, "b": 3, "c": Fraction(1, 3), "d": 7}
+    )
+    with pytest.raises(DegenerateParameters):
+        point.swapped("a", "c")

@@ -70,7 +70,7 @@ def test_catalog_output_pinned(capsys):
     # the hash is that of `python -m rank1daha.cli catalog`
     assert cli.main(["catalog"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "71b58e9c073afa263f5a9d3030ce14493ea717eb305c830f7e765ac557cb6264"
+    assert digest == "ab49c5b623b8545247c8949bf0422ffc30000e9fd68906f65e37b0f72a25715b"
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +222,34 @@ def test_given_point_runs_exact_there():
     (result,) = report.results
     assert (result.verdict, result.trials) == ("pass", 1)
     assert report.overall == "pass"
+
+
+def test_recurrence_obeys_max_n_and_builds_each_polynomial_once(monkeypatch, sym):
+    built = []
+    askey_wilson = polyrep.askey_wilson
+
+    def counted(n, params):
+        built.append(n)
+        return askey_wilson(n, params)
+
+    monkeypatch.setattr(polyrep, "askey_wilson", counted)
+    runner = verify._CATALOG_BY_ID["recurrence"].runner
+    assert runner(sym, {"max_mn": 1, "max_degree": 0, "max_n": 2}, random.Random(0)) == ""
+    assert built == [0, 1, 2, 3]
+
+
+def test_casimir_check_builds_the_casimir_element_once(monkeypatch, gpoint):
+    built = []
+    quotient_relations = polyrep.quotient_relations
+
+    def counted(params, sc=None):
+        built.append(params)
+        return quotient_relations(params, sc)
+
+    monkeypatch.setattr(polyrep, "quotient_relations", counted)
+    runner = verify._CATALOG_BY_ID["casimir.scalar"].runner
+    assert runner(gpoint, {"max_mn": 1, "max_degree": 3, "max_n": 0}, random.Random(0)) == ""
+    assert built == [gpoint]
 
 
 def test_reports_deterministic_for_fixed_seed(tmp_path):
