@@ -62,8 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--mode",
         choices=["exact", "prob"],
-        help="force one mode for every check (default: exact at a --params point, "
-        "else per-check)",
+        help="force one mode for every check: exact (at --params, else symbolic) or "
+        "prob (at --trials random points of GF(2^61-1)); default: exact at a "
+        "--params point, else per-check",
     )
     p_run.add_argument("--seed", type=int, metavar="N")
     p_run.add_argument("--trials", type=int, metavar="N")

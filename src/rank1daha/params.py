@@ -13,13 +13,22 @@ multiply or inverse have one, the reduced result is built directly, in
 exactly the form sympy's ``cancel`` gives, without a polynomial gcd.  Other
 operands, such as the idempotent scalars (1-ab)^-1, go through sympy.
 
+Probabilistic mode evaluates at points of the prime field GF(p),
+p = 2^61 - 1, instead: a :class:`ModP` is one residue and stands in for a
+rational constant wherever the kernel uses one.  An identity that fails
+over Q(q,a,b,c,d) has a nonzero residual, a rational function whose
+numerator has total degree deg; it vanishes at a uniformly random point
+of GF(p)^5 with probability at most deg/p per trial (Schwartz, JACM 1980;
+Zippel, EUROSAM 1979), and only then can the identity falsely pass.
+
 :class:`Params` is one parameter set, stored as its five values: free
 indeterminates (:func:`make_params` in symbolic mode), rational constants
-(specialized mode), or the derived values of the shifted family
-(qa, qb, c, d), the dual family (s, ab/s, ac/s, ad/s) and the swapped
-families.  :func:`make_params` validates outside input; the derived families
-come from one method that checks every all-rational family against the same
-genericity conditions.  All derived scalar quantities (elementary symmetric
+(specialized mode), residues mod p (:func:`random_params_mod_p`), or the
+derived values of the shifted family (qa, qb, c, d), the dual family
+(s, ab/s, ac/s, ad/s) and the swapped families.  One routine checks the
+genericity conditions for all of them: :func:`make_params` on outside
+input, the sampler mod p, and every derived family whose values are
+constants.  All derived scalar quantities (elementary symmetric
 polynomials, structure constants, Casimir scalar, eigenvalues) are computed
 from the values by a single code path.
 """
@@ -54,7 +63,9 @@ __all__ = [
     "elementary_symmetric",
     "structure_constants",
     "eigenvalue",
-    "random_admissible_point",
+    "PRIME",
+    "ModP",
+    "random_params_mod_p",
 ]
 
 PARAM_NAMES = ("q", "a", "b", "c", "d")
@@ -183,6 +194,13 @@ def _finv(x):
     return _reduced({m: c.numerator for m, c in x.denom.items()}, *t)
 
 
+def _isqrt_exact(n: int) -> int | None:
+    if n < 0:
+        return None
+    r = sympy.integer_nthroot(n, 2)
+    return int(r[0]) if r[1] else None
+
+
 class RatFunc:
     """Exact rational function in q, a, b, c, d, linear in s (s^2 = abcd/q).
 
@@ -290,6 +308,10 @@ class RatFunc:
     def has_s(self) -> bool:
         return self.g is None and bool(self.r1)
 
+    def is_constant(self) -> bool:
+        """True for a rational constant (and for every element of GF(p))."""
+        return self.g is not None
+
     def __bool__(self) -> bool:
         return not self.is_zero()
 
@@ -392,6 +414,36 @@ class RatFunc:
             n >>= 1
         return out
 
+    def sqrt(self) -> "RatFunc | None":
+        """A square root of an s-free scalar inside the coefficient field,
+        or None when it has none.  abcd/q itself has the adjoined root s."""
+        if self.has_s() or self.is_zero():
+            return None
+        if self.g is not None:
+            nroot = _isqrt_exact(int(self.g.numerator))
+            droot = _isqrt_exact(int(self.g.denominator))
+            if nroot is None or droot is None:
+                return None
+            return RatFunc.from_rational(Fraction(nroot, droot))
+        if self.r0 == _S_SQUARE:
+            return RatFunc.s()
+        root_parts = []
+        for part in (self.r0.numer, self.r0.denom):
+            content, factors = sympy.factor_list(part.as_expr())
+            if not isinstance(content, sympy.Rational):
+                return None
+            croot_n = _isqrt_exact(content.p)
+            croot_d = _isqrt_exact(content.q)
+            if croot_n is None or croot_d is None:
+                return None
+            root = sympy.Rational(croot_n, croot_d)
+            for base, exp in factors:
+                if exp % 2:
+                    return None
+                root *= base ** (exp // 2)
+            root_parts.append(root)
+        return RatFunc(_FIELD.from_expr(root_parts[0]) / _FIELD.from_expr(root_parts[1]))
+
     # -- comparison and hashing ----------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -466,28 +518,182 @@ _ONE = RatFunc.one()
 
 
 # ---------------------------------------------------------------------------
+# The prime field GF(p)
+
+# a Mersenne prime; p = 3 mod 4, so a square root is one power
+PRIME = 2**61 - 1
+_SQRT_EXP = (PRIME + 1) // 4
+_new = object.__new__
+
+
+def _residue(x) -> int:
+    """The residue mod p of a ground RatFunc, an int or a Fraction
+    (NotImplemented for any other type).  A symbolic scalar has none."""
+    if isinstance(x, RatFunc):
+        if isinstance(x, ModP):
+            return x.v
+        if x.g is None:
+            raise TypeError(f"a GF(p) scalar does not combine with the symbolic scalar {x}")
+        x = x.g
+    elif not isinstance(x, (int, Fraction)):
+        return NotImplemented  # type: ignore[return-value]
+    num, den = int(x.numerator), int(x.denominator)
+    if den == 1:
+        return num % PRIME
+    if not den % PRIME:
+        raise DivisionByZero(f"{x} has no value mod p")
+    return num * pow(den, -1, PRIME) % PRIME
+
+
+def _modp(v: int) -> "ModP":
+    out = _new(ModP)
+    out.v = v
+    return out
+
+
+class ModP(RatFunc):
+    """An element of GF(p), p = 2^61 - 1: the scalar of probabilistic mode.
+
+    Immutable; ``v`` is the residue in [0, p).  It has the interface the
+    kernel uses on a ground RatFunc (``+ - * / ** neg inv == hash is_zero``).
+    A ground RatFunc, int or Fraction operand is reduced mod p on contact,
+    so constants such as 1 or (1-q^2) written over Q act as their residues;
+    a symbolic operand raises TypeError.  Being a subclass, it passes the
+    kernel's ``isinstance`` checks, and Python tries its reflected operators
+    before a plain RatFunc's own.
+    """
+
+    __slots__ = ("v",)
+
+    def __init__(self, value):
+        v = _residue(value)
+        if v is NotImplemented:
+            raise TypeError(f"no residue mod p for {type(value).__name__}")
+        self.v = v
+
+    def is_zero(self) -> bool:
+        return not self.v
+
+    def has_s(self) -> bool:
+        return False
+
+    def is_constant(self) -> bool:
+        return True
+
+    # add, sub and mul build their result inline: they are most of the
+    # scalar work of a probabilistic run, and a call to _modp would add
+    # about a quarter to the cost of each
+    def __add__(self, other):
+        o = other.v if type(other) is ModP else _residue(other)
+        if o is NotImplemented:
+            return NotImplemented
+        out = _new(ModP)
+        out.v = (self.v + o) % PRIME
+        return out
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _modp(-self.v % PRIME)
+
+    def __sub__(self, other):
+        o = other.v if type(other) is ModP else _residue(other)
+        if o is NotImplemented:
+            return NotImplemented
+        out = _new(ModP)
+        out.v = (self.v - o) % PRIME
+        return out
+
+    def __rsub__(self, other):
+        o = _residue(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return _modp((o - self.v) % PRIME)
+
+    def __mul__(self, other):
+        o = other.v if type(other) is ModP else _residue(other)
+        if o is NotImplemented:
+            return NotImplemented
+        out = _new(ModP)
+        out.v = self.v * o % PRIME
+        return out
+
+    __rmul__ = __mul__
+
+    def inv(self) -> "ModP":
+        if not self.v:
+            raise DivisionByZero("inverse of zero scalar")
+        return _modp(pow(self.v, -1, PRIME))
+
+    def __truediv__(self, other):
+        o = other.v if type(other) is ModP else _residue(other)
+        if o is NotImplemented:
+            return NotImplemented
+        if not o:
+            raise DivisionByZero("inverse of zero scalar")
+        return _modp(self.v * pow(o, -1, PRIME) % PRIME)
+
+    def __rtruediv__(self, other):
+        o = _residue(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return _modp(o * self.inv().v % PRIME)
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            return self.inv() ** -n
+        return _modp(pow(self.v, n, PRIME))
+
+    def __eq__(self, other) -> bool:
+        o = other.v if type(other) is ModP else _residue(other)
+        if o is NotImplemented:
+            return NotImplemented
+        return self.v == o
+
+    def __hash__(self) -> int:
+        return hash(self.v)
+
+    def sqrt(self) -> "ModP | None":
+        """t^((p+1)/4), the square root of a quadratic residue t, else None."""
+        root = pow(self.v, _SQRT_EXP, PRIME)
+        return _modp(root) if root * root % PRIME == self.v else None
+
+    def as_fraction(self) -> Fraction:
+        raise ValueError(f"scalar is not a rational constant: {self} mod p")
+
+    def __str__(self) -> str:
+        return str(self.v)
+
+    def __repr__(self) -> str:
+        return f"ModP({self.v})"
+
+
+# ---------------------------------------------------------------------------
 # Parameter sets
 
 
-def _check_admissible(vals: Mapping[str, Fraction], bound: int) -> None:
-    q = vals["q"]
-    if q == 0:
+def _check_admissible(vals: Sequence[RatFunc], bound: int) -> None:
+    """Raise DegenerateParameters unless the constant values q, a, b, c, d
+    (rational, or residues mod p) satisfy the genericity conditions."""
+    q, a, b, c, d = vals
+    if q.is_zero():
         raise DegenerateParameters("q = 0")
-    power = Fraction(1)
+    power = q
     for m in range(1, bound + 1):
-        power *= q
         if power == 1:
             raise DegenerateParameters("q^m = 1", m)
-    for name in ("a", "b", "c", "d"):
-        if vals[name] == 0:
+        power = power * q
+    for name, v in zip(PARAM_NAMES[1:], (a, b, c, d)):
+        if v.is_zero():
             raise DegenerateParameters(f"{name} = 0")
-    e4 = vals["a"] * vals["b"] * vals["c"] * vals["d"]
-    power = Fraction(1)
+    power = a * b * c * d
     for m in range(0, bound + 1):
-        if e4 * power == 1:
+        if power == 1:
             raise DegenerateParameters("abcd*q^m = 1", m)
-        power *= q
-    if vals["a"] * vals["b"] == 1:
+        power = power * q
+    if a * b == 1:
         raise DegenerateParameters("ab = 1")
 
 
@@ -497,7 +703,8 @@ class Params:
     M of the admissibility conditions, and a label for reports.
 
     ``vals`` holds the five values in :data:`PARAM_NAMES` order, as formal
-    indeterminates, rational constants or derived rational functions.
+    indeterminates, rational constants, residues mod p or derived rational
+    functions.
     Equality and hashing read the values and the bound, not the label; the
     hash is computed once, since parameter sets key the rewrite-system and
     operator-image caches on every lookup.
@@ -528,17 +735,16 @@ class Params:
 
     @property
     def is_symbolic(self) -> bool:
-        return any(v.g is None for v in self.vals)
+        return not all(v.is_constant() for v in self.vals)
 
     # -- derived families -------------------------------------------------
 
     def _derived(self, vals: Sequence[RatFunc], suffix: str) -> "Params":
         """The family with values ``vals``, labelled by this label and
-        ``suffix``; all-rational values must satisfy the genericity
+        ``suffix``; constant values must satisfy the genericity
         conditions."""
-        if all(v.g is not None for v in vals):
-            point = {n: v.as_fraction() for n, v in zip(PARAM_NAMES, vals)}
-            _check_admissible(point, self.genericity_bound)
+        if all(v.is_constant() for v in vals):
+            _check_admissible(vals, self.genericity_bound)
         return Params(tuple(vals), self.genericity_bound, self.label + suffix)
 
     def shifted(self) -> "Params":
@@ -553,67 +759,33 @@ class Params:
         vals[i], vals[j] = vals[j], vals[i]
         return self._derived(vals, f";swap({x},{y})")
 
-    def dual(self) -> "Params":
+    def dual(self, root: RatFunc | None = None) -> "Params":
         """The dual family (s, ab/s, ac/s, ad/s) with s^2 = abcd/q.
 
-        For the base symbolic parameters s is the formal extension symbol.
-        For specialized parameters s must be an exact rational square root;
-        otherwise the extension is unavailable and this raises
-        :class:`ExtensionDisabled`.
+        ``root`` is s; a given root must square to abcd/q.  By default s is
+        the field's own square root: the formal extension symbol for the
+        base symbolic parameters, t^((p+1)/4) at a point of GF(p), and an
+        exact rational root at a rational point, where a missing root makes
+        the extension unavailable and this raises :class:`ExtensionDisabled`.
         """
         q, a, b, c, d = self.vals
         t = a * b * c * d / q
-        if t == RatFunc(_S_SQUARE):
-            s_val = RatFunc.s()
-        else:
-            s_val = _ratfunc_sqrt(t)
-            if s_val is None:
+        if root is None:
+            root = t.sqrt()
+            if root is None:
                 raise ExtensionDisabled(
                     f"dual parameters need an exact square root of abcd/q, "
                     f"but {t} has none in the coefficient field"
                 )
+        elif root * root != t:
+            raise ValueError(f"{root} is not a square root of abcd/q = {t}")
         return self._derived(
-            (q, s_val, a * b / s_val, a * c / s_val, a * d / s_val),
+            (q, root, a * b / root, a * c / root, a * d / root),
             ";dual(s,ab/s,ac/s,ad/s)",
         )
 
     def __str__(self) -> str:
         return self.label
-
-
-def _isqrt_exact(n: int) -> int | None:
-    if n < 0:
-        return None
-    r = sympy.integer_nthroot(n, 2)
-    return int(r[0]) if r[1] else None
-
-
-def _ratfunc_sqrt(t: RatFunc) -> RatFunc | None:
-    """Exact square root of an s-free scalar inside the field, or None."""
-    if t.has_s() or t.is_zero():
-        return None
-    if t.g is not None:
-        nroot = _isqrt_exact(int(t.g.numerator))
-        droot = _isqrt_exact(int(t.g.denominator))
-        if nroot is None or droot is None:
-            return None
-        return RatFunc.from_rational(Fraction(nroot, droot))
-    root_parts = []
-    for part in (t.r0.numer, t.r0.denom):
-        content, factors = sympy.factor_list(part.as_expr())
-        if not isinstance(content, sympy.Rational):
-            return None
-        croot_n = _isqrt_exact(content.p)
-        croot_d = _isqrt_exact(content.q)
-        if croot_n is None or croot_d is None:
-            return None
-        root = sympy.Rational(croot_n, croot_d)
-        for base, exp in factors:
-            if exp % 2:
-                return None
-            root *= base ** (exp // 2)
-        root_parts.append(root)
-    return RatFunc(_FIELD.from_expr(root_parts[0]) / _FIELD.from_expr(root_parts[1]))
 
 
 # Caches keyed by a parameter set (rewrite systems, operator images) keep
@@ -639,10 +811,13 @@ def _params_cache_entry(
     return entry
 
 
+_GENERICITY_BOUND = 16
+
+
 def make_params(
     mode: str,
     assignments: Mapping[str, _Rational] | None = None,
-    genericity_bound: int = 16,
+    genericity_bound: int = _GENERICITY_BOUND,
 ) -> Params:
     """Validate and build a parameter set.
 
@@ -668,11 +843,28 @@ def make_params(
     if extra:
         raise ValueError(f"unknown parameter names: {', '.join(sorted(extra))}")
     point = {n: Fraction(assignments[n]) for n in PARAM_NAMES}
-    _check_admissible(point, genericity_bound)
+    vals = tuple(RatFunc.from_rational(v) for v in point.values())
+    _check_admissible(vals, genericity_bound)
     label = ",".join(f"{n}={point[n]}" for n in PARAM_NAMES)
-    return Params(
-        tuple(RatFunc.from_rational(v) for v in point.values()), genericity_bound, label
-    )
+    return Params(vals, genericity_bound, label)
+
+
+def random_params_mod_p(rng: random.Random) -> Params:
+    """A parameter set drawn uniformly from GF(p)^5, resampled until it
+    satisfies the genericity conditions mod p (with the default bound of
+    :func:`make_params`) and abcd/q is a quadratic residue, so that the dual
+    family exists."""
+    while True:
+        vals = tuple(_modp(rng.randrange(PRIME)) for _ in PARAM_NAMES)
+        try:
+            _check_admissible(vals, _GENERICITY_BOUND)
+        except DegenerateParameters:
+            continue
+        q, a, b, c, d = vals
+        if (a * b * c * d / q).sqrt() is None:
+            continue
+        label = ",".join(f"{n}={v}" for n, v in zip(PARAM_NAMES, vals)) + " mod 2^61-1"
+        return Params(vals, _GENERICITY_BOUND, label)
 
 
 # ---------------------------------------------------------------------------
@@ -746,26 +938,3 @@ def eigenvalue(n: int, params: Params) -> RatFunc:
         raise ValueError("eigenvalue index must be nonnegative")
     q, a, b, c, d = params.vals
     return q ** (-n) + a * b * c * d * q ** (n - 1)
-
-
-# ---------------------------------------------------------------------------
-# Random admissible points
-
-
-def _random_fraction(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
-
-
-def random_admissible_point(
-    rng: random.Random, genericity_bound: int = 16
-) -> dict[str, Fraction]:
-    """Draw a random rational parameter point satisfying the genericity
-    conditions (resampling on any violation)."""
-    while True:
-        point = {name: _random_fraction(rng) for name in PARAM_NAMES}
-        try:
-            _check_admissible(point, genericity_bound)
-        except DegenerateParameters:
-            continue
-        return point
-

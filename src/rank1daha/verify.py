@@ -4,9 +4,13 @@ Every mechanically verifiable identity of the kernel is registered here
 under a stable id.  A check receives a parameter set and reports pass or
 fail with the first offending residual; :func:`run_checks` drives a
 selected subset in either exact mode (one run, usually symbolic) or
-probabilistic mode (several runs at seeded random admissible rational
-points, each run exact).  Reports serialize deterministically for a
-fixed seed, elapsed times aside.
+probabilistic mode (several runs at seeded random points of GF(p),
+p = 2^61 - 1, that satisfy the genericity conditions mod p).  Each run is
+exact in its field; a false pass in probabilistic mode needs the residual
+to vanish at a random point of GF(p), which happens with probability at
+most deg/p per trial, deg being the total degree of the residual's
+numerator.  Reports serialize deterministically for a fixed seed, elapsed
+times aside.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .params import (
     RatFunc,
     eigenvalue,
     make_params,
-    random_admissible_point,
+    random_params_mod_p,
     structure_constants,
 )
 
@@ -344,11 +348,19 @@ def _check_duality_daha(params, bounds, rng) -> str:
         nf = ncalg.reduce(img, tgt)
         if not nf.is_zero():
             return f"relation {name} image: {_fmt_nf(nf)}"
-    # involution on parameter values
-    double = target.dual()
+    # involution on parameter values: abcd/q of the dual family is a^2, and
+    # the double dual taken at the root a gives back the parameters
+    a = params.value("a")
+    q_d, a_d, b_d, c_d, d_d = target.vals
+    if a * a != a_d * b_d * c_d * d_d / q_d:
+        return "abcd/q of the dual family is not a^2"
+    double = target.dual(a)
     for name in PARAM_NAMES:
         if double.value(name) != params.value(name):
             return f"dual of dual moved parameter {name}"
+    # control: the other root, -a, gives (q, -a, -b, -c, -d)
+    if target.dual(-a) == params:
+        return "double dual at the root -a did not move the parameters"
     # anti-multiplicativity on random word pairs
     for _ in range(20):
         u = _random_daha_word(rng)
@@ -476,10 +488,11 @@ def _check_awrel_inrep(params, bounds, rng) -> str:
 
 
 def _check_symmetry_abcd(params, bounds, rng) -> str:
+    base = [polyrep.askey_wilson(n, params) for n in range(6)]
     for x, y in (("a", "b"), ("a", "c")):
         swapped = params.swapped(x, y)
-        for n in range(6):
-            if polyrep.askey_wilson(n, params) != polyrep.askey_wilson(n, swapped):
+        for n, p_n in enumerate(base):
+            if p_n != polyrep.askey_wilson(n, swapped):
                 return f"P_{n} changes under swapping {x} and {y}"
     return ""
 
@@ -695,8 +708,7 @@ def _run_one(
             summary = spec.runner(params, bounds, rng)
         else:
             for _ in range(config.trials):
-                point = random_admissible_point(rng)
-                params = make_params("specialized", point)
+                params = random_params_mod_p(rng)
                 trials += 1
                 summary = spec.runner(params, bounds, rng)
                 if summary:

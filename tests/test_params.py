@@ -17,8 +17,11 @@ from rank1daha.params import (
     _FIELD,
     _PARAMS_CACHE_BOUND,
     _S_SQUARE,
+    PRIME,
+    ModP,
     Params,
     RatFunc,
+    _check_admissible,
     _fadd,
     _finv,
     _fmul,
@@ -26,7 +29,7 @@ from rank1daha.params import (
     eigenvalue,
     elementary_symmetric,
     make_params,
-    random_admissible_point,
+    random_params_mod_p,
     structure_constants,
 )
 
@@ -257,14 +260,160 @@ def test_s_extension_square():
     assert s.has_s() and not (s * s).has_s()
 
 
-def test_random_admissible_point_respects_constraints():
-    rng = random.Random(5)
-    for _ in range(20):
-        pt = random_admissible_point(rng)
-        assert pt["a"] * pt["b"] != 1
-        assert pt["q"] not in (0, 1)
-        # the sampled point must actually build
-        make_params("specialized", pt)
+def test_random_params_mod_p_are_generic_with_a_dual():
+    bound = 16
+    for seed in range(10):
+        params = random_params_mod_p(random.Random(seed))
+        again = random_params_mod_p(random.Random(seed))
+        assert params == again and params.label == again.label
+        assert all(type(v) is ModP for v in params.vals)
+        assert params.genericity_bound == bound
+        assert params.label.endswith(" mod 2^61-1")
+        q, a, b, c, d = (v.v for v in params.vals)
+        assert 0 not in (q, a, b, c, d)
+        assert all(pow(q, m, PRIME) != 1 for m in range(1, bound + 1))
+        e4 = a * b * c * d
+        assert all(e4 * pow(q, m, PRIME) % PRIME != 1 for m in range(bound + 1))
+        assert a * b % PRIME != 1
+        u = e4 * pow(q, -1, PRIME) % PRIME
+        assert pow(u, (PRIME - 1) // 2, PRIME) == 1  # Euler's criterion
+        dual = params.dual()
+        assert dual.value("a") ** 2 == u
+        assert dual.value("a").v == pow(u, (PRIME + 1) // 4, PRIME)
+    labels = {random_params_mod_p(random.Random(seed)).label for seed in range(10)}
+    assert len(labels) == 10
+
+
+class _ScriptedRng:
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def randrange(self, stop):
+        assert stop == PRIME
+        return self.draws.pop(0)
+
+
+def test_random_params_mod_p_resamples():
+    # ab = 1 mod p; then abcd/q = 3, a non-residue (p = 1 mod 3, p = 3 mod 4);
+    # then abcd/q = 4
+    half = (PRIME + 1) // 2
+    rng = _ScriptedRng([3, 2, half, 5, 7, 2, 1, 2, 1, 3, 2, 1, 2, 1, 4])
+    params = random_params_mod_p(rng)
+    assert not rng.draws
+    assert [v.v for v in params.vals] == [2, 1, 2, 1, 4]
+    assert params.dual().value("a") ** 2 == 4
+
+
+def test_admissibility_mod_p():
+    # a primitive cube root of unity (-1 + sqrt(-3))/2: p = 1 mod 3
+    omega = (ModP(-1) + ModP(-3).sqrt()) / 2
+    assert omega != 1 and omega**3 == 1
+    vals = [omega, *(ModP(v) for v in (2, 3, 5, 7))]
+    with pytest.raises(DegenerateParameters) as excinfo:
+        _check_admissible(vals, 16)
+    assert (excinfo.value.clause, excinfo.value.m) == ("q^m = 1", 3)
+    vals = [ModP(v) for v in (2, 2, Fraction(1, 2), 5, 7)]
+    with pytest.raises(DegenerateParameters, match="ab = 1"):
+        _check_admissible(vals, 16)
+    # derived families are validated mod p, as at the rational points of
+    # test_every_rational_family_is_validated
+    def point(*vals):
+        return Params(tuple(ModP(v) for v in vals), 16, "mod p")
+
+    shifts_to_ab_one = point(2, Fraction(1, 3), Fraction(3, 4), Fraction(1, 4), Fraction(9, 2))
+    with pytest.raises(DegenerateParameters, match="ab = 1"):
+        shifts_to_ab_one.shifted()
+    with pytest.raises(DegenerateParameters, match="ab = 1"):
+        point(Fraction(3, 2), 2, 3, Fraction(1, 3), 7).swapped("a", "c")
+
+
+# ---------------------------------------------------------------------------
+# The prime field GF(p)
+
+_fractions = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70).map(Fraction),
+    st.fractions(max_denominator=10**6),
+)
+
+
+def _mod_p(x: Fraction) -> int:
+    return x.numerator * pow(x.denominator, -1, PRIME) % PRIME
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fractions, _fractions)
+def test_mod_p_arithmetic_matches_fractions(x, y):
+    mx, my = ModP(x), ModP(y)
+    assert 0 <= mx.v < PRIME and mx.v == _mod_p(x)
+    assert (mx + my).v == _mod_p(x + y)
+    assert (mx - my).v == _mod_p(x - y)
+    assert (mx * my).v == _mod_p(x * y)
+    assert (-mx).v == _mod_p(-x)
+    assert (mx**3).v == _mod_p(x**3) and (mx**0).v == 1
+    assert mx.is_zero() == (not x) == (not mx)
+    if x:
+        assert mx.inv().v == _mod_p(1 / x)
+        assert (mx**-2).v == _mod_p(x**-2)
+        assert (my / mx).v == _mod_p(y / x)
+    else:
+        with pytest.raises(DivisionByZero):
+            mx.inv()
+        with pytest.raises(DivisionByZero):
+            my / mx
+        with pytest.raises(DivisionByZero):
+            mx**-1
+    assert (mx == my) == (_mod_p(x) == _mod_p(y))
+    assert hash(ModP(x)) == hash(mx)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fractions, _fractions)
+def test_mod_p_coerces_ground_scalars_ints_and_fractions(x, y):
+    mx, want = ModP(x), _mod_p(x + y)
+    for other in (RatFunc.from_rational(y), y):
+        for got in (mx + other, other + mx):
+            assert type(got) is ModP and got.v == want
+        assert (mx * other).v == (other * mx).v == _mod_p(x * y)
+        assert (mx - other).v == _mod_p(x - y) and (other - mx).v == _mod_p(y - x)
+        if x:
+            assert (other / mx).v == _mod_p(y / x)
+        assert (mx == other) == (other == mx) == (_mod_p(x) == _mod_p(y))
+    if y.denominator == 1:
+        n = int(y)
+        assert (mx + n).v == (n + mx).v == want
+        assert (mx * n).v == (n * mx).v == _mod_p(x * n)
+    assert ModP(RatFunc.from_rational(y)) == ModP(y)
+    assert mx == RatFunc.from_rational(x) and RatFunc.from_rational(x) == mx
+
+
+def test_mod_p_rejects_symbolic_scalars():
+    m = ModP(5)
+    for symbolic in (A, Q / (A + 1), RatFunc.s(), RatFunc.one() + RatFunc.s()):
+        for op in (
+            lambda: m + symbolic,
+            lambda: symbolic + m,
+            lambda: m - symbolic,
+            lambda: symbolic - m,
+            lambda: m * symbolic,
+            lambda: symbolic * m,
+            lambda: m / symbolic,
+            lambda: symbolic / m,
+            lambda: m == symbolic,
+            lambda: ModP(symbolic),
+        ):
+            with pytest.raises(TypeError):
+                op()
+    with pytest.raises(TypeError):
+        ModP(1.5)
+    with pytest.raises(DivisionByZero):
+        ModP(Fraction(1, PRIME))
+
+
+def test_mod_p_square_roots():
+    assert ModP(4).sqrt() ** 2 == 4
+    assert ModP(-1).sqrt() is None  # p = 3 mod 4
+    assert ModP(3).sqrt() is None
+    assert ModP(0).sqrt() == 0
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +502,23 @@ def test_dual_needs_exact_square_root(gpoint):
     # abcd/q = 140 has no rational square root
     with pytest.raises(ExtensionDisabled):
         gpoint.dual()
+
+
+def test_dual_at_a_given_root(spoint):
+    # abcd/q = 4: the root -2 gives the other dual family
+    dual = spoint.dual(RatFunc.from_rational(-2))
+    assert [v.as_fraction() for v in dual.vals] == [
+        Fraction(1155, 4), -2, Fraction(-15, 2), Fraction(-21, 2), Fraction(-33, 2)
+    ]
+    assert dual.label == spoint.dual().label
+    with pytest.raises(ValueError):
+        spoint.dual(RatFunc.from_rational(3))
+    # the double dual at the root a is the identity, whatever root the
+    # field picks for the dual family's abcd/q = a^2
+    point = make_params("specialized", {"q": 2, "a": -2, "b": -1, "c": 1, "d": 1})
+    dual = point.dual()
+    assert dual.dual().value("a").as_fraction() == 2
+    assert dual.dual(point.value("a")) == point
 
 
 def test_params_hold_values_bound_and_label(gpoint):

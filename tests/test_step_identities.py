@@ -14,6 +14,7 @@ import pytest
 from rank1daha import ncalg
 from rank1daha.errors import UnknownIdentity
 from rank1daha.ncalg import STEP_IDENTITIES, check_step_identity
+from rank1daha.verify import RunConfig, run_checks
 
 
 def u_of(params):
@@ -106,20 +107,34 @@ def test_controls_cover_every_kind():
     assert len(STEP_IDENTITIES) == 34
 
 
+def _perturbed(row, key):
+    if key is None:
+        return dataclasses.replace(row, scalar=_plus_one(row.scalar))
+    leading = dict(row.leading)
+    leading[key] = _plus_one(leading[key])
+    return dataclasses.replace(row, leading=leading)
+
+
 @pytest.mark.parametrize("name, key", _CONTROLS)
 def test_perturbed_row_fails(monkeypatch, gpoint, name, key):
-    row = STEP_IDENTITIES[name]
     assert check_step_identity(name, 2, 2, gpoint)[1]
-    if key is None:
-        bad = dataclasses.replace(row, scalar=_plus_one(row.scalar))
-    else:
-        leading = dict(row.leading)
-        leading[key] = _plus_one(leading[key])
-        bad = dataclasses.replace(row, leading=leading)
-    monkeypatch.setitem(ncalg.STEP_IDENTITIES, name, bad)
+    monkeypatch.setitem(ncalg.STEP_IDENTITIES, name, _perturbed(STEP_IDENTITIES[name], key))
     residual, ok = check_step_identity(name, 2, 2, gpoint)
     assert not ok
     assert not residual.is_zero()
+
+
+@pytest.mark.parametrize("name, key", _CONTROLS)
+def test_perturbed_row_fails_in_prob_mode(monkeypatch, name, key):
+    # the controls still bite at random points of GF(p)
+    row = STEP_IDENTITIES[name]
+    config = RunConfig(checks=[row.check], mode="prob", trials=2, max_mn=2)
+    assert [(r.verdict, r.trials) for r in run_checks(config).results] == [("pass", 2)]
+    monkeypatch.setitem(ncalg.STEP_IDENTITIES, name, _perturbed(row, key))
+    (result,) = run_checks(config).results
+    assert (result.verdict, result.trials) == ("fail", 1)
+    assert result.residual_summary.startswith("at q=")
+    assert " mod 2^61-1: " in result.residual_summary
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from sympy.polys.rings import PolyElement
 from rank1daha import cli, ncalg, polyrep, verify
 from rank1daha.errors import ConfigError, ParseError
 from rank1daha.ncalg import Element
-from rank1daha.params import _PARAMS_CACHE_BOUND, RatFunc, make_params
+from rank1daha.params import _PARAMS_CACHE_BOUND, Params, RatFunc, make_params
 from rank1daha.verify import (
     CHECK_CATALOG,
     TOOL_VERSION,
@@ -152,6 +152,81 @@ def test_prob_run_keeps_per_params_caches_bounded():
     assert [(r.verdict, r.trials) for r in report.results] == [("pass", 16)] * 2
     assert len(ncalg._SYSTEMS) <= _PARAMS_CACHE_BOUND
     assert len(polyrep._DSYM_IMAGES) <= _PARAMS_CACHE_BOUND
+
+
+def test_prob_mode_takes_no_rational_arithmetic(monkeypatch):
+    """Work gate: at points of GF(p) every parameter-dependent scalar is a
+    residue, so no rational number grows.  The only operations left on
+    rational constants are those of the integer word coefficients (1 * 1
+    in word products), which no parameter value enters."""
+    ground_ops = []
+
+    def counted(name):
+        method = getattr(RatFunc, name)
+
+        def run(self, *args):
+            if self.is_constant():
+                values = (x.as_fraction() if isinstance(x, RatFunc) else x for x in args)
+                ground_ops.append((name, self.as_fraction(), *values))
+            return method(self, *args)
+
+        return run
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__truediv__", "__rtruediv__", "__neg__", "__pow__", "inv"):
+        monkeypatch.setattr(RatFunc, name, counted(name))
+    half = RatFunc.from_rational(Fraction(1, 2))
+    assert half + half == 1 and ground_ops == [("__add__", Fraction(1, 2), Fraction(1, 2))]
+    ground_ops.clear()
+    config = RunConfig(checks=["iso.spherical.mult"], mode="prob", trials=2)
+    assert [(r.verdict, r.trials) for r in run_checks(config).results] == [("pass", 2)]
+    assert set(ground_ops) == {("__mul__", 1, 1)}
+
+
+def test_full_catalog_passes_in_prob_mode(tmp_path):
+    out = tmp_path / "report.json"
+    code = cli.main(
+        ["verify", "run", "--mode", "prob", "--trials", "2", "--format", "json", "--out", str(out)]
+    )
+    data = json.loads(out.read_text())
+    assert [r["id"] for r in data["results"]] == check_ids()
+    failing = [(r["id"], r["residual_summary"]) for r in data["results"] if r["verdict"] != "pass"]
+    assert failing == []
+    assert all(r["trials"] == 2 for r in data["results"])
+    assert (data["overall"], code) == ("pass", 0)
+
+
+def test_duality_involution_takes_the_root_a(monkeypatch):
+    # abcd/q = 1 gives s = 1, and abcd/q of the dual family is 4 = a^2 with
+    # a = -2: the field's own root 2 would move a, b, c and d
+    point = make_params("specialized", {"q": 2, "a": -2, "b": -1, "c": 1, "d": 1})
+    report = run_checks(RunConfig(checks=["duality.daha"], params=point))
+    assert [(r.verdict, r.residual_summary) for r in report.results] == [("pass", "")]
+    # control: a double dual taken at the wrong root must fail
+    dual = Params.dual
+
+    def wrong_root(self, root=None):
+        return dual(self, None if root is None else -root)
+
+    monkeypatch.setattr(Params, "dual", wrong_root)
+    runner = verify._CATALOG_BY_ID["duality.daha"].runner
+    bounds = {"max_mn": 1, "max_degree": 0, "max_n": 0}
+    assert runner(point, bounds, random.Random(0)) == "dual of dual moved parameter a"
+
+
+def test_symmetry_check_builds_the_base_family_once(monkeypatch, gpoint):
+    built = []
+    askey_wilson = polyrep.askey_wilson
+
+    def counted(n, params):
+        built.append((n, params.label))
+        return askey_wilson(n, params)
+
+    monkeypatch.setattr(polyrep, "askey_wilson", counted)
+    runner = verify._CATALOG_BY_ID["symmetry.abcd"].runner
+    assert runner(gpoint, {"max_mn": 1, "max_degree": 0, "max_n": 0}, random.Random(0)) == ""
+    assert sorted(n for n, label in built if label == gpoint.label) == list(range(6))
+    assert len(built) == 18
 
 
 def test_symbolic_checks_take_no_general_gcd(monkeypatch, sym):
