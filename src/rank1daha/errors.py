@@ -50,14 +50,6 @@ class NotSymmetric(KernelError):
     """A Laurent polynomial argument was required to be symmetric."""
 
 
-class InternalDenominatorResidue(KernelError):
-    """A q-difference operator result failed to clear its denominators.
-
-    The operator preserves the Laurent polynomial space, so a nonzero
-    polynomial remainder signals an arithmetic bug, never valid output.
-    """
-
-
 class ParseError(KernelError):
     """Expression text rejected by the parser.
 

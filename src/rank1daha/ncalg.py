@@ -495,7 +495,7 @@ class RewriteSystem:
         self.rules = rules
         self._product_cache: dict[tuple, NormalForm] = {}
 
-    # -- single relations, for the rule-wellformedness check -----------------
+    # -- the relations and their overlaps -----------------------------------
 
     def defining_relations(self) -> list[tuple[str, Element]]:
         """Each defining relation as an element (left side minus right
@@ -506,6 +506,22 @@ class RewriteSystem:
             for word, coef in rhs:
                 e = e - Element("daha", {word: coef})
             out.append((f"{l1}*{l2}", e))
+        return out
+
+    def critical_pairs(self) -> list[tuple[Word, NormalForm]]:
+        """Each overlap xyz of two left sides xy and yz, with the reduced
+        difference of its two one-step rewrites, rhs(xy) z - x rhs(yz).
+
+        Given termination, Bergman's diamond lemma (Adv. Math. 29, 1978) makes
+        reduction confluent exactly when every difference is zero."""
+        rhs = {lhs: Element("daha", dict(terms)) for lhs, terms in self.rules.items()}
+        out = []
+        for x, y in self.rules:
+            for y2, z in self.rules:
+                if y2 == y:
+                    left = rhs[x, y] * Element.word((z,), "daha")
+                    right = Element.word((x,), "daha") * rhs[y, z]
+                    out.append(((x, y, z), self.reduce_terms((left - right).terms)))
         return out
 
     # -- the rewriting loop ---------------------------------------------

@@ -8,13 +8,12 @@ three-term recurrence matrix model), so the operator code and the
 hypergeometric-sum code check each other.
 """
 
+import functools
 import random
-from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
 
-from rank1daha import polyrep
 from rank1daha.errors import DegenerateParameters, NotSymmetric
 from rank1daha.params import RatFunc, eigenvalue, make_params
 from rank1daha.polyrep import (
@@ -25,7 +24,6 @@ from rank1daha.polyrep import (
     askey_wilson,
     casimir_apply,
     check_aw_relations_in_rep,
-    qpochhammer,
     recurrence_coeffs,
     shifted_qn,
 )
@@ -117,31 +115,60 @@ def test_dsym_rejects_asymmetric_input(gpoint):
         apply_word(("K0",), LaurentPoly.monomial(2), gpoint)
 
 
+def reference_action(letter, g, point):
+    """The K0 or K1 action on a function g of z, from the defining
+    formula of the q-difference operator, in Fractions."""
+    q, a, b, c, d = (point[name] for name in "qabcd")
+    if letter == "K1":
+        return lambda z: (z + 1 / z) * g(z)
+
+    def coef(z):
+        return (1 - a * z) * (1 - b * z) * (1 - c * z) * (1 - d * z) / ((1 - z * z) * (1 - q * z * z))
+
+    def dg(z):
+        gz = g(z)
+        return coef(z) * (g(q * z) - gz) + coef(1 / z) * (g(z / q) - gz) + (1 + a * b * c * d / q) * gz
+
+    return dg
+
+
+def value_at(f, point, z):
+    return sum((c.subs(point).as_fraction() * z**k for k, c in f.coeffs.items()), Fraction(0))
+
+
 @pytest.mark.parametrize("which", ["sym", "gpoint"])
-def test_memoized_dsym_matches_common_denominator_path(which, request, monkeypatch):
+def test_operators_match_the_defining_formula(which, request):
     params = request.getfixturevalue(which)
-    monkeypatch.setattr(polyrep, "_DSYM_IMAGES", OrderedDict())
+    if params.is_symbolic:
+        points = [
+            {"q": Fraction(5, 3), "a": Fraction(2), "b": Fraction(-3, 4), "c": Fraction(7), "d": Fraction(1, 5)},
+            {"q": Fraction(-2, 7), "a": Fraction(3, 2), "b": Fraction(5), "c": Fraction(-1, 3), "d": Fraction(4)},
+        ]
+    else:
+        points = [{name: v.as_fraction() for name, v in params.values().items()}]
     q, a, b, c, d = vals(params)
-    pool = [
-        RatFunc.from_rational(Fraction(-3, 2)),
-        RatFunc.from_rational(7),
-        a * c / q,
-        (ONE - a * b).inv(),
-        b + d * d,
-    ]
+    pool = [RatFunc.from_rational(Fraction(-3, 2)), RatFunc.from_rational(7), a * c / q]
     rng = random.Random(3)
-    for degree in (0, 1, 2, 3, 4, 4):
+    for degree in (0, 1, 2, 5, 8):
         coeffs = {}
         for k in range(degree + 1):
             if k == degree or rng.random() < 0.7:
                 coeffs[k] = coeffs[-k] = rng.choice(pool) * rng.choice(pool)
         f = LaurentPoly(coeffs)
         assert f.degree() == degree
-        got = apply_dsym(f, params)
-        want = polyrep._apply_dsym_direct(f, params)
-        assert got == want
-        assert str(got) == str(want)
-    assert set(polyrep._DSYM_IMAGES) == {params}
+        word = ("K1", "K0", "K1")
+        images = [apply_dsym(f, params), apply_word(word, f, params)]
+        for point in points:
+            f_at = functools.partial(value_at, f, point)
+            d_ref = reference_action("K0", f_at, point)
+            word_ref = f_at
+            for letter in reversed(word):
+                word_ref = reference_action(letter, word_ref, point)
+            for z in (Fraction(3, 11), Fraction(-5, 13)):
+                assert [value_at(g, point, z) for g in images] == [d_ref(z), word_ref(z)]
+            # control: the formula at a moved parameter disagrees
+            moved = reference_action("K0", f_at, dict(point, d=point["d"] + 1))
+            assert value_at(images[0], point, z) != moved(z)
 
 
 def test_apply_word_rejects_unknown_letter(gpoint):
@@ -159,24 +186,6 @@ def test_apply_word_frozen_value(gpoint):
         -2: Fraction(1794248, 27),
     }
     assert {k: c.as_fraction() for k, c in f.coeffs.items()} == expect
-
-
-# ---------------------------------------------------------------------------
-# q-shifted factorials
-
-
-def test_qpochhammer_small_cases(sym):
-    q, a, b, c, d = vals(sym)
-    assert qpochhammer(a, 0, sym) == ONE
-    assert qpochhammer(a, 2, sym) == (1 - a) * (1 - a * q)
-    with pytest.raises(ValueError):
-        qpochhammer(a, -1, sym)
-
-
-def test_qpochhammer_numeric():
-    p = make_params("specialized", {"q": 2, "a": 3, "b": 5, "c": 7, "d": 11})
-    # (q; q)_3 at q = 2: (1-2)(1-4)(1-8)
-    assert qpochhammer(p.value("q"), 3, p).as_fraction() == -21
 
 
 # ---------------------------------------------------------------------------

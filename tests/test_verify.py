@@ -13,7 +13,13 @@ from sympy.polys.rings import PolyElement
 from rank1daha import cli, ncalg, polyrep, verify
 from rank1daha.errors import ConfigError, ParseError
 from rank1daha.ncalg import Element
-from rank1daha.params import _PARAMS_CACHE_BOUND, Params, RatFunc, make_params
+from rank1daha.params import (
+    _PARAMS_CACHE_BOUND,
+    Params,
+    RatFunc,
+    make_params,
+    random_params_mod_p,
+)
 from rank1daha.verify import (
     CHECK_CATALOG,
     TOOL_VERSION,
@@ -70,7 +76,7 @@ def test_catalog_output_pinned(capsys):
     # the hash is that of `python -m rank1daha.cli catalog`
     assert cli.main(["catalog"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "ab49c5b623b8545247c8949bf0422ffc30000e9fd68906f65e37b0f72a25715b"
+    assert digest == "18f63f896fc2609beca773fe83e54c455bb11ae2443b1a5d55b5051a41e0652c"
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +101,52 @@ def test_run_checks_rejects_bad_config():
         run_checks(RunConfig(mode="approximate"))
     with pytest.raises(ConfigError):
         run_checks(RunConfig(trials=0))
+
+
+def test_prob_mode_rejects_a_given_point(capsys, tmp_path):
+    # prob mode draws its own points, so a report echoing --params would lie
+    point = make_params("specialized", {"q": Fraction(3, 2), "a": 2, "b": 3, "c": 5, "d": 7})
+    with pytest.raises(ConfigError, match="prob mode"):
+        run_checks(RunConfig(checks=["casimir.scalar"], mode="prob", params=point))
+    flags = ["--checks", "casimir.scalar", "--mode", "prob", "--params", "q=3/2,a=2,b=3,c=5,d=7"]
+    assert cli.main(["verify", "run", *flags]) == 2
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("checks = casimir.scalar\nmode = prob\nparams = q=3/2,a=2,b=3,c=5,d=7\n")
+    assert cli.main(["verify", "run", "--config", str(cfg)]) == 2
+    assert "prob mode" in capsys.readouterr().err
+    # either one alone still runs
+    assert cli.main(["verify", "run", "--config", str(cfg), "--mode", "exact"]) == 0
+    assert cli.main(["verify", "run", "--config", str(cfg), "--symbolic", "--trials", "1"]) == 0
+
+
+def test_a_check_that_cannot_run_at_a_point_is_skipped(tmp_path):
+    # abcd/q = 140 has no rational square root, so no dual family exists
+    # at this point; the duality checks are skipped and the run passes
+    out = tmp_path / "report.json"
+    code = cli.main(
+        ["verify", "run", "--checks", "duality.aw,duality.daha,casimir.scalar",
+         "--params", "q=3/2,a=2,b=3,c=5,d=7", "--format", "json", "--out", str(out)]
+    )
+    assert code == 0
+    report = load_report(str(out))
+    assert report.overall == "pass"
+    verdicts = {r.id: (r.verdict, r.residual_summary.split(":")[0]) for r in report.results}
+    assert verdicts == {
+        "duality.aw": ("skip", "ExtensionDisabled"),
+        "duality.daha": ("skip", "ExtensionDisabled"),
+        "casimir.scalar": ("pass", ""),
+    }
+    lines = render_text(report).splitlines()
+    assert lines[3].startswith("duality.aw               skip ")
+    assert lines[-1] == "overall pass"
+    # a skip does not hide a failure next to it: at ac = 1, abcd/q = 14
+    # has no rational root and gamma_1 vanishes
+    degenerate = make_params(
+        "specialized", {"q": Fraction(3, 2), "a": 2, "b": 3, "c": Fraction(1, 2), "d": 7}
+    )
+    report = run_checks(RunConfig(checks=["duality.daha", "recurrence"], params=degenerate))
+    assert [r.verdict for r in report.results] == ["skip", "fail"]
+    assert report.overall == "fail"
 
 
 def test_prob_mode_draws_admissible_points():
@@ -151,7 +203,6 @@ def test_prob_run_keeps_per_params_caches_bounded():
     report = run_checks(config)
     assert [(r.verdict, r.trials) for r in report.results] == [("pass", 16)] * 2
     assert len(ncalg._SYSTEMS) <= _PARAMS_CACHE_BOUND
-    assert len(polyrep._DSYM_IMAGES) <= _PARAMS_CACHE_BOUND
 
 
 def test_prob_mode_takes_no_rational_arithmetic(monkeypatch):
@@ -241,7 +292,6 @@ def test_symbolic_checks_take_no_general_gcd(monkeypatch, sym):
 
     monkeypatch.setattr(PolyElement, "cancel", counted_cancel)
     monkeypatch.setattr(ncalg, "_SYSTEMS", OrderedDict())
-    monkeypatch.setattr(polyrep, "_DSYM_IMAGES", OrderedDict())
     bounds = {"max_mn": 1, "max_degree": 2, "max_n": 2}
     for check_id in (
         "awrel.inrep",
@@ -253,6 +303,50 @@ def test_symbolic_checks_take_no_general_gcd(monkeypatch, sym):
         runner = verify._CATALOG_BY_ID[check_id].runner
         assert runner(sym, bounds, random.Random(0)) == ""
     assert len(calls) == 0
+
+
+@pytest.mark.parametrize("which", ["sym", "gpoint", "modp"])
+def test_relations_check_resolves_every_overlap(which, request):
+    params = random_params_mod_p(random.Random(3)) if which == "modp" else request.getfixturevalue(which)
+    pairs = ncalg.RewriteSystem(params).critical_pairs()
+    assert len(pairs) == 25
+    assert all(nf.is_zero() for _, nf in pairs)
+    runner = verify._CATALOG_BY_ID["relations-daha"].runner
+    bounds = {"max_mn": 1, "max_degree": 0, "max_n": 0}
+    assert runner(params, bounds, random.Random(0)) == ""
+
+
+def test_relations_check_fails_on_a_perturbed_rule(monkeypatch, gpoint):
+    # raise a coefficient of the Y*Z rule: the check must name an overlap
+    init = ncalg.RewriteSystem.__init__
+
+    def perturbed(self, params):
+        init(self, params)
+        first, (word, coef), *rest = self.rules[("Y", "Z")]
+        self.rules[("Y", "Z")] = (first, (word, coef + ONE), *rest)
+
+    monkeypatch.setattr(ncalg.RewriteSystem, "__init__", perturbed)
+    monkeypatch.setattr(ncalg, "_SYSTEMS", OrderedDict())
+    runner = verify._CATALOG_BY_ID["relations-daha"].runner
+    summary = runner(gpoint, {"max_mn": 1, "max_degree": 0, "max_n": 0}, random.Random(0))
+    assert summary.startswith("overlap ") and "does not resolve" in summary
+    unresolved = [xyz for xyz, nf in ncalg.RewriteSystem(gpoint).critical_pairs() if not nf.is_zero()]
+    assert 0 < len(unresolved) < 25
+
+
+def test_eigen_check_fails_on_a_wrong_coordinate(monkeypatch, gpoint):
+    pn_coords = polyrep._pn_coords
+
+    def perturbed(n, params):
+        coords, scale = pn_coords(n, params)
+        if n == 2:
+            coords[1] = coords[1] + ONE
+        return coords, scale
+
+    monkeypatch.setattr(polyrep, "_pn_coords", perturbed)
+    runner = verify._CATALOG_BY_ID["eigen.Pn"].runner
+    summary = runner(gpoint, {"max_mn": 1, "max_degree": 0, "max_n": 3}, random.Random(0))
+    assert summary.startswith("eigenvalue equation fails at n=2: ")
 
 
 def test_step_check_failure_summaries(monkeypatch):
