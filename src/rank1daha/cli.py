@@ -144,7 +144,7 @@ def _cmd_verify_run(args) -> int:
         sys.stdout.write(f"report written to {out_path}\n")
         sys.stdout.write(f"overall {report.overall}\n")
     else:
-        sys.stdout.write(verify.render_text(report))
+        sys.stdout.write(verify.render_report(report, out_format))
     return 0 if report.overall == "pass" else 1
 
 

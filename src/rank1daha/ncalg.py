@@ -10,11 +10,17 @@ exhaustive rewriting of adjacent letter pairs.
 On top of the rewriting core this module provides: the three-generator
 central extension of the Askey-Wilson q-commutator algebra, its defining
 relations (:func:`aw_relations`, :func:`quotient_relations`) and its
-embedding (:func:`embed_aw`), the symmetrizing idempotents and the
-spherical / antispherical maps, the strict-dominance filtration predicate
+embedding (:func:`embed_aw`), the symmetrizers and the spherical /
+antispherical maps, the strict-dominance filtration predicate
 :func:`is_o_of`, the catalog of step identities used to prove the two
 subalgebra isomorphisms (:func:`check_step_identity`), duality anti-maps,
 shift-operator identities, and centralizer / center probes.
+
+Only :func:`symmetrizer` builds F = T1+1 ("sym") or F = T1+ab ("asym")
+and knows e, F^2 = eF.  The maps are cleared, free of e^-1:
+:func:`compress` returns F u F, e^2 times the compression by the idempotent
+e^-1 F, and :func:`iso_image` returns U~ F, e times the subalgebra
+isomorphism U -> e^-1 U~ F.
 
 The step identities are data.  Each row of :data:`STEP_IDENTITIES` states
 LHS = (leading terms + dominated rest) F, with F = T1+1 for the spherical
@@ -69,11 +75,9 @@ __all__ = [
     "embed_aw",
     "aw_relations",
     "quotient_relations",
-    "idempotents",
-    "spherical",
-    "antispherical",
-    "iso_spherical",
-    "iso_antispherical",
+    "symmetrizer",
+    "compress",
+    "iso_image",
     "is_o_of",
     "check_step_identity",
     "STEP_IDENTITIES",
@@ -758,79 +762,54 @@ def quotient_relations(
 
 
 # ---------------------------------------------------------------------------
-# Idempotents, spherical and antispherical maps
+# The symmetrizers and the maps they define
 
 
-def _t1_plus(scalar: RatFunc) -> Element:
-    return Element("daha", {("T1",): _ONE, (): scalar})
-
-
-def _check_ab(params: Params) -> tuple[RatFunc, RatFunc]:
-    vals = params.values()
-    ab = vals["a"] * vals["b"]
+def symmetrizer(family: str, params: Params) -> tuple[Element, RatFunc]:
+    """The symmetrizer F and its scalar e, with F^2 = eF: F = T1+1 and
+    e = 1-ab for the spherical family ("sym"), F = T1+ab and e = ab-1 for
+    the antispherical one ("asym").  The orthogonal idempotents e^-1 F sum
+    to 1."""
+    ab = params.value("a") * params.value("b")
     if ab == _ONE:
         raise DegenerateParameters("ab = 1")
-    return ab, (_ONE - ab).inv()
+    # the one of the parameters' field, a residue at a point of GF(p): a
+    # product with F then takes no rational-constant arithmetic there
+    one = ab**0
+    if family == "sym":
+        eps, e = one, one - ab
+    elif family == "asym":
+        eps, e = ab, ab - one
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    return Element("daha", {("T1",): one, (): eps}), e
 
 
-def idempotents(params: Params) -> tuple[Element, Element]:
-    """The symmetrizer (1-ab)^-1 (T1+1) and antisymmetrizer
-    (ab-1)^-1 (T1+ab); they are idempotent and sum to 1."""
-    ab, inv_one_minus_ab = _check_ab(params)
-    p_sym = _t1_plus(_ONE).scale(inv_one_minus_ab)
-    p_asym = _t1_plus(ab).scale(-inv_one_minus_ab)
-    return p_sym, p_asym
-
-
-def spherical(u: Element, params: Params, budget: int = DEFAULT_BUDGET) -> NormalForm:
-    """Two-sided compression by the symmetrizer."""
-    p_sym, _ = idempotents(params)
-    return reduce(p_sym * u * p_sym, params, budget)
-
-
-def antispherical(
-    u: Element, params: Params, budget: int = DEFAULT_BUDGET
+def compress(
+    family: str, u: Element, params: Params, budget: int = DEFAULT_BUDGET
 ) -> NormalForm:
-    """Two-sided compression by the antisymmetrizer."""
-    _, p_asym = idempotents(params)
-    return reduce(p_asym * u * p_asym, params, budget)
+    """The two-sided compression reduce(F u F), F from :func:`symmetrizer`.
+    The compression by the idempotent e^-1 F is e^-2 times this."""
+    f, _ = symmetrizer(family, params)
+    return reduce(f * u * f, params, budget)
 
 
-def iso_spherical(
-    u: Element, params: Params, budget: int = DEFAULT_BUDGET
+def iso_image(
+    family: str, u: Element, params: Params, budget: int = DEFAULT_BUDGET
 ) -> NormalForm:
-    """The algebra isomorphism from the two-generator quotient algebra onto
-    the spherical subalgebra: U -> (1-ab)^-1 U~ (T1+1), with U~ the same
-    word read in the central extension and embedded."""
+    """reduce(U~ F), F from :func:`symmetrizer`.  The isomorphism
+    U -> e^-1 U~ F from the two-generator quotient algebra onto the
+    spherical ("sym") or antispherical ("asym") subalgebra is e^-1 times
+    this.  U~ is the K0/K1 word U read in the central extension and
+    embedded; for "asym" K0 is first replaced by q K0, since the source is
+    the quotient at the shifted parameters (qa, qb, c, d)."""
     if u.alphabet != "aw":
-        raise ValueError("the spherical isomorphism takes K0/K1 words")
-    _, inv_one_minus_ab = _check_ab(params)
-    image = embed_element(u, params) * _t1_plus(_ONE)
-    return reduce(image.scale(inv_one_minus_ab), params, budget)
-
-
-def iso_antispherical(
-    u: Element, params: Params, budget: int = DEFAULT_BUDGET
-) -> NormalForm:
-    """The algebra isomorphism from the two-generator quotient at shifted
-    parameters (qa, qb, c, d) onto the antispherical subalgebra:
-    U -> (ab-1)^-1 U~ (T1+ab), with U~ the same word with K0 replaced by
-    q K0, read in the central extension and embedded."""
-    if u.alphabet != "aw":
-        raise ValueError("the antispherical isomorphism takes K0/K1 words")
-    ab, inv_one_minus_ab = _check_ab(params)
-    vals = params.values()
-    q = vals["q"]
-    scaled = u.map_letters(
-        {
-            "K0": Element("aw", {("K0",): q}),
-            "K1": Element.generator("K1"),
-            "T1": Element.generator("T1", "aw"),
-        },
-        "aw",
-    )
-    image = embed_element(scaled, params) * _t1_plus(ab)
-    return reduce(image.scale(-inv_one_minus_ab), params, budget)
+        raise ValueError("the subalgebra isomorphisms take K0/K1 words")
+    f, _ = symmetrizer(family, params)
+    images = _embedding_images(params)
+    if family == "asym":
+        images["K0"] = images["K0"].scale(params.value("q"))
+    return reduce(u.map_letters(images, "daha") * f, params, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -851,21 +830,11 @@ def is_o_of(nf: NormalForm, m: int, n: int) -> bool:
     return True
 
 
-def _factor_out_right(
-    nf: NormalForm, factor: str, params: Params
-) -> NormalForm | None:
-    """If nf = R (T1+1) (factor="sym") or nf = R (T1+ab) (factor="asym")
-    with R free of T1, return R as a normal form, else None."""
+def _factor_out_right(nf: NormalForm, eps: RatFunc) -> NormalForm | None:
+    """If nf = R (T1+eps) with R free of T1, return R as a normal form,
+    else None."""
     lay0, lay1 = nf.layers()
-    vals = params.values()
-    ab = vals["a"] * vals["b"]
-    if factor == "sym":
-        expected = lay1
-    elif factor == "asym":
-        expected = {key: ab * coef for key, coef in lay1.items()}
-    else:
-        raise ValueError(f"unknown factor {factor!r}")
-    if lay0 != expected:
+    if lay0 != {key: eps * coef for key, coef in lay1.items()}:
         return None
     return NormalForm({(k, l, 0): coef for (k, l), coef in lay1.items()})
 
@@ -1141,10 +1110,9 @@ def _step_exponents(row: StepRow, m: int, n: int) -> tuple[int, int]:
     return (1, 1) if row.kind == "exact" else (m, n)
 
 
-def _step_lhs(row: StepRow, m: int, n: int, params: Params) -> Element:
+def _step_lhs(row: StepRow, m: int, n: int, params: Params, f: Element) -> Element:
     m, n = _step_exponents(row, m, n)
     bases = _coef_bases(params)
-    f = _t1_plus(_ONE if row.family == "sym" else bases[1] * bases[2])
     sm, sn = row.signs
     if row.kind == "embed":
         k_word = {("K1",) * (abs(sm) * m) + ("K0",) * (abs(sn) * n): _ONE}
@@ -1175,8 +1143,8 @@ def check_step_identity(
 
     Returns (residual, verdict): the residual is the reduction of the left
     side minus the stated leading terms times F; the verdict is True when
-    the residual factors as R * (T1+1) (spherical family) or R * (T1+ab)
-    (antispherical family) with R strictly dominated by the exponents the
+    the residual factors as R F, F = T1+1 (spherical family) or T1+ab
+    (antispherical family), with R strictly dominated by the exponents the
     identity reads, and for exact identities when the residual is zero.
     One-index identities read only the exponent they use.
     """
@@ -1187,16 +1155,17 @@ def check_step_identity(
         )
     if m < 1 or n < 1:
         raise ValueError("step identities take positive exponents")
-    ab = params.value("a") * params.value("b")
-    nf = reduce(_step_lhs(row, m, n, params), params, budget)
+    f, _ = symmetrizer(row.family, params)
+    eps = f.terms[()]
+    nf = reduce(_step_lhs(row, m, n, params, f), params, budget)
     lead_terms: dict[tuple[int, int, int], RatFunc] = {}
     for (k, l), coef in row.leading_at(m, n, params).items():
         _acc(lead_terms, (k, l, 1), coef)
-        _acc(lead_terms, (k, l, 0), coef if row.family == "sym" else coef * ab)
+        _acc(lead_terms, (k, l, 0), coef * eps)
     residual = nf - NormalForm(lead_terms)
     if row.kind == "exact":
         return residual, residual.is_zero()
-    rest = _factor_out_right(residual, row.family, params)
+    rest = _factor_out_right(residual, eps)
     if rest is None:
         return residual, False
     uses_m, uses_n = row.uses()
@@ -1283,8 +1252,8 @@ def shift_operator_identities(
         "daha",
         {("Y",): _ONE, ("Yi",): cd / q, (): -(cd / q + _ONE)},
     )
-    f_sym = _t1_plus(_ONE)
-    f_asym = _t1_plus(ab)
+    f_sym, _ = symmetrizer("sym", params)
+    f_asym, _ = symmetrizer("asym", params)
     residual_minus = reduce(f_sym * d_minus * f_sym, params, budget)
     residual_plus = reduce(f_asym * d_plus * f_asym, params, budget)
     return residual_minus, residual_plus

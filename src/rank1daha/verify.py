@@ -47,6 +47,7 @@ __all__ = [
     "parse_expression",
     "emit_report",
     "load_report",
+    "render_report",
     "render_text",
     "parse_config_file",
     "parse_param_assignments",
@@ -181,13 +182,15 @@ def _check_t1central(params, bounds, rng) -> str:
 
 
 def _check_idempotents(params, bounds, rng) -> str:
-    p_sym, p_asym = ncalg.idempotents(params)
-    one = Element.one("daha")
+    # in cleared form: e^-1 F is idempotent exactly when F^2 = eF, and the
+    # two idempotents sum to 1 exactly when F_sym - F_asym = 1-ab
+    f_sym, e_sym = ncalg.symmetrizer("sym", params)
+    f_asym, e_asym = ncalg.symmetrizer("asym", params)
     cases = {
-        "sym idempotent": p_sym * p_sym - p_sym,
-        "asym idempotent": p_asym * p_asym - p_asym,
-        "sum to one": p_sym + p_asym - one,
-        "orthogonal": p_sym * p_asym,
+        "sym F^2 = eF": f_sym * f_sym - f_sym.scale(e_sym),
+        "asym F^2 = eF": f_asym * f_asym - f_asym.scale(e_asym),
+        "sum to one": f_sym - f_asym - e_sym,
+        "orthogonal": f_sym * f_asym,
         "T1 quadratic": ncalg.embed_element(ncalg.aw_relations(params)["quad"], params),
     }
     for name, e in cases.items():
@@ -204,24 +207,30 @@ def _random_daha_word(rng, max_len=3) -> Element:
 
 
 def _check_spherical_mult(params, bounds, rng) -> str:
-    # S(U) S(V) = S(U P_sym V) for the two-sided compression S
-    p_sym, _ = ncalg.idempotents(params)
+    # S(U) = e^-2 FUF and P_sym = e^-1 F, so S(U) S(V) = S(U P_sym V) reads
+    # FUF FVF = e FUFVF
+    f, e = ncalg.symmetrizer("sym", params)
+    unscaled_differs = False
     for _ in range(8):
         u = _random_daha_word(rng)
         v = _random_daha_word(rng)
         left = ncalg.multiply(
-            ncalg.spherical(u, params), ncalg.spherical(v, params), params
+            ncalg.compress("sym", u, params), ncalg.compress("sym", v, params), params
         )
-        right = ncalg.spherical(u * p_sym * v, params)
-        if left != right:
+        right = ncalg.compress("sym", u * f * v, params)
+        if left != right.scale(e):
             return f"compression not multiplicative on {u} | {v}"
-    # on the embedded (T1-commuting) subalgebra, S(U) = U P_sym
+        unscaled_differs = unscaled_differs or left != right
+    # control: without the scalar e the identity fails
+    if not unscaled_differs:
+        return "control: FUF FVF = FUFVF on every pair"
+    # on the embedded (T1-commuting) subalgebra, S(U) = U P_sym: FUF = e UF
     for word in (("K0",), ("K1",), ("K0", "K1")):
         u = ncalg.embed_element(Element("aw", {word: _ONE}), params)
-        left = ncalg.spherical(u, params)
-        right = ncalg.reduce(u * p_sym, params)
-        if left != right:
-            return f"S(U) != U P_sym for embedded {' '.join(word)}"
+        left = ncalg.compress("sym", u, params)
+        right = ncalg.reduce(u * f, params)
+        if left != right.scale(e):
+            return f"FUF != e UF for embedded {' '.join(word)}"
     return ""
 
 
@@ -234,21 +243,30 @@ def _k_words_up_to(total: int) -> list[tuple[str, ...]]:
     return words
 
 
-def _check_iso_mult(which: str):
-    iso = ncalg.iso_spherical if which == "sym" else ncalg.iso_antispherical
-
+def _check_iso_mult(family: str):
+    # the isomorphism is e^-1 J with J(U) = U~ F, so it is multiplicative
+    # exactly when J(U) J(V) = e J(UV)
     def run(params, bounds, rng) -> str:
+        _, e = ncalg.symmetrizer(family, params)
+        images = {
+            w: ncalg.iso_image(family, Element("aw", {w: _ONE}), params)
+            for w in _k_words_up_to(4)
+        }
         words = _k_words_up_to(2)  # pairs with total length <= 4
-        images = {w: iso(Element("aw", {w: _ONE}), params) for w in words}
-        for w1 in words:
-            for w2 in words:
-                left = ncalg.multiply(images[w1], images[w2], params)
-                right = iso(Element("aw", {w1 + w2: _ONE}), params)
-                if left != right:
-                    return (
-                        f"not multiplicative on {' '.join(w1) or '1'} | "
-                        f"{' '.join(w2) or '1'}"
-                    )
+        products = {
+            (w1, w2): ncalg.multiply(images[w1], images[w2], params)
+            for w1 in words
+            for w2 in words
+        }
+        for (w1, w2), left in products.items():
+            if left != images[w1 + w2].scale(e):
+                return (
+                    f"not multiplicative on {' '.join(w1) or '1'} | "
+                    f"{' '.join(w2) or '1'}"
+                )
+        # control: the map tells K0 K1 from K1 K0
+        if products[("K0",), ("K1",)] == images[("K1", "K0")].scale(e):
+            return "control: J(K0) J(K1) = e J(K1 K0)"
         return ""
 
     return run
@@ -301,7 +319,7 @@ def _check_duality_aw(params, bounds, rng) -> str:
         if not nf.is_zero():
             return f"{name} image: {_fmt_nf(nf)}"
     # quotient relations map to zero modulo the T1 = -ab ideal
-    killer = Element("daha", {("T1",): _ONE, (): _ONE})
+    killer, _ = ncalg.symmetrizer("sym", target)
     sc, sc_dual = structure_constants(params), structure_constants(target)
     quotient = ncalg.quotient_relations(params, sc)
     for name, rel in quotient.items():
@@ -403,22 +421,22 @@ def _check_shiftops(params, bounds, rng) -> str:
         "daha",
         {("Y",): _ONE, ("Yi",): ab * ab * cd / q, (): -(ab * cd / q + ab) + _ONE},
     )
-    f_sym = Element("daha", {("T1",): _ONE, (): _ONE})
+    f_sym, _ = ncalg.symmetrizer("sym", params)
     if ncalg.reduce(f_sym * bad * f_sym, params).is_zero():
         return "perturbed lowering identity still reduced to zero"
     return ""
 
 
 def _check_centralizer(params, bounds, rng) -> str:
-    p_sym, _ = ncalg.idempotents(params)
+    f, e = ncalg.symmetrizer("sym", params)
     for word in (("K0",), ("K1",), ("K0", "K1"), ("K1", "K0"), ("K0", "K0", "K1")):
         u = ncalg.embed_element(Element("aw", {word: _ONE}), params)
         nf = ncalg.centralizer_probe(u, params)
         if not nf.is_zero():
             return f"embedded {' '.join(word)} not in centralizer: {_fmt_nf(nf)}"
-        # membership implies one-sided compression: S(U) = U P_sym
-        if ncalg.spherical(u, params) != ncalg.reduce(u * p_sym, params):
-            return f"S(U) != U P_sym for {' '.join(word)}"
+        # membership implies one-sided compression: S(U) = U P_sym, FUF = e UF
+        if ncalg.compress("sym", u, params) != ncalg.reduce(u * f, params).scale(e):
+            return f"FUF != e UF for {' '.join(word)}"
     # negative control: Z alone does not centralize T1
     if ncalg.centralizer_probe(Element.generator("Z"), params).is_zero():
         return "Z unexpectedly commutes with T1"
@@ -570,20 +588,22 @@ def _build_catalog() -> list[CheckSpec]:
         CheckSpec(
             "spherical.mult",
             "two-sided compression satisfies S(U)S(V) = S(U P_sym V), and S(U) = U P_sym "
-            "on elements commuting with T1",
+            "on elements commuting with T1; control: the first identity fails with "
+            "(T1+1) in place of P_sym",
             "exact",
             _check_spherical_mult,
         ),
         CheckSpec(
             "iso.spherical.mult",
-            "U -> (1-ab)^-1 U~ (T1+1) is multiplicative on K-words of total length <= 4",
+            "U -> (1-ab)^-1 U~ (T1+1) is multiplicative on K-words of total length <= 4; "
+            "control: K0 K1 and K1 K0 have different images",
             "exact",
             _check_iso_mult("sym"),
         ),
         CheckSpec(
             "iso.antispherical.mult",
             "U -> (ab-1)^-1 U~ (T1+ab) with K0 -> qK0 is multiplicative on K-words of "
-            "total length <= 4",
+            "total length <= 4; control: K0 K1 and K1 K0 have different images",
             "exact",
             _check_iso_mult("asym"),
         ),
@@ -703,6 +723,7 @@ def _run_one(
     trials = 0
     verdict = "pass"
     summary = ""
+    where = ""  # in prob mode, the random point that a failure happened at
     try:
         if mode == "exact":
             params = config.params or make_params("symbolic")
@@ -711,18 +732,19 @@ def _run_one(
         else:
             for _ in range(config.trials):
                 params = random_params_mod_p(rng)
+                where = f"at {params.label}: "
                 trials += 1
                 summary = spec.runner(params, bounds, rng)
                 if summary:
-                    summary = f"at {params.label}: {summary}"
                     break
         if summary:
             verdict = "fail"
+            summary = where + summary
     except Exception as exc:
         # whatever a check raises is its verdict; the run goes on to report.
         # A point the check cannot use at all (no dual family) is a skip
         verdict = "skip" if isinstance(exc, ExtensionDisabled) else "error"
-        summary = f"{type(exc).__name__}: {exc}"
+        summary = f"{where}{type(exc).__name__}: {exc}"
     elapsed_ms = int((time.monotonic() - start) * 1000)
     return CheckResult(spec.id, verdict, summary, trials, elapsed_ms)
 
@@ -757,13 +779,17 @@ def run_checks(config: RunConfig) -> Report:
 # Reports
 
 
-def emit_report(report: Report, path: str, format: str = "json") -> None:
+def render_report(report: Report, format: str = "json") -> str:
+    """The report as deterministic JSON or as the text table."""
     if format == "json":
-        text = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-    elif format == "text":
-        text = render_text(report)
-    else:
-        raise ConfigError(f"unknown report format {format!r}")
+        return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+    if format == "text":
+        return render_text(report)
+    raise ConfigError(f"unknown report format {format!r}")
+
+
+def emit_report(report: Report, path: str, format: str = "json") -> None:
+    text = render_report(report, format)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text)
 

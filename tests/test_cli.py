@@ -144,6 +144,17 @@ def test_verify_run_json_out(capsys, tmp_path):
     assert [r["id"] for r in data["results"]] == ["o-filtration"]
 
 
+def test_verify_run_json_to_stdout(capsys):
+    # without --out the report goes to stdout in the requested format
+    code, out, _ = run_cli(
+        capsys, "verify", "run", "--checks", "o-filtration", "--format", "json"
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["overall"] == "pass"
+    assert [r["id"] for r in data["results"]] == ["o-filtration"]
+
+
 def test_verify_run_config_file_with_cli_override(capsys, tmp_path):
     cfg = tmp_path / "verify.cfg"
     cfg.write_text("checks = o-filtration\nseed = 5\n")

@@ -10,19 +10,17 @@ from rank1daha.ncalg import (
     aw_relations,
     centralizer_probe,
     center_probe,
+    compress,
     duality_image,
     embed_aw,
-    idempotents,
     is_o_of,
-    iso_antispherical,
-    iso_spherical,
+    iso_image,
     multiply,
     quotient_relations,
     reduce,
     rewrite_system,
     shift_operator_identities,
-    spherical,
-    antispherical,
+    symmetrizer,
 )
 from rank1daha.params import RatFunc, make_params, structure_constants
 
@@ -209,14 +207,22 @@ def test_aw_equal(gpoint):
 
 
 # ---------------------------------------------------------------------------
-# Idempotents and the two subalgebra maps
+# The symmetrizers and the two subalgebra maps
+#
+# The maps are cleared: compress gives F u F, e^2 times the compression by
+# the idempotent e^-1 F, and iso_image gives U~ F, e times the isomorphism.
+# Each assertion below is the normalised statement times a power of e.
 
 
 def test_idempotents(sym):
-    p_sym, p_asym = idempotents(sym)
-    for p in (p_sym, p_asym):
-        assert reduce(p * p - p, sym).is_zero()
-    assert reduce(p_sym + p_asym - 1, sym).is_zero()
+    f_sym, e_sym = symmetrizer("sym", sym)
+    f_asym, e_asym = symmetrizer("asym", sym)
+    # e^-1 F is idempotent: F^2 = eF
+    for f, e in ((f_sym, e_sym), (f_asym, e_asym)):
+        assert reduce(f * f - f.scale(e), sym).is_zero()
+    # the idempotents sum to 1: F_sym - F_asym = 1-ab = e_sym = -e_asym
+    assert e_asym == -e_sym
+    assert reduce(f_sym - f_asym - e_sym, sym).is_zero()
 
 
 def test_idempotents_reject_unit_ab():
@@ -225,43 +231,47 @@ def test_idempotents_reject_unit_ab():
     base = make_params(
         "specialized", {"q": Fraction(1, 2), "a": 2, "b": 2, "c": 3, "d": 5}
     )
-    with pytest.raises(DegenerateParameters):
-        idempotents(base.shifted())
+    for family in ("sym", "asym"):
+        with pytest.raises(DegenerateParameters):
+            symmetrizer(family, base.shifted())
 
 
 def test_spherical_map(gpoint):
-    p_sym, p_asym = idempotents(gpoint)
-    assert spherical(Element.one("daha"), gpoint) == reduce(p_sym, gpoint)
-    assert antispherical(Element.one("daha"), gpoint) == reduce(p_asym, gpoint)
-    # multiplicative on the commutant: S(U)S(V) = S(UV) for embedded words
+    # S(1) = e^-1 F: F 1 F = e F
+    for family in ("sym", "asym"):
+        f, e = symmetrizer(family, gpoint)
+        assert compress(family, Element.one("daha"), gpoint) == reduce(f, gpoint).scale(e)
+    # multiplicative on the commutant: S(U)S(V) = S(UV) for embedded words,
+    # FUF FVF = e^2 F UV F
+    _, e = symmetrizer("sym", gpoint)
     u = embed_aw(Element.generator("K0"), gpoint).as_element()
     v = embed_aw(Element.generator("K1"), gpoint).as_element()
-    lhs = multiply(spherical(u, gpoint), spherical(v, gpoint), gpoint)
-    assert lhs == spherical(u * v, gpoint)
+    lhs = multiply(compress("sym", u, gpoint), compress("sym", v, gpoint), gpoint)
+    assert lhs == compress("sym", u * v, gpoint).scale(e * e)
 
 
 def test_iso_spherical(gpoint):
-    q, a, b, c, d = vals(gpoint)
-    scale = (RatFunc.one() - a * b).inv()
-    p_sym, _ = idempotents(gpoint)
-    assert iso_spherical(Element.one("aw"), gpoint) == reduce(p_sym, gpoint)
+    f, e = symmetrizer("sym", gpoint)
+    # the image of 1 is the idempotent e^-1 F
+    assert iso_image("sym", Element.one("aw"), gpoint) == reduce(f, gpoint)
+    one = RatFunc.one()
     expected = Element(
         "daha",
-        {("Z", "T1"): scale, ("Zi", "T1"): scale, ("Z",): scale, ("Zi",): scale},
+        {("Z", "T1"): one, ("Zi", "T1"): one, ("Z",): one, ("Zi",): one},
     )
-    assert iso_spherical(Element.generator("K1"), gpoint) == reduce(expected, gpoint)
+    assert iso_image("sym", Element.generator("K1"), gpoint) == reduce(expected, gpoint)
     k0, k1 = Element.generator("K0"), Element.generator("K1")
-    lhs = iso_spherical(k0 * k1, gpoint)
-    rhs = multiply(iso_spherical(k0, gpoint), iso_spherical(k1, gpoint), gpoint)
+    lhs = iso_image("sym", k0 * k1, gpoint).scale(e)
+    rhs = multiply(iso_image("sym", k0, gpoint), iso_image("sym", k1, gpoint), gpoint)
     assert lhs == rhs
 
 
 def test_iso_antispherical(gpoint):
-    _, p_asym = idempotents(gpoint)
-    assert iso_antispherical(Element.one("aw"), gpoint) == reduce(p_asym, gpoint)
+    f, e = symmetrizer("asym", gpoint)
+    assert iso_image("asym", Element.one("aw"), gpoint) == reduce(f, gpoint)
     k0, k1 = Element.generator("K0"), Element.generator("K1")
-    lhs = iso_antispherical(k0 * k1, gpoint)
-    rhs = multiply(iso_antispherical(k0, gpoint), iso_antispherical(k1, gpoint), gpoint)
+    lhs = iso_image("asym", k0 * k1, gpoint).scale(e)
+    rhs = multiply(iso_image("asym", k0, gpoint), iso_image("asym", k1, gpoint), gpoint)
     assert lhs == rhs
 
 
@@ -280,7 +290,7 @@ def test_iso_antispherical_kills_shifted_relation(gpoint):
         - k0.scale(sc.C0)
         - one.scale(sc.D0)
     )
-    assert iso_antispherical(rel1, gpoint).is_zero()
+    assert iso_image("asym", rel1, gpoint).is_zero()
     # control: the unshifted constants do not work here
     sc0 = structure_constants(gpoint)
     wrong = (
@@ -291,7 +301,7 @@ def test_iso_antispherical_kills_shifted_relation(gpoint):
         - k0.scale(sc0.C0)
         - one.scale(sc0.D0)
     )
-    assert not iso_antispherical(wrong, gpoint).is_zero()
+    assert not iso_image("asym", wrong, gpoint).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +330,11 @@ def test_centralizer_probe(gpoint):
 
 
 def test_symmetrizer_central_on_embedded_words(sym):
-    # P+ commutes with everything that commutes with T1
-    p_sym, _ = idempotents(sym)
+    # P+ = e^-1 F commutes with everything that commutes with T1
+    f, _ = symmetrizer("sym", sym)
     for word in (("K0",), ("K1",), ("K0", "K1")):
         u = embed_aw(Element("aw", {word: RatFunc.one()}), sym).as_element()
-        assert reduce(p_sym * u - u * p_sym, sym).is_zero(), word
+        assert reduce(f * u - u * f, sym).is_zero(), word
 
 
 def test_shift_operator_identities(gpoint):

@@ -76,7 +76,7 @@ def test_catalog_output_pinned(capsys):
     # the hash is that of `python -m rank1daha.cli catalog`
     assert cli.main(["catalog"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "18f63f896fc2609beca773fe83e54c455bb11ae2443b1a5d55b5051a41e0652c"
+    assert digest == "66a0be39fdc71c6a801ac72ac7cba3155aae8d073c400ff75d724d0bf6e497ea"
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +191,16 @@ def test_any_runner_exception_still_yields_a_report(monkeypatch, tmp_path):
         "idempotents": ("pass", ""),
         "raises": ("error", "RuntimeError: runner broke"),
     }
+    # in prob mode the error names the random point it was raised at
+    code = cli.main(
+        ["verify", "run", "--checks", "raises", "--mode", "prob", "--trials", "2",
+         "--format", "json", "--out", str(out)]
+    )
+    assert code == 1
+    (row,) = json.loads(out.read_text())["results"]
+    point = random_params_mod_p(random.Random("1729:raises"))
+    assert (row["verdict"], row["trials"]) == ("error", 1)
+    assert row["residual_summary"] == f"at {point.label}: RuntimeError: runner broke"
 
 
 def test_prob_run_keeps_per_params_caches_bounded():
@@ -299,10 +309,55 @@ def test_symbolic_checks_take_no_general_gcd(monkeypatch, sym):
         "embed.rel34",
         "step3.spherical",
         "step3.antispherical",
+        "idempotents",
+        "spherical.mult",
+        "iso.spherical.mult",
+        "iso.antispherical.mult",
+        "centralizer.samples",
     ):
         runner = verify._CATALOG_BY_ID[check_id].runner
         assert runner(sym, bounds, random.Random(0)) == ""
     assert len(calls) == 0
+
+
+MULT_CHECKS = ("spherical.mult", "iso.spherical.mult", "iso.antispherical.mult")
+
+
+def test_multiplicativity_checks_fail_on_a_wrong_scalar(monkeypatch, gpoint):
+    # the cleared identities hold with e and with no other scalar
+    symmetrizer = ncalg.symmetrizer
+
+    def perturbed(family, params):
+        f, e = symmetrizer(family, params)
+        return f, e + ONE
+
+    monkeypatch.setattr(ncalg, "symmetrizer", perturbed)
+    bounds = {"max_mn": 1, "max_degree": 0, "max_n": 0}
+    summaries = {
+        check_id: verify._CATALOG_BY_ID[check_id].runner(gpoint, bounds, random.Random(0))
+        for check_id in MULT_CHECKS
+    }
+    assert summaries["spherical.mult"].startswith("compression not multiplicative on ")
+    assert summaries["iso.spherical.mult"] == "not multiplicative on 1 | 1"
+    assert summaries["iso.antispherical.mult"] == "not multiplicative on 1 | 1"
+
+
+def test_multiplicativity_controls_catch_a_vacuous_map(monkeypatch, gpoint):
+    # maps that send everything to zero satisfy every multiplicativity
+    # identity; the controls are what fail
+    zero = lambda family, u, params, budget=ncalg.DEFAULT_BUDGET: ncalg.NormalForm.zero()
+    monkeypatch.setattr(ncalg, "compress", zero)
+    monkeypatch.setattr(ncalg, "iso_image", zero)
+    bounds = {"max_mn": 1, "max_degree": 0, "max_n": 0}
+    summaries = [
+        verify._CATALOG_BY_ID[check_id].runner(gpoint, bounds, random.Random(0))
+        for check_id in MULT_CHECKS
+    ]
+    assert summaries == [
+        "control: FUF FVF = FUFVF on every pair",
+        "control: J(K0) J(K1) = e J(K1 K0)",
+        "control: J(K0) J(K1) = e J(K1 K0)",
+    ]
 
 
 @pytest.mark.parametrize("which", ["sym", "gpoint", "modp"])
