@@ -6,6 +6,13 @@ carrying a linear term in the adjoined square root s with s^2 = abcd/q.
 Equality of scalars is decided structurally on reduced fractions, so the
 identity checks in the rest of the package are exact, never numeric.
 
+A rational constant is stored as a reduced fraction of two Python ints.
+The rational functions live in sympy's sparse field Q(q,a,b,c,d), and sympy
+is imported on the first symbolic scalar (:func:`make_params` in symbolic
+mode, :meth:`RatFunc.gen`, :meth:`RatFunc.s`, :meth:`RatFunc.parse`), so
+runs at rational points and at points of GF(p) compute with Python
+integers alone and never import it.
+
 Almost every coefficient the kernel builds has a one-term denominator: the
 rewrite rules invert only q, ab, cd and abcd/q, and the q-difference
 operator on z^k + z^-k only powers of q.  When both operands of an add,
@@ -38,14 +45,10 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from typing import Callable, Mapping, Sequence, TypeVar
 
 import random
-
-import sympy
-from sympy import QQ
-from sympy.polys.fields import field as _make_field
 
 from .errors import (
     DegenerateParameters,
@@ -71,30 +74,162 @@ __all__ = [
 PARAM_NAMES = ("q", "a", "b", "c", "d")
 _PARAM_INDEX = {name: i for i, name in enumerate(PARAM_NAMES)}
 
-_FIELD, _GQ, _GA, _GB, _GC, _GD = _make_field("q,a,b,c,d", QQ)
-_RING = _FIELD.ring
-_RING_GENS = _RING.gens
-_POLY = _RING.dtype  # PolyElement.new: wraps a term dict as it is
-_ZERO_MONOM = _RING.zero_monom
-_QQ_ZERO = QQ.zero
-_QQ_ONE = QQ.one
-# the square of the adjoined symbol s
-_S_SQUARE = (_GA * _GB * _GC * _GD) / _GQ
-
 _Rational = int | Fraction
+_new = object.__new__
 
 
-def _to_qq(x: _Rational):
-    if isinstance(x, int):
-        return QQ(x)
-    return QQ(x.numerator, x.denominator)
+# ---------------------------------------------------------------------------
+# Rational constants
+
+
+class _Rat:
+    """An exact rational: ``numerator`` and ``denominator`` are coprime
+    Python ints, the denominator positive (zero is 0/1).
+
+    The value of a ground :class:`RatFunc`.  It has only the operations
+    RatFunc uses, each building its reduced result with the smallest gcds
+    that reduced operands allow (Knuth, TAOCP vol. 2, §4.5.1), and
+    without the checks of a public constructor.
+    """
+
+    __slots__ = ("numerator", "denominator")
+
+    def __add__(self, other):
+        ap, aq = self.numerator, self.denominator
+        bp, bq = other.numerator, other.denominator
+        g = gcd(aq, bq)
+        if g == 1:
+            p, q = ap * bq + aq * bp, aq * bq
+        else:
+            q1, q2 = aq // g, bq // g
+            p = ap * q2 + bp * q1
+            g2 = gcd(p, g)
+            p, q = p // g2, q1 * q2 * (g // g2)
+        out = _new(_Rat)
+        out.numerator = p
+        out.denominator = q
+        return out
+
+    def __sub__(self, other):
+        ap, aq = self.numerator, self.denominator
+        bp, bq = other.numerator, other.denominator
+        g = gcd(aq, bq)
+        if g == 1:
+            p, q = ap * bq - aq * bp, aq * bq
+        else:
+            q1, q2 = aq // g, bq // g
+            p = ap * q2 - bp * q1
+            g2 = gcd(p, g)
+            p, q = p // g2, q1 * q2 * (g // g2)
+        out = _new(_Rat)
+        out.numerator = p
+        out.denominator = q
+        return out
+
+    def __mul__(self, other):
+        ap, aq = self.numerator, self.denominator
+        bp, bq = other.numerator, other.denominator
+        x1, x2 = gcd(ap, bq), gcd(bp, aq)
+        out = _new(_Rat)
+        out.numerator = (ap // x1) * (bp // x2)
+        out.denominator = (aq // x2) * (bq // x1)
+        return out
+
+    def __neg__(self):
+        out = _new(_Rat)
+        out.numerator = -self.numerator
+        out.denominator = self.denominator
+        return out
+
+    def inv(self) -> "_Rat":
+        """1 / self, for a nonzero value."""
+        p, q = self.numerator, self.denominator
+        return _rat(-q, -p) if p < 0 else _rat(q, p)
+
+    def __bool__(self) -> bool:
+        return bool(self.numerator)
+
+    def __eq__(self, other) -> bool:
+        return self.numerator == other.numerator and self.denominator == other.denominator
+
+    def __str__(self) -> str:
+        if self.denominator == 1:
+            return str(self.numerator)
+        return f"{self.numerator}/{self.denominator}"
+
+
+def _rat(p: int, q: int) -> _Rat:
+    """The rational p/q for coprime p and q > 0."""
+    out = _new(_Rat)
+    out.numerator = p
+    out.denominator = q
+    return out
+
+
+_RAT_ZERO = _rat(0, 1)
+_RAT_ONE = _rat(1, 1)
 
 
 def _frac_of_ground(v) -> Fraction:
     return Fraction(int(v.numerator), int(v.denominator))
 
 
+def _isqrt_exact(n: int) -> int | None:
+    if n < 0:
+        return None
+    r = isqrt(n)
+    return r if r * r == n else None
+
+
 # ---------------------------------------------------------------------------
+# The rational function field, loaded on the first symbolic scalar
+#
+# sympy's sparse field Q(q,a,b,c,d) is needed only once a coefficient is a
+# rational function.  Its import is most of the start-up time and memory of
+# a process, so it is done by _load_field, which binds the names below on
+# the first symbolic scalar: RatFunc.gen, RatFunc.s and RatFunc.parse (and
+# so make_params("symbolic")), and the field form of a ground scalar.  Runs
+# at rational or GF(p) points compute with Python integers and never import
+# it.  Every other function of this section runs only once a symbolic
+# scalar exists, hence after the loader.
+
+sympy = None
+_FIELD = None
+_POLY = None  # PolyElement.new: wraps a term dict as it is
+_ZERO_MONOM = None
+_QQ_NEW = None
+_mmul = _mldiv = _mgcd = _mlcm = None
+# the square of the adjoined symbol s
+_S_SQUARE = None
+_GENS: dict[str, "RatFunc"] = {}
+
+
+def _load_field() -> None:
+    """Import sympy and bind the field, its ring helpers and the generators."""
+    global sympy, _FIELD, _POLY, _ZERO_MONOM, _QQ_NEW, _S_SQUARE
+    global _mmul, _mldiv, _mgcd, _mlcm
+    if _FIELD is not None:
+        return
+    import sympy
+    from sympy.polys.fields import field
+
+    fld, *gens = field("q,a,b,c,d", sympy.QQ)
+    ring = fld.ring
+    _POLY = ring.dtype
+    _ZERO_MONOM = ring.zero_monom
+    _QQ_NEW = sympy.QQ.dtype
+    _mmul, _mldiv = ring.monomial_mul, ring.monomial_ldiv
+    _mgcd, _mlcm = ring.monomial_gcd, ring.monomial_lcm
+    q, a, b, c, d = gens
+    _S_SQUARE = (a * b * c * d) / q
+    _FIELD = fld
+    _GENS.update((name, RatFunc(g)) for name, g in zip(PARAM_NAMES, gens))
+
+
+def _to_qq(x: _Rational):
+    return _QQ_NEW(x.numerator, x.denominator)
+
+
 # Field arithmetic without a gcd for one-term denominators
 #
 # Every field element here is in the reduced form sympy's ``cancel`` gives:
@@ -103,12 +238,6 @@ def _frac_of_ground(v) -> Fraction:
 # unique, so when both operands have a one-term denominator c*x^m the result
 # is built in it directly; the gcd with a monomial is a content and a
 # monomial, no polynomial gcd is needed.  Anything else goes through sympy.
-
-_mmul = _RING.monomial_mul
-_mldiv = _RING.monomial_ldiv
-_mgcd = _RING.monomial_gcd
-_mlcm = _RING.monomial_lcm
-_QQ_NEW = QQ.dtype
 
 
 def _reduced(terms: dict, dm: tuple, dc: int):
@@ -194,13 +323,6 @@ def _finv(x):
     return _reduced({m: c.numerator for m, c in x.denom.items()}, *t)
 
 
-def _isqrt_exact(n: int) -> int | None:
-    if n < 0:
-        return None
-    r = sympy.integer_nthroot(n, 2)
-    return int(r[0]) if r[1] else None
-
-
 class RatFunc:
     """Exact rational function in q, a, b, c, d, linear in s (s^2 = abcd/q).
 
@@ -211,17 +333,20 @@ class RatFunc:
     r0 = r1 = 0, and the extension by s stays a field.
 
     Constant values (the overwhelmingly common case once parameters are
-    specialized) are kept as a single reduced rational in ``g`` and combined
-    with plain rational arithmetic; the field components are materialized
-    only when a genuinely symbolic operand enters.  Construction normalizes,
-    so an s-free instance in field representation is never constant.
+    specialized) are kept as a single reduced rational in ``g``, two Python
+    ints, and combined with integer arithmetic; the field components are
+    materialized only when a genuinely symbolic operand enters.
+    Construction normalizes, so an s-free instance in field representation
+    is never constant.
     """
 
     __slots__ = ("r0", "r1", "g")
 
     def __init__(self, r0, r1=None):
+        """The scalar r0 + r1*s from field elements r0 and r1 (default 0)."""
         if (r1 is None or not r1) and r0.numer.is_ground and r0.denom.is_ground:
-            self.g = (r0.numer.LC / r0.denom.LC) if r0 else _QQ_ZERO
+            v = r0.numer.LC / r0.denom.LC
+            self.g = _rat(int(v.numerator), int(v.denominator))
             self.r0 = None
             self.r1 = None
         else:
@@ -230,8 +355,8 @@ class RatFunc:
             self.r1 = _FIELD.zero if r1 is None else r1
 
     @staticmethod
-    def _from_ground(value) -> "RatFunc":
-        out = object.__new__(RatFunc)
+    def _from_ground(value: _Rat) -> "RatFunc":
+        out = _new(RatFunc)
         out.g = value
         out.r0 = None
         out.r1 = None
@@ -240,6 +365,7 @@ class RatFunc:
     def _fe(self):
         """The (r0, r1) field components, materialized on demand."""
         if self.r0 is None:
+            _load_field()
             g = self.g
             if g:
                 self.r0 = _FIELD.raw_new(
@@ -255,23 +381,25 @@ class RatFunc:
 
     @staticmethod
     def zero() -> "RatFunc":
-        return RatFunc._from_ground(_QQ_ZERO)
+        return RatFunc._from_ground(_RAT_ZERO)
 
     @staticmethod
     def one() -> "RatFunc":
-        return RatFunc._from_ground(_QQ_ONE)
+        return RatFunc._from_ground(_RAT_ONE)
 
     @staticmethod
     def from_rational(x: _Rational) -> "RatFunc":
-        return RatFunc._from_ground(_to_qq(x))
+        return RatFunc._from_ground(_rat(x.numerator, x.denominator))
 
     @staticmethod
     def gen(name: str) -> "RatFunc":
+        _load_field()
         return _GENS[name]
 
     @staticmethod
     def s() -> "RatFunc":
         """The adjoined square root itself: s with s^2 = abcd/q."""
+        _load_field()
         return RatFunc(_FIELD.zero, _FIELD.one)
 
     @staticmethod
@@ -281,6 +409,7 @@ class RatFunc:
         Intended for frozen expected values in tests and for documentation;
         command-line input goes through the expression parser instead.
         """
+        _load_field()
         expr = sympy.cancel(sympy.sympify(text, rational=True))
         syms = {str(f) for f in expr.free_symbols}
         if not syms <= {"q", "a", "b", "c", "d", "s"}:
@@ -379,7 +508,7 @@ class RatFunc:
         if self.is_zero():
             raise DivisionByZero("inverse of zero scalar")
         if self.g is not None:
-            return RatFunc._from_ground(_QQ_ONE / self.g)
+            return RatFunc._from_ground(self.g.inv())
         if not self.r1:
             return RatFunc(_finv(self.r0))
         r0, r1 = self.r0, self.r1
@@ -420,11 +549,11 @@ class RatFunc:
         if self.has_s() or self.is_zero():
             return None
         if self.g is not None:
-            nroot = _isqrt_exact(int(self.g.numerator))
-            droot = _isqrt_exact(int(self.g.denominator))
+            nroot = _isqrt_exact(self.g.numerator)
+            droot = _isqrt_exact(self.g.denominator)
             if nroot is None or droot is None:
                 return None
-            return RatFunc.from_rational(Fraction(nroot, droot))
+            return RatFunc._from_ground(_rat(nroot, droot))
         if self.r0 == _S_SQUARE:
             return RatFunc.s()
         root_parts = []
@@ -465,8 +594,9 @@ class RatFunc:
     # -- evaluation ----------------------------------------------------
 
     def _eval_component(self, comp, vals: Sequence) -> Fraction:
-        num = comp.numer.evaluate(list(zip(_RING_GENS, vals)))
-        den = comp.denom.evaluate(list(zip(_RING_GENS, vals)))
+        gens = _FIELD.ring.gens
+        num = comp.numer.evaluate(list(zip(gens, vals)))
+        den = comp.denom.evaluate(list(zip(gens, vals)))
         if den == 0:
             raise DivisionByZero("evaluation point hits a denominator zero")
         return _frac_of_ground(num) / _frac_of_ground(den)
@@ -494,7 +624,9 @@ class RatFunc:
     # -- printing --------------------------------------------------------
 
     def __str__(self) -> str:
-        r0, r1 = self._fe()
+        if self.g is not None:
+            return str(self.g)
+        r0, r1 = self.r0, self.r1
         if not r1:
             return str(r0)
         if not r0:
@@ -504,14 +636,6 @@ class RatFunc:
     def __repr__(self) -> str:
         return f"RatFunc({self})"
 
-
-_GENS: dict[str, RatFunc] = {
-    "q": RatFunc(_GQ),
-    "a": RatFunc(_GA),
-    "b": RatFunc(_GB),
-    "c": RatFunc(_GC),
-    "d": RatFunc(_GD),
-}
 
 _ZERO = RatFunc.zero()
 _ONE = RatFunc.one()
@@ -523,7 +647,6 @@ _ONE = RatFunc.one()
 # a Mersenne prime; p = 3 mod 4, so a square root is one power
 PRIME = 2**61 - 1
 _SQRT_EXP = (PRIME + 1) // 4
-_new = object.__new__
 
 
 def _residue(x) -> int:
@@ -831,7 +954,7 @@ def make_params(
     if mode == "symbolic":
         if assignments:
             raise ValueError("symbolic mode takes no assignments")
-        return Params(tuple(_GENS[n] for n in PARAM_NAMES), genericity_bound, "symbolic")
+        return Params(tuple(map(RatFunc.gen, PARAM_NAMES)), genericity_bound, "symbolic")
     if mode != "specialized":
         raise ValueError(f"unknown mode {mode!r}")
     if assignments is None:

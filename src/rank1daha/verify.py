@@ -507,7 +507,7 @@ def _check_awrel_inrep(params, bounds, rng) -> str:
 
 
 def _check_symmetry_abcd(params, bounds, rng) -> str:
-    base = [polyrep.askey_wilson(n, params) for n in range(6)]
+    base = [polyrep.askey_wilson(n, params) for n in range(bounds["max_n"] + 1)]
     for x, y in (("a", "b"), ("a", "c")):
         swapped = params.swapped(x, y)
         for n, p_n in enumerate(base):
@@ -687,7 +687,7 @@ def _build_catalog() -> list[CheckSpec]:
             ),
             CheckSpec(
                 "symmetry.abcd",
-                "P_n is invariant under swapping a with b and a with c, n <= 5",
+                "P_n is invariant under swapping a with b and a with c, n <= 8",
                 "prob",
                 _check_symmetry_abcd,
             ),

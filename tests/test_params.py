@@ -13,10 +13,9 @@ from rank1daha.errors import (
     ExtensionDisabled,
     MissingAssignment,
 )
+from rank1daha import params as params_module
 from rank1daha.params import (
-    _FIELD,
     _PARAMS_CACHE_BOUND,
-    _S_SQUARE,
     PRIME,
     ModP,
     Params,
@@ -32,6 +31,10 @@ from rank1daha.params import (
     random_params_mod_p,
     structure_constants,
 )
+
+# the field is built on the first symbolic scalar; these tests use it directly
+params_module._load_field()
+_FIELD, _S_SQUARE = params_module._FIELD, params_module._S_SQUARE
 
 Q = RatFunc.gen("q")
 A = RatFunc.gen("a")
@@ -230,6 +233,45 @@ def test_ground_scalars_enter_the_field_reduced(c, x):
     g = RatFunc.from_rational(c)
     assert_same_element(g._fe()[0], _FIELD(QQ(c.numerator, c.denominator)))
     assert_same_element((g * RatFunc(x))._fe()[0], x * QQ(c.numerator, c.denominator))
+
+
+# Ground scalars compute with Python integers; Fraction is the oracle.
+
+_rationals = st.one_of(
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**9),
+)
+
+
+def assert_ground(got, want: Fraction):
+    """``got`` is the ground scalar ``want``, stored reduced."""
+    assert got.is_constant()
+    assert (got.g.numerator, got.g.denominator) == (want.numerator, want.denominator)
+    assert str(got) == str(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rationals, _rationals, st.integers(min_value=-5, max_value=5))
+def test_ground_arithmetic_matches_fraction(x, y, n):
+    x, y = Fraction(x), Fraction(y)
+    gx, gy = RatFunc.from_rational(x), RatFunc.from_rational(y)
+    assert_ground(gx + gy, x + y)
+    assert_ground(gx - gy, x - y)
+    assert_ground(gx * gy, x * y)
+    assert_ground(-gx, -x)
+    assert_ground(gx + y, x + y)  # a Fraction or int operand is coerced
+    assert_ground(y - gx, y - x)
+    if y:
+        assert_ground(gx / gy, x / y)
+        assert_ground(gy.inv(), 1 / y)
+    if x or n >= 0:
+        assert_ground(gx**n, x**n)
+    assert (gx == gy) == (x == y)
+    assert gx == RatFunc.from_rational(x) and gx == x
+    assert hash(gx) == hash(x)
+    assert gx.as_fraction() == x
+    # the text is the one the rational function field prints for it
+    assert str(gx) == str(_FIELD(QQ(x.numerator, x.denominator)))
 
 
 def test_params_cache_keeps_the_most_recently_used():

@@ -1,0 +1,68 @@
+"""sympy is imported on the first symbolic scalar, and only then.
+
+Runs at GF(p) points and at rational points compute with Python integers,
+so a process that meets no rational function never imports sympy.  Each
+case runs in a fresh interpreter, since the test process itself has long
+imported it.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# runs one command line through the CLI, then prints whether sympy was imported
+_PROBE = """
+import sys
+from rank1daha import cli
+code = cli.main(sys.argv[1:])
+print(code, "sympy" in sys.modules)
+"""
+
+
+def _last_line(source: str, *argv: str) -> str:
+    """The last line that ``python -c source argv...`` prints."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", source, *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout.splitlines()[-1]
+
+
+def _probe(*argv: str) -> tuple[int, bool]:
+    code, loaded = _last_line(_PROBE, *argv).split()
+    return int(code), loaded == "True"
+
+
+def test_importing_the_package_loads_no_sympy():
+    source = "import sys, rank1daha, rank1daha.cli; print('sympy' in sys.modules)"
+    assert _last_line(source) == "False"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # GF(p) points, the duality check included
+        ("verify", "run", "--mode", "prob", "--trials", "1",
+         "--checks", "iso.spherical.mult,eigen.Pn,duality.daha"),
+        # a rational point; the duality.aw row is a skip that prints abcd/q = 140
+        ("verify", "run", "--params", "q=3/2,a=2,b=3,c=5,d=7",
+         "--checks", "step.44,duality.aw", "--max-mn", "1"),
+    ],
+    ids=["prob", "rational-point"],
+)
+def test_runs_without_rational_functions_load_no_sympy(argv):
+    assert _probe(*argv) == (0, False)
+
+
+def test_a_symbolic_run_loads_sympy():
+    assert _probe("verify", "run", "--checks", "step.44", "--max-mn", "1") == (0, True)

@@ -76,7 +76,7 @@ def test_catalog_output_pinned(capsys):
     # the hash is that of `python -m rank1daha.cli catalog`
     assert cli.main(["catalog"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "66a0be39fdc71c6a801ac72ac7cba3155aae8d073c400ff75d724d0bf6e497ea"
+    assert digest == "0b4c8dbb0f650c5af91f6c2057f56db1e05fa7b7798cd73267a3a86c60b7324a"
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +285,14 @@ def test_symmetry_check_builds_the_base_family_once(monkeypatch, gpoint):
 
     monkeypatch.setattr(polyrep, "askey_wilson", counted)
     runner = verify._CATALOG_BY_ID["symmetry.abcd"].runner
-    assert runner(gpoint, {"max_mn": 1, "max_degree": 0, "max_n": 0}, random.Random(0)) == ""
+    assert runner(gpoint, {"max_mn": 1, "max_degree": 0, "max_n": 5}, random.Random(0)) == ""
     assert sorted(n for n, label in built if label == gpoint.label) == list(range(6))
     assert len(built) == 18
+    # the degree follows --max-n
+    built.clear()
+    assert runner(gpoint, {"max_mn": 1, "max_degree": 0, "max_n": 2}, random.Random(0)) == ""
+    assert sorted(n for n, label in built if label == gpoint.label) == [0, 1, 2]
+    assert len(built) == 9
 
 
 def test_symbolic_checks_take_no_general_gcd(monkeypatch, sym):
