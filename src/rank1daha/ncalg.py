@@ -22,6 +22,19 @@ and knows e, F^2 = eF.  The maps are cleared, free of e^-1:
 e^-1 F, and :func:`iso_image` returns U~ F, e times the subalgebra
 isomorphism U -> e^-1 U~ F.
 
+The maps are products of reduced factors.  :func:`multiply` folds two
+normal forms through the memoized products of basis monomials, and
+:func:`embed_aw`, :func:`compress`, :func:`iso_image` and the step
+identities multiply F, basis monomials and the images of single letters
+that way, so they never expand a product into its words.  :func:`reduce`
+stays the independent word-rewriting path: the base case of the basis
+products and the critical pairs run on it, the ``confluence-spot`` check
+compares its two strategies, ``duality.daha`` compares it with
+:func:`multiply`, and the tests check every product path against it.  A
+``budget`` bounds the rule applications of one word reduction: of the
+whole element in :func:`reduce`, of each basis product not yet memoized
+in the product paths.
+
 The step identities are data.  Each row of :data:`STEP_IDENTITIES` states
 LHS = (leading terms + dominated rest) F, with F = T1+1 for the spherical
 family ("sym") and F = T1+ab for the antispherical one ("asym").  A row
@@ -98,6 +111,12 @@ Word = tuple[str, ...]
 Coef = tuple[tuple[int, int, int, int, int], ...]
 
 _ONE = RatFunc.one()
+
+
+def _one(params: Params) -> RatFunc:
+    # the one of the parameters' field, a residue at a point of GF(p):
+    # products seeded with it take no rational-constant arithmetic there
+    return params.vals[0] ** 0
 
 
 def _acc(terms: dict, key, coef: RatFunc) -> None:
@@ -343,10 +362,10 @@ class NormalForm:
         return NormalForm(terms)
 
     def __sub__(self, other: "NormalForm") -> "NormalForm":
-        return self + other.scale(RatFunc.from_rational(-1))
+        return self + (-other)
 
     def __neg__(self) -> "NormalForm":
-        return self.scale(RatFunc.from_rational(-1))
+        return NormalForm({k: -c for k, c in self.terms.items()})
 
     def scale(self, coef: RatFunc | int) -> "NormalForm":
         coef = _coerce_scalar(coef)
@@ -423,7 +442,7 @@ class RewriteSystem:
     def __init__(self, params: Params):
         self.params = params
         q, a, b, c, d = params.vals
-        one = _ONE
+        one = self.one = _one(params)
         ab = a * b
         cd = c * d
         u = ab * cd / q  # the recurring scalar q^-1 abcd
@@ -588,11 +607,11 @@ class RewriteSystem:
         m, n, i = key1
         if (m, i) == (0, 0) or (m, n) == (0, 0):
             word = _basis_word(*key1) + _basis_word(*key2)
-            result = self.reduce_terms({word: _ONE}, budget)
+            result = self.reduce_terms({word: self.one}, budget)
         else:
             result = self.basis_product((0, 0, i), key2, budget) if i else None
             if result is None:
-                result = NormalForm({key2: _ONE})
+                result = NormalForm({key2: self.one})
             if n:
                 shifted: dict[tuple[int, int, int], RatFunc] = {}
                 for key, coef in result.terms.items():
@@ -639,7 +658,8 @@ def reduce(
     strategy: str = "leftmost",
 ) -> NormalForm:
     """Expand an element over the five-letter alphabet in the canonical
-    basis Z^m Y^n T1^i."""
+    basis Z^m Y^n T1^i by rewriting its words; ``budget`` bounds the rule
+    applications of the whole reduction."""
     if e.alphabet != "daha":
         raise ValueError("reduce expects an element over the five-letter alphabet")
     return rewrite_system(params).reduce_terms(e.terms, budget, strategy)
@@ -652,14 +672,23 @@ def multiply(
     budget: int = DEFAULT_BUDGET,
 ) -> NormalForm:
     """Product of two basis expansions, assembled from memoized
-    basis-monomial products."""
+    basis-monomial products.  The monomials of u are grouped by (n, i):
+    Y^n T1^i v is formed once per group and shifted by each Z^m of it.
+    ``budget`` bounds the rule applications of each word reduction behind
+    a basis product not yet memoized; memoized products cost none."""
     system = rewrite_system(params)
+    groups: dict[tuple[int, int], list[tuple[int, RatFunc]]] = {}
+    for (m, n, i), c1 in u.terms.items():
+        groups.setdefault((n, i), []).append((m, c1))
     out: dict[tuple[int, int, int], RatFunc] = {}
-    for key1, c1 in u.terms.items():
+    for (n, i), shifts in groups.items():
+        head: dict[tuple[int, int, int], RatFunc] = {}
         for key2, c2 in v.terms.items():
-            c = c1 * c2
-            for key, coef in system.basis_product(key1, key2, budget).terms.items():
-                _acc(out, key, c * coef)
+            for key, coef in system.basis_product((0, n, i), key2, budget).terms.items():
+                _acc(head, key, c2 * coef)
+        for m, c1 in shifts:
+            for (k0, k1, k2), coef in head.items():
+                _acc(out, (k0 + m, k1, k2), c1 * coef)
     return NormalForm(out)
 
 
@@ -667,13 +696,14 @@ def multiply(
 # The central-extension embedding
 
 
-def _embedding_images(params: Params) -> dict[str, Element]:
+def _embedding_images(params: Params) -> dict[str, NormalForm]:
     vals = params.values()
     u = vals["a"] * vals["b"] * vals["c"] * vals["d"] / vals["q"]
+    one = _one(params)
     return {
-        "K0": Element("daha", {("Y",): _ONE, ("Yi",): u}),
-        "K1": Element("daha", {("Z",): _ONE, ("Zi",): _ONE}),
-        "T1": Element("daha", {("T1",): _ONE}),
+        "K0": NormalForm({(0, 1, 0): one, (0, -1, 0): u}),
+        "K1": NormalForm({(1, 0, 0): one, (-1, 0, 0): one}),
+        "T1": NormalForm({(0, 0, 1): one}),
     }
 
 
@@ -682,7 +712,8 @@ def embed_element(e: Element, params: Params) -> Element:
     five-letter algebra, before reduction."""
     if e.alphabet != "aw":
         raise ValueError("embed expects an element over the K0/K1/T1 alphabet")
-    return e.map_letters(_embedding_images(params), "daha")
+    images = {k: nf.as_element() for k, nf in _embedding_images(params).items()}
+    return e.map_letters(images, "daha")
 
 
 def embed_aw(
@@ -690,11 +721,31 @@ def embed_aw(
     params: Params,
     budget: int = DEFAULT_BUDGET,
 ) -> NormalForm:
-    """Embed K0 -> Y + (abcd/q) Y^-1, K1 -> Z + Z^-1, T1 -> T1, then reduce.
+    """Embed K0 -> Y + (abcd/q) Y^-1, K1 -> Z + Z^-1, T1 -> T1, in normal
+    form.  Each K-word is read left to right, its reduced prefix multiplied
+    by the next letter's image with :func:`multiply`; prefixes shared by
+    words of e are reduced once.  ``budget`` bounds the rule applications
+    of each word reduction behind a basis product not yet memoized.
 
     The embedding is injective, so equal normal forms certify equality in
     the three-generator algebra."""
-    return reduce(embed_element(e, params), params, budget)
+    if e.alphabet != "aw":
+        raise ValueError("embed expects an element over the K0/K1/T1 alphabet")
+    images = _embedding_images(params)
+    prefixes: dict[Word, NormalForm] = {(): NormalForm({(0, 0, 0): _one(params)})}
+    out: dict[tuple[int, int, int], RatFunc] = {}
+    for word, coef in e.terms.items():
+        nf = prefixes[()]
+        for end in range(1, len(word) + 1):
+            known = prefixes.get(word[:end])
+            if known is None:
+                known = prefixes[word[:end]] = multiply(
+                    nf, images[word[end - 1]], params, budget
+                )
+            nf = known
+        for key, c in nf.terms.items():
+            _acc(out, key, coef * c)
+    return NormalForm(out)
 
 
 def aw_relations(
@@ -773,9 +824,7 @@ def symmetrizer(family: str, params: Params) -> tuple[Element, RatFunc]:
     ab = params.value("a") * params.value("b")
     if ab == _ONE:
         raise DegenerateParameters("ab = 1")
-    # the one of the parameters' field, a residue at a point of GF(p): a
-    # product with F then takes no rational-constant arithmetic there
-    one = ab**0
+    one = _one(params)
     if family == "sym":
         eps, e = one, one - ab
     elif family == "asym":
@@ -788,28 +837,40 @@ def symmetrizer(family: str, params: Params) -> tuple[Element, RatFunc]:
 def compress(
     family: str, u: Element, params: Params, budget: int = DEFAULT_BUDGET
 ) -> NormalForm:
-    """The two-sided compression reduce(F u F), F from :func:`symmetrizer`.
-    The compression by the idempotent e^-1 F is e^-2 times this."""
-    f, _ = symmetrizer(family, params)
-    return reduce(f * u * f, params, budget)
+    """The two-sided compression F u F in normal form, F from
+    :func:`symmetrizer`, as the product F (reduced u) F.  The compression
+    by the idempotent e^-1 F is e^-2 times this.  ``budget`` bounds the
+    rule applications of the reduction of u and of each word reduction
+    behind a basis product not yet memoized."""
+    f = reduce(symmetrizer(family, params)[0], params)
+    left = multiply(f, reduce(u, params, budget), params, budget)
+    return multiply(left, f, params, budget)
 
 
 def iso_image(
     family: str, u: Element, params: Params, budget: int = DEFAULT_BUDGET
 ) -> NormalForm:
-    """reduce(U~ F), F from :func:`symmetrizer`.  The isomorphism
-    U -> e^-1 U~ F from the two-generator quotient algebra onto the
-    spherical ("sym") or antispherical ("asym") subalgebra is e^-1 times
-    this.  U~ is the K0/K1 word U read in the central extension and
-    embedded; for "asym" K0 is first replaced by q K0, since the source is
-    the quotient at the shifted parameters (qa, qb, c, d)."""
+    """U~ F in normal form, the product of :func:`embed_aw` of U~ and F
+    from :func:`symmetrizer`.  The isomorphism U -> e^-1 U~ F from the
+    two-generator quotient algebra onto the spherical ("sym") or
+    antispherical ("asym") subalgebra is e^-1 times this.  U~ is the K0/K1
+    word U read in the central extension; for "asym" K0 is first replaced
+    by q K0, since the source is the quotient at the shifted parameters
+    (qa, qb, c, d).  ``budget`` bounds the rule applications of each word
+    reduction behind a basis product not yet memoized."""
     if u.alphabet != "aw":
         raise ValueError("the subalgebra isomorphisms take K0/K1 words")
-    f, _ = symmetrizer(family, params)
-    images = _embedding_images(params)
-    if family == "asym":
-        images["K0"] = images["K0"].scale(params.value("q"))
-    return reduce(u.map_letters(images, "daha") * f, params, budget)
+    f = reduce(symmetrizer(family, params)[0], params)
+    k0 = params.value("q") if family == "asym" else _ONE
+    tilde = u.map_letters(
+        {
+            "K0": Element("aw", {("K0",): k0}),
+            "K1": Element.generator("K1"),
+            "T1": Element.generator("T1", "aw"),
+        },
+        "aw",
+    )
+    return multiply(embed_aw(tilde, params, budget), f, params, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -1110,26 +1171,32 @@ def _step_exponents(row: StepRow, m: int, n: int) -> tuple[int, int]:
     return (1, 1) if row.kind == "exact" else (m, n)
 
 
-def _step_lhs(row: StepRow, m: int, n: int, params: Params, f: Element) -> Element:
+def _step_lhs(
+    row: StepRow, m: int, n: int, params: Params, f: NormalForm, budget: int
+) -> NormalForm:
+    # products of reduced factors: F (basis monomial) F, and the embedded
+    # K-words times F
     m, n = _step_exponents(row, m, n)
     bases = _coef_bases(params)
     sm, sn = row.signs
+    if row.kind in ("sandwich", "exact", "step3"):
+        basis = NormalForm({(sm * m, sn * n, 0): _one(params)})
+        sandwich = multiply(multiply(f, basis, params, budget), f, params, budget)
+        if row.kind != "step3":
+            return sandwich
     if row.kind == "embed":
-        k_word = {("K1",) * (abs(sm) * m) + ("K0",) * (abs(sn) * n): _ONE}
+        k_word = {("K1",) * (abs(sm) * m) + ("K0",) * (abs(sn) * n): _one(params)}
     else:
         k_word = {
             ("K1",) * (m - 1) + w + ("K0",) * (n - 1): _coef(coef, n, bases)
             for w, coef in row.middle.items()
         }
-    embedded = embed_element(Element("aw", k_word), params) * f
-    if row.kind in ("embed", "mixed"):
-        return embedded
-    sandwich = f * Element("daha", {_basis_word(sm * m, sn * n, 0): _ONE}) * f
+    embedded = multiply(embed_aw(Element("aw", k_word), params, budget), f, params, budget)
     if row.kind == "step3":
         return sandwich.scale(_coef(_ONE_MINUS_Q2, n, bases)) - embedded.scale(
             _coef(row.scalar, n, bases)
         )
-    return sandwich
+    return embedded
 
 
 def check_step_identity(
@@ -1141,12 +1208,15 @@ def check_step_identity(
 ) -> tuple[NormalForm, bool]:
     """Verify one step identity at exponents (m, n).
 
-    Returns (residual, verdict): the residual is the reduction of the left
-    side minus the stated leading terms times F; the verdict is True when
+    Returns (residual, verdict): the residual is the left side in normal
+    form minus the stated leading terms times F; the verdict is True when
     the residual factors as R F, F = T1+1 (spherical family) or T1+ab
     (antispherical family), with R strictly dominated by the exponents the
     identity reads, and for exact identities when the residual is zero.
-    One-index identities read only the exponent they use.
+    One-index identities read only the exponent they use.  The left side
+    is a product of reduced factors (F, a basis monomial, an embedded
+    K-word), so ``budget`` bounds the rule applications of each word
+    reduction behind a basis product not yet memoized.
     """
     row = STEP_IDENTITIES.get(identity)
     if row is None:
@@ -1157,7 +1227,7 @@ def check_step_identity(
         raise ValueError("step identities take positive exponents")
     f, _ = symmetrizer(row.family, params)
     eps = f.terms[()]
-    nf = reduce(_step_lhs(row, m, n, params, f), params, budget)
+    nf = _step_lhs(row, m, n, params, reduce(f, params), budget)
     lead_terms: dict[tuple[int, int, int], RatFunc] = {}
     for (k, l), coef in row.leading_at(m, n, params).items():
         _acc(lead_terms, (k, l, 1), coef)

@@ -1,0 +1,171 @@
+"""The kernel's maps are products of reduced factors; rewriting the fully
+expanded element is the oracle they must agree with.
+
+``compress``, ``iso_image``, ``embed_aw`` and the left sides of the step
+identities multiply short normal forms (F, basis monomials, letter
+images) through the memoized basis products.  Here each is compared with
+``reduce`` of the same element written out as a sum of words, at
+symbolic parameters on small inputs and at two points of GF(p).
+"""
+
+import random
+from collections import OrderedDict
+
+import pytest
+
+from rank1daha import ncalg
+from rank1daha.errors import BudgetExhausted
+from rank1daha.ncalg import (
+    STEP_IDENTITIES,
+    Element,
+    check_step_identity,
+    compress,
+    embed_aw,
+    embed_element,
+    iso_image,
+    reduce,
+    symmetrizer,
+)
+from rank1daha.params import ModP, RatFunc, make_params, random_params_mod_p
+from rank1daha.verify import RunConfig, run_checks
+
+_ONE = RatFunc.one()
+
+
+@pytest.fixture(
+    scope="module", params=[None, 3, 4], ids=["symbolic", "mod-p-seed-3", "mod-p-seed-4"]
+)
+def point(request):
+    if request.param is None:
+        return make_params("symbolic")
+    return random_params_mod_p(random.Random(request.param))
+
+
+def _max_len(params, symbolic, modp):
+    # words stay short at symbolic parameters, where rewriting is slow
+    return symbolic if params.is_symbolic else modp
+
+
+def _words(rng, letters, count, max_len):
+    return [
+        tuple(rng.choice(letters) for _ in range(rng.randint(1, max_len)))
+        for _ in range(count)
+    ]
+
+
+def _aw_element(rng, max_len):
+    # two words with small integer coefficients, T1 among the letters
+    terms = {}
+    for word in _words(rng, ("K0", "K1", "T1"), 2, max_len):
+        terms[word] = RatFunc.from_rational(rng.randint(1, 4))
+    return Element("aw", terms)
+
+
+def _iso_oracle(family, u, params):
+    f, _ = symmetrizer(family, params)
+    tilde = u
+    if family == "asym":
+        q = params.value("q")
+        tilde = Element("aw", {w: c * q ** w.count("K0") for w, c in u.terms.items()})
+    return reduce(embed_element(tilde, params) * f, params)
+
+
+def _step_lhs_oracle(row, m, n, params):
+    """The left side of a step row as one element, written out word by word."""
+    if row.kind == "exact":
+        m, n = 1, 1
+    f, _ = symmetrizer(row.family, params)
+    bases = ncalg._coef_bases(params)
+    sm, sn = row.signs
+    if row.kind == "embed":
+        k_word = {("K1",) * (abs(sm) * m) + ("K0",) * (abs(sn) * n): _ONE}
+    else:
+        k_word = {
+            ("K1",) * (m - 1) + w + ("K0",) * (n - 1): ncalg._coef(coef, n, bases)
+            for w, coef in row.middle.items()
+        }
+    embedded = embed_element(Element("aw", k_word), params) * f
+    sandwich = f * Element("daha", {ncalg._basis_word(sm * m, sn * n, 0): _ONE}) * f
+    if row.kind == "step3":
+        return sandwich.scale(ncalg._coef(ncalg._ONE_MINUS_Q2, n, bases)) - embedded.scale(
+            ncalg._coef(row.scalar, n, bases)
+        )
+    return embedded if row.kind in ("embed", "mixed") else sandwich
+
+
+def _step_lhs(row, m, n, params):
+    f, _ = symmetrizer(row.family, params)
+    return ncalg._step_lhs(row, m, n, params, reduce(f, params), ncalg.DEFAULT_BUDGET)
+
+
+def test_compress_matches_rewriting(point):
+    rng = random.Random(5)
+    for family in ("sym", "asym"):
+        f, _ = symmetrizer(family, point)
+        for word in _words(rng, ncalg.DAHA_ALPHABET, 4, _max_len(point, 2, 4)):
+            u = Element("daha", {word: _ONE})
+            assert compress(family, u, point) == reduce(f * u * f, point), word
+
+
+def test_iso_image_matches_rewriting(point):
+    rng = random.Random(6)
+    for family in ("sym", "asym"):
+        for word in _words(rng, ("K0", "K1"), 4, _max_len(point, 2, 4)):
+            u = Element("aw", {word: _ONE})
+            assert iso_image(family, u, point) == _iso_oracle(family, u, point), word
+
+
+def test_embed_aw_matches_rewriting(point):
+    rng = random.Random(7)
+    for _ in range(4):
+        e = _aw_element(rng, _max_len(point, 3, 5))
+        assert embed_aw(e, point) == reduce(embed_element(e, point), point), e
+
+
+def test_step_left_sides_match_rewriting(point):
+    for name, row in STEP_IDENTITIES.items():
+        for m in (1, 2):
+            for n in (1, 2):
+                got = _step_lhs(row, m, n, point)
+                assert got == reduce(_step_lhs_oracle(row, m, n, point), point), (name, m, n)
+
+
+# each map reaches a looping rule only through its basis products
+_LOOPING_CALLS = {
+    "compress": lambda p: compress("sym", Element.word(("Z",), "daha"), p, budget=10),
+    "iso_image": lambda p: iso_image("asym", Element.word(("K0", "K1"), "aw"), p, budget=10),
+    "step.44": lambda p: check_step_identity("44", 1, 1, p, budget=10),
+    "step.56": lambda p: check_step_identity("56", 1, 1, p, budget=10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LOOPING_CALLS))
+def test_a_looping_rule_exhausts_the_budget(monkeypatch, gpoint, name):
+    # a rule table that never terminates is what the budget guards against
+    monkeypatch.setattr(ncalg, "_SYSTEMS", OrderedDict())
+    rules = ncalg.rewrite_system(gpoint).rules
+    one = rules[("Z", "Zi")][0][1]
+    monkeypatch.setitem(rules, ("T1", "T1"), ((("T1", "T1"), one),))
+    monkeypatch.setitem(rules, ("Y", "Z"), ((("Y", "Z"), one),))
+    with pytest.raises(BudgetExhausted, match="exceeded 10 rule applications"):
+        _LOOPING_CALLS[name](gpoint)
+
+
+def test_step3_and_iso_work_gate(monkeypatch):
+    """Work gate on the GF(p) multiplications of one seeded trial of
+    step3.spherical and iso.spherical.mult, from a cold rewrite system.
+    Rewriting the expanded words took 72,045; the products of reduced
+    factors take 44,683."""
+    monkeypatch.setattr(ncalg, "_SYSTEMS", OrderedDict())
+    counted = [0]
+    mul = ModP.__mul__
+
+    def count(self, other):
+        counted[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(ModP, "__mul__", count)
+    monkeypatch.setattr(ModP, "__rmul__", count)
+    config = RunConfig(checks=["step3.spherical", "iso.spherical.mult"], mode="prob", trials=1)
+    assert [r.verdict for r in run_checks(config).results] == ["pass", "pass"]
+    assert 0 < counted[0] <= 50_000, counted[0]

@@ -392,8 +392,9 @@ def test_mod_p_arithmetic_matches_fractions(x, y):
     assert (mx * my).v == _mod_p(x * y)
     assert (-mx).v == _mod_p(-x)
     assert (mx**3).v == _mod_p(x**3) and (mx**0).v == 1
-    assert mx.is_zero() == (not x) == (not mx)
-    if x:
+    # a nonzero multiple of p, such as p itself, is zero mod p
+    assert mx.is_zero() == (not _mod_p(x)) == (not mx)
+    if _mod_p(x):
         assert mx.inv().v == _mod_p(1 / x)
         assert (mx**-2).v == _mod_p(x**-2)
         assert (my / mx).v == _mod_p(y / x)
@@ -417,8 +418,11 @@ def test_mod_p_coerces_ground_scalars_ints_and_fractions(x, y):
             assert type(got) is ModP and got.v == want
         assert (mx * other).v == (other * mx).v == _mod_p(x * y)
         assert (mx - other).v == _mod_p(x - y) and (other - mx).v == _mod_p(y - x)
-        if x:
+        if _mod_p(x):
             assert (other / mx).v == _mod_p(y / x)
+        else:
+            with pytest.raises(DivisionByZero):
+                other / mx
         assert (mx == other) == (other == mx) == (_mod_p(x) == _mod_p(y))
     if y.denominator == 1:
         n = int(y)
