@@ -598,14 +598,19 @@ class RewriteSystem:
 
         The left factor is peeled in stages Z^m * (Y^n * (T1^i * v)): the
         T1 and Y stages are themselves memoized one-block products, and the
-        final Z stage is a plain exponent shift.  Peeling lets every
-        distinct left key reuse the expensive Y-past-Z crossings instead of
-        rewriting the concatenated word from scratch."""
+        final Z stage is a plain exponent shift.  Y^n itself is peeled as
+        Y^(+-1) * (Y^(n-+1) * v).  Peeling lets every distinct left key
+        reuse the expensive Y-past-Z crossings instead of rewriting the
+        concatenated word from scratch."""
         cached = self._product_cache.get((key1, key2))
         if cached is not None:
             return cached
         m, n, i = key1
-        if (m, i) == (0, 0) or (m, n) == (0, 0):
+        if (m, i) == (0, 0) and abs(n) > 1:
+            step = 1 if n > 0 else -1
+            inner = self.basis_product((0, n - step, 0), key2, budget)
+            result = self._y_times(step, inner, budget)
+        elif (m, i) == (0, 0) or (m, n) == (0, 0):
             word = _basis_word(*key1) + _basis_word(*key2)
             result = self.reduce_terms({word: self.one}, budget)
         else:
@@ -613,17 +618,21 @@ class RewriteSystem:
             if result is None:
                 result = NormalForm({key2: self.one})
             if n:
-                shifted: dict[tuple[int, int, int], RatFunc] = {}
-                for key, coef in result.terms.items():
-                    for k, c in self.basis_product((0, n, 0), key, budget).terms.items():
-                        _acc(shifted, k, coef * c)
-                result = NormalForm(shifted)
+                result = self._y_times(n, result, budget)
             if m:
                 result = NormalForm(
                     {(k0 + m, k1, k2): c for (k0, k1, k2), c in result.terms.items()}
                 )
         self._product_cache[(key1, key2)] = result
         return result
+
+    def _y_times(self, n: int, v: NormalForm, budget: int) -> NormalForm:
+        """Y^n * v, from the memoized basis products."""
+        out: dict[tuple[int, int, int], RatFunc] = {}
+        for key, coef in v.terms.items():
+            for k, c in self.basis_product((0, n, 0), key, budget).terms.items():
+                _acc(out, k, coef * c)
+        return NormalForm(out)
 
 
 def _word_key(word: Word) -> tuple[int, int, int]:

@@ -3,22 +3,18 @@
 Every coefficient in the kernel is a :class:`RatFunc`: an exact rational
 function of the five parameters with rational coefficients, optionally
 carrying a linear term in the adjoined square root s with s^2 = abcd/q.
-Equality of scalars is decided structurally on reduced fractions, so the
-identity checks in the rest of the package are exact, never numeric.
+Each value has one stored form, so equality of scalars is structural and
+the identity checks in the rest of the package are exact, never numeric.
 
-A rational constant is stored as a reduced fraction of two Python ints.
-The rational functions live in sympy's sparse field Q(q,a,b,c,d), and sympy
-is imported on the first symbolic scalar (:func:`make_params` in symbolic
-mode, :meth:`RatFunc.gen`, :meth:`RatFunc.s`, :meth:`RatFunc.parse`), so
-runs at rational points and at points of GF(p) compute with Python
-integers alone and never import it.
-
-Almost every coefficient the kernel builds has a one-term denominator: the
-rewrite rules invert only q, ab, cd and abcd/q, and the q-difference
-operator on z^k + z^-k only powers of q.  When both operands of an add,
-multiply or inverse have one, the reduced result is built directly, in
-exactly the form sympy's ``cancel`` gives, without a polynomial gcd.  Other
-operands, such as the idempotent scalars (1-ab)^-1, go through sympy.
+A rational constant is a reduced fraction of two Python ints.  A rational
+function whose reduced denominator is a monomial, as almost every one the
+kernel builds (the rewrite rules invert only q, ab, cd and abcd/q), is a
+Laurent polynomial over Z with one positive integer denominator, and adds
+and multiplies on Python ints.  sympy's sparse field Q(q,a,b,c,d) is
+imported only for an operation that meets or produces a multi-term
+denominator (such as the normalising scalar of P_n), for
+:meth:`RatFunc.parse`, for symbolic square roots and for printing, so the
+default ``verify run`` never imports it.
 
 Probabilistic mode evaluates at points of the prime field GF(p),
 p = 2^61 - 1, instead: a :class:`ModP` is one residue and stands in for a
@@ -45,7 +41,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm, prod
+from operator import add, mul, sub, truediv
 from typing import Callable, Mapping, Sequence, TypeVar
 
 import random
@@ -95,51 +92,19 @@ class _Rat:
     __slots__ = ("numerator", "denominator")
 
     def __add__(self, other):
-        ap, aq = self.numerator, self.denominator
-        bp, bq = other.numerator, other.denominator
-        g = gcd(aq, bq)
-        if g == 1:
-            p, q = ap * bq + aq * bp, aq * bq
-        else:
-            q1, q2 = aq // g, bq // g
-            p = ap * q2 + bp * q1
-            g2 = gcd(p, g)
-            p, q = p // g2, q1 * q2 * (g // g2)
-        out = _new(_Rat)
-        out.numerator = p
-        out.denominator = q
-        return out
+        return _rat_sum(self.numerator, self.denominator, other.numerator, other.denominator)
 
     def __sub__(self, other):
-        ap, aq = self.numerator, self.denominator
-        bp, bq = other.numerator, other.denominator
-        g = gcd(aq, bq)
-        if g == 1:
-            p, q = ap * bq - aq * bp, aq * bq
-        else:
-            q1, q2 = aq // g, bq // g
-            p = ap * q2 - bp * q1
-            g2 = gcd(p, g)
-            p, q = p // g2, q1 * q2 * (g // g2)
-        out = _new(_Rat)
-        out.numerator = p
-        out.denominator = q
-        return out
+        return _rat_sum(self.numerator, self.denominator, -other.numerator, other.denominator)
 
     def __mul__(self, other):
         ap, aq = self.numerator, self.denominator
         bp, bq = other.numerator, other.denominator
         x1, x2 = gcd(ap, bq), gcd(bp, aq)
-        out = _new(_Rat)
-        out.numerator = (ap // x1) * (bp // x2)
-        out.denominator = (aq // x2) * (bq // x1)
-        return out
+        return _rat((ap // x1) * (bp // x2), (aq // x2) * (bq // x1))
 
     def __neg__(self):
-        out = _new(_Rat)
-        out.numerator = -self.numerator
-        out.denominator = self.denominator
-        return out
+        return _rat(-self.numerator, self.denominator)
 
     def inv(self) -> "_Rat":
         """1 / self, for a nonzero value."""
@@ -166,6 +131,17 @@ def _rat(p: int, q: int) -> _Rat:
     return out
 
 
+def _rat_sum(ap: int, aq: int, bp: int, bq: int) -> _Rat:
+    """ap/aq + bp/bq for reduced operands."""
+    g = gcd(aq, bq)
+    if g == 1:
+        return _rat(ap * bq + aq * bp, aq * bq)
+    q1, q2 = aq // g, bq // g
+    p = ap * q2 + bp * q1
+    g2 = gcd(p, g)
+    return _rat(p // g2, q1 * q2 * (g // g2))
+
+
 _RAT_ZERO = _rat(0, 1)
 _RAT_ONE = _rat(1, 1)
 
@@ -182,199 +158,241 @@ def _isqrt_exact(n: int) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# The rational function field, loaded on the first symbolic scalar
+# Laurent polynomials over Z
 #
-# sympy's sparse field Q(q,a,b,c,d) is needed only once a coefficient is a
-# rational function.  Its import is most of the start-up time and memory of
-# a process, so it is done by _load_field, which binds the names below on
-# the first symbolic scalar: RatFunc.gen, RatFunc.s and RatFunc.parse (and
-# so make_params("symbolic")), and the field form of a ground scalar.  Runs
-# at rational or GF(p) points compute with Python integers and never import
-# it.  Every other function of this section runs only once a symbolic
-# scalar exists, hence after the loader.
+# A rational function whose reduced denominator is a monomial is a Laurent
+# polynomial: a dict from exponent 5-tuples (q, a, b, c, d order, negatives
+# allowed) to nonzero ints, over one positive int coprime to their gcd.
+# That form is unique, so equality is structural.
+
+_ZEXP = (0, 0, 0, 0, 0)
+
+
+class _Lau:
+    """sum(t[e] * x^e) / d, zero being {} / 1.  ``fe`` memoizes the sympy
+    field element of the same value, so a component that meets the general
+    field again and again is converted once."""
+
+    __slots__ = ("t", "d", "fe")
+
+    def __bool__(self) -> bool:
+        return bool(self.t)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is _Lau and self.d == other.d and self.t == other.t
+
+    def __hash__(self) -> int:
+        return hash((frozenset(self.t.items()), self.d))
+
+
+def _lau(t: dict, d: int) -> _Lau:
+    """t / d for a dict t without zeros, the content shared with d divided out."""
+    if d != 1:
+        g = gcd(d, *t.values())
+        if g != 1:
+            t = {m: c // g for m, c in t.items()}
+            d //= g
+    out = _new(_Lau)
+    out.t, out.d, out.fe = t, d, None
+    return out
+
+
+def _lconst(x) -> _Lau:
+    """The rational constant x (a _Rat or a Fraction) as a Laurent polynomial."""
+    return _lau({_ZEXP: x.numerator}, x.denominator) if x else _LZERO
+
+
+_LZERO = _lau({}, 1)
+_LONE = _lau({_ZEXP: 1}, 1)
+_S_SQUARE = _lau({(-1, 1, 1, 1, 1): 1}, 1)  # s^2 = abcd/q
+
+
+# ---------------------------------------------------------------------------
+# The general rational function field, loaded on first use
+#
+# sympy's sparse field Q(q,a,b,c,d) holds the components whose reduced
+# denominator has several terms.  Its import is most of the start-up time
+# and memory of a process, so _load_field runs only where a value needs it.
 
 sympy = None
 _FIELD = None
 _POLY = None  # PolyElement.new: wraps a term dict as it is
-_ZERO_MONOM = None
 _QQ_NEW = None
-_mmul = _mldiv = _mgcd = _mlcm = None
-# the square of the adjoined symbol s
-_S_SQUARE = None
-_GENS: dict[str, "RatFunc"] = {}
 
 
 def _load_field() -> None:
-    """Import sympy and bind the field, its ring helpers and the generators."""
-    global sympy, _FIELD, _POLY, _ZERO_MONOM, _QQ_NEW, _S_SQUARE
-    global _mmul, _mldiv, _mgcd, _mlcm
+    """Import sympy and bind the field and its constructors."""
+    global sympy, _FIELD, _POLY, _QQ_NEW
     if _FIELD is not None:
         return
     import sympy
     from sympy.polys.fields import field
 
-    fld, *gens = field("q,a,b,c,d", sympy.QQ)
-    ring = fld.ring
-    _POLY = ring.dtype
-    _ZERO_MONOM = ring.zero_monom
+    _FIELD = field("q,a,b,c,d", sympy.QQ)[0]
+    _POLY = _FIELD.ring.dtype
     _QQ_NEW = sympy.QQ.dtype
-    _mmul, _mldiv = ring.monomial_mul, ring.monomial_ldiv
-    _mgcd, _mlcm = ring.monomial_gcd, ring.monomial_lcm
-    q, a, b, c, d = gens
-    _S_SQUARE = (a * b * c * d) / q
-    _FIELD = fld
-    _GENS.update((name, RatFunc(g)) for name, g in zip(PARAM_NAMES, gens))
 
 
-def _to_qq(x: _Rational):
-    return _QQ_NEW(x.numerator, x.denominator)
+def _as_field(x):
+    """The field element of a component, in the reduced form sympy's
+    ``cancel`` gives: for a Laurent polynomial, integers over d * x^m."""
+    if type(x) is not _Lau:
+        return x
+    if x.fe is None:
+        _load_field()
+        shift = tuple(max(0, -min(col)) for col in zip(*x.t)) if x.t else _ZEXP
+        numer = {tuple(map(add, m, shift)): _QQ_NEW(c) for m, c in x.t.items()}
+        x.fe = _FIELD.raw_new(_POLY(numer), _POLY({shift: _QQ_NEW(x.d)}))
+    return x.fe
 
 
-# Field arithmetic without a gcd for one-term denominators
-#
-# Every field element here is in the reduced form sympy's ``cancel`` gives:
-# numerator and denominator coprime, with integer coefficients whose overall
-# content is 1 and a positive leading denominator coefficient.  That form is
-# unique, so when both operands have a one-term denominator c*x^m the result
-# is built in it directly; the gcd with a monomial is a content and a
-# monomial, no polynomial gcd is needed.  Anything else goes through sympy.
+def _component(x):
+    """The component of a Laurent polynomial or a sympy field element: the
+    Laurent form exactly when the reduced denominator is a monomial."""
+    if type(x) is _Lau or len(x.denom) != 1:
+        return x
+    ((shift, c),) = x.denom.items()
+    c = Fraction(int(c.numerator), int(c.denominator))
+    coefs = {
+        tuple(map(sub, m, shift)): Fraction(int(n.numerator), int(n.denominator)) / c
+        for m, n in x.numer.items()
+    }
+    d = lcm(*(f.denominator for f in coefs.values()))
+    out = _lau({m: f.numerator * (d // f.denominator) for m, f in coefs.items()}, d)
+    out.fe = x
+    return out
 
 
-def _reduced(terms: dict, dm: tuple, dc: int):
-    """The field element sum(terms) / (dc * x^dm), reduced.
-
-    ``terms`` maps monomials to integers (zeros allowed).  Divides out the
-    content shared with ``dc``, makes the denominator coefficient positive,
-    and divides out each variable of x^dm that divides every numerator term.
-    """
-    num = {m: c for m, c in terms.items() if c}
-    if not num:
-        return _FIELD.zero
-    g = gcd(dc, *num.values())
-    if dc < 0:
-        g = -g
-    if dm != _ZERO_MONOM:
-        common = dm
-        for m in num:
-            common = _mgcd(common, m)
-            if common == _ZERO_MONOM:
-                break
-        else:
-            num = {_mldiv(m, common): c for m, c in num.items()}
-            dm = _mldiv(dm, common)
-    numer = _POLY({m: _QQ_NEW(c // g) for m, c in num.items()})
-    return _FIELD.raw_new(numer, _POLY({dm: _QQ_NEW(dc // g)}))
+def _field_op(op, *args):
+    """op on the field forms of the components ``args``, as a component: the
+    one way into sympy's general field arithmetic, for every operation that
+    meets a multi-term denominator or may produce one."""
+    return _component(op(*map(_as_field, args)))
 
 
-def _one_term(p) -> tuple[tuple, int] | None:
-    """(monomial, integer coefficient) of a one-term polynomial, else None."""
-    if len(p) != 1:
-        return None
-    ((m, c),) = p.items()
-    return m, c.numerator
-
-
-def _fadd(x, y):
-    """x + y for field elements."""
-    if not x:
-        return y
+# Component arithmetic: Laurent operands stay on Python ints.
+def _cadd(x, y, sign: int = 1):
+    """x + sign*y."""
     if not y:
         return x
-    tx, ty = _one_term(x.denom), _one_term(y.denom)
-    if tx is None or ty is None:
-        return x + y
-    (mx, cx), (my, cy) = tx, ty
-    dm = _mlcm(mx, my)
-    dc = cx * cy // gcd(cx, cy)
-    terms: dict = {}
-    for numer, m0, c0 in ((x.numer, mx, cx), (y.numer, my, cy)):
-        shift, scale = _mldiv(dm, m0), dc // c0
-        for m, c in numer.items():
-            m = _mmul(m, shift)
-            terms[m] = terms.get(m, 0) + c.numerator * scale
-    return _reduced(terms, dm, dc)
+    if not x and sign == 1:
+        return y
+    if type(x) is not _Lau or type(y) is not _Lau:
+        return _field_op(add if sign == 1 else sub, x, y)
+    d = x.d
+    if d == y.d:
+        t = x.t.copy()
+        scale = sign
+    else:
+        g = gcd(d, y.d)
+        t = {m: c * (y.d // g) for m, c in x.t.items()}
+        scale = sign * (d // g)
+        d *= y.d // g
+    get = t.get
+    for m, c in y.t.items():
+        c = get(m, 0) + scale * c
+        if c:
+            t[m] = c
+        else:
+            del t[m]
+    return _lau(t, d)
 
 
-def _fmul(x, y):
-    """x * y for field elements."""
+def _cmul(x, y):
     if not x or not y:
-        return _FIELD.zero
-    tx, ty = _one_term(x.denom), _one_term(y.denom)
-    if tx is None or ty is None:
-        return x * y
-    nx, ny = x.numer, y.numer
-    if len(nx) > len(ny):
-        nx, ny = ny, nx
-    inner = [(m, c.numerator) for m, c in ny.items()]
-    terms: dict = {}
-    for m1, c1 in nx.items():
-        c1 = c1.numerator
-        for m2, c2 in inner:
-            m = _mmul(m1, m2)
-            terms[m] = terms.get(m, 0) + c1 * c2
-    return _reduced(terms, _mmul(tx[0], ty[0]), tx[1] * ty[1])
+        return _LZERO
+    if type(x) is not _Lau or type(y) is not _Lau:
+        return _field_op(mul, x, y)
+    tx, ty = x.t, y.t
+    if len(tx) > len(ty):
+        tx, ty = ty, tx
+    if len(tx) == 1:  # no two products share a monomial
+        ((m, k),) = tx.items()
+        if m == _ZEXP:
+            t = {m2: k * k2 for m2, k2 in ty.items()}
+        else:
+            q, a, b, c, d = m
+            t = {
+                (q + q2, a + a2, b + b2, c + c2, d + d2): k * k2
+                for (q2, a2, b2, c2, d2), k2 in ty.items()
+            }
+    else:
+        inner = [(*m, k) for m, k in ty.items()]
+        t = {}
+        get = t.get
+        for (q, a, b, c, d), k in tx.items():
+            for q2, a2, b2, c2, d2, k2 in inner:
+                m = (q + q2, a + a2, b + b2, c + c2, d + d2)
+                t[m] = get(m, 0) + k * k2
+        t = {m: k for m, k in t.items() if k}
+    return _lau(t, x.d * y.d)
 
 
-def _finv(x):
-    """1 / x for a nonzero field element."""
-    t = _one_term(x.numer)
-    if t is None:
-        return _FIELD.one / x
-    return _reduced({m: c.numerator for m, c in x.denom.items()}, *t)
+def _cinv(x):
+    """1 / x for a nonzero component."""
+    if type(x) is _Lau and len(x.t) == 1:
+        ((m, c),) = x.t.items()
+        return _lau({tuple(-e for e in m): -x.d if c < 0 else x.d}, abs(c))
+    return _field_op(truediv, _LONE, x)
+
+
+def _ceval(x, vals: Sequence[Fraction]) -> Fraction:
+    """A component's value at a rational point."""
+    if type(x) is _Lau:
+        try:
+            terms = (c * prod(v**e for v, e in zip(vals, m)) for m, c in x.t.items())
+            return sum(terms, Fraction(0)) / x.d
+        except ZeroDivisionError:
+            raise DivisionByZero("evaluation point hits a denominator zero") from None
+    point = [(g, _QQ_NEW(v.numerator, v.denominator)) for g, v in zip(_FIELD.ring.gens, vals)]
+    num, den = x.numer.evaluate(point), x.denom.evaluate(point)
+    if den == 0:
+        raise DivisionByZero("evaluation point hits a denominator zero")
+    return _frac_of_ground(num) / _frac_of_ground(den)
+
+
+def _rf(r0, r1) -> "RatFunc":
+    """The scalar r0 + r1*s from components, ground when it is a constant."""
+    t = r0.t if type(r0) is _Lau else None
+    if not r1 and t is not None and (not t or len(t) == 1 and _ZEXP in t):
+        return RatFunc._from_ground(_rat(t.get(_ZEXP, 0), r0.d))
+    out = _new(RatFunc)
+    out.g, out.r0, out.r1 = None, r0, r1
+    return out
 
 
 class RatFunc:
     """Exact rational function in q, a, b, c, d, linear in s (s^2 = abcd/q).
 
-    Immutable.  The two components ``r0`` (rational part) and ``r1``
-    (coefficient of s) are reduced fractions of sparse polynomials, so
-    structural equality of components is semantic equality: abcd/q is not a
-    square in the rational function field, hence r0 + r1*s = 0 only for
-    r0 = r1 = 0, and the extension by s stays a field.
-
-    Constant values (the overwhelmingly common case once parameters are
-    specialized) are kept as a single reduced rational in ``g``, two Python
-    ints, and combined with integer arithmetic; the field components are
-    materialized only when a genuinely symbolic operand enters.
-    Construction normalizes, so an s-free instance in field representation
-    is never constant.
+    Immutable.  A rational constant (the overwhelmingly common case once
+    parameters are specialized) is a single reduced rational in ``g``, two
+    Python ints.  Any other value has ``g`` None and two components, ``r0``
+    (rational part) and ``r1`` (coefficient of s), each a Laurent
+    polynomial when its reduced denominator is a monomial and a sympy field
+    element otherwise.  Every form is unique, so structural equality is
+    semantic equality: abcd/q is not a square in the rational function
+    field, hence r0 + r1*s = 0 only for r0 = r1 = 0, and the extension by s
+    stays a field.
     """
 
     __slots__ = ("r0", "r1", "g")
 
     def __init__(self, r0, r1=None):
-        """The scalar r0 + r1*s from field elements r0 and r1 (default 0)."""
-        if (r1 is None or not r1) and r0.numer.is_ground and r0.denom.is_ground:
-            v = r0.numer.LC / r0.denom.LC
-            self.g = _rat(int(v.numerator), int(v.denominator))
-            self.r0 = None
-            self.r1 = None
-        else:
-            self.g = None
-            self.r0 = r0
-            self.r1 = _FIELD.zero if r1 is None else r1
+        """r0 + r1*s from components or sympy field elements (r1 default 0)."""
+        v = _rf(_component(r0), _LZERO if r1 is None else _component(r1))
+        self.g, self.r0, self.r1 = v.g, v.r0, v.r1
 
     @staticmethod
     def _from_ground(value: _Rat) -> "RatFunc":
         out = _new(RatFunc)
-        out.g = value
-        out.r0 = None
-        out.r1 = None
+        out.g, out.r0, out.r1 = value, None, None
         return out
 
-    def _fe(self):
-        """The (r0, r1) field components, materialized on demand."""
+    def _parts(self):
+        """The (r0, r1) components, built on demand for a constant."""
         if self.r0 is None:
-            _load_field()
-            g = self.g
-            if g:
-                self.r0 = _FIELD.raw_new(
-                    _POLY({_ZERO_MONOM: _QQ_NEW(g.numerator)}),
-                    _POLY({_ZERO_MONOM: _QQ_NEW(g.denominator)}),
-                )
-            else:
-                self.r0 = _FIELD.zero
-            self.r1 = _FIELD.zero
+            self.r0 = _lconst(self.g)
+            self.r1 = _LZERO
         return self.r0, self.r1
 
     # -- constructors -------------------------------------------------
@@ -393,14 +411,12 @@ class RatFunc:
 
     @staticmethod
     def gen(name: str) -> "RatFunc":
-        _load_field()
         return _GENS[name]
 
     @staticmethod
     def s() -> "RatFunc":
         """The adjoined square root itself: s with s^2 = abcd/q."""
-        _load_field()
-        return RatFunc(_FIELD.zero, _FIELD.one)
+        return _rf(_LZERO, _LONE)
 
     @staticmethod
     def parse(text: str) -> "RatFunc":
@@ -430,9 +446,7 @@ class RatFunc:
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        if self.g is not None:
-            return not self.g
-        return (not self.r0) and (not self.r1)
+        return not self.g if self.g is not None else not (self.r0 or self.r1)
 
     def has_s(self) -> bool:
         return self.g is None and bool(self.r1)
@@ -460,16 +474,16 @@ class RatFunc:
             return NotImplemented
         if self.g is not None and o.g is not None:
             return RatFunc._from_ground(self.g + o.g)
-        a0, a1 = self._fe()
-        b0, b1 = o._fe()
-        return RatFunc(_fadd(a0, b0), _fadd(a1, b1))
+        a0, a1 = self._parts()
+        b0, b1 = o._parts()
+        return _rf(_cadd(a0, b0), _cadd(a1, b1))
 
     __radd__ = __add__
 
     def __neg__(self):
         if self.g is not None:
             return RatFunc._from_ground(-self.g)
-        return RatFunc(-self.r0, -self.r1)
+        return _rf(_cadd(_LZERO, self.r0, -1), _cadd(_LZERO, self.r1, -1))
 
     def __sub__(self, other):
         o = RatFunc._coerce(other)
@@ -477,15 +491,13 @@ class RatFunc:
             return NotImplemented
         if self.g is not None and o.g is not None:
             return RatFunc._from_ground(self.g - o.g)
-        a0, a1 = self._fe()
-        b0, b1 = o._fe()
-        return RatFunc(_fadd(a0, -b0), _fadd(a1, -b1))
+        a0, a1 = self._parts()
+        b0, b1 = o._parts()
+        return _rf(_cadd(a0, b0, -1), _cadd(a1, b1, -1))
 
     def __rsub__(self, other):
         o = RatFunc._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o - self
+        return NotImplemented if o is NotImplemented else o - self
 
     def __mul__(self, other):
         o = RatFunc._coerce(other)
@@ -493,13 +505,13 @@ class RatFunc:
             return NotImplemented
         if self.g is not None and o.g is not None:
             return RatFunc._from_ground(self.g * o.g)
-        a0, a1 = self._fe()
-        b0, b1 = o._fe()
+        a0, a1 = self._parts()
+        b0, b1 = o._parts()
         if not a1 and not b1:
-            return RatFunc(_fmul(a0, b0))
-        return RatFunc(
-            _fadd(_fmul(a0, b0), _fmul(_fmul(a1, b1), _S_SQUARE)),
-            _fadd(_fmul(a0, b1), _fmul(a1, b0)),
+            return _rf(_cmul(a0, b0), _LZERO)
+        return _rf(
+            _cadd(_cmul(a0, b0), _cmul(_cmul(a1, b1), _S_SQUARE)),
+            _cadd(_cmul(a0, b1), _cmul(a1, b0)),
         )
 
     __rmul__ = __mul__
@@ -509,25 +521,20 @@ class RatFunc:
             raise DivisionByZero("inverse of zero scalar")
         if self.g is not None:
             return RatFunc._from_ground(self.g.inv())
-        if not self.r1:
-            return RatFunc(_finv(self.r0))
         r0, r1 = self.r0, self.r1
-        norm = _fadd(_fmul(r0, r0), -_fmul(_fmul(r1, r1), _S_SQUARE))
+        if not r1:
+            return _rf(_cinv(r0), _LZERO)
         # norm = 0 would force abcd/q to be a square in the function field
-        norm_inv = _finv(norm)
-        return RatFunc(_fmul(r0, norm_inv), -_fmul(r1, norm_inv))
+        norm_inv = _cinv(_cadd(_cmul(r0, r0), _cmul(_cmul(r1, r1), _S_SQUARE), -1))
+        return _rf(_cmul(r0, norm_inv), _cadd(_LZERO, _cmul(r1, norm_inv), -1))
 
     def __truediv__(self, other):
         o = RatFunc._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inv()
+        return NotImplemented if o is NotImplemented else self * o.inv()
 
     def __rtruediv__(self, other):
         o = RatFunc._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self.inv()
+        return NotImplemented if o is NotImplemented else o * self.inv()
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -554,24 +561,24 @@ class RatFunc:
             if nroot is None or droot is None:
                 return None
             return RatFunc._from_ground(_rat(nroot, droot))
-        if self.r0 == _S_SQUARE:
+        if _S_SQUARE == self.r0:
             return RatFunc.s()
+        r0 = _as_field(self.r0)
         root_parts = []
-        for part in (self.r0.numer, self.r0.denom):
+        for part in (r0.numer, r0.denom):
             content, factors = sympy.factor_list(part.as_expr())
             if not isinstance(content, sympy.Rational):
                 return None
-            croot_n = _isqrt_exact(content.p)
-            croot_d = _isqrt_exact(content.q)
-            if croot_n is None or croot_d is None:
+            croot = _isqrt_exact(content.p), _isqrt_exact(content.q)
+            if None in croot:
                 return None
-            root = sympy.Rational(croot_n, croot_d)
+            root = sympy.Rational(*croot)
             for base, exp in factors:
                 if exp % 2:
                     return None
                 root *= base ** (exp // 2)
-            root_parts.append(root)
-        return RatFunc(_FIELD.from_expr(root_parts[0]) / _FIELD.from_expr(root_parts[1]))
+            root_parts.append(_FIELD.from_expr(root))
+        return RatFunc(_field_op(truediv, *root_parts))
 
     # -- comparison and hashing ----------------------------------------
 
@@ -580,11 +587,10 @@ class RatFunc:
         if o is NotImplemented:
             return NotImplemented
         if self.g is not None or o.g is not None:
-            if self.g is not None and o.g is not None:
-                return self.g == o.g
-            # field representation is never constant, by construction
-            return False
-        return self.r0 == o.r0 and self.r1 == o.r1
+            # a non-ground value is never constant, by construction
+            return self.g is not None and o.g is not None and self.g == o.g
+        a0, a1, b0, b1 = self.r0, self.r1, o.r0, o.r1
+        return type(a0) is type(b0) and type(a1) is type(b1) and a0 == b0 and a1 == b1
 
     def __hash__(self) -> int:
         if self.g is not None:
@@ -593,27 +599,19 @@ class RatFunc:
 
     # -- evaluation ----------------------------------------------------
 
-    def _eval_component(self, comp, vals: Sequence) -> Fraction:
-        gens = _FIELD.ring.gens
-        num = comp.numer.evaluate(list(zip(gens, vals)))
-        den = comp.denom.evaluate(list(zip(gens, vals)))
-        if den == 0:
-            raise DivisionByZero("evaluation point hits a denominator zero")
-        return _frac_of_ground(num) / _frac_of_ground(den)
-
     def evaluate(self, point: Mapping[str, _Rational]) -> tuple[Fraction, Fraction]:
         """Evaluate both components at a rational point, leaving s formal."""
         if self.g is not None:
             return (_frac_of_ground(self.g), Fraction(0))
-        vals = [_to_qq(Fraction(point[name])) for name in PARAM_NAMES]
-        return (self._eval_component(self.r0, vals), self._eval_component(self.r1, vals))
+        vals = [Fraction(point[name]) for name in PARAM_NAMES]
+        return (_ceval(self.r0, vals), _ceval(self.r1, vals))
 
     def subs(self, point: Mapping[str, _Rational]) -> "RatFunc":
         """Substitute rational values for the five parameters (s stays formal)."""
         if self.g is not None:
             return self
         v0, v1 = self.evaluate(point)
-        return RatFunc(_FIELD(_to_qq(v0)), _FIELD(_to_qq(v1)))
+        return _rf(_lconst(v0), _lconst(v1))
 
     def as_fraction(self) -> Fraction:
         """Return the value of a constant scalar as an exact rational."""
@@ -626,15 +624,19 @@ class RatFunc:
     def __str__(self) -> str:
         if self.g is not None:
             return str(self.g)
-        r0, r1 = self.r0, self.r1
+        r0, r1 = _as_field(self.r0), _as_field(self.r1)
         if not r1:
             return str(r0)
-        if not r0:
-            return f"({r1})*s"
-        return f"({r0}) + ({r1})*s"
+        return f"({r0}) + ({r1})*s" if r0 else f"({r1})*s"
 
     def __repr__(self) -> str:
         return f"RatFunc({self})"
+
+
+_GENS = {
+    name: _rf(_lau({tuple(int(i == j) for j in range(5)): 1}, 1), _LZERO)
+    for i, name in enumerate(PARAM_NAMES)
+}
 
 
 _ZERO = RatFunc.zero()
@@ -729,9 +731,7 @@ class ModP(RatFunc):
 
     def __rsub__(self, other):
         o = _residue(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return _modp((o - self.v) % PRIME)
+        return NotImplemented if o is NotImplemented else _modp((o - self.v) % PRIME)
 
     def __mul__(self, other):
         o = other.v if type(other) is ModP else _residue(other)
@@ -758,9 +758,7 @@ class ModP(RatFunc):
 
     def __rtruediv__(self, other):
         o = _residue(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return _modp(o * self.inv().v % PRIME)
+        return NotImplemented if o is NotImplemented else _modp(o * self.inv().v % PRIME)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):

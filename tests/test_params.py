@@ -2,6 +2,7 @@ import dataclasses
 import random
 from collections import OrderedDict
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -20,10 +21,11 @@ from rank1daha.params import (
     ModP,
     Params,
     RatFunc,
+    _as_field,
     _check_admissible,
-    _fadd,
-    _finv,
-    _fmul,
+    _component,
+    _Lau,
+    _lau,
     _params_cache_entry,
     eigenvalue,
     elementary_symmetric,
@@ -32,9 +34,11 @@ from rank1daha.params import (
     structure_constants,
 )
 
-# the field is built on the first symbolic scalar; these tests use it directly
+# sympy's field is loaded on first use; these tests use it as the oracle
 params_module._load_field()
-_FIELD, _S_SQUARE = params_module._FIELD, params_module._S_SQUARE
+_FIELD = params_module._FIELD
+_fq, _fa, _fb, _fc, _fd = _FIELD.gens
+_S_SQUARE = _fa * _fb * _fc * _fd / _fq
 
 Q = RatFunc.gen("q")
 A = RatFunc.gen("a")
@@ -162,8 +166,9 @@ def test_field_axioms(x, y, z):
         assert x * x.inv() == RatFunc.one()
 
 
-# The one-term-denominator arithmetic must give exactly what sympy's own
-# field operations give: the same numerator and denominator polynomials.
+# Scalar arithmetic must give exactly what sympy's own field operations
+# give: the same numerator and denominator polynomials, whether the
+# components are Laurent polynomials or general field elements.
 
 _coefs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
 _monoms = st.tuples(*[st.integers(min_value=0, max_value=2)] * 5)
@@ -199,40 +204,69 @@ def assert_same_element(got, want):
     assert str(got) == str(want)
 
 
+def assert_same_scalar(got: RatFunc, want0, want1=None):
+    """``got`` is want0 + want1*s, each component in the form its
+    denominator calls for: Laurent exactly when it is a monomial."""
+    want1 = _FIELD.zero if want1 is None else want1
+    if got.is_constant():
+        c = got.as_fraction()
+        assert not want1 and want0.denom.is_ground and want0.numer.is_ground
+        assert_same_element(_FIELD(QQ(c.numerator, c.denominator)), want0)
+        return
+    for comp, want in ((got.r0, want0), (got.r1, want1)):
+        assert (type(comp) is _Lau) == (len(want.denom) == 1)
+        assert_same_element(_as_field(comp), want)
+
+
 @settings(max_examples=150, deadline=None)
 @given(field_elements(), field_elements())
 def test_one_term_denominator_arithmetic_matches_sympy(x, y):
-    assert_same_element(_fadd(x, y), x + y)
-    assert_same_element(_fadd(x, -y), x - y)
-    assert_same_element(_fmul(x, y), x * y)
-    assert_same_element(_fmul(x, _S_SQUARE), x * _S_SQUARE)
+    gx, gy = RatFunc(x), RatFunc(y)
+    assert_same_scalar(gx + gy, x + y)
+    assert_same_scalar(gx - gy, x - y)
+    assert_same_scalar(-gx, -x)
+    assert_same_scalar(gx * gy, x * y)
+    assert_same_scalar(gx * RatFunc.s() * RatFunc.s(), x * _S_SQUARE)
     if x:
-        assert_same_element(_finv(x), _FIELD.one / x)
+        assert_same_scalar(gx.inv(), _FIELD.one / x)
 
 
 @settings(max_examples=30, deadline=None)
 @given(field_elements(), field_elements(), field_elements(), field_elements())
 def test_s_extended_products_and_inverses_match_sympy(r0, r1, t0, t1):
     x, y = RatFunc(r0, r1), RatFunc(t0, t1)
-    prod = (x * y)._fe()
-    assert_same_element(prod[0], r0 * t0 + r1 * t1 * _S_SQUARE)
-    assert_same_element(prod[1], r0 * t1 + r1 * t0)
+    assert_same_scalar(x + y, r0 + t0, r1 + t1)
+    assert_same_scalar(x - y, r0 - t0, r1 - t1)
+    assert_same_scalar(x * y, r0 * t0 + r1 * t1 * _S_SQUARE, r0 * t1 + r1 * t0)
     if x:
-        inv = x.inv()._fe()
         if r1:
             norm = r0 * r0 - r1 * r1 * _S_SQUARE
-            assert_same_element(inv[0], r0 / norm)
-            assert_same_element(inv[1], -r1 / norm)
+            assert_same_scalar(x.inv(), r0 / norm, -r1 / norm)
         else:
-            assert_same_element(inv[0], _FIELD.one / r0)
-            assert not inv[1]
+            assert_same_scalar(x.inv(), _FIELD.one / r0)
 
 
 @given(_coefs, field_elements())
 def test_ground_scalars_enter_the_field_reduced(c, x):
-    g = RatFunc.from_rational(c)
-    assert_same_element(g._fe()[0], _FIELD(QQ(c.numerator, c.denominator)))
-    assert_same_element((g * RatFunc(x))._fe()[0], x * QQ(c.numerator, c.denominator))
+    g, qc = RatFunc.from_rational(c), _FIELD(QQ(c.numerator, c.denominator))
+    assert_same_element(_as_field(g._parts()[0]), qc)
+    assert_same_scalar(g * RatFunc(x), x * qc)
+    assert_same_scalar(g + RatFunc(x), x + qc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(field_elements())
+def test_monomial_denominators_round_trip_through_the_laurent_form(x):
+    comp = _component(x)
+    if len(x.denom) != 1:
+        assert comp is x  # a multi-term denominator stays a field element
+        return
+    assert type(comp) is _Lau
+    assert comp.d > 0 and all(comp.t.values())
+    assert gcd(comp.d, *comp.t.values()) == 1
+    fresh = _lau(dict(comp.t), comp.d)  # without the memoized field form
+    assert_same_element(_as_field(fresh), x)
+    assert _component(_as_field(fresh)) == comp
 
 
 # Ground scalars compute with Python integers; Fraction is the oracle.

@@ -1,7 +1,9 @@
-"""sympy is imported on the first symbolic scalar, and only then.
+"""sympy is imported only for multi-term denominators, parsing, symbolic
+square roots and printing.
 
 Runs at GF(p) points and at rational points compute with Python integers,
-so a process that meets no rational function never imports sympy.  Each
+and symbolic scalars with monomial denominators with Laurent polynomials
+over Z, so a process that meets none of these never imports sympy.  Each
 case runs in a fresh interpreter, since the test process itself has long
 imported it.
 """
@@ -64,5 +66,22 @@ def test_runs_without_rational_functions_load_no_sympy(argv):
     assert _probe(*argv) == (0, False)
 
 
+def test_symbolic_scalars_with_monomial_denominators_load_no_sympy():
+    # the step identities and the duality anti-map, s-extended scalars included
+    argv = ("verify", "run", "--checks", "step.44,duality.daha", "--max-mn", "1")
+    assert _probe(*argv) == (0, False)
+
+
 def test_a_symbolic_run_loads_sympy():
-    assert _probe("verify", "run", "--checks", "step.44", "--max-mn", "1") == (0, True)
+    # the normalising scalar of P_n has a multi-term denominator
+    argv = ("verify", "run", "--mode", "exact", "--checks", "eigen.Pn", "--max-n", "1")
+    assert _probe(*argv) == (0, True)
+
+
+def test_printing_a_symbolic_scalar_loads_sympy():
+    source = (
+        "import sys; from rank1daha.params import RatFunc; "
+        "x = RatFunc.gen('q') * RatFunc.s() + 1; before = 'sympy' in sys.modules; "
+        "text = str(x); print(text, before, 'sympy' in sys.modules)"
+    )
+    assert _last_line(source) == "(1) + (q)*s False True"

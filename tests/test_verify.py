@@ -8,9 +8,9 @@ from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
-from sympy.polys.rings import PolyElement
 
 from rank1daha import cli, ncalg, polyrep, verify
+from rank1daha import params as params_module
 from rank1daha.errors import ConfigError, ParseError
 from rank1daha.ncalg import Element
 from rank1daha.params import (
@@ -296,22 +296,23 @@ def test_symmetry_check_builds_the_base_family_once(monkeypatch, gpoint):
 
 
 def test_symbolic_checks_take_no_general_gcd(monkeypatch, sym):
-    """Work gate: over symbolic parameters these checks only meet one-term
-    denominators, so sympy's general cancel must never run."""
+    """Work gate: over symbolic parameters these checks only meet monomial
+    denominators, so no operation falls back to sympy's general field."""
     calls = []
-    cancel = PolyElement.cancel
+    field_op = params_module._field_op
 
-    def counted_cancel(self, other):
-        calls.append(1)
-        return cancel(self, other)
+    def counted_field_op(op, *args):
+        calls.append(op)
+        return field_op(op, *args)
 
-    monkeypatch.setattr(PolyElement, "cancel", counted_cancel)
+    monkeypatch.setattr(params_module, "_field_op", counted_field_op)
     monkeypatch.setattr(ncalg, "_SYSTEMS", OrderedDict())
     bounds = {"max_mn": 1, "max_degree": 2, "max_n": 2}
     for check_id in (
         "awrel.inrep",
         "casimir.scalar",
         "embed.rel34",
+        "embed.rel35",
         "step3.spherical",
         "step3.antispherical",
         "idempotents",
@@ -319,10 +320,15 @@ def test_symbolic_checks_take_no_general_gcd(monkeypatch, sym):
         "iso.spherical.mult",
         "iso.antispherical.mult",
         "centralizer.samples",
+        "duality.daha",
     ):
         runner = verify._CATALOG_BY_ID[check_id].runner
         assert runner(sym, bounds, random.Random(0)) == ""
     assert len(calls) == 0
+    # the counter sees a fallback: 1 - ab has no single-term inverse
+    a, b = sym.value("a"), sym.value("b")
+    assert (RatFunc.one() - a * b).inv() * (RatFunc.one() - a * b) == RatFunc.one()
+    assert len(calls) == 2
 
 
 MULT_CHECKS = ("spherical.mult", "iso.spherical.mult", "iso.antispherical.mult")
