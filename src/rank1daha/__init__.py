@@ -4,9 +4,10 @@ and their polynomial representation, together with a catalog of
 mechanically verified identities.
 
 All arithmetic is exact: coefficients are rational functions in the
-parameters q, a, b, c, d over the rationals, optionally extended by a
-square root s of abcd/q for the duality maps.  Probabilistic checks
-evaluate the same identities exactly at random points of GF(2^61 - 1).
+parameters q, a, b, c, d over the rationals.  The duality maps need a
+square root s of abcd/q, which the symbolic point gains by the field
+embedding d -> q d^2/(abc).  Probabilistic checks evaluate the same
+identities exactly at random points of GF(2^61 - 1).
 
 The subalgebra maps are exported in cleared form, for F = T1+1 or T1+ab
 with F^2 = eF (``symmetrizer``): ``compress`` returns F u F, e^2 times the

@@ -42,8 +42,10 @@ class UnknownIdentity(KernelError):
 
 
 class ExtensionDisabled(KernelError):
-    """An operation needed the quadratic extension by s (s^2 = abcd/q)
-    but the coefficient values cannot support it."""
+    """The dual family needs a square root s of abcd/q, and the point's
+    coefficient field has none.  In a verification run that is a rational
+    point where abcd/q is not the square of a rational: the duality checks
+    first move a symbolic point to one where abcd/q is a square."""
 
 
 class NotSymmetric(KernelError):

@@ -1264,7 +1264,9 @@ def duality_image(
     T1 -> T1; "DAHA" maps Y -> s Z^-1, Z -> a Y^-1, T1 -> T1 (and inverse
     letters accordingly), where s^2 = abcd/q.  Words are reversed;
     coefficients pass through unchanged.  The returned parameters are the
-    dual family (s, ab/s, ac/s, ad/s).
+    dual family (s, ab/s, ac/s, ad/s), so s must lie in the coefficient
+    field: at a constant point that has a root, or at the symbolic point
+    moved by :meth:`Params.with_square_root`, where s = d.
 
     The published target data for these maps lists the first dual
     parameter as 1/s; that choice fails the quadratic relation of T1

@@ -1,10 +1,9 @@
 """Exact scalar arithmetic in the parameters q, a, b, c, d.
 
 Every coefficient in the kernel is a :class:`RatFunc`: an exact rational
-function of the five parameters with rational coefficients, optionally
-carrying a linear term in the adjoined square root s with s^2 = abcd/q.
-Each value has one stored form, so equality of scalars is structural and
-the identity checks in the rest of the package are exact, never numeric.
+function of the five parameters with rational coefficients.  Each value
+has one stored form, so equality of scalars is structural and the
+identity checks in the rest of the package are exact, never numeric.
 
 A rational constant is a reduced fraction of two Python ints.  A rational
 function whose reduced denominator is a monomial, as almost every one the
@@ -12,9 +11,8 @@ kernel builds (the rewrite rules invert only q, ab, cd and abcd/q), is a
 Laurent polynomial over Z with one positive integer denominator, and adds
 and multiplies on Python ints.  sympy's sparse field Q(q,a,b,c,d) is
 imported only for an operation that meets or produces a multi-term
-denominator (such as the normalising scalar of P_n), for
-:meth:`RatFunc.parse`, for symbolic square roots and for printing, so the
-default ``verify run`` never imports it.
+denominator (such as the normalising scalar of P_n) and for printing, so
+the default ``verify run`` never imports it.
 
 Probabilistic mode evaluates at points of the prime field GF(p),
 p = 2^61 - 1, instead: a :class:`ModP` is one residue and stands in for a
@@ -28,12 +26,15 @@ Zippel, EUROSAM 1979), and only then can the identity falsely pass.
 indeterminates (:func:`make_params` in symbolic mode), rational constants
 (specialized mode), residues mod p (:func:`random_params_mod_p`), or the
 derived values of the shifted family (qa, qb, c, d), the dual family
-(s, ab/s, ac/s, ad/s) and the swapped families.  One routine checks the
-genericity conditions for all of them: :func:`make_params` on outside
-input, the sampler mod p, and every derived family whose values are
-constants.  All derived scalar quantities (elementary symmetric
-polynomials, structure constants, Casimir scalar, eigenvalues) are computed
-from the values by a single code path.
+(s, ab/s, ac/s, ad/s) with s^2 = abcd/q, and the swapped families.
+abcd/q is not a square in Q(q,a,b,c,d), but d -> q d^2/(abc) embeds that
+field into itself and sends abcd/q to d^2, so the dual family is taken at
+the moved point :meth:`Params.with_square_root`, where s = d.  One routine
+checks the genericity conditions for all of them: :func:`make_params` on
+outside input, the sampler mod p, and every derived family whose values
+are constants.  All derived scalar quantities (elementary symmetric
+polynomials, structure constants, Casimir scalar, eigenvalues) are
+computed from the values by a single code path.
 """
 
 from __future__ import annotations
@@ -204,7 +205,6 @@ def _lconst(x) -> _Lau:
 
 _LZERO = _lau({}, 1)
 _LONE = _lau({_ZEXP: 1}, 1)
-_S_SQUARE = _lau({(-1, 1, 1, 1, 1): 1}, 1)  # s^2 = abcd/q
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +214,6 @@ _S_SQUARE = _lau({(-1, 1, 1, 1, 1): 1}, 1)  # s^2 = abcd/q
 # denominator has several terms.  Its import is most of the start-up time
 # and memory of a process, so _load_field runs only where a value needs it.
 
-sympy = None
 _FIELD = None
 _POLY = None  # PolyElement.new: wraps a term dict as it is
 _QQ_NEW = None
@@ -222,15 +221,15 @@ _QQ_NEW = None
 
 def _load_field() -> None:
     """Import sympy and bind the field and its constructors."""
-    global sympy, _FIELD, _POLY, _QQ_NEW
+    global _FIELD, _POLY, _QQ_NEW
     if _FIELD is not None:
         return
-    import sympy
+    from sympy import QQ
     from sympy.polys.fields import field
 
-    _FIELD = field("q,a,b,c,d", sympy.QQ)[0]
+    _FIELD = field("q,a,b,c,d", QQ)[0]
     _POLY = _FIELD.ring.dtype
-    _QQ_NEW = sympy.QQ.dtype
+    _QQ_NEW = QQ.dtype
 
 
 def _as_field(x):
@@ -351,49 +350,46 @@ def _ceval(x, vals: Sequence[Fraction]) -> Fraction:
     return _frac_of_ground(num) / _frac_of_ground(den)
 
 
-def _rf(r0, r1) -> "RatFunc":
-    """The scalar r0 + r1*s from components, ground when it is a constant."""
-    t = r0.t if type(r0) is _Lau else None
-    if not r1 and t is not None and (not t or len(t) == 1 and _ZEXP in t):
-        return RatFunc._from_ground(_rat(t.get(_ZEXP, 0), r0.d))
+def _rf(r0) -> "RatFunc":
+    """The scalar with component r0, ground when it is a constant."""
+    if type(r0) is _Lau and (not r0.t or len(r0.t) == 1 and _ZEXP in r0.t):
+        return RatFunc._from_ground(_rat(r0.t.get(_ZEXP, 0), r0.d))
     out = _new(RatFunc)
-    out.g, out.r0, out.r1 = None, r0, r1
+    out.g, out.r0 = None, r0
     return out
 
 
 class RatFunc:
-    """Exact rational function in q, a, b, c, d, linear in s (s^2 = abcd/q).
+    """Exact rational function in q, a, b, c, d.
 
     Immutable.  A rational constant (the overwhelmingly common case once
     parameters are specialized) is a single reduced rational in ``g``, two
-    Python ints.  Any other value has ``g`` None and two components, ``r0``
-    (rational part) and ``r1`` (coefficient of s), each a Laurent
-    polynomial when its reduced denominator is a monomial and a sympy field
-    element otherwise.  Every form is unique, so structural equality is
-    semantic equality: abcd/q is not a square in the rational function
-    field, hence r0 + r1*s = 0 only for r0 = r1 = 0, and the extension by s
-    stays a field.
+    Python ints.  Any other value has ``g`` None and one component ``r0``,
+    a Laurent polynomial when its reduced denominator is a monomial and a
+    sympy field element otherwise.  Every form is unique, so structural
+    equality is semantic equality.
     """
 
-    __slots__ = ("r0", "r1", "g")
+    __slots__ = ("r0", "g")
 
-    def __init__(self, r0, r1=None):
-        """r0 + r1*s from components or sympy field elements (r1 default 0)."""
-        v = _rf(_component(r0), _LZERO if r1 is None else _component(r1))
-        self.g, self.r0, self.r1 = v.g, v.r0, v.r1
+    r1 = None  # no second component; perfbench/tracer.py reads it
+
+    def __init__(self, r0):
+        """The scalar of a component or a sympy field element."""
+        v = _rf(_component(r0))
+        self.g, self.r0 = v.g, v.r0
 
     @staticmethod
     def _from_ground(value: _Rat) -> "RatFunc":
         out = _new(RatFunc)
-        out.g, out.r0, out.r1 = value, None, None
+        out.g, out.r0 = value, None
         return out
 
-    def _parts(self):
-        """The (r0, r1) components, built on demand for a constant."""
+    def _part(self):
+        """The component, built on demand for a constant."""
         if self.r0 is None:
             self.r0 = _lconst(self.g)
-            self.r1 = _LZERO
-        return self.r0, self.r1
+        return self.r0
 
     # -- constructors -------------------------------------------------
 
@@ -413,43 +409,11 @@ class RatFunc:
     def gen(name: str) -> "RatFunc":
         return _GENS[name]
 
-    @staticmethod
-    def s() -> "RatFunc":
-        """The adjoined square root itself: s with s^2 = abcd/q."""
-        return _rf(_LZERO, _LONE)
-
-    @staticmethod
-    def parse(text: str) -> "RatFunc":
-        """Build a scalar from a Python-syntax expression in q,a,b,c,d,s.
-
-        Intended for frozen expected values in tests and for documentation;
-        command-line input goes through the expression parser instead.
-        """
-        _load_field()
-        expr = sympy.cancel(sympy.sympify(text, rational=True))
-        syms = {str(f) for f in expr.free_symbols}
-        if not syms <= {"q", "a", "b", "c", "d", "s"}:
-            raise ValueError(f"unknown symbols in scalar literal: {sorted(syms)}")
-        if "s" not in syms:
-            return RatFunc(_FIELD.from_expr(expr))
-        s_sym = sympy.Symbol("s")
-        num, den = expr.as_numer_denom()
-        if s_sym in den.free_symbols:
-            raise ValueError("scalar literal may not carry s in a denominator")
-        poly = sympy.Poly(num, s_sym)
-        if poly.degree() > 1:
-            raise ValueError("scalar literal must be linear in s")
-        r0_expr = poly.coeff_monomial(1) / den
-        r1_expr = poly.coeff_monomial(s_sym) / den
-        return RatFunc(_FIELD.from_expr(r0_expr), _FIELD.from_expr(r1_expr))
-
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.g if self.g is not None else not (self.r0 or self.r1)
-
-    def has_s(self) -> bool:
-        return self.g is None and bool(self.r1)
+        # zero is a constant, by construction
+        return self.g is not None and not self.g
 
     def is_constant(self) -> bool:
         """True for a rational constant (and for every element of GF(p))."""
@@ -474,16 +438,14 @@ class RatFunc:
             return NotImplemented
         if self.g is not None and o.g is not None:
             return RatFunc._from_ground(self.g + o.g)
-        a0, a1 = self._parts()
-        b0, b1 = o._parts()
-        return _rf(_cadd(a0, b0), _cadd(a1, b1))
+        return _rf(_cadd(self._part(), o._part()))
 
     __radd__ = __add__
 
     def __neg__(self):
         if self.g is not None:
             return RatFunc._from_ground(-self.g)
-        return _rf(_cadd(_LZERO, self.r0, -1), _cadd(_LZERO, self.r1, -1))
+        return _rf(_cadd(_LZERO, self.r0, -1))
 
     def __sub__(self, other):
         o = RatFunc._coerce(other)
@@ -491,9 +453,7 @@ class RatFunc:
             return NotImplemented
         if self.g is not None and o.g is not None:
             return RatFunc._from_ground(self.g - o.g)
-        a0, a1 = self._parts()
-        b0, b1 = o._parts()
-        return _rf(_cadd(a0, b0, -1), _cadd(a1, b1, -1))
+        return _rf(_cadd(self._part(), o._part(), -1))
 
     def __rsub__(self, other):
         o = RatFunc._coerce(other)
@@ -505,14 +465,7 @@ class RatFunc:
             return NotImplemented
         if self.g is not None and o.g is not None:
             return RatFunc._from_ground(self.g * o.g)
-        a0, a1 = self._parts()
-        b0, b1 = o._parts()
-        if not a1 and not b1:
-            return _rf(_cmul(a0, b0), _LZERO)
-        return _rf(
-            _cadd(_cmul(a0, b0), _cmul(_cmul(a1, b1), _S_SQUARE)),
-            _cadd(_cmul(a0, b1), _cmul(a1, b0)),
-        )
+        return _rf(_cmul(self._part(), o._part()))
 
     __rmul__ = __mul__
 
@@ -521,12 +474,7 @@ class RatFunc:
             raise DivisionByZero("inverse of zero scalar")
         if self.g is not None:
             return RatFunc._from_ground(self.g.inv())
-        r0, r1 = self.r0, self.r1
-        if not r1:
-            return _rf(_cinv(r0), _LZERO)
-        # norm = 0 would force abcd/q to be a square in the function field
-        norm_inv = _cinv(_cadd(_cmul(r0, r0), _cmul(_cmul(r1, r1), _S_SQUARE), -1))
-        return _rf(_cmul(r0, norm_inv), _cadd(_LZERO, _cmul(r1, norm_inv), -1))
+        return _rf(_cinv(self.r0))
 
     def __truediv__(self, other):
         o = RatFunc._coerce(other)
@@ -551,34 +499,25 @@ class RatFunc:
         return out
 
     def sqrt(self) -> "RatFunc | None":
-        """A square root of an s-free scalar inside the coefficient field,
-        or None when it has none.  abcd/q itself has the adjoined root s."""
-        if self.has_s() or self.is_zero():
-            return None
+        """A square root inside the coefficient field, or None.
+
+        A constant has one when its numerator and denominator are squares.
+        A symbolic value is taken to have one only when it is a single
+        term c x^e / den with even exponents and square c and den, such as
+        abcd/q at :meth:`Params.with_square_root`; any other value gets
+        None, even a square such as (a + b)^2.
+        """
         if self.g is not None:
-            nroot = _isqrt_exact(self.g.numerator)
-            droot = _isqrt_exact(self.g.denominator)
-            if nroot is None or droot is None:
-                return None
-            return RatFunc._from_ground(_rat(nroot, droot))
-        if _S_SQUARE == self.r0:
-            return RatFunc.s()
-        r0 = _as_field(self.r0)
-        root_parts = []
-        for part in (r0.numer, r0.denom):
-            content, factors = sympy.factor_list(part.as_expr())
-            if not isinstance(content, sympy.Rational):
-                return None
-            croot = _isqrt_exact(content.p), _isqrt_exact(content.q)
-            if None in croot:
-                return None
-            root = sympy.Rational(*croot)
-            for base, exp in factors:
-                if exp % 2:
-                    return None
-                root *= base ** (exp // 2)
-            root_parts.append(_FIELD.from_expr(root))
-        return RatFunc(_field_op(truediv, *root_parts))
+            m, c, den = _ZEXP, self.g.numerator, self.g.denominator
+        elif type(self.r0) is _Lau and len(self.r0.t) == 1:
+            ((m, c),) = self.r0.t.items()
+            den = self.r0.d
+        else:
+            return None
+        croot, droot = _isqrt_exact(c), _isqrt_exact(den)
+        if not croot or droot is None or any(e % 2 for e in m):
+            return None  # zero included
+        return _rf(_lau({tuple(e // 2 for e in m): croot}, droot))
 
     # -- comparison and hashing ----------------------------------------
 
@@ -589,29 +528,29 @@ class RatFunc:
         if self.g is not None or o.g is not None:
             # a non-ground value is never constant, by construction
             return self.g is not None and o.g is not None and self.g == o.g
-        a0, a1, b0, b1 = self.r0, self.r1, o.r0, o.r1
-        return type(a0) is type(b0) and type(a1) is type(b1) and a0 == b0 and a1 == b1
+        a, b = self.r0, o.r0
+        return type(a) is type(b) and a == b
 
     def __hash__(self) -> int:
         if self.g is not None:
             return hash(_frac_of_ground(self.g))
-        return hash((self.r0, self.r1))
+        return hash(self.r0)
 
     # -- evaluation ----------------------------------------------------
 
     def evaluate(self, point: Mapping[str, _Rational]) -> tuple[Fraction, Fraction]:
-        """Evaluate both components at a rational point, leaving s formal."""
+        """The value at a rational point, paired with 0 (the pair keeps the
+        shape perfbench/checks.py unpacks)."""
         if self.g is not None:
             return (_frac_of_ground(self.g), Fraction(0))
         vals = [Fraction(point[name]) for name in PARAM_NAMES]
-        return (_ceval(self.r0, vals), _ceval(self.r1, vals))
+        return (_ceval(self.r0, vals), Fraction(0))
 
     def subs(self, point: Mapping[str, _Rational]) -> "RatFunc":
-        """Substitute rational values for the five parameters (s stays formal)."""
+        """Substitute rational values for the five parameters."""
         if self.g is not None:
             return self
-        v0, v1 = self.evaluate(point)
-        return _rf(_lconst(v0), _lconst(v1))
+        return RatFunc.from_rational(self.evaluate(point)[0])
 
     def as_fraction(self) -> Fraction:
         """Return the value of a constant scalar as an exact rational."""
@@ -624,17 +563,14 @@ class RatFunc:
     def __str__(self) -> str:
         if self.g is not None:
             return str(self.g)
-        r0, r1 = _as_field(self.r0), _as_field(self.r1)
-        if not r1:
-            return str(r0)
-        return f"({r0}) + ({r1})*s" if r0 else f"({r1})*s"
+        return str(_as_field(self.r0))
 
     def __repr__(self) -> str:
         return f"RatFunc({self})"
 
 
 _GENS = {
-    name: _rf(_lau({tuple(int(i == j) for j in range(5)): 1}, 1), _LZERO)
+    name: _rf(_lau({tuple(int(i == j) for j in range(5)): 1}, 1))
     for i, name in enumerate(PARAM_NAMES)
 }
 
@@ -698,9 +634,6 @@ class ModP(RatFunc):
 
     def is_zero(self) -> bool:
         return not self.v
-
-    def has_s(self) -> bool:
-        return False
 
     def is_constant(self) -> bool:
         return True
@@ -880,14 +813,28 @@ class Params:
         vals[i], vals[j] = vals[j], vals[i]
         return self._derived(vals, f";swap({x},{y})")
 
+    def with_square_root(self) -> "Params":
+        """The symbolic point moved by d -> q d^2/(abc), where abcd/q = d^2.
+
+        The substitution embeds Q(q,a,b,c,d) into itself, so an identity
+        holds at the moved point exactly when it holds at this one, and the
+        root s of abcd/q there is d: the dual family is (d, ab/d, ac/d, qd/(bc)).
+        A constant point (rational or GF(p)) comes back unchanged; it has
+        its own root or none.
+        """
+        if not self.is_symbolic:
+            return self
+        q, a, b, c, d = self.vals
+        return self._derived((q, a, b, c, q * d * d / (a * b * c)), ";d->qd^2/(abc)")
+
     def dual(self, root: RatFunc | None = None) -> "Params":
         """The dual family (s, ab/s, ac/s, ad/s) with s^2 = abcd/q.
 
         ``root`` is s; a given root must square to abcd/q.  By default s is
-        the field's own square root: the formal extension symbol for the
-        base symbolic parameters, t^((p+1)/4) at a point of GF(p), and an
-        exact rational root at a rational point, where a missing root makes
-        the extension unavailable and this raises :class:`ExtensionDisabled`.
+        the field's own square root: t^((p+1)/4) at a point of GF(p), an
+        exact rational root at a rational point, and a one-term root at a
+        symbolic point such as :meth:`with_square_root`.  Where abcd/q has
+        no root this raises :class:`ExtensionDisabled`.
         """
         q, a, b, c, d = self.vals
         t = a * b * c * d / q

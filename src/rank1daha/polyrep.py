@@ -133,10 +133,6 @@ class LaurentPoly:
                 out[k1 + k2] = out.get(k1 + k2, _ZERO) + c1 * c2
         return LaurentPoly(out)
 
-    def dilate(self, q: RatFunc, power: int) -> "LaurentPoly":
-        """f[z] -> f[q^power z]: multiplies the z^k coefficient by q^(power*k)."""
-        return LaurentPoly({k: c * q ** (power * k) for k, c in self.coeffs.items()})
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"

@@ -37,8 +37,6 @@ from rank1daha.params import (
 # sympy's field is loaded on first use; these tests use it as the oracle
 params_module._load_field()
 _FIELD = params_module._FIELD
-_fq, _fa, _fb, _fc, _fd = _FIELD.gens
-_S_SQUARE = _fa * _fb * _fc * _fd / _fq
 
 Q = RatFunc.gen("q")
 A = RatFunc.gen("a")
@@ -204,18 +202,16 @@ def assert_same_element(got, want):
     assert str(got) == str(want)
 
 
-def assert_same_scalar(got: RatFunc, want0, want1=None):
-    """``got`` is want0 + want1*s, each component in the form its
-    denominator calls for: Laurent exactly when it is a monomial."""
-    want1 = _FIELD.zero if want1 is None else want1
+def assert_same_scalar(got: RatFunc, want):
+    """``got`` is want, its component in the form the denominator calls
+    for: Laurent exactly when it is a monomial."""
     if got.is_constant():
         c = got.as_fraction()
-        assert not want1 and want0.denom.is_ground and want0.numer.is_ground
-        assert_same_element(_FIELD(QQ(c.numerator, c.denominator)), want0)
+        assert want.denom.is_ground and want.numer.is_ground
+        assert_same_element(_FIELD(QQ(c.numerator, c.denominator)), want)
         return
-    for comp, want in ((got.r0, want0), (got.r1, want1)):
-        assert (type(comp) is _Lau) == (len(want.denom) == 1)
-        assert_same_element(_as_field(comp), want)
+    assert (type(got.r0) is _Lau) == (len(want.denom) == 1)
+    assert_same_element(_as_field(got.r0), want)
 
 
 @settings(max_examples=150, deadline=None)
@@ -226,30 +222,14 @@ def test_one_term_denominator_arithmetic_matches_sympy(x, y):
     assert_same_scalar(gx - gy, x - y)
     assert_same_scalar(-gx, -x)
     assert_same_scalar(gx * gy, x * y)
-    assert_same_scalar(gx * RatFunc.s() * RatFunc.s(), x * _S_SQUARE)
     if x:
         assert_same_scalar(gx.inv(), _FIELD.one / x)
-
-
-@settings(max_examples=30, deadline=None)
-@given(field_elements(), field_elements(), field_elements(), field_elements())
-def test_s_extended_products_and_inverses_match_sympy(r0, r1, t0, t1):
-    x, y = RatFunc(r0, r1), RatFunc(t0, t1)
-    assert_same_scalar(x + y, r0 + t0, r1 + t1)
-    assert_same_scalar(x - y, r0 - t0, r1 - t1)
-    assert_same_scalar(x * y, r0 * t0 + r1 * t1 * _S_SQUARE, r0 * t1 + r1 * t0)
-    if x:
-        if r1:
-            norm = r0 * r0 - r1 * r1 * _S_SQUARE
-            assert_same_scalar(x.inv(), r0 / norm, -r1 / norm)
-        else:
-            assert_same_scalar(x.inv(), _FIELD.one / r0)
 
 
 @given(_coefs, field_elements())
 def test_ground_scalars_enter_the_field_reduced(c, x):
     g, qc = RatFunc.from_rational(c), _FIELD(QQ(c.numerator, c.denominator))
-    assert_same_element(_as_field(g._parts()[0]), qc)
+    assert_same_element(_as_field(g._part()), qc)
     assert_same_scalar(g * RatFunc(x), x * qc)
     assert_same_scalar(g + RatFunc(x), x + qc)
 
@@ -330,10 +310,38 @@ def test_params_cache_keeps_the_most_recently_used():
     assert built == points
 
 
-def test_s_extension_square():
-    s = RatFunc.s()
-    assert (s * s - A * B * C * D / Q).is_zero()
-    assert s.has_s() and not (s * s).has_s()
+def test_with_square_root_makes_abcd_over_q_a_square(sym, gpoint):
+    p = sym.with_square_root()
+    q, a, b, c, d = p.vals
+    assert (q, a, b, c) == (Q, A, B, C) and d == Q * D * D / (A * B * C)
+    assert a * b * c * d / q == D * D
+    assert p.label == "symbolic;d->qd^2/(abc)"
+    dual = p.dual()
+    assert dual.vals == (Q, D, A * B / D, A * C / D, Q * D / (B * C))
+    assert dual.dual() == p
+    # abcd/q is not a square at the base point itself
+    with pytest.raises(ExtensionDisabled):
+        sym.dual()
+    # a constant point has its own root or none, and is not moved
+    assert gpoint.with_square_root() is gpoint
+    point = random_params_mod_p(random.Random(0))
+    assert point.with_square_root() is point
+
+
+def test_laurent_square_roots():
+    assert (Q * Q * A**4 / (B * B)).sqrt() == Q * A * A / B
+    assert (RatFunc.from_rational(Fraction(9, 4)) * C**-2).sqrt() == Fraction(3, 2) / C
+    assert RatFunc.from_rational(Fraction(9, 4)).sqrt() == Fraction(3, 2)
+    for no_root in (
+        Q * A * A,  # an odd exponent
+        2 * A * A,  # a coefficient that is not a square
+        -(A * A),
+        A * A / (3 * B * B),  # a denominator that is not a square
+        (A + B) * (A + B),  # a square of several terms
+        A * A / (Q + 1),  # a multi-term denominator
+        RatFunc.zero(),
+    ):
+        assert no_root.sqrt() is None
 
 
 def test_random_params_mod_p_are_generic_with_a_dual():
@@ -468,7 +476,7 @@ def test_mod_p_coerces_ground_scalars_ints_and_fractions(x, y):
 
 def test_mod_p_rejects_symbolic_scalars():
     m = ModP(5)
-    for symbolic in (A, Q / (A + 1), RatFunc.s(), RatFunc.one() + RatFunc.s()):
+    for symbolic in (A, Q / (A + 1)):
         for op in (
             lambda: m + symbolic,
             lambda: symbolic + m,
@@ -560,13 +568,14 @@ def test_shifted_params(sym):
 
 
 def test_dual_params_symbolic_involution(sym):
-    dual = sym.dual()
-    s = RatFunc.s()
+    point = sym.with_square_root()
+    dual = point.dual()
+    s = D  # the root of abcd/q at this point
     assert dual.value("a") == s
     assert dual.value("b") == A * B / s
     back = dual.dual()
     for name in ("q", "a", "b", "c", "d"):
-        assert back.value(name) == sym.value(name)
+        assert back.value(name) == point.value(name)
 
 
 def test_dual_params_rational_point(spoint):
@@ -624,7 +633,9 @@ def test_shifted_point_equals_the_point_it_names(gpoint):
 
 def test_derived_labels(spoint, sym):
     assert spoint.dual().label == spoint.label + ";dual(s,ab/s,ac/s,ad/s)"
-    assert sym.dual().shifted().label == "symbolic;dual(s,ab/s,ac/s,ad/s);shift(a->qa,b->qb)"
+    assert sym.with_square_root().dual().shifted().label == (
+        "symbolic;d->qd^2/(abc);dual(s,ab/s,ac/s,ad/s);shift(a->qa,b->qb)"
+    )
     assert sym.swapped("a", "c").label == "symbolic;swap(a,c)"
 
 

@@ -70,14 +70,6 @@ def test_laurent_ring_ops():
     assert (z - z).is_zero()
 
 
-def test_dilate_scales_by_exponent(sym):
-    q = sym.value("q")
-    f = LaurentPoly({2: ONE, -1: ONE})
-    g = f.dilate(q, 1)
-    assert g.coeff(2) == q * q
-    assert g.coeff(-1) == q.inv()
-
-
 # ---------------------------------------------------------------------------
 # The q-difference operator
 

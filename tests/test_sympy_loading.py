@@ -1,5 +1,4 @@
-"""sympy is imported only for multi-term denominators, parsing, symbolic
-square roots and printing.
+"""sympy is imported only for multi-term denominators and printing.
 
 Runs at GF(p) points and at rational points compute with Python integers,
 and symbolic scalars with monomial denominators with Laurent polynomials
@@ -67,8 +66,8 @@ def test_runs_without_rational_functions_load_no_sympy(argv):
 
 
 def test_symbolic_scalars_with_monomial_denominators_load_no_sympy():
-    # the step identities and the duality anti-map, s-extended scalars included
-    argv = ("verify", "run", "--checks", "step.44,duality.daha", "--max-mn", "1")
+    # the step identities and both duality checks, at d -> qd^2/(abc)
+    argv = ("verify", "run", "--checks", "step.44,duality.aw,duality.daha", "--max-mn", "1")
     assert _probe(*argv) == (0, False)
 
 
@@ -81,7 +80,7 @@ def test_a_symbolic_run_loads_sympy():
 def test_printing_a_symbolic_scalar_loads_sympy():
     source = (
         "import sys; from rank1daha.params import RatFunc; "
-        "x = RatFunc.gen('q') * RatFunc.s() + 1; before = 'sympy' in sys.modules; "
+        "x = RatFunc.gen('q') * RatFunc.gen('a') + 1; before = 'sympy' in sys.modules; "
         "text = str(x); print(text, before, 'sympy' in sys.modules)"
     )
-    assert _last_line(source) == "(1) + (q)*s False True"
+    assert _last_line(source) == "q*a + 1 False True"

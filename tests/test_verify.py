@@ -275,6 +275,17 @@ def test_duality_involution_takes_the_root_a(monkeypatch):
     assert runner(point, bounds, random.Random(0)) == "dual of dual moved parameter a"
 
 
+def test_duality_aw_fails_when_the_map_keeps_word_order(monkeypatch, sym):
+    # an anti-map that does not reverse words is an algebra map, not duality
+    monkeypatch.setattr(Element, "map_letters_reversed", Element.map_letters)
+    runner = verify._CATALOG_BY_ID["duality.aw"].runner
+    bounds = {"max_mn": 1, "max_degree": 0, "max_n": 0}
+    at_symbolic = runner(sym, bounds, random.Random(0))
+    # the failure names the moved point, where d in a residual reads as s
+    assert at_symbolic.startswith("at symbolic;d->qd^2/(abc): ")
+    assert runner(random_params_mod_p(random.Random(1)), bounds, random.Random(0))
+
+
 def test_symmetry_check_builds_the_base_family_once(monkeypatch, gpoint):
     built = []
     askey_wilson = polyrep.askey_wilson
@@ -320,6 +331,7 @@ def test_symbolic_checks_take_no_general_gcd(monkeypatch, sym):
         "iso.spherical.mult",
         "iso.antispherical.mult",
         "centralizer.samples",
+        "duality.aw",
         "duality.daha",
     ):
         runner = verify._CATALOG_BY_ID[check_id].runner
