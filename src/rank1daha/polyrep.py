@@ -18,7 +18,13 @@ Mem. AMS 319, 1985; Koekoek-Lesky-Swarttouw 2010, 14.1):
     (z + z^-1) phi_k = (a q^k)^-1 [(1 + a^2 q^(2k)) phi_k - phi_(k+1)],
 
 and the summands of the terminating 4phi3 sum for P_n are its coordinates
-in that basis.  Each public function converts its z-form input into
+c_k in that basis.  Times (q;q)_n they are products of linear factors,
+c~_k = (q^-n, abcd q^(n-1);q)_k q^k (ab q^k, ac q^k, ad q^k;q)_(n-k)
+(q^(k+1);q)_(n-k), and P_n = N_n^-1 sum_k c~_k phi_k with the normaliser
+N_n = a^n (abcd q^(n-1);q)_n (q;q)_n.  At symbolic parameters the c~_k and
+N_n are Laurent polynomials, so the eigen check, which works on them,
+never meets a multi-term denominator; ``askey_wilson`` divides through.
+Each public function converts its z-form input into
 coordinates once, by peeling the top z-degree (the z^k coefficient of
 phi_k is the monomial (-a)^k q^(k(k-1)/2), so no gcd runs), and its result
 back once, by Horner's rule in the factors phi_(k+1) / phi_k.
@@ -293,40 +299,79 @@ def apply_word(word: Sequence[str], f: LaurentPoly, params: Params) -> LaurentPo
     return _from_phi(_word_image(tuple(word), {(): _to_phi(f, basis)}, basis), basis)
 
 
-def _pn_coords(n: int, params: Params) -> tuple[Coords, RatFunc]:
-    """The coordinates of P_n up to one scalar, and that scalar.
-
-    P_n is the terminating 4phi3 sum
+def _pn_factors(n: int, params: Params) -> tuple[list[tuple], RatFunc]:
+    """The linear factors of the terminating 4phi3 sum for P_n,
 
       a^-n / (abcd q^(n-1);q)_n
         sum_k  (q^-n, abcd q^(n-1);q)_k q^k / (q;q)_k
                (ab q^k, ac q^k, ad q^k;q)_(n-k)  phi_k,
 
-    whose summands are built as running products over k: the
-    (x q^k;q)_(n-k) factors as suffix products.  The scalar is
-    a^-n / (abcd q^(n-1);q)_n.
+    one row per j < n: 1 - q^(j-n) and 1 - abcd q^(n-1+j), of the (..;q)_k
+    products; 1 - q^(j+1), of (q;q)_k; and the triple 1 - ab q^j,
+    1 - ac q^j, 1 - ad q^j, of the (..;q)_(n-k) products.  Also the
+    divisor (abcd q^(n-1);q)_n.
     """
     if n < 0:
         raise ValueError("polynomial degree must be nonnegative")
     q, a, b, c, d = params.vals
     top = a * b * c * d * q ** (n - 1)
     powers = [q**k for k in range(n + 1)]
-    suffix = [_ONE] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        x = powers[k]
-        suffix[k] = suffix[k + 1] * (_ONE - a * b * x) * (_ONE - a * c * x) * (_ONE - a * d * x)
-    coords = []
-    prefix = _ONE  # (q^-n, abcd q^(n-1);q)_k q^k / (q;q)_k
-    divisor = _ONE  # (abcd q^(n-1);q)_n
-    for k in range(n + 1):
-        coords.append(prefix * suffix[k])
-        if k < n:
-            step = _ONE - top * powers[k]
-            divisor = divisor * step
-            prefix = prefix * (_ONE - powers[k] / powers[n]) * step * q / (_ONE - powers[k + 1])
+    rows = []
+    divisor = _ONE
+    for j in range(n):
+        x = powers[j]
+        step = _ONE - top * x
+        divisor = divisor * step
+        tail = (_ONE - a * b * x, _ONE - a * c * x, _ONE - a * d * x)
+        rows.append((_ONE - x / powers[n], step, _ONE - powers[j + 1], tail))
     if divisor.is_zero():
         raise DegenerateParameters("abcd*q^m = 1", m=None)
+    return rows, divisor
+
+
+def _summands(rises: Sequence[Sequence[RatFunc]], tails: Sequence[Sequence[RatFunc]]) -> Coords:
+    """prod_(j<k) rises[j] * prod_(j>=k) tails[j] for k = 0..len(rises),
+    each row a sequence of factors, as running products over k (the tails
+    as suffix products)."""
+    suffix = [_ONE]
+    for factors in reversed(tails):
+        rest = suffix[-1]
+        for f in factors:
+            rest = rest * f
+        suffix.append(rest)
+    coords, prefix = [], _ONE
+    for factors, rest in zip([*rises, ()], reversed(suffix)):
+        coords.append(prefix * rest)
+        for f in factors:
+            prefix = prefix * f
+    return coords
+
+
+def _pn_coords(n: int, params: Params) -> tuple[Coords, RatFunc]:
+    """The coordinates of P_n up to one scalar, the summands of the 4phi3
+    sum, and that scalar a^-n / (abcd q^(n-1);q)_n."""
+    rows, divisor = _pn_factors(n, params)
+    q, a = params.vals[:2]
+    # divide by each 1 - q^(j+1) as the product runs: the cleared summands
+    # with one inverse of N_n at the end make askey_wilson for n <= 5
+    # about 2.5 times slower at symbolic parameters
+    rises = [(rise, step, q, fall.inv()) for rise, step, fall, _ in rows]
+    coords = _summands(rises, [tail for *_, tail in rows])
     return coords, (a**n * divisor).inv()
+
+
+def _pn_cleared(n: int, params: Params) -> tuple[Coords, RatFunc]:
+    """The cleared coordinates (q;q)_n c_k of P_n, Laurent polynomials at
+    symbolic parameters, and the normaliser N_n = a^n (abcd q^(n-1);q)_n
+    (q;q)_n with P_n = N_n^-1 sum_k (q;q)_n c_k phi_k."""
+    rows, divisor = _pn_factors(n, params)
+    q, a = params.vals[:2]
+    rises = [(rise, step, q) for rise, step, _, _ in rows]
+    coords = _summands(rises, [(*tail, fall) for _, _, fall, tail in rows])
+    norm = a**n * divisor
+    for _, _, fall, _ in rows:
+        norm = norm * fall
+    return coords, norm
 
 
 def askey_wilson(n: int, params: Params) -> LaurentPoly:
@@ -407,14 +452,25 @@ def check_aw_relations_in_rep(
     return residuals
 
 
-def check_eigen_in_rep(max_n: int, params: Params) -> list[LaurentPoly]:
-    """Residuals D P_n - lambda_n P_n for n = 0..max_n, each computed as
-    n+1 scalar identities on the coordinates of P_n; all are zero."""
+def check_eigen_in_rep(max_n: int, params: Params) -> list[tuple[bool, LaurentPoly]]:
+    """For n = 0..max_n, whether P_n is monic and the residual
+    D P_n - lambda_n P_n, which is zero.
+
+    Both are identities on the cleared coordinates c~_k = (q;q)_n c_k and
+    the normaliser N_n of P_n = N_n^-1 sum_k c~_k phi_k: D c~ - lambda_n c~
+    = 0 entry by entry, and c~_n times the z^n coefficient of phi_n equals
+    N_n.  Every number in them is a Laurent polynomial at symbolic
+    parameters; N_n is inverted only to convert a nonzero residual back
+    to z-form.  P_n is symmetric by construction, as every phi_k is.
+    """
     basis = _Basis(params).grow(max_n)
-    residuals = []
+    out = []
     for n in range(max_n + 1):
-        coords, scale = _pn_coords(n, params)
+        coords, norm = _pn_cleared(n, params)
         lam = basis.lam[n]
         diff = [x - lam * c for x, c in zip(_dsym(coords, basis), coords)]
-        residuals.append(_from_phi(diff, basis, scale))
-    return residuals
+        residual = LaurentPoly.zero()
+        if any(diff):
+            residual = _from_phi(diff, basis, norm.inv())
+        out.append((coords[n] * basis.phi[n][n] == norm, residual))
+    return out

@@ -306,9 +306,9 @@ def test_symmetry_check_builds_the_base_family_once(monkeypatch, gpoint):
     assert len(built) == 9
 
 
-def test_symbolic_checks_take_no_general_gcd(monkeypatch, sym):
-    """Work gate: over symbolic parameters these checks only meet monomial
-    denominators, so no operation falls back to sympy's general field."""
+@pytest.fixture
+def field_ops(monkeypatch):
+    """The operations that fall back to sympy's general field, as they run."""
     calls = []
     field_op = params_module._field_op
 
@@ -317,6 +317,12 @@ def test_symbolic_checks_take_no_general_gcd(monkeypatch, sym):
         return field_op(op, *args)
 
     monkeypatch.setattr(params_module, "_field_op", counted_field_op)
+    return calls
+
+
+def test_symbolic_checks_take_no_general_gcd(monkeypatch, field_ops, sym):
+    """Work gate: over symbolic parameters these checks only meet monomial
+    denominators, so no operation falls back to sympy's general field."""
     monkeypatch.setattr(ncalg, "_SYSTEMS", OrderedDict())
     bounds = {"max_mn": 1, "max_degree": 2, "max_n": 2}
     for check_id in (
@@ -333,14 +339,21 @@ def test_symbolic_checks_take_no_general_gcd(monkeypatch, sym):
         "centralizer.samples",
         "duality.aw",
         "duality.daha",
+        "eigen.Pn",
     ):
         runner = verify._CATALOG_BY_ID[check_id].runner
         assert runner(sym, bounds, random.Random(0)) == ""
-    assert len(calls) == 0
+    assert len(field_ops) == 0
     # the counter sees a fallback: 1 - ab has no single-term inverse
     a, b = sym.value("a"), sym.value("b")
     assert (RatFunc.one() - a * b).inv() * (RatFunc.one() - a * b) == RatFunc.one()
-    assert len(calls) == 2
+    assert len(field_ops) == 2
+
+
+def test_symbolic_eigen_check_at_degree_six_takes_no_general_gcd(field_ops, sym):
+    runner = verify._CATALOG_BY_ID["eigen.Pn"].runner
+    assert runner(sym, {"max_mn": 1, "max_degree": 0, "max_n": 6}, random.Random(0)) == ""
+    assert field_ops == []
 
 
 MULT_CHECKS = ("spherical.mult", "iso.spherical.mult", "iso.antispherical.mult")
@@ -412,19 +425,32 @@ def test_relations_check_fails_on_a_perturbed_rule(monkeypatch, gpoint):
     assert 0 < len(unresolved) < 25
 
 
-def test_eigen_check_fails_on_a_wrong_coordinate(monkeypatch, gpoint):
-    pn_coords = polyrep._pn_coords
+def _patch_pn_cleared(monkeypatch, n_bad, change):
+    """Apply ``change`` to the cleared coordinates and the normaliser of P_(n_bad)."""
+    pn_cleared = polyrep._pn_cleared
 
-    def perturbed(n, params):
-        coords, scale = pn_coords(n, params)
-        if n == 2:
-            coords[1] = coords[1] + ONE
-        return coords, scale
+    def patched(n, params):
+        out = pn_cleared(n, params)
+        return change(*out) if n == n_bad else out
 
-    monkeypatch.setattr(polyrep, "_pn_coords", perturbed)
+    monkeypatch.setattr(polyrep, "_pn_cleared", patched)
+
+
+def test_eigen_check_fails_on_a_wrong_coordinate(monkeypatch, sym, gpoint):
+    _patch_pn_cleared(monkeypatch, 2, lambda coords, norm: ([coords[0], coords[1] + ONE, *coords[2:]], norm))
     runner = verify._CATALOG_BY_ID["eigen.Pn"].runner
-    summary = runner(gpoint, {"max_mn": 1, "max_degree": 0, "max_n": 3}, random.Random(0))
-    assert summary.startswith("eigenvalue equation fails at n=2: ")
+    for params in (sym, gpoint):
+        summary = runner(params, {"max_mn": 1, "max_degree": 0, "max_n": 3}, random.Random(0))
+        assert summary.startswith("eigenvalue equation fails at n=2: ")
+
+
+def test_eigen_check_fails_on_a_wrong_normaliser(monkeypatch, sym, gpoint):
+    # the monic identity c~_n (-a)^n q^(n(n-1)/2) = N_n is computed, not built in
+    _patch_pn_cleared(monkeypatch, 3, lambda coords, norm: (coords, norm + ONE))
+    runner = verify._CATALOG_BY_ID["eigen.Pn"].runner
+    for params in (sym, gpoint):
+        summary = runner(params, {"max_mn": 1, "max_degree": 0, "max_n": 3}, random.Random(0))
+        assert summary == "P_3 is not monic"
 
 
 def test_step_check_failure_summaries(monkeypatch):
