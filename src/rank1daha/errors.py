@@ -32,8 +32,10 @@ class DivisionByZero(KernelError):
 class BudgetExhausted(KernelError):
     """The rewrite engine exceeded its step budget.
 
-    The rewrite system is terminating on valid input, so hitting the budget
-    indicates a rule-table bug rather than a long but valid computation.
+    The rewrite rules terminate (``RewriteSystem.termination_failures``
+    checks an order that every rule decreases; the ``relations-daha`` check
+    runs it), so hitting the budget means a reduction longer than the
+    budget allows, or a rule table that fails that check.
     """
 
 

@@ -28,9 +28,8 @@ normal forms through the memoized products of basis monomials, and
 identities multiply F, basis monomials and the images of single letters
 that way, so they never expand a product into its words.  :func:`reduce`
 stays the independent word-rewriting path: the base case of the basis
-products and the critical pairs run on it, the ``confluence-spot`` check
-compares its two strategies, ``duality.daha`` compares it with
-:func:`multiply`, and the tests check every product path against it.  A
+products and the critical pairs run on it, ``duality.daha`` compares it
+with :func:`multiply`, and the tests check every product path against it.  A
 ``budget`` bounds the rule applications of one word reduction: of the
 whole element in :func:`reduce`, of each basis product not yet memoized
 in the product paths.
@@ -406,37 +405,33 @@ class NormalForm:
 # The rewrite system
 
 
-def _is_normal_word(word: Word) -> bool:
-    # Z-block (one sign only), then Y-block (one sign only), then at most
-    # one trailing T1.  Equivalent to having no reducible adjacent pair.
-    rank = {"Z": 0, "Zi": 1, "Y": 2, "Yi": 3, "T1": 4}
-    prev = -1
-    t1_seen = False
+def _is_basis_word(word: Word) -> bool:
+    return word == _basis_word(*_word_key(word))
+
+
+def _order_key(word: Word) -> tuple[int, tuple[int, int, int, int]]:
+    # the Y-letter count and the key of RewriteSystem.termination_failures
+    ys = t1s = yz_pairs = t1_pairs = 0
     for letter in word:
-        r = rank[letter]
-        if t1_seen:
-            return False
         if letter == "T1":
-            t1_seen = True
-            continue
-        if prev >= 0 and r != prev:
-            # switching sign inside the Z-block or the Y-block is reducible
-            if (prev, r) in ((0, 1), (1, 0), (2, 3), (3, 2)):
-                return False
-            if r < prev:
-                return False
-        prev = r
-    return True
+            t1s += 1
+        else:
+            t1_pairs += t1s
+            if letter in ("Y", "Yi"):
+                ys += 1
+            else:
+                yz_pairs += ys
+    return ys, (len(word) - t1s, yz_pairs, t1s, t1_pairs)
 
 
 class RewriteSystem:
     """The two-letter rewrite rules derived from the defining relations.
 
     Every left side is an adjacent letter pair; every right side is a
-    linear combination of canonically ordered monomials (checked at
-    construction).  A word admits no rule exactly when it has the shape
-    Z^m Y^n T1^i, so exhaustive application of the rules computes the
-    basis expansion.
+    linear combination of basis words Z^m Y^n T1^i (checked at
+    construction).  :meth:`critical_pairs`, :meth:`termination_failures`
+    and :meth:`left_side_failures` certify that exhaustive application of
+    the rules computes the unique basis expansion.
     """
 
     def __init__(self, params: Params):
@@ -511,7 +506,7 @@ class RewriteSystem:
         }
         for (l1, l2), rhs in rules.items():
             for word, _ in rhs:
-                if not _is_normal_word(word):
+                if not _is_basis_word(word):
                     raise AssertionError(
                         f"rule {l1}{l2} has non-canonical right side {word}"
                     )
@@ -535,8 +530,8 @@ class RewriteSystem:
         """Each overlap xyz of two left sides xy and yz, with the reduced
         difference of its two one-step rewrites, rhs(xy) z - x rhs(yz).
 
-        Given termination, Bergman's diamond lemma (Adv. Math. 29, 1978) makes
-        reduction confluent exactly when every difference is zero."""
+        Given termination (:meth:`termination_failures`), Bergman's diamond lemma
+        (Adv. Math. 29, 1978) makes reduction confluent exactly when each is zero."""
         rhs = {lhs: Element("daha", dict(terms)) for lhs, terms in self.rules.items()}
         out = []
         for x, y in self.rules:
@@ -546,6 +541,34 @@ class RewriteSystem:
                     right = Element.word((x,), "daha") * rhs[y, z]
                     out.append(((x, y, z), self.reduce_terms((left - right).terms)))
         return out
+
+    def termination_failures(self) -> list[tuple[tuple[str, str], Word]]:
+        """The (left side L, right-side word w) pairs with w not below L.
+
+        A word's key counts Y/Z letters, Y-letter-before-Z-letter pairs, T1
+        letters and T1-before-Y/Z pairs, compared lexicographically.  Counts add
+        up over a context x _ y and the cross terms of the pair counts read only
+        letter counts, so key(x w y) < key(x L y) for all x, y exactly when w has
+        fewer Y/Z letters than L, or as many Y- and Z-letters and a smaller key.
+        With no failures, that relation is a semigroup order with descending
+        chain condition that every rule decreases, as the diamond lemma needs."""
+        out = []
+        for lhs, rhs in self.rules.items():
+            lhs_ys, lhs_key = _order_key(lhs)
+            for word, _ in rhs:
+                ys, key = _order_key(word)
+                if not (key[0] < lhs_key[0] or (ys == lhs_ys and key < lhs_key)):
+                    out.append((lhs, word))
+        return out
+
+    def left_side_failures(self) -> list[tuple[str, str]]:
+        """The letter pairs where having a rule disagrees with being a basis word.
+        With none, a word admits no rule exactly when its adjacent pairs are basis
+        words, which makes it Z^m Y^n T1^i: block order, one sign per block and a
+        single T1 are conditions on adjacent letters.  So reduction ends exactly
+        at the basis words."""
+        pairs = [(x, y) for x in DAHA_ALPHABET for y in DAHA_ALPHABET]
+        return [pair for pair in pairs if (pair in self.rules) == _is_basis_word(pair)]
 
     # -- the rewriting loop ---------------------------------------------
 

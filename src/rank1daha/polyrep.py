@@ -394,15 +394,14 @@ def shifted_qn(n: int, params: Params) -> LaurentPoly:
     return prefactor * p_shift
 
 
-def recurrence_coeffs(max_n: int, params: Params) -> list[tuple[RatFunc, RatFunc]]:
-    """The three-term recurrence coefficients (beta_n, gamma_n) for
-    n = 0..max_n, with (z + z^-1) P_n = P_(n+1) + beta_n P_n + gamma_n P_(n-1),
-    recovered by triangular projection onto the monic family (gamma_0 = 0).
-    Each of P_0..P_(max_n+1) is built once."""
+def _recurrence_projections(max_n: int, params: Params):
+    """For n = 0..max_n, (beta_n, gamma_n, rest_n): the coefficients read
+    off by triangular projection of (z + z^-1) P_n - P_(n+1) onto P_n and
+    P_(n-1) (gamma_0 = 0), and what the projection leaves, which is zero for
+    the monic family.  Each of P_0..P_(max_n+1) is built once."""
     if max_n < 0:
         raise ValueError("recurrence index must be nonnegative")
     family = [askey_wilson(n, params) for n in range(max_n + 2)]
-    out = []
     for n in range(max_n + 1):
         rest = apply_k1(family[n]) - family[n + 1]
         beta = rest.coeff(n)
@@ -412,6 +411,16 @@ def recurrence_coeffs(max_n: int, params: Params) -> list[tuple[RatFunc, RatFunc
         else:
             gamma = rest.coeff(n - 1)
             rest = rest - family[n - 1].scale(gamma)
+        yield beta, gamma, rest
+
+
+def recurrence_coeffs(max_n: int, params: Params) -> list[tuple[RatFunc, RatFunc]]:
+    """The three-term recurrence coefficients (beta_n, gamma_n) for
+    n = 0..max_n, with (z + z^-1) P_n = P_(n+1) + beta_n P_n + gamma_n P_(n-1),
+    recovered by triangular projection onto the monic family (gamma_0 = 0).
+    Each of P_0..P_(max_n+1) is built once."""
+    out = []
+    for beta, gamma, rest in _recurrence_projections(max_n, params):
         if not rest.is_zero():
             raise AssertionError(
                 "three-term projection left a residual; the monic family is broken"

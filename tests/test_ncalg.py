@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,8 @@ from rank1daha.errors import BudgetExhausted, DegenerateParameters
 from rank1daha.ncalg import (
     Element,
     NormalForm,
+    RewriteSystem,
+    _is_basis_word,
     aw_relations,
     centralizer_probe,
     center_probe,
@@ -117,6 +121,67 @@ def test_budget_exhaustion_raises():
 def test_unknown_strategy_rejected(gpoint):
     with pytest.raises(ValueError):
         reduce(w("T1"), gpoint, strategy="sideways")
+
+
+# ---------------------------------------------------------------------------
+# The certificate of the rewrite system
+
+
+def test_basis_words_match_an_independent_oracle():
+    # Z-block of one sign, Y-block of one sign, at most one trailing T1
+    oracle = re.compile(r"(Z*|(Zi)*)(Y*|(Yi)*)(T1)?")
+    for length in range(6):
+        for word in itertools.product(LETTERS, repeat=length):
+            assert _is_basis_word(word) == bool(oracle.fullmatch("".join(word))), word
+
+
+def _resolved(system):
+    return all(nf.is_zero() for _, nf in system.critical_pairs())
+
+
+@pytest.mark.parametrize("which", ["sym", "gpoint"])
+def test_rewrite_system_is_certified(which, request):
+    system = RewriteSystem(request.getfixturevalue(which))
+    assert system.termination_failures() == []
+    assert system.left_side_failures() == []
+    assert len(system.critical_pairs()) == 25 and _resolved(system)
+
+
+def test_certificate_control_unresolved_overlap(gpoint):
+    # raising one coefficient of the T1*Z rule fails the overlaps alone
+    system = RewriteSystem(gpoint)
+    first, (word, coef), *rest = system.rules[("T1", "Z")]
+    system.rules[("T1", "Z")] = (first, (word, coef + RatFunc.one()), *rest)
+    assert not _resolved(system)
+    assert system.termination_failures() == []
+    assert system.left_side_failures() == []
+
+
+def test_certificate_control_word_above_its_left_side(gpoint):
+    # Z^-1 Y has more Y/Z letters than T1*Z; the left sides still pass
+    system = RewriteSystem(gpoint)
+    system.rules[("T1", "Z")] += ((("Zi", "Y"), system.one),)
+    assert system.termination_failures() == [(("T1", "Z"), ("Zi", "Y"))]
+    assert system.left_side_failures() == []
+    # a smaller key is not enough when the letter counts differ: Z Z has a
+    # smaller key than Y Z, but Y Z Z does not lie below Y Y Z
+    system = RewriteSystem(gpoint)
+    system.rules[("Y", "Z")] += ((("Z", "Z"), system.one),)
+    assert system.termination_failures() == [(("Y", "Z"), ("Z", "Z"))]
+
+
+def test_certificate_control_missing_rule(gpoint):
+    # without the Y*Yi rule that word is irreducible and reads as 1, so the
+    # overlaps still resolve: only the left-side check sees the gap
+    system = RewriteSystem(gpoint)
+    del system.rules[("Y", "Yi")]
+    assert system.left_side_failures() == [("Y", "Yi")]
+    assert system.termination_failures() == []
+    assert _resolved(system)
+    # a rule on a basis word is named as well
+    system = RewriteSystem(gpoint)
+    system.rules[("Z", "Y")] = ((("Z", "Y"), system.one),)
+    assert system.left_side_failures() == [("Z", "Y")]
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,8 @@ ONE = RatFunc.one()
 
 def test_catalog_ids_unique_and_complete():
     ids = check_ids()
-    assert len(ids) == 49
-    assert len(set(ids)) == 49
+    assert len(ids) == 48
+    assert len(set(ids)) == 48
     for required in (
         "relations-daha",
         "embed.rel34",
@@ -76,7 +76,7 @@ def test_catalog_output_pinned(capsys):
     # the hash is that of `python -m rank1daha.cli catalog`
     assert cli.main(["catalog"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "0b4c8dbb0f650c5af91f6c2057f56db1e05fa7b7798cd73267a3a86c60b7324a"
+    assert digest == "dd424138f450d34cd9becac8b4aaadf863be23d20db72bb2f66d5131e5b47f69"
 
 
 # ---------------------------------------------------------------------------
@@ -325,24 +325,10 @@ def test_symbolic_checks_take_no_general_gcd(monkeypatch, field_ops, sym):
     denominators, so no operation falls back to sympy's general field."""
     monkeypatch.setattr(ncalg, "_SYSTEMS", OrderedDict())
     bounds = {"max_mn": 1, "max_degree": 2, "max_n": 2}
-    for check_id in (
-        "awrel.inrep",
-        "casimir.scalar",
-        "embed.rel34",
-        "embed.rel35",
-        "step3.spherical",
-        "step3.antispherical",
-        "idempotents",
-        "spherical.mult",
-        "iso.spherical.mult",
-        "iso.antispherical.mult",
-        "centralizer.samples",
-        "duality.aw",
-        "duality.daha",
-        "eigen.Pn",
-    ):
-        runner = verify._CATALOG_BY_ID[check_id].runner
-        assert runner(sym, bounds, random.Random(0)) == ""
+    # recurrence and symmetry.abcd divide by the normaliser of P_n
+    for spec in CHECK_CATALOG:
+        if spec.id not in ("recurrence", "symmetry.abcd"):
+            assert spec.runner(sym, bounds, random.Random(0)) == "", spec.id
     assert len(field_ops) == 0
     # the counter sees a fallback: 1 - ab has no single-term inverse
     a, b = sym.value("a"), sym.value("b")
@@ -425,6 +411,51 @@ def test_relations_check_fails_on_a_perturbed_rule(monkeypatch, gpoint):
     assert 0 < len(unresolved) < 25
 
 
+def _perturbed_relations_summary(monkeypatch, params, change):
+    """The relations-daha summary with ``change`` applied to every rule table."""
+    init = ncalg.RewriteSystem.__init__
+
+    def perturbed(self, params):
+        init(self, params)
+        change(self)
+
+    monkeypatch.setattr(ncalg.RewriteSystem, "__init__", perturbed)
+    monkeypatch.setattr(ncalg, "_SYSTEMS", OrderedDict())
+    runner = verify._CATALOG_BY_ID["relations-daha"].runner
+    return runner(params, {"max_mn": 1, "max_degree": 0, "max_n": 0}, random.Random(0))
+
+
+def test_relations_check_names_a_rule_that_breaks_the_order(monkeypatch, gpoint):
+    def append(system):
+        system.rules[("Y", "Yi")] += ((("Zi", "Y"), system.one),)
+
+    summary = _perturbed_relations_summary(monkeypatch, gpoint, append)
+    assert summary == "rule Y*Yi: right-side word Zi Y is not below its left side"
+
+
+def test_relations_check_names_a_pair_without_a_rule(monkeypatch, gpoint):
+    def drop(system):
+        del system.rules[("Yi", "Y")]
+
+    summary = _perturbed_relations_summary(monkeypatch, gpoint, drop)
+    assert summary == "letter pair Yi*Y: having a rule disagrees with being a basis word"
+
+
+@pytest.mark.parametrize(
+    "method, summary",
+    [
+        ("critical_pairs", "perturbed T1*Z rule still resolves every overlap"),
+        ("termination_failures", "T1*Z rule with Z^-1 Y appended still lies in the order"),
+    ],
+)
+def test_relations_check_controls_fail_on_their_own(monkeypatch, gpoint, method, summary):
+    # a certificate part that passes everything leaves its control failing
+    monkeypatch.setattr(ncalg.RewriteSystem, method, lambda self: [])
+    monkeypatch.setattr(ncalg, "_SYSTEMS", OrderedDict())
+    runner = verify._CATALOG_BY_ID["relations-daha"].runner
+    assert runner(gpoint, {"max_mn": 1, "max_degree": 0, "max_n": 0}, random.Random(0)) == summary
+
+
 def _patch_pn_cleared(monkeypatch, n_bad, change):
     """Apply ``change`` to the cleared coordinates and the normaliser of P_(n_bad)."""
     pn_cleared = polyrep._pn_cleared
@@ -495,6 +526,25 @@ def test_given_point_runs_exact_there():
     (result,) = report.results
     assert (result.verdict, result.trials) == ("pass", 1)
     assert report.overall == "pass"
+
+
+@pytest.mark.parametrize("which", ["gpoint", "modp"])
+def test_recurrence_check_fails_on_a_broken_family(monkeypatch, which, request):
+    # a residual of the three-term projection is a verdict, not an error
+    params = random_params_mod_p(random.Random(3)) if which == "modp" else request.getfixturevalue(which)
+    askey_wilson = polyrep.askey_wilson
+
+    def broken(n, params):
+        p_n = askey_wilson(n, params)
+        return p_n + polyrep.LaurentPoly.symmetric_basis(0) if n == 2 else p_n
+
+    monkeypatch.setattr(polyrep, "askey_wilson", broken)
+    runner = verify._CATALOG_BY_ID["recurrence"].runner
+    summary = runner(params, {"max_mn": 1, "max_degree": 0, "max_n": 4}, random.Random(0))
+    assert summary.startswith("three-term projection leaves a residual at n=2: ")
+    # the public coefficients still refuse a broken family
+    with pytest.raises(AssertionError, match="monic family is broken"):
+        polyrep.recurrence_coeffs(4, params)
 
 
 def test_recurrence_obeys_max_n_and_builds_each_polynomial_once(monkeypatch, sym):
