@@ -26,13 +26,16 @@ The maps are products of reduced factors.  :func:`multiply` folds two
 normal forms through the memoized products of basis monomials, and
 :func:`embed_aw`, :func:`compress`, :func:`iso_image` and the step
 identities multiply F, basis monomials and the images of single letters
-that way, so they never expand a product into its words.  :func:`reduce`
-stays the independent word-rewriting path: the base case of the basis
-products and the critical pairs run on it, ``duality.daha`` compares it
-with :func:`multiply`, and the tests check every product path against it.  A
-``budget`` bounds the rule applications of one word reduction: of the
-whole element in :func:`reduce`, of each basis product not yet memoized
-in the product paths.
+that way, so they never expand a product into its words.  A basis product
+not yet memoized applies one rule at a time, at the junction of a letter
+and a basis word, and takes what the rule leaves through the memo again
+(:meth:`RewriteSystem.basis_product`); at a point of GF(p) the products
+run on plain int residues.  :func:`reduce` stays the independent
+word-rewriting path: the critical pairs run on it, ``duality.daha``
+compares it with :func:`multiply`, and the tests check every product path
+against it.  A ``budget`` bounds rule applications: those rewriting the
+whole element in :func:`reduce`, and in the product paths those behind
+each basis product not yet memoized, its new sub-products included.
 
 The step identities are data.  Each row of :data:`STEP_IDENTITIES` states
 LHS = (leading terms + dominated rest) F, with F = T1+1 for the spherical
@@ -66,10 +69,14 @@ from typing import Mapping, Sequence
 
 from .errors import BudgetExhausted, DegenerateParameters, UnknownIdentity
 from .params import (
+    PRIME,
+    ModP,
     Params,
     RatFunc,
     StructureConstants,
+    _modp,
     _params_cache_entry,
+    _residue,
     structure_constants,
 )
 
@@ -116,6 +123,10 @@ def _one(params: Params) -> RatFunc:
     # the one of the parameters' field, a residue at a point of GF(p):
     # products seeded with it take no rational-constant arithmetic there
     return params.vals[0] ** 0
+
+
+def _same(x):
+    return x
 
 
 def _acc(terms: dict, key, coef: RatFunc) -> None:
@@ -511,7 +522,19 @@ class RewriteSystem:
                         f"rule {l1}{l2} has non-canonical right side {word}"
                     )
         self.rules = rules
-        self._product_cache: dict[tuple, NormalForm] = {}
+        # the scalar handling of the product kernel, fixed here: residues at
+        # a point of GF(p), the RatFunc values themselves elsewhere
+        if isinstance(one, ModP):
+            self._lift, self._drop, self._prime = _residue, _modp, PRIME
+        else:
+            self._lift = self._drop = _same
+            self._prime = 0
+        self._lift_zero, self._lift_one = self._lift(one - one), self._lift(one)
+        self._product_cache: dict[tuple, dict] = {}
+        self._prefixes: dict[Word, dict] = {(): {(0, 0, 0): self._lift_one}}
+        self._images = {
+            letter: self._lifted(nf) for letter, nf in _embedding_images(params).items()
+        }
 
     # -- the relations and their overlaps -----------------------------------
 
@@ -622,40 +645,148 @@ class RewriteSystem:
         The left factor is peeled in stages Z^m * (Y^n * (T1^i * v)): the
         T1 and Y stages are themselves memoized one-block products, and the
         final Z stage is a plain exponent shift.  Y^n itself is peeled as
-        Y^(+-1) * (Y^(n-+1) * v).  Peeling lets every distinct left key
-        reuse the expensive Y-past-Z crossings instead of rewriting the
-        concatenated word from scratch."""
+        Y^(+-1) * (Y^(n-+1) * v).  A single letter x times a basis word
+        w1 w' applies one rule, at the junction x w1: the product is the sum
+        of the rule's terms c r, each times the memoized product r w'.  When
+        x w1 is no left side, x w is a basis word already.  Termination of
+        the rules (:meth:`termination_failures`) makes this recursion finite,
+        and the left sides (:meth:`left_side_failures`) make its ends basis
+        words.  ``budget`` bounds the rule applications behind a product not
+        yet memoized, its new sub-products included."""
+        return self._normal_form(self._product(key1, key2, budget))
+
+    # -- the product kernel, on lifted coefficients ---------------------
+    #
+    # Inside the kernel a coefficient is lifted: a plain int residue at a
+    # point of GF(p), summed over products and reduced once per output
+    # coefficient; the RatFunc itself at any other point.  A lifted normal
+    # form is a dict from basis keys to nonzero lifted coefficients, and
+    # the memos hold those.
+
+    def _lifted(self, nf: NormalForm) -> dict:
+        lift = self._lift
+        return {key: lift(c) for key, c in nf.terms.items()}
+
+    def _normal_form(self, lifted: dict) -> NormalForm:
+        drop = self._drop
+        return NormalForm({key: drop(c) for key, c in lifted.items()})
+
+    def _settle(self, acc: dict) -> dict:
+        # accumulated lifted coefficients, reduced mod p and without zeros
+        p = self._prime
+        if p:
+            return {key: r for key, c in acc.items() if (r := c % p)}
+        return {key: c for key, c in acc.items() if c}
+
+    def _product(self, key1, key2, budget: int, spent: list[int] | None = None) -> dict:
         cached = self._product_cache.get((key1, key2))
         if cached is not None:
             return cached
+        if spent is None:  # an outermost miss: its new sub-products share the budget
+            spent = [0]
+            try:
+                return self._product(key1, key2, budget, spent)
+            except RecursionError:
+                raise BudgetExhausted(
+                    f"rewriting nested too deeply after {spent[0]} rule applications"
+                ) from None
         m, n, i = key1
-        if (m, i) == (0, 0) and abs(n) > 1:
+        if not m and abs(n) + i == 1:
+            result = self._peel(key1, key2, budget, spent)
+        elif not m and not i and n:
             step = 1 if n > 0 else -1
-            inner = self.basis_product((0, n - step, 0), key2, budget)
-            result = self._y_times(step, inner, budget)
-        elif (m, i) == (0, 0) or (m, n) == (0, 0):
-            word = _basis_word(*key1) + _basis_word(*key2)
-            result = self.reduce_terms({word: self.one}, budget)
+            inner = self._product((0, n - step, 0), key2, budget, spent)
+            result = self._times((0, step, 0), inner, budget, spent)
         else:
-            result = self.basis_product((0, 0, i), key2, budget) if i else None
-            if result is None:
-                result = NormalForm({key2: self.one})
+            if i:
+                result = self._product((0, 0, 1), key2, budget, spent)
+            else:
+                result = {key2: self._lift_one}
             if n:
-                result = self._y_times(n, result, budget)
+                result = self._times((0, n, 0), result, budget, spent)
             if m:
-                result = NormalForm(
-                    {(k0 + m, k1, k2): c for (k0, k1, k2), c in result.terms.items()}
-                )
+                result = {(k0 + m, k1, k2): c for (k0, k1, k2), c in result.items()}
         self._product_cache[(key1, key2)] = result
         return result
 
-    def _y_times(self, n: int, v: NormalForm, budget: int) -> NormalForm:
-        """Y^n * v, from the memoized basis products."""
-        out: dict[tuple[int, int, int], RatFunc] = {}
-        for key, coef in v.terms.items():
-            for k, c in self.basis_product((0, n, 0), key, budget).terms.items():
-                _acc(out, k, coef * c)
-        return NormalForm(out)
+    def _peel(self, key1, key2, budget: int, spent: list[int]) -> dict:
+        """x w for a letter x (Y, Y^-1 or T1) and a basis word w = w1 w',
+        by one rule application at the junction x w1."""
+        x = _basis_word(*key1)[0]
+        w = _basis_word(*key2)
+        rhs = self.rules.get((x, w[0])) if w else None
+        if rhs is None:
+            return {_word_key((x,) + w): self._lift_one}
+        spent[0] += 1
+        if spent[0] > budget:
+            raise BudgetExhausted(f"rewriting exceeded {budget} rule applications")
+        rest = _word_key(w[1:])
+        lift, zero = self._lift, self._lift_zero
+        acc: dict = {}
+        for word, coef in rhs:
+            if _is_basis_word(word):
+                terms = self._product(_word_key(word), rest, budget, spent)
+            else:
+                # only a rule table altered after construction has such a
+                # word; it is multiplied letter by letter, so that no memo
+                # key stands for a word it is not
+                terms = {rest: self._lift_one}
+                for letter in reversed(word):
+                    terms = self._times(_word_key((letter,)), terms, budget, spent)
+            c = lift(coef)
+            for key, v in terms.items():
+                acc[key] = acc.get(key, zero) + c * v
+        return self._settle(acc)
+
+    def _times(self, key1, v: dict, budget: int, spent: list[int] | None) -> dict:
+        """The basis monomial key1 times the lifted normal form v."""
+        cache, zero = self._product_cache, self._lift_zero
+        acc: dict = {}
+        for key2, c in v.items():
+            terms = cache.get((key1, key2))
+            if terms is None:
+                terms = self._product(key1, key2, budget, spent)
+            for key, x in terms.items():
+                acc[key] = acc.get(key, zero) + c * x
+        return self._settle(acc)
+
+    def _multiply(self, u: dict, v: dict, budget: int) -> dict:
+        """u v for lifted normal forms.  The monomials of u are grouped by
+        (n, i): Y^n T1^i v is formed once per group and shifted by each Z^m
+        of it."""
+        groups: dict[tuple[int, int], list] = {}
+        for (m, n, i), c in u.items():
+            groups.setdefault((n, i), []).append((m, c))
+        zero = self._lift_zero
+        out: dict = {}
+        for (n, i), shifts in groups.items():
+            head = self._times((0, n, i), v, budget, None)
+            for m, c1 in shifts:
+                for (k0, k1, k2), c in head.items():
+                    key = (k0 + m, k1, k2)
+                    out[key] = out.get(key, zero) + c1 * c
+        return self._settle(out)
+
+    def _embed(self, terms: Mapping[Word, RatFunc], budget: int) -> dict:
+        """The embedding of a K0/K1/T1 combination, lifted.  Each K-word is
+        read left to right, its prefix times the next letter's image; the
+        prefixes are memoized on the system, like the products."""
+        prefixes, images = self._prefixes, self._images
+        lift, zero = self._lift, self._lift_zero
+        out: dict = {}
+        for word, coef in terms.items():
+            nf = prefixes[()]
+            for end in range(1, len(word) + 1):
+                known = prefixes.get(word[:end])
+                if known is None:
+                    known = prefixes[word[:end]] = self._multiply(
+                        nf, images[word[end - 1]], budget
+                    )
+                nf = known
+            c = lift(coef)
+            for key, x in nf.items():
+                out[key] = out.get(key, zero) + c * x
+        return self._settle(out)
 
 
 def _word_key(word: Word) -> tuple[int, int, int]:
@@ -690,8 +821,9 @@ def reduce(
     strategy: str = "leftmost",
 ) -> NormalForm:
     """Expand an element over the five-letter alphabet in the canonical
-    basis Z^m Y^n T1^i by rewriting its words; ``budget`` bounds the rule
-    applications of the whole reduction."""
+    basis Z^m Y^n T1^i by rewriting its words, the independent oracle of
+    the product paths.  A rule application rewrites one adjacent letter
+    pair of one word; ``budget`` bounds those of the whole reduction."""
     if e.alphabet != "daha":
         raise ValueError("reduce expects an element over the five-letter alphabet")
     return rewrite_system(params).reduce_terms(e.terms, budget, strategy)
@@ -704,24 +836,15 @@ def multiply(
     budget: int = DEFAULT_BUDGET,
 ) -> NormalForm:
     """Product of two basis expansions, assembled from memoized
-    basis-monomial products.  The monomials of u are grouped by (n, i):
-    Y^n T1^i v is formed once per group and shifted by each Z^m of it.
-    ``budget`` bounds the rule applications of each word reduction behind
-    a basis product not yet memoized; memoized products cost none."""
+    basis-monomial products (:meth:`RewriteSystem.basis_product`).  The
+    monomials of u are grouped by (n, i): Y^n T1^i v is formed once per
+    group and shifted by each Z^m of it.  ``budget`` bounds the rule
+    applications behind each basis product not yet memoized, its new
+    sub-products included; memoized products cost none."""
     system = rewrite_system(params)
-    groups: dict[tuple[int, int], list[tuple[int, RatFunc]]] = {}
-    for (m, n, i), c1 in u.terms.items():
-        groups.setdefault((n, i), []).append((m, c1))
-    out: dict[tuple[int, int, int], RatFunc] = {}
-    for (n, i), shifts in groups.items():
-        head: dict[tuple[int, int, int], RatFunc] = {}
-        for key2, c2 in v.terms.items():
-            for key, coef in system.basis_product((0, n, i), key2, budget).terms.items():
-                _acc(head, key, c2 * coef)
-        for m, c1 in shifts:
-            for (k0, k1, k2), coef in head.items():
-                _acc(out, (k0 + m, k1, k2), c1 * coef)
-    return NormalForm(out)
+    return system._normal_form(
+        system._multiply(system._lifted(u), system._lifted(v), budget)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -755,29 +878,17 @@ def embed_aw(
 ) -> NormalForm:
     """Embed K0 -> Y + (abcd/q) Y^-1, K1 -> Z + Z^-1, T1 -> T1, in normal
     form.  Each K-word is read left to right, its reduced prefix multiplied
-    by the next letter's image with :func:`multiply`; prefixes shared by
-    words of e are reduced once.  ``budget`` bounds the rule applications
-    of each word reduction behind a basis product not yet memoized.
+    by the next letter's image as in :func:`multiply`; the prefixes are
+    memoized on the rewrite system of ``params``, so every call at that
+    point shares them.  ``budget`` bounds the rule applications behind each
+    basis product not yet memoized, its new sub-products included.
 
     The embedding is injective, so equal normal forms certify equality in
     the three-generator algebra."""
     if e.alphabet != "aw":
         raise ValueError("embed expects an element over the K0/K1/T1 alphabet")
-    images = _embedding_images(params)
-    prefixes: dict[Word, NormalForm] = {(): NormalForm({(0, 0, 0): _one(params)})}
-    out: dict[tuple[int, int, int], RatFunc] = {}
-    for word, coef in e.terms.items():
-        nf = prefixes[()]
-        for end in range(1, len(word) + 1):
-            known = prefixes.get(word[:end])
-            if known is None:
-                known = prefixes[word[:end]] = multiply(
-                    nf, images[word[end - 1]], params, budget
-                )
-            nf = known
-        for key, c in nf.terms.items():
-            _acc(out, key, coef * c)
-    return NormalForm(out)
+    system = rewrite_system(params)
+    return system._normal_form(system._embed(e.terms, budget))
 
 
 def aw_relations(
@@ -872,11 +983,12 @@ def compress(
     """The two-sided compression F u F in normal form, F from
     :func:`symmetrizer`, as the product F (reduced u) F.  The compression
     by the idempotent e^-1 F is e^-2 times this.  ``budget`` bounds the
-    rule applications of the reduction of u and of each word reduction
-    behind a basis product not yet memoized."""
-    f = reduce(symmetrizer(family, params)[0], params)
-    left = multiply(f, reduce(u, params, budget), params, budget)
-    return multiply(left, f, params, budget)
+    rule applications of the reduction of u, and those behind each basis
+    product not yet memoized, its new sub-products included."""
+    system = rewrite_system(params)
+    f = system._lifted(reduce(symmetrizer(family, params)[0], params))
+    left = system._multiply(f, system._lifted(reduce(u, params, budget)), budget)
+    return system._normal_form(system._multiply(left, f, budget))
 
 
 def iso_image(
@@ -888,11 +1000,12 @@ def iso_image(
     antispherical ("asym") subalgebra is e^-1 times this.  U~ is the K0/K1
     word U read in the central extension; for "asym" K0 is first replaced
     by q K0, since the source is the quotient at the shifted parameters
-    (qa, qb, c, d).  ``budget`` bounds the rule applications of each word
-    reduction behind a basis product not yet memoized."""
+    (qa, qb, c, d).  ``budget`` bounds the rule applications behind each
+    basis product not yet memoized, its new sub-products included."""
     if u.alphabet != "aw":
         raise ValueError("the subalgebra isomorphisms take K0/K1 words")
-    f = reduce(symmetrizer(family, params)[0], params)
+    system = rewrite_system(params)
+    f = system._lifted(reduce(symmetrizer(family, params)[0], params))
     k0 = params.value("q") if family == "asym" else _ONE
     tilde = u.map_letters(
         {
@@ -902,7 +1015,7 @@ def iso_image(
         },
         "aw",
     )
-    return multiply(embed_aw(tilde, params, budget), f, params, budget)
+    return system._normal_form(system._multiply(system._embed(tilde.terms, budget), f, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -1211,9 +1324,13 @@ def _step_lhs(
     m, n = _step_exponents(row, m, n)
     bases = _coef_bases(params)
     sm, sn = row.signs
+    system = rewrite_system(params)
+    lf = system._lifted(f)
     if row.kind in ("sandwich", "exact", "step3"):
-        basis = NormalForm({(sm * m, sn * n, 0): _one(params)})
-        sandwich = multiply(multiply(f, basis, params, budget), f, params, budget)
+        basis = {(sm * m, sn * n, 0): system._lift_one}
+        sandwich = system._normal_form(
+            system._multiply(system._multiply(lf, basis, budget), lf, budget)
+        )
         if row.kind != "step3":
             return sandwich
     if row.kind == "embed":
@@ -1223,7 +1340,7 @@ def _step_lhs(
             ("K1",) * (m - 1) + w + ("K0",) * (n - 1): _coef(coef, n, bases)
             for w, coef in row.middle.items()
         }
-    embedded = multiply(embed_aw(Element("aw", k_word), params, budget), f, params, budget)
+    embedded = system._normal_form(system._multiply(system._embed(k_word, budget), lf, budget))
     if row.kind == "step3":
         return sandwich.scale(_coef(_ONE_MINUS_Q2, n, bases)) - embedded.scale(
             _coef(row.scalar, n, bases)
@@ -1247,8 +1364,8 @@ def check_step_identity(
     identity reads, and for exact identities when the residual is zero.
     One-index identities read only the exponent they use.  The left side
     is a product of reduced factors (F, a basis monomial, an embedded
-    K-word), so ``budget`` bounds the rule applications of each word
-    reduction behind a basis product not yet memoized.
+    K-word), so ``budget`` bounds the rule applications behind each basis
+    product not yet memoized, its new sub-products included.
     """
     row = STEP_IDENTITIES.get(identity)
     if row is None:

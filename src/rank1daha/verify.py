@@ -474,8 +474,6 @@ def _check_recurrence(params, bounds, rng) -> str:
     for n, (_, gamma, rest) in enumerate(projections):
         if not rest.is_zero():
             return f"three-term projection leaves a residual at n={n}: {_fmt_poly(rest)}"
-        if n == 0 and not gamma.is_zero():
-            return "gamma_0 != 0"
         if n >= 1 and gamma.is_zero():
             return f"gamma_{n} = 0"
     return ""

@@ -3,9 +3,11 @@ expanded element is the oracle they must agree with.
 
 ``compress``, ``iso_image``, ``embed_aw`` and the left sides of the step
 identities multiply short normal forms (F, basis monomials, letter
-images) through the memoized basis products.  Here each is compared with
-``reduce`` of the same element written out as a sum of words, at
-symbolic parameters on small inputs and at two points of GF(p).
+images) through the memoized basis products, and each basis product
+applies one rule at a time, at the junction of a letter and a basis word.
+Here the basis products and the maps are compared with ``reduce`` of the
+same element written out as a sum of words, at symbolic parameters on
+small inputs, at a rational point and at points of GF(p).
 """
 
 import random
@@ -18,6 +20,7 @@ from rank1daha.errors import BudgetExhausted
 from rank1daha.ncalg import (
     STEP_IDENTITIES,
     Element,
+    NormalForm,
     check_step_identity,
     compress,
     embed_aw,
@@ -98,6 +101,29 @@ def _step_lhs(row, m, n, params):
     return ncalg._step_lhs(row, m, n, params, reduce(f, params), ncalg.DEFAULT_BUDGET)
 
 
+def _keys(bound):
+    span = range(-bound, bound + 1)
+    return [(m, n, i) for m in span for n in span for i in (0, 1)]
+
+
+@pytest.mark.parametrize("which", ["sym", "gpoint", "modp"])
+def test_basis_products_match_rewriting(which, request):
+    # Y, Y^-1 and T1 times every basis word with |m|, |n| <= 3 is the rule
+    # application at the junction; the key pairs add the staged peel.  The
+    # oracle rewrites whole words, so the pairs stop at |m|, |n| <= 1 (2 at
+    # GF(p)): on all pairs with |m|, |n| <= 3 it takes minutes
+    params = random_params_mod_p(random.Random(3)) if which == "modp" else request.getfixturevalue(which)
+    system = ncalg.RewriteSystem(params)
+    letters = [(0, 1, 0), (0, -1, 0), (0, 0, 1)]
+    pairs = [(x, key) for x in letters for key in _keys(3)]
+    bound = 2 if which == "modp" else 1
+    pairs += [(k1, k2) for k1 in _keys(bound) for k2 in _keys(bound)]
+    for key1, key2 in pairs:
+        word = ncalg._basis_word(*key1) + ncalg._basis_word(*key2)
+        got = system.basis_product(key1, key2)
+        assert got == system.reduce_terms({word: system.one}), (key1, key2)
+
+
 def test_compress_matches_rewriting(point):
     rng = random.Random(5)
     for family in ("sym", "asym"):
@@ -149,6 +175,50 @@ def test_a_looping_rule_exhausts_the_budget(monkeypatch, gpoint, name):
     monkeypatch.setitem(rules, ("Y", "Z"), ((("Y", "Z"), one),))
     with pytest.raises(BudgetExhausted, match="exceeded 10 rule applications"):
         _LOOPING_CALLS[name](gpoint)
+
+
+@pytest.mark.parametrize("name", ["multiply", "embed_aw"])
+def test_a_looping_rule_exhausts_the_budget_mod_p(monkeypatch, name):
+    # the same looping table at a point of GF(p), where the kernel works on
+    # residues; under the default budget the loop nests past the
+    # interpreter's limit first, and that ends in BudgetExhausted too
+    point = random_params_mod_p(random.Random(3))
+    monkeypatch.setattr(ncalg, "_SYSTEMS", OrderedDict())
+    rules = ncalg.rewrite_system(point).rules
+    one = rules[("Z", "Zi")][0][1]
+    monkeypatch.setitem(rules, ("T1", "T1"), ((("T1", "T1"), one),))
+    monkeypatch.setitem(rules, ("Y", "Z"), ((("Y", "Z"), one),))
+    t1 = NormalForm({(0, 0, 1): one})
+    calls = {
+        "multiply": lambda budget: ncalg.multiply(t1, t1, point, budget),
+        "embed_aw": lambda budget: embed_aw(Element.word(("K0", "K1"), "aw"), point, budget),
+    }
+    with pytest.raises(BudgetExhausted, match="exceeded 10 rule applications"):
+        calls[name](10)
+    with pytest.raises(BudgetExhausted, match="nested too deeply"):
+        calls[name](ncalg.DEFAULT_BUDGET)
+
+
+def test_step3_and_iso_rewrite_no_words(monkeypatch):
+    """Work gate on the seeded trial of test_step3_and_iso_work_gate: the
+    basis products apply one rule per memo miss and rewrite no word, where
+    whole-word rewriting took 1,504 rule applications.  The memo holds the
+    sub-products too: 643 entries, against 436 then."""
+    monkeypatch.setattr(ncalg, "_SYSTEMS", OrderedDict())
+    steps = [0]
+    find_redex = ncalg.RewriteSystem._find_redex
+
+    def counted(self, word, strategy):
+        pos = find_redex(self, word, strategy)
+        steps[0] += pos is not None
+        return pos
+
+    monkeypatch.setattr(ncalg.RewriteSystem, "_find_redex", counted)
+    config = RunConfig(checks=["step3.spherical", "iso.spherical.mult"], mode="prob", trials=1)
+    assert [r.verdict for r in run_checks(config).results] == ["pass", "pass"]
+    assert steps[0] == 0
+    memoized = sum(len(s._product_cache) for s in ncalg._SYSTEMS.values())
+    assert 0 < memoized <= 643, memoized
 
 
 def test_step3_and_iso_work_gate(monkeypatch):

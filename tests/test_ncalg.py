@@ -26,7 +26,7 @@ from rank1daha.ncalg import (
     shift_operator_identities,
     symmetrizer,
 )
-from rank1daha.params import RatFunc, make_params, structure_constants
+from rank1daha.params import RatFunc, make_params, random_params_mod_p, structure_constants
 
 LETTERS = ("T1", "Y", "Yi", "Z", "Zi")
 
@@ -188,14 +188,25 @@ def test_certificate_control_missing_rule(gpoint):
 # multiply
 
 
-def test_multiply_identity_and_consistency(gpoint):
+def _check_multiply_identity_and_consistency(params):
     rng = random.Random(8)
-    one = reduce(Element.one("daha"), gpoint)
+    one = reduce(Element.one("daha"), params)
     for _ in range(10):
-        u = reduce(w(*[rng.choice(LETTERS) for _ in range(3)]), gpoint)
-        v = reduce(w(*[rng.choice(LETTERS) for _ in range(3)]), gpoint)
-        assert multiply(one, u, gpoint) == u
-        assert multiply(u, v, gpoint) == reduce(u.as_element() * v.as_element(), gpoint)
+        u = reduce(w(*[rng.choice(LETTERS) for _ in range(3)]), params)
+        v = reduce(w(*[rng.choice(LETTERS) for _ in range(3)]), params)
+        assert multiply(one, u, params) == u
+        assert multiply(u, v, params) == reduce(u.as_element() * v.as_element(), params)
+
+
+def test_multiply_identity_and_consistency(gpoint):
+    _check_multiply_identity_and_consistency(gpoint)
+
+
+@pytest.mark.parametrize("which", ["sym", "modp"])
+def test_multiply_identity_and_consistency_off_gpoint(which, request):
+    # symbolic coefficients, and residues inside the product kernel
+    params = random_params_mod_p(random.Random(4)) if which == "modp" else request.getfixturevalue(which)
+    _check_multiply_identity_and_consistency(params)
 
 
 def test_multiply_associative(gpoint):

@@ -547,6 +547,23 @@ def test_recurrence_check_fails_on_a_broken_family(monkeypatch, which, request):
         polyrep.recurrence_coeffs(4, params)
 
 
+@pytest.mark.parametrize("which", ["gpoint", "modp"])
+def test_recurrence_check_reads_the_n0_relation(monkeypatch, which, request):
+    # (z + z^-1) P_0 = P_1 + beta_0 P_0 has no gamma term: P_1 moved by
+    # z + z^-1 must show as the residual of the projection at n = 0
+    params = random_params_mod_p(random.Random(3)) if which == "modp" else request.getfixturevalue(which)
+    askey_wilson = polyrep.askey_wilson
+
+    def broken(n, params):
+        p_n = askey_wilson(n, params)
+        return p_n + polyrep.LaurentPoly.symmetric_basis(1) if n == 1 else p_n
+
+    monkeypatch.setattr(polyrep, "askey_wilson", broken)
+    runner = verify._CATALOG_BY_ID["recurrence"].runner
+    summary = runner(params, {"max_mn": 1, "max_degree": 0, "max_n": 2}, random.Random(0))
+    assert summary.startswith("three-term projection leaves a residual at n=0: "), summary
+
+
 def test_recurrence_obeys_max_n_and_builds_each_polynomial_once(monkeypatch, sym):
     built = []
     askey_wilson = polyrep.askey_wilson
