@@ -34,8 +34,6 @@ from .ncalg import (
     NormalForm,
     RewriteSystem,
     aw_relations,
-    center_probe,
-    centralizer_probe,
     check_step_identity,
     compress,
     duality_image,
@@ -120,8 +118,6 @@ __all__ = [
     "askey_wilson",
     "aw_relations",
     "casimir_apply",
-    "center_probe",
-    "centralizer_probe",
     "check_aw_relations_in_rep",
     "check_ids",
     "check_step_identity",

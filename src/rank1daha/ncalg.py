@@ -14,7 +14,7 @@ embedding (:func:`embed_aw`), the symmetrizers and the spherical /
 antispherical maps, the strict-dominance filtration predicate
 :func:`is_o_of`, the catalog of step identities used to prove the two
 subalgebra isomorphisms (:func:`check_step_identity`), duality anti-maps,
-shift-operator identities, and centralizer / center probes.
+shift-operator identities, and the rank routine of the catalog's rank certificates.
 
 Only :func:`symmetrizer` builds F = T1+1 ("sym") or F = T1+ab ("asym")
 and knows e, F^2 = eF.  The maps are cleared, free of e^-1:
@@ -65,7 +65,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import BudgetExhausted, DegenerateParameters, UnknownIdentity
 from .params import (
@@ -102,9 +102,7 @@ __all__ = [
     "STEP_IDENTITIES",
     "StepRow",
     "duality_image",
-    "centralizer_probe",
     "shift_operator_identities",
-    "center_probe",
 ]
 
 DAHA_ALPHABET = ("T1", "Y", "Yi", "Z", "Zi")
@@ -620,6 +618,8 @@ class RewriteSystem:
             for word, coef in pending.items():
                 pos = self._find_redex(word, strategy)
                 if pos is None:
+                    if not _is_basis_word(word):  # a rule table short of a left side
+                        raise ValueError(f"irreducible word {' '.join(word)} is not a basis word")
                     _acc(out, _word_key(word), coef)
                     continue
                 steps += 1
@@ -847,6 +847,25 @@ def multiply(
     )
 
 
+def _rank(vectors: Iterable[Mapping], params: Params) -> int:
+    """The rank of ``vectors``, dicts from keys to scalars at the point
+    ``params``, by echelon form on the product kernel's lifted coefficients."""
+    system = rewrite_system(params)
+    lift, zero, settle = system._lift, system._lift_zero, system._settle
+    pivots: dict = {}  # key -> pivot row: 1 at the key, 0 at earlier pivot keys
+    for vector in vectors:
+        v = settle({key: lift(c) for key, c in vector.items()})
+        for key, row in pivots.items():
+            if key in v:  # subtract v[key] times the row
+                c = v[key]
+                v = settle({**v, **{k: v.get(k, zero) - c * x for k, x in row.items()}})
+        if v:
+            key, c = next(iter(v.items()))
+            inv = lift(system._drop(c).inv())
+            pivots[key] = settle({k: inv * x for k, x in v.items()})
+    return len(pivots)
+
+
 # ---------------------------------------------------------------------------
 # The central-extension embedding
 
@@ -1006,16 +1025,9 @@ def iso_image(
         raise ValueError("the subalgebra isomorphisms take K0/K1 words")
     system = rewrite_system(params)
     f = system._lifted(reduce(symmetrizer(family, params)[0], params))
-    k0 = params.value("q") if family == "asym" else _ONE
-    tilde = u.map_letters(
-        {
-            "K0": Element("aw", {("K0",): k0}),
-            "K1": Element.generator("K1"),
-            "T1": Element.generator("T1", "aw"),
-        },
-        "aw",
-    )
-    return system._normal_form(system._multiply(system._embed(tilde.terms, budget), f, budget))
+    k0 = params.value("q") if family == "asym" else _one(params)
+    tilde = {word: c * k0 ** word.count("K0") for word, c in u.terms.items()}
+    return system._normal_form(system._multiply(system._embed(tilde, budget), f, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -1443,15 +1455,7 @@ def duality_image(
 
 
 # ---------------------------------------------------------------------------
-# Centralizer, shift operators, center probes
-
-
-def centralizer_probe(
-    e: Element, params: Params, budget: int = DEFAULT_BUDGET
-) -> NormalForm:
-    """The reduced commutator e T1 - T1 e (zero exactly on the centralizer)."""
-    t1 = Element.generator("T1", "daha")
-    return reduce(e * t1 - t1 * e, params, budget)
+# Shift operators
 
 
 def shift_operator_identities(
@@ -1478,33 +1482,3 @@ def shift_operator_identities(
     residual_minus = reduce(f_sym * d_minus * f_sym, params, budget)
     residual_plus = reduce(f_asym * d_plus * f_asym, params, budget)
     return residual_minus, residual_plus
-
-
-def center_probe(
-    max_degree: int, params: Params, budget: int = DEFAULT_BUDGET
-) -> list[tuple[tuple[int, int, int], bool]]:
-    """For every non-identity basis element Z^m Y^n T1^i with
-    |m|+|n|+i <= max_degree, report whether it fails to commute with at
-    least one generator (True everywhere exactly when the center is
-    trivial at this degree)."""
-    generators = [
-        Element.generator("Z"),
-        Element.generator("Y"),
-        Element.generator("T1", "daha"),
-    ]
-    out = []
-    for m in range(-max_degree, max_degree + 1):
-        for n in range(-max_degree + abs(m), max_degree - abs(m) + 1):
-            for i in (0, 1):
-                if abs(m) + abs(n) + i > max_degree:
-                    continue
-                if (m, n, i) == (0, 0, 0):
-                    continue
-                basis = Element("daha", {_basis_word(m, n, i): _ONE})
-                noncommuting = False
-                for g in generators:
-                    if not reduce(basis * g - g * basis, params, budget).is_zero():
-                        noncommuting = True
-                        break
-                out.append(((m, n, i), noncommuting))
-    return out

@@ -20,6 +20,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 from . import ncalg, polyrep
@@ -223,42 +224,63 @@ def _check_spherical_mult(params, bounds, rng) -> str:
     return ""
 
 
-def _k_words_up_to(total: int) -> list[tuple[str, ...]]:
-    words: list[tuple[str, ...]] = [()]
-    frontier: list[tuple[str, ...]] = [()]
-    for _ in range(total):
-        frontier = [w + (g,) for w in frontier for g in ("K0", "K1")]
-        words.extend(frontier)
-    return words
+def _at_points(points):
+    """Run a check at each point of ``points(params, rng)`` until one gives a verdict;
+    a failure at a moved point starts with its label.  A check returns None where a
+    rank drops, which proves nothing; if every point drops, DegenerateParameters names them."""
+
+    def wrap(check):
+        def run(params, bounds, rng) -> str:
+            dropped = []
+            for point in points(params, rng):
+                failure = check(point, bounds, rng)
+                if failure is not None:
+                    moved = failure and point is not params
+                    return f"at {point.label}: {failure}" if moved else failure
+                dropped.append(point.label)
+            raise DegenerateParameters(f"rank drops at {'; '.join(dropped)}")
+
+        return run
+
+    return wrap
 
 
-def _check_iso_mult(family: str):
-    # the isomorphism is e^-1 J with J(U) = U~ F, so it is multiplicative
-    # exactly when J(U) J(V) = e J(UV)
-    def run(params, bounds, rng) -> str:
-        _, e = ncalg.symmetrizer(family, params)
-        images = {
-            w: ncalg.iso_image(family, Element("aw", {w: _ONE}), params)
-            for w in _k_words_up_to(4)
-        }
-        words = _k_words_up_to(2)  # pairs with total length <= 4
-        products = {
-            (w1, w2): ncalg.multiply(images[w1], images[w2], params)
-            for w1 in words
-            for w2 in words
-        }
-        for (w1, w2), left in products.items():
-            if left != images[w1 + w2].scale(e):
-                return (
-                    f"not multiplicative on {' '.join(w1) or '1'} | "
-                    f"{' '.join(w2) or '1'}"
-                )
-        # control: the map tells K0 K1 from K1 K0
-        if products[("K0",), ("K1",)] == images[("K1", "K0")].scale(e):
-            return "control: J(K0) J(K1) = e J(K1 K0)"
-        return ""
+# the duality checks run where abcd/q has a root, which is d there
+_at_square_root = _at_points(lambda params, rng: [params.with_square_root()])
+# a rank certificate runs at one witness point, where no rank exceeds the generic one:
+# the point itself, or for a symbolic one the first of up to three points of GF(p) not dropping
+_at_witness = _at_points(
+    lambda params, rng: [params] if not params.is_symbolic
+    else (random_params_mod_p(rng) for _ in range(3))
+)
 
-    return run
+
+def _kernel(point, keys, gens) -> int:
+    # the kernel dimension of x -> ([x, g] for g in gens) on the span of the basis keys
+    gens, images = [NormalForm({g: _ONE}) for g in gens], []
+    for x in (NormalForm({key: _ONE}) for key in keys):
+        comms = [ncalg.multiply(x, g, point) - ncalg.multiply(g, x, point) for g in gens]
+        images.append({(j, k): c for j, comm in enumerate(comms) for k, c in comm.terms.items()})
+    return len(images) - ncalg._rank(images, point)
+
+
+def _k_words(bound: int) -> list[tuple[str, ...]]:
+    # K0^n (K1 K0)^l K1^m with l in {0, 1}, n + l <= bound and m + l <= bound
+    return [
+        ("K0",) * n + ("K1", "K0") * l + ("K1",) * m
+        for l in (0, 1) for n in range(bound + 1 - l) for m in range(bound + 1 - l)
+    ]
+
+
+def _check_iso_rank(family: str, point, bounds, rng) -> str | None:
+    words = [w for w in _k_words(4) if len(w) <= 4]  # n + 2l + m <= 4: 21 words
+    images = {w: ncalg.iso_image(family, Element("aw", {w: _ONE}), point).terms for w in words}
+    if ncalg._rank(images.values(), point) < len(images):
+        return None
+    # control: with J(K0) replaced by 2 J(K1) the rank drops by one
+    images[("K0",)] = {key: c + c for key, c in images[("K1",)].items()}
+    rank = ncalg._rank(images.values(), point)
+    return "" if rank == len(images) - 1 else f"control: rank {rank} with J(K0) = 2 J(K1)"
 
 
 def _check_steps(names: tuple[str, ...]):
@@ -297,19 +319,6 @@ def _check_o_filtration(params, bounds, rng) -> str:
         if got != want:
             return f"dominance predicate wrong: {label}"
     return ""
-
-
-def _at_square_root(check):
-    """The duality check ``check``, run at params.with_square_root(), where
-    abcd/q has a root.  A failure at a moved point starts with its label,
-    so a d in the residual reads as the root s."""
-
-    def run(params, bounds, rng) -> str:
-        point = params.with_square_root()
-        failure = check(point, bounds, rng)
-        return f"at {point.label}: {failure}" if failure and point is not params else failure
-
-    return run
 
 
 @_at_square_root
@@ -428,30 +437,42 @@ def _check_shiftops(params, bounds, rng) -> str:
     return ""
 
 
-def _check_centralizer(params, bounds, rng) -> str:
-    f, e = ncalg.symmetrizer("sym", params)
-    for word in (("K0",), ("K1",), ("K0", "K1"), ("K1", "K0"), ("K0", "K0", "K1")):
-        u = ncalg.embed_element(Element("aw", {word: _ONE}), params)
-        nf = ncalg.centralizer_probe(u, params)
-        if not nf.is_zero():
-            return f"embedded {' '.join(word)} not in centralizer: {_fmt_nf(nf)}"
-        # membership implies one-sided compression: S(U) = U P_sym, FUF = e UF
-        if ncalg.compress("sym", u, params) != ncalg.reduce(u * f, params).scale(e):
-            return f"FUF != e UF for {' '.join(word)}"
-    # negative control: Z alone does not centralize T1
-    if ncalg.centralizer_probe(Element.generator("Z"), params).is_zero():
-        return "Z unexpectedly commutes with T1"
-    return ""
+@_at_witness
+def _check_centralizer_t1(point, bounds, rng) -> str | None:
+    t1, span = NormalForm({(0, 0, 1): _ONE}), range(-2, 3)
+
+    def rejected(nf: NormalForm) -> bool:  # outside the box |m|, |n| <= 2, or not commuting
+        outside = any(m not in span or n not in span for m, n, _ in nf.terms)
+        return outside or ncalg.multiply(nf, t1, point) != ncalg.multiply(t1, nf, point)
+
+    words = [w + t for w in _k_words(2) for t in ((), ("T1",))]
+    embedded = [ncalg.embed_aw(Element("aw", {w: _ONE}), point) for w in words]
+    for word, nf in zip(words, embedded):
+        if rejected(nf):
+            return f"embedded {' '.join(word)} leaves the box or does not commute with T1"
+    # control: Z in place of an embedded word is rejected
+    if not rejected(NormalForm({(1, 0, 0): _ONE})):
+        return "control: Z accepted in place of an embedded word"
+    kernel = _kernel(point, [(m, n, i) for m in span for n in span for i in (0, 1)], [(0, 0, 1)])
+    rank = ncalg._rank([nf.terms for nf in embedded], point)
+    if rank > kernel:
+        return f"embedded rank {rank} exceeds the kernel dimension {kernel}"
+    return "" if rank == kernel == len(embedded) else None
 
 
 _CENTER_DEGREE = 3
 
 
-def _check_center_daha(params, bounds, rng) -> str:
-    for key, noncommuting in ncalg.center_probe(_CENTER_DEGREE, params):
-        if not noncommuting:
-            return f"basis element {key} commutes with all generators"
-    return ""
+@_at_witness
+def _check_center_daha(point, bounds, rng) -> str | None:
+    span, gens = range(-_CENTER_DEGREE, _CENTER_DEGREE + 1), [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    box = [(m, n, i) for m in span for n in span for i in (0, 1)]
+    box = [(m, n, i) for m, n, i in box if abs(m) + abs(n) + i <= _CENTER_DEGREE]
+    kernel = _kernel(point, box, gens)
+    if kernel != 1:
+        return None if kernel > 1 else "the scalars do not commute with every generator"
+    # control: Z alone commutes with more than the scalars
+    return "" if _kernel(point, box, gens[:1]) > 1 else "control: kernel 1 for Z alone"
 
 
 def _check_eigen_pn(params, bounds, rng) -> str:
@@ -584,18 +605,21 @@ def _build_catalog() -> list[CheckSpec]:
             _check_spherical_mult,
         ),
         CheckSpec(
-            "iso.spherical.mult",
-            "U -> (1-ab)^-1 U~ (T1+1) is multiplicative on K-words of total length <= 4; "
-            "control: K0 K1 and K1 K0 have different images",
+            "iso.spherical.rank",
+            "U -> (1-ab)^-1 U~ (T1+1) is injective on the span of the 21 K0^n (K1 K0)^l K1^m, "
+            "l in {0,1}, n+2l+m <= 4: their images have rank 21 at a witness point; step.* and "
+            "step3.* prove exactly that the images lie in the spherical subalgebra; control: "
+            "J(K0) := 2 J(K1) gives rank 20",
             "exact",
-            _check_iso_mult("sym"),
+            _at_witness(partial(_check_iso_rank, "sym")),
         ),
         CheckSpec(
-            "iso.antispherical.mult",
-            "U -> (ab-1)^-1 U~ (T1+ab) with K0 -> qK0 is multiplicative on K-words of "
-            "total length <= 4; control: K0 K1 and K1 K0 have different images",
+            "iso.antispherical.rank",
+            "U -> (ab-1)^-1 U~ (T1+ab) with K0 -> qK0 is injective on the span of the same 21 "
+            "words: their images have rank 21 at a witness point; astep.* and step3.* prove "
+            "exactly that the images lie in the antispherical subalgebra; control as above",
             "exact",
-            _check_iso_mult("asym"),
+            _at_witness(partial(_check_iso_rank, "asym")),
         ),
     ]
     catalog.extend(_step_catalog_entries())
@@ -634,16 +658,19 @@ def _build_catalog() -> list[CheckSpec]:
                 _check_shiftops,
             ),
             CheckSpec(
-                "centralizer.samples",
-                "embedded K-words commute with T1 and their compression collapses to "
-                "one-sided multiplication; Z alone does not commute",
+                "centralizer.t1",
+                "in the span of Z^m Y^n T1^i, |m|,|n| <= 2, i <= 1, the centralizer of T1 is "
+                "spanned by the 26 embedded K0^n (K1 K0)^l K1^m T1^i, n+l, m+l <= 2: they commute "
+                "with T1 and have rank 26, the kernel dimension of [., T1] at a witness point; "
+                "control: Z in place of a word is rejected",
                 "exact",
-                _check_centralizer,
+                _check_centralizer_t1,
             ),
             CheckSpec(
                 "center.daha",
-                "every non-identity basis element Z^m Y^n T1^i with "
-                f"|m|+|n|+i <= {_CENTER_DEGREE} fails to commute with at least one generator",
+                "x -> ([x,Z], [x,Y], [x,T1]) has only the scalars as kernel on the span of "
+                f"Z^m Y^n T1^i, |m|+|n|+i <= {_CENTER_DEGREE}, at a witness point; control: "
+                "with Z the only generator the kernel is larger",
                 "exact",
                 _check_center_daha,
             ),

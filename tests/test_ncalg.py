@@ -11,9 +11,8 @@ from rank1daha.ncalg import (
     NormalForm,
     RewriteSystem,
     _is_basis_word,
+    _rank,
     aw_relations,
-    centralizer_probe,
-    center_probe,
     compress,
     duality_image,
     embed_aw,
@@ -26,7 +25,13 @@ from rank1daha.ncalg import (
     shift_operator_identities,
     symmetrizer,
 )
-from rank1daha.params import RatFunc, make_params, random_params_mod_p, structure_constants
+from rank1daha.params import (
+    PRIME,
+    RatFunc,
+    make_params,
+    random_params_mod_p,
+    structure_constants,
+)
 
 LETTERS = ("T1", "Y", "Yi", "Z", "Zi")
 
@@ -171,13 +176,14 @@ def test_certificate_control_word_above_its_left_side(gpoint):
 
 
 def test_certificate_control_missing_rule(gpoint):
-    # without the Y*Yi rule that word is irreducible and reads as 1, so the
-    # overlaps still resolve: only the left-side check sees the gap
+    # without the Y*Yi rule that word is irreducible: the left-side check
+    # names the gap, and reducing an overlap refuses to read Y Yi T1 as T1
     system = RewriteSystem(gpoint)
     del system.rules[("Y", "Yi")]
     assert system.left_side_failures() == [("Y", "Yi")]
     assert system.termination_failures() == []
-    assert _resolved(system)
+    with pytest.raises(ValueError, match="irreducible word Y Yi T1 is not a basis word"):
+        _resolved(system)
     # a rule on a basis word is named as well
     system = RewriteSystem(gpoint)
     system.rules[("Z", "Y")] = ((("Z", "Y"), system.one),)
@@ -397,12 +403,17 @@ def test_is_o_of(sym):
 # Centralizer, shift operators, center
 
 
-def test_centralizer_probe(gpoint):
-    k0 = embed_aw(Element.generator("K0"), gpoint).as_element()
-    assert centralizer_probe(k0, gpoint).is_zero()
-    assert not centralizer_probe(Element.generator("Z"), gpoint).is_zero()
-    zpzi = Element("daha", {("Z",): RatFunc.one(), ("Zi",): RatFunc.one()})
-    assert centralizer_probe(zpzi, gpoint).is_zero()
+def _commutator(u, v, params):
+    return multiply(u, v, params) - multiply(v, u, params)
+
+
+def test_commutators_with_t1(gpoint):
+    one = RatFunc.one()
+    t1 = NormalForm({(0, 0, 1): one})
+    assert _commutator(embed_aw(Element.generator("K0"), gpoint), t1, gpoint).is_zero()
+    assert not _commutator(NormalForm({(1, 0, 0): one}), t1, gpoint).is_zero()
+    z_plus_zi = NormalForm({(1, 0, 0): one, (-1, 0, 0): one})
+    assert _commutator(z_plus_zi, t1, gpoint).is_zero()
 
 
 def test_symmetrizer_central_on_embedded_words(sym):
@@ -431,13 +442,74 @@ def test_shift_operator_perturbation_is_nonzero(gpoint):
     assert not reduce(f * middle * f, gpoint).is_zero()
 
 
-def test_center_probe(gpoint):
-    results = center_probe(2, gpoint)
-    table = dict(results)
-    assert (0, 0, 0) not in table
-    assert table[(1, 0, 0)] is True  # Z fails to commute with Y
-    assert table[(0, 0, 1)] is True  # T1 fails to commute with Z
-    assert all(table.values())
+def test_center_kernel_at_degree_two(gpoint):
+    # on Z^m Y^n T1^i with |m|+|n|+i <= 2, only the scalars commute with Z,
+    # Y and T1; Z fails to commute with Y, and T1 with Z
+    one = RatFunc.one()
+    keys = [(m, n, i) for m in range(-2, 3) for n in range(-2, 3) for i in (0, 1)]
+    box = [NormalForm({key: one}) for key in keys if abs(key[0]) + abs(key[1]) + key[2] <= 2]
+    z, y, t1 = (NormalForm({key: one}) for key in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    images = [
+        {
+            (j, key): c
+            for j, g in enumerate((z, y, t1))
+            for key, c in _commutator(x, g, gpoint).terms.items()
+        }
+        for x in box
+    ]
+    assert (len(images), _rank(images, gpoint)) == (18, 17)
+    assert not _commutator(z, y, gpoint).is_zero()
+    assert not _commutator(t1, z, gpoint).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# The rank routine
+
+
+def _planted_rows(rng):
+    # independent integer rows and random combinations of them, shuffled
+    cols = rng.randint(1, 7)
+    base = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rng.randint(1, 6))]
+    combos = [
+        [sum(k * row[j] for k, row in zip(weights, base)) for j in range(cols)]
+        for weights in ([rng.randint(-3, 3) for _ in base] for _ in range(rng.randint(0, 4)))
+    ]
+    rows = base + combos
+    rng.shuffle(rows)
+    return rows
+
+
+def _as_vectors(rows):
+    return [{j: RatFunc.from_rational(x) for j, x in enumerate(row) if x} for row in rows]
+
+
+@pytest.mark.parametrize("which", ["gpoint", "modp"])
+def test_rank_matches_sympy_on_planted_dependencies(which, request):
+    from sympy import GF, Matrix
+    from sympy.polys.matrices import DomainMatrix
+
+    point = (
+        random_params_mod_p(random.Random(5)) if which == "modp" else request.getfixturevalue(which)
+    )
+    field = GF(PRIME)
+    rng = random.Random(17)
+    for _ in range(60):
+        rows = _planted_rows(rng)
+        if which == "modp":
+            shape = (len(rows), len(rows[0]))
+            want = DomainMatrix([[field(x) for x in row] for row in rows], shape, field).rank()
+        else:
+            want = Matrix(rows).rank()
+        assert _rank(_as_vectors(rows), point) == want, rows
+
+
+def test_rank_reads_the_field_of_the_point(gpoint):
+    # the determinant 2 (p+1)/2 - 1 = p vanishes mod p only
+    rows = [[2, 1], [1, (PRIME + 1) // 2]]
+    assert _rank(_as_vectors(rows), gpoint) == 2
+    assert _rank(_as_vectors(rows), random_params_mod_p(random.Random(5))) == 1
+    assert _rank([], gpoint) == 0
+    assert _rank([{}, {"x": RatFunc.zero()}], gpoint) == 0
 
 
 # ---------------------------------------------------------------------------

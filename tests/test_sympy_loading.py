@@ -54,7 +54,7 @@ def test_importing_the_package_loads_no_sympy():
     [
         # GF(p) points, the duality check included
         ("verify", "run", "--mode", "prob", "--trials", "1",
-         "--checks", "iso.spherical.mult,eigen.Pn,duality.daha"),
+         "--checks", "iso.spherical.rank,eigen.Pn,duality.daha"),
         # a rational point; the duality.aw row is a skip that prints abcd/q = 140
         ("verify", "run", "--params", "q=3/2,a=2,b=3,c=5,d=7",
          "--checks", "step.44,duality.aw", "--max-mn", "1"),

@@ -11,7 +11,7 @@ import pytest
 
 from rank1daha import cli, ncalg, polyrep, verify
 from rank1daha import params as params_module
-from rank1daha.errors import ConfigError, ParseError
+from rank1daha.errors import ConfigError, DegenerateParameters, ParseError
 from rank1daha.ncalg import Element
 from rank1daha.params import (
     _PARAMS_CACHE_BOUND,
@@ -55,6 +55,10 @@ def test_catalog_ids_unique_and_complete():
         "step.44.exact",
         "step3.spherical",
         "step3.antispherical",
+        "iso.spherical.rank",
+        "iso.antispherical.rank",
+        "centralizer.t1",
+        "center.daha",
         "duality.aw",
         "duality.daha",
         "shiftops",
@@ -76,7 +80,7 @@ def test_catalog_output_pinned(capsys):
     # the hash is that of `python -m rank1daha.cli catalog`
     assert cli.main(["catalog"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "dd424138f450d34cd9becac8b4aaadf863be23d20db72bb2f66d5131e5b47f69"
+    assert digest == "ca96f3e02720eea44c9d5ccf0eb97f8aa4cc554ec48013ec1ae50707b5800461"
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +209,7 @@ def test_any_runner_exception_still_yields_a_report(monkeypatch, tmp_path):
 
 def test_prob_run_keeps_per_params_caches_bounded():
     config = RunConfig(
-        checks=["iso.spherical.mult", "casimir.scalar"],
+        checks=["iso.spherical.rank", "casimir.scalar"],
         mode="prob",
         trials=16,
         max_degree=1,
@@ -217,9 +221,8 @@ def test_prob_run_keeps_per_params_caches_bounded():
 
 def test_prob_mode_takes_no_rational_arithmetic(monkeypatch):
     """Work gate: at points of GF(p) every parameter-dependent scalar is a
-    residue, so no rational number grows.  The only operations left on
-    rational constants are those of the integer word coefficients (1 * 1
-    in word products), which no parameter value enters."""
+    residue, so no rational number grows, and the word coefficients 1 of
+    the K-words meet only residues."""
     ground_ops = []
 
     def counted(name):
@@ -239,9 +242,9 @@ def test_prob_mode_takes_no_rational_arithmetic(monkeypatch):
     half = RatFunc.from_rational(Fraction(1, 2))
     assert half + half == 1 and ground_ops == [("__add__", Fraction(1, 2), Fraction(1, 2))]
     ground_ops.clear()
-    config = RunConfig(checks=["iso.spherical.mult"], mode="prob", trials=2)
+    config = RunConfig(checks=["iso.spherical.rank"], mode="prob", trials=2)
     assert [(r.verdict, r.trials) for r in run_checks(config).results] == [("pass", 2)]
-    assert set(ground_ops) == {("__mul__", 1, 1)}
+    assert ground_ops == []
 
 
 def test_full_catalog_passes_in_prob_mode(tmp_path):
@@ -342,11 +345,13 @@ def test_symbolic_eigen_check_at_degree_six_takes_no_general_gcd(field_ops, sym)
     assert field_ops == []
 
 
-MULT_CHECKS = ("spherical.mult", "iso.spherical.mult", "iso.antispherical.mult")
+RANK_CHECKS = ("iso.spherical.rank", "iso.antispherical.rank", "centralizer.t1", "center.daha")
 
 
 def test_multiplicativity_checks_fail_on_a_wrong_scalar(monkeypatch, gpoint):
-    # the cleared identities hold with e and with no other scalar
+    # the cleared identity holds with e and with no other scalar; the rank
+    # certificates that replaced iso.*.mult read no e, and
+    # test_acceptance.py::test_05 checks J(U) J(V) = e J(UV) against e + 1
     symmetrizer = ncalg.symmetrizer
 
     def perturbed(family, params):
@@ -355,31 +360,114 @@ def test_multiplicativity_checks_fail_on_a_wrong_scalar(monkeypatch, gpoint):
 
     monkeypatch.setattr(ncalg, "symmetrizer", perturbed)
     bounds = {"max_mn": 1, "max_degree": 0, "max_n": 0}
-    summaries = {
-        check_id: verify._CATALOG_BY_ID[check_id].runner(gpoint, bounds, random.Random(0))
-        for check_id in MULT_CHECKS
-    }
-    assert summaries["spherical.mult"].startswith("compression not multiplicative on ")
-    assert summaries["iso.spherical.mult"] == "not multiplicative on 1 | 1"
-    assert summaries["iso.antispherical.mult"] == "not multiplicative on 1 | 1"
+    runner = verify._CATALOG_BY_ID["spherical.mult"].runner
+    assert runner(gpoint, bounds, random.Random(0)).startswith("compression not multiplicative on ")
 
 
 def test_multiplicativity_controls_catch_a_vacuous_map(monkeypatch, gpoint):
     # maps that send everything to zero satisfy every multiplicativity
-    # identity; the controls are what fail
+    # identity, and the control fails; under the rank certificates the images
+    # of the zero map have rank 0, which proves nothing
     zero = lambda family, u, params, budget=ncalg.DEFAULT_BUDGET: ncalg.NormalForm.zero()
     monkeypatch.setattr(ncalg, "compress", zero)
     monkeypatch.setattr(ncalg, "iso_image", zero)
     bounds = {"max_mn": 1, "max_degree": 0, "max_n": 0}
-    summaries = [
-        verify._CATALOG_BY_ID[check_id].runner(gpoint, bounds, random.Random(0))
-        for check_id in MULT_CHECKS
-    ]
-    assert summaries == [
-        "control: FUF FVF = FUFVF on every pair",
-        "control: J(K0) J(K1) = e J(K1 K0)",
-        "control: J(K0) J(K1) = e J(K1 K0)",
-    ]
+    runner = verify._CATALOG_BY_ID["spherical.mult"].runner
+    assert runner(gpoint, bounds, random.Random(0)) == "control: FUF FVF = FUFVF on every pair"
+    for check_id in RANK_CHECKS[:2]:
+        with pytest.raises(DegenerateParameters, match=f"rank drops at {gpoint.label}$"):
+            verify._CATALOG_BY_ID[check_id].runner(gpoint, bounds, random.Random(0))
+
+
+def _rank_dropping_at(monkeypatch, drops):
+    """Patch the rank routine to return one less at the points where
+    ``drops(point, seen)`` holds, ``seen`` being the list of points it has
+    met so far, in order; returns that list."""
+    rank, seen = ncalg._rank, []
+
+    def patched(vectors, params):
+        if params not in seen:
+            seen.append(params)
+        return rank(vectors, params) - drops(params, seen)
+
+    monkeypatch.setattr(ncalg, "_rank", patched)
+    return seen
+
+
+@pytest.mark.parametrize("check_id", RANK_CHECKS)
+def test_rank_certificate_redraws_after_a_drop(monkeypatch, check_id):
+    seen = _rank_dropping_at(monkeypatch, lambda params, seen: params == seen[0])
+    (result,) = run_checks(RunConfig(checks=[check_id], mode="exact")).results
+    assert (result.verdict, result.residual_summary, len(seen)) == ("pass", "", 2)
+
+
+@pytest.mark.parametrize("check_id", RANK_CHECKS)
+def test_rank_certificate_that_always_drops_is_an_error(monkeypatch, gpoint, check_id):
+    seen = _rank_dropping_at(monkeypatch, lambda params, seen: True)
+    (result,) = run_checks(RunConfig(checks=[check_id], mode="exact")).results
+    assert result.verdict == "error"
+    summary = result.residual_summary
+    assert summary.startswith("DegenerateParameters: degenerate parameters: rank drops at q=")
+    assert [point.label for point in seen] == summary.split("rank drops at ")[1].split("; ")
+    assert len(seen) == 3
+    # at a given point the point itself is the only witness
+    (result,) = run_checks(RunConfig(checks=[check_id], params=gpoint)).results
+    assert result.verdict == "error"
+    assert result.residual_summary.endswith(f"rank drops at {gpoint.label}")
+
+
+def _rank_summary(monkeypatch, check_id, point, **patches):
+    for name, value in patches.items():
+        monkeypatch.setattr(ncalg, name, value)
+    return verify._CATALOG_BY_ID[check_id].runner(point, {}, random.Random(0))
+
+
+@pytest.mark.parametrize("which", ["gpoint", "modp"])
+def test_rank_certificates_fail_on_planted_defects(monkeypatch, which, request):
+    point = random_params_mod_p(random.Random(3)) if which == "modp" else request.getfixturevalue(which)
+    rank, embed_aw, multiply = ncalg._rank, ncalg.embed_aw, ncalg.multiply
+    for check_id in RANK_CHECKS:
+        assert verify._CATALOG_BY_ID[check_id].runner(point, {}, random.Random(0)) == ""
+    # a rank routine blind to dependencies breaks each control
+    count = lambda vectors, params: len(list(vectors))
+    assert _rank_summary(monkeypatch, "iso.spherical.rank", point, _rank=count) == (
+        "control: rank 21 with J(K0) = 2 J(K1)"
+    )
+    assert _rank_summary(monkeypatch, "center.daha", point, _rank=count) == (
+        "the scalars do not commute with every generator"
+    )
+    assert _rank_summary(monkeypatch, "centralizer.t1", point, _rank=count) == (
+        "embedded rank 26 exceeds the kernel dimension 0"
+    )
+    one_short = lambda vectors, params: len(list(vectors)) - 1
+    assert _rank_summary(monkeypatch, "center.daha", point, _rank=one_short) == (
+        "control: kernel 1 for Z alone"
+    )
+    monkeypatch.setattr(ncalg, "_rank", rank)
+    # embedded words that leave the box or do not commute with T1
+    for key, word in (((3, 0, 0), "K1"), ((1, 0, 0), "K0 K1")):
+        wrong = lambda e, params, budget=ncalg.DEFAULT_BUDGET, word=tuple(word.split()), key=key: (
+            ncalg.NormalForm({key: ONE}) if word in e.terms else embed_aw(e, params, budget)
+        )
+        summary = _rank_summary(monkeypatch, "centralizer.t1", point, embed_aw=wrong)
+        assert summary == f"embedded {word} leaves the box or does not commute with T1"
+    monkeypatch.setattr(ncalg, "embed_aw", embed_aw)
+    # products under which everything commutes accept Z, and make the
+    # center everything
+    commuting = lambda u, v, params, budget=ncalg.DEFAULT_BUDGET: ncalg.NormalForm.zero()
+    assert _rank_summary(monkeypatch, "centralizer.t1", point, multiply=commuting) == (
+        "control: Z accepted in place of an embedded word"
+    )
+    with pytest.raises(DegenerateParameters, match="rank drops at"):
+        _rank_summary(monkeypatch, "center.daha", point, multiply=commuting)
+    monkeypatch.setattr(ncalg, "multiply", multiply)
+    # a dependent image is a drop, never a fail
+    iso_image = ncalg.iso_image
+    dependent = lambda family, u, params, budget=ncalg.DEFAULT_BUDGET: iso_image(
+        family, Element("aw", {("K1",): ONE}) if ("K0",) in u.terms else u, params, budget
+    )
+    with pytest.raises(DegenerateParameters, match="rank drops at"):
+        _rank_summary(monkeypatch, "iso.spherical.rank", point, iso_image=dependent)
 
 
 @pytest.mark.parametrize("which", ["sym", "gpoint", "modp"])
