@@ -25,14 +25,16 @@ isomorphism U -> e^-1 U~ F.
 The maps are products of reduced factors.  :func:`multiply` folds two
 normal forms through the memoized products of basis monomials, and
 :func:`embed_aw`, :func:`compress`, :func:`iso_image` and the step
-identities multiply F, basis monomials and the images of single letters
-that way, so they never expand a product into its words.  A basis product
-not yet memoized applies one rule at a time, at the junction of a letter
-and a basis word, and takes what the rule leaves through the memo again
+identities (whose sandwiches F Z^m Y^n F are :func:`compress`) multiply F,
+basis monomials and the images of single letters that way, so they never
+expand a product into its words.  A basis product not yet memoized applies
+one rule at a time, at the junction of a letter and a basis word, and takes
+what the rule leaves through the memo again
 (:meth:`RewriteSystem.basis_product`); at a point of GF(p) the products
 run on plain int residues.  :func:`reduce` stays the independent
 word-rewriting path: the critical pairs run on it, ``duality.daha``
-compares it with :func:`multiply`, and the tests check every product path
+reduces the images of the relations with it and compares those of the
+generators with :func:`embed_aw`, and the tests check every product path
 against it.  A ``budget`` bounds rule applications: those rewriting the
 whole element in :func:`reduce`, and in the product paths those behind
 each basis product not yet memoized, its new sub-products included.
@@ -651,8 +653,9 @@ class RewriteSystem:
         x w1 is no left side, x w is a basis word already.  Termination of
         the rules (:meth:`termination_failures`) makes this recursion finite,
         and the left sides (:meth:`left_side_failures`) make its ends basis
-        words.  ``budget`` bounds the rule applications behind a product not
-        yet memoized, its new sub-products included."""
+        words; an end that is not one raises ValueError, as in
+        :meth:`reduce_terms`.  ``budget`` bounds the rule applications
+        behind a product not yet memoized, its new sub-products included."""
         return self._normal_form(self._product(key1, key2, budget))
 
     # -- the product kernel, on lifted coefficients ---------------------
@@ -716,6 +719,8 @@ class RewriteSystem:
         w = _basis_word(*key2)
         rhs = self.rules.get((x, w[0])) if w else None
         if rhs is None:
+            if not _is_basis_word((x,) + w):  # a rule table short of a left side
+                raise ValueError(f"irreducible word {' '.join((x,) + w)} is not a basis word")
             return {_word_key((x,) + w): self._lift_one}
         spent[0] += 1
         if spent[0] > budget:
@@ -1328,23 +1333,17 @@ def _step_exponents(row: StepRow, m: int, n: int) -> tuple[int, int]:
     return (1, 1) if row.kind == "exact" else (m, n)
 
 
-def _step_lhs(
-    row: StepRow, m: int, n: int, params: Params, f: NormalForm, budget: int
-) -> NormalForm:
-    # products of reduced factors: F (basis monomial) F, and the embedded
-    # K-words times F
+def _step_lhs(row: StepRow, m: int, n: int, params: Params, budget: int) -> NormalForm:
+    # products of reduced factors: the compression F (basis monomial) F, and
+    # the embedded K-words times F
     m, n = _step_exponents(row, m, n)
-    bases = _coef_bases(params)
     sm, sn = row.signs
-    system = rewrite_system(params)
-    lf = system._lifted(f)
     if row.kind in ("sandwich", "exact", "step3"):
-        basis = {(sm * m, sn * n, 0): system._lift_one}
-        sandwich = system._normal_form(
-            system._multiply(system._multiply(lf, basis, budget), lf, budget)
-        )
+        monomial = Element("daha", {_basis_word(sm * m, sn * n, 0): _one(params)})
+        sandwich = compress(row.family, monomial, params, budget)
         if row.kind != "step3":
             return sandwich
+    bases = _coef_bases(params)
     if row.kind == "embed":
         k_word = {("K1",) * (abs(sm) * m) + ("K0",) * (abs(sn) * n): _one(params)}
     else:
@@ -1352,7 +1351,9 @@ def _step_lhs(
             ("K1",) * (m - 1) + w + ("K0",) * (n - 1): _coef(coef, n, bases)
             for w, coef in row.middle.items()
         }
-    embedded = system._normal_form(system._multiply(system._embed(k_word, budget), lf, budget))
+    system = rewrite_system(params)
+    f = system._lifted(reduce(symmetrizer(row.family, params)[0], params))
+    embedded = system._normal_form(system._multiply(system._embed(k_word, budget), f, budget))
     if row.kind == "step3":
         return sandwich.scale(_coef(_ONE_MINUS_Q2, n, bases)) - embedded.scale(
             _coef(row.scalar, n, bases)
@@ -1386,9 +1387,8 @@ def check_step_identity(
         )
     if m < 1 or n < 1:
         raise ValueError("step identities take positive exponents")
-    f, _ = symmetrizer(row.family, params)
-    eps = f.terms[()]
-    nf = _step_lhs(row, m, n, params, reduce(f, params), budget)
+    eps = symmetrizer(row.family, params)[0].terms[()]
+    nf = _step_lhs(row, m, n, params, budget)
     lead_terms: dict[tuple[int, int, int], RatFunc] = {}
     for (k, l), coef in row.leading_at(m, n, params).items():
         _acc(lead_terms, (k, l, 1), coef)

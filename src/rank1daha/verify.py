@@ -9,8 +9,10 @@ p = 2^61 - 1, that satisfy the genericity conditions mod p).  Each run is
 exact in its field; a false pass in probabilistic mode needs the residual
 to vanish at a random point of GF(p), which happens with probability at
 most deg/p per trial, deg being the total degree of the residual's
-numerator.  Reports serialize deterministically for a fixed seed, elapsed
-times aside.
+numerator.  No check samples random words: every verdict is a statement
+checked at its point, and the random generator a check receives only draws
+the witness points of the rank certificates.  Reports serialize
+deterministically for a fixed seed, elapsed times aside.
 """
 
 from __future__ import annotations
@@ -184,43 +186,15 @@ def _check_idempotents(params, bounds, rng) -> str:
     f_sym, e_sym = ncalg.symmetrizer("sym", params)
     f_asym, e_asym = ncalg.symmetrizer("asym", params)
     cases = {
-        "sym F^2 = eF": f_sym * f_sym - f_sym.scale(e_sym),
-        "asym F^2 = eF": f_asym * f_asym - f_asym.scale(e_asym),
-        "sum to one": f_sym - f_asym - e_sym,
-        "orthogonal": f_sym * f_asym,
-        "T1 quadratic": ncalg.embed_element(ncalg.aw_relations(params)["quad"], params),
+        "sym F^2 = eF": ncalg.reduce(f_sym * f_sym - f_sym.scale(e_sym), params),
+        "asym F^2 = eF": ncalg.reduce(f_asym * f_asym - f_asym.scale(e_asym), params),
+        "sum to one": ncalg.reduce(f_sym - f_asym - e_sym, params),
+        "orthogonal": ncalg.reduce(f_sym * f_asym, params),
+        "T1 quadratic": ncalg.embed_aw(ncalg.aw_relations(params)["quad"], params),
     }
-    for name, e in cases.items():
-        nf = ncalg.reduce(e, params)
+    for name, nf in cases.items():
         if not nf.is_zero():
             return f"{name}: {_fmt_nf(nf)}"
-    return ""
-
-
-def _random_daha_word(rng, max_len=3) -> Element:
-    letters = list(ncalg.DAHA_ALPHABET)
-    word = tuple(rng.choice(letters) for _ in range(rng.randint(1, max_len)))
-    return Element("daha", {word: _ONE})
-
-
-def _check_spherical_mult(params, bounds, rng) -> str:
-    # S(U) = e^-2 FUF and P_sym = e^-1 F, so S(U) S(V) = S(U P_sym V) reads
-    # FUF FVF = e FUFVF
-    f, e = ncalg.symmetrizer("sym", params)
-    unscaled_differs = False
-    for _ in range(8):
-        u = _random_daha_word(rng)
-        v = _random_daha_word(rng)
-        left = ncalg.multiply(
-            ncalg.compress("sym", u, params), ncalg.compress("sym", v, params), params
-        )
-        right = ncalg.compress("sym", u * f * v, params)
-        if left != right.scale(e):
-            return f"compression not multiplicative on {u} | {v}"
-        unscaled_differs = unscaled_differs or left != right
-    # control: without the scalar e the identity fails
-    if not unscaled_differs:
-        return "control: FUF FVF = FUFVF on every pair"
     return ""
 
 
@@ -300,27 +274,6 @@ def _check_steps(names: tuple[str, ...]):
     return run
 
 
-def _check_o_filtration(params, bounds, rng) -> str:
-    # semantic self-test of the dominance predicate
-    ab = params.value("a") * params.value("b")
-    inside = NormalForm({(1, 0, 0): _ONE, (0, 1, 0): ab, (-1, -1, 0): _ONE})
-    edge = NormalForm({(2, 1, 0): _ONE})
-    corner = NormalForm({(2, 2, 0): _ONE})
-    t1_term = NormalForm({(1, 1, 1): _ONE})
-    cases = [
-        (ncalg.is_o_of(inside, 2, 2), True, "interior points accepted"),
-        (ncalg.is_o_of(edge, 2, 2), True, "edge (|k|,|l|)!=(|m|,|n|) accepted"),
-        (ncalg.is_o_of(corner, 2, 2), False, "corner rejected"),
-        (ncalg.is_o_of(corner, 3, 3), True, "corner inside larger box accepted"),
-        (ncalg.is_o_of(t1_term, 2, 2), False, "T1 term rejected"),
-        (ncalg.is_o_of(NormalForm({}), 1, 1), True, "zero accepted"),
-    ]
-    for got, want, label in cases:
-        if got != want:
-            return f"dominance predicate wrong: {label}"
-    return ""
-
-
 @_at_square_root
 def _check_duality_aw(params, bounds, rng) -> str:
     target = params.dual()
@@ -330,13 +283,13 @@ def _check_duality_aw(params, bounds, rng) -> str:
         nf = ncalg.embed_aw(img, tgt)
         if not nf.is_zero():
             return f"{name} image: {_fmt_nf(nf)}"
-    # quotient relations map to zero modulo the T1 = -ab ideal
-    killer, _ = ncalg.symmetrizer("sym", target)
+    # quotient relations map to zero modulo the T1 = -ab ideal, times T1+1
+    killer = ncalg.reduce(ncalg.symmetrizer("sym", target)[0], target)
     sc, sc_dual = structure_constants(params), structure_constants(target)
     quotient = ncalg.quotient_relations(params, sc)
     for name, rel in quotient.items():
         img, tgt = ncalg.duality_image(rel, "AW", params)
-        nf = ncalg.reduce(ncalg.embed_element(img, tgt) * killer, tgt)
+        nf = ncalg.multiply(ncalg.embed_aw(img, tgt), killer, tgt)
         if not nf.is_zero():
             return f"{name} image (mod ideal): {_fmt_nf(nf)}"
     # the Casimir scalar transforms by qa/(bcd) ...
@@ -353,19 +306,6 @@ def _check_duality_aw(params, bounds, rng) -> str:
     )
     if not diff.is_zero():
         return f"Casimir expression scaling failed: {_fmt_nf(diff)}"
-    # anti-multiplicativity on random word pairs, compared as words: that
-    # embed_aw is multiplicative is tested on its own
-    letters = ["K0", "K1", "T1"]
-    for _ in range(20):
-        w1 = tuple(rng.choice(letters) for _ in range(rng.randint(1, 3)))
-        w2 = tuple(rng.choice(letters) for _ in range(rng.randint(1, 3)))
-        u = Element("aw", {w1: _ONE})
-        v = Element("aw", {w2: _ONE})
-        uv_img, _ = ncalg.duality_image(u * v, "AW", params)
-        u_img, _ = ncalg.duality_image(u, "AW", params)
-        v_img, _ = ncalg.duality_image(v, "AW", params)
-        if uv_img != v_img * u_img:
-            return f"not anti-multiplicative on {' '.join(w1)} | {' '.join(w2)}"
     return ""
 
 
@@ -391,28 +331,14 @@ def _check_duality_daha(params, bounds, rng) -> str:
     # control: the other root, -a, gives (q, -a, -b, -c, -d)
     if target.dual(-a) == params:
         return "double dual at the root -a did not move the parameters"
-    # anti-multiplicativity on random word pairs
-    for _ in range(20):
-        u = _random_daha_word(rng)
-        v = _random_daha_word(rng)
-        uv_img, _ = ncalg.duality_image(u * v, "DAHA", params)
-        u_img, _ = ncalg.duality_image(u, "DAHA", params)
-        v_img, _ = ncalg.duality_image(v, "DAHA", params)
-        # reduce the image of the product in one pass, against the basis
-        # product of the separately reduced images
-        lhs = ncalg.reduce(uv_img, target)
-        rhs = ncalg.multiply(
-            ncalg.reduce(v_img, target), ncalg.reduce(u_img, target), target
-        )
-        if lhs != rhs:
-            return "not anti-multiplicative"
-    # embedding compatibility on short words
-    for word in (("K0",), ("K1",), ("K0", "K1"), ("K1", "K0", "T1")):
-        u = Element("aw", {word: _ONE})
+    # embedding compatibility: both composites are anti-homomorphisms (by the
+    # relations above and embed.rel*), so agreeing on the generators is the statement
+    for letter in ncalg.AW_ALPHABET:
+        u = Element("aw", {(letter,): _ONE})
         via_daha, _ = ncalg.duality_image(ncalg.embed_element(u, params), "DAHA", params)
         u_img, _ = ncalg.duality_image(u, "AW", params)
         if ncalg.reduce(via_daha, target) != ncalg.embed_aw(u_img, target):
-            return f"embedding compatibility failed on {' '.join(word)}"
+            return f"embedding compatibility failed on {letter}"
     return ""
 
 
@@ -593,16 +519,10 @@ def _build_catalog() -> list[CheckSpec]:
         CheckSpec(
             "idempotents",
             "(1-ab)^-1(T1+1) and (ab-1)^-1(T1+ab) are orthogonal idempotents summing "
-            "to 1, and (T1+ab)(T1+1) = 0",
+            "to 1, and (T1+ab)(T1+1) = 0; with the associative basis of relations-daha, "
+            "F^2 = eF makes the compression S(U) = e^-2 FUF satisfy S(U)S(V) = S(U e^-1 F V)",
             "exact",
             _check_idempotents,
-        ),
-        CheckSpec(
-            "spherical.mult",
-            "two-sided compression satisfies S(U)S(V) = S(U P_sym V); control: the "
-            "identity fails with (T1+1) in place of P_sym",
-            "exact",
-            _check_spherical_mult,
         ),
         CheckSpec(
             "iso.spherical.rank",
@@ -626,16 +546,10 @@ def _build_catalog() -> list[CheckSpec]:
     catalog.extend(
         [
             CheckSpec(
-                "o-filtration",
-                "the strict-dominance predicate accepts exactly the terms with "
-                "|k| <= |m|, |l| <= |n|, (|k|,|l|) != (|m|,|n|)",
-                "exact",
-                _check_o_filtration,
-            ),
-            CheckSpec(
                 "duality.aw",
-                "the anti-map K0 -> s K1, K1 -> a^-1 K0 (s^2 = abcd/q) sends every "
-                "defining relation to zero in the dual-parameter algebra "
+                "the letter map K0 -> s K1, K1 -> a^-1 K0 (s^2 = abcd/q) on reversed words, an "
+                "anti-map by construction, sends every defining relation to zero in the "
+                "dual-parameter algebra "
                 "(s, ab/s, ac/s, ad/s); quotient relations vanish modulo T1 = -ab; the "
                 "Casimir scalar transforms by qa/(bcd) and the Casimir word by bcd/(qa)",
                 "exact",
@@ -645,7 +559,9 @@ def _build_catalog() -> list[CheckSpec]:
                 "duality.daha",
                 "the anti-map T1 -> T1, Y -> s Z^-1, Z -> a Y^-1 sends every defining "
                 "relation to zero in the dual-parameter algebra and is involutive on "
-                "parameters",
+                "parameters; through the embedding it agrees with duality.aw on K0, K1 and "
+                "T1, hence everywhere, both composites being anti-homomorphisms by these "
+                "relations and embed.rel*",
                 "exact",
                 _check_duality_daha,
             ),

@@ -20,6 +20,7 @@ from rank1daha.ncalg import (
     NormalForm,
     _rank,
     check_step_identity,
+    compress,
     duality_image,
     embed_aw,
     iso_image,
@@ -110,7 +111,35 @@ def test_04_antisymmetric_compression_identities_certified(sym):
                 assert ok, f"{name} at ({m}, {n}): {residual}"
 
 
+def _compression_failure(compress, family, e, params):
+    """The first pair of short DAHA words U, V with FUF FVF != e FUFVF, or a
+    failed control: FUF FVF = FUFVF on every pair; "" when both hold."""
+    f, _ = symmetrizer(family, params)
+    words = [()] + [(x,) for x in DAHA_LETTERS] + [("Z", "T1", "Yi"), ("Yi", "Zi", "T1")]
+    unscaled_differs = False
+    for u, v in itertools.product(words, words):
+        u, v = Element("daha", {u: ONE}), Element("daha", {v: ONE})
+        left = multiply(compress(family, u, params), compress(family, v, params), params)
+        right = compress(family, u * f * v, params)
+        if left != right.scale(e):
+            return f"not multiplicative on {u} | {v}"
+        unscaled_differs = unscaled_differs or left != right
+    return "" if unscaled_differs else "control: FUF FVF = FUFVF on every pair"
+
+
 def test_05_subalgebra_isomorphisms_multiplicative_on_short_words(sym):
+    # the compression by e^-1 F is e^-2 FuF, so it is multiplicative on the
+    # subalgebra exactly when FUF FVF = e FUFVF; that follows from F^2 = eF
+    # and associativity, and is checked here on pairs of short words
+    zero = lambda family, u, params: NormalForm.zero()
+    for family in ("sym", "asym"):
+        _, e = symmetrizer(family, sym)
+        assert _compression_failure(compress, family, e, sym) == "", family
+        # controls: the identity needs e, and a map that is zero everywhere fails
+        assert _compression_failure(compress, family, e + ONE, sym).startswith(
+            "not multiplicative on "
+        )
+        assert _compression_failure(zero, family, e, sym) == "control: FUF FVF = FUFVF on every pair"
     # the isomorphism is e^-1 J with J(U) = U~ F, so it is multiplicative
     # exactly when J(U) J(V) = e J(UV); U and V run over the K-words of
     # length <= 2, so UV over those of length <= 4

@@ -117,7 +117,7 @@ def test_catalog_lists_every_check(capsys):
 
 def test_verify_run_text_report(capsys):
     code, out, _ = run_cli(
-        capsys, "verify", "run", "--checks", "o-filtration,idempotents"
+        capsys, "verify", "run", "--checks", "embed.t1central,idempotents"
     )
     assert code == 0
     assert out.splitlines()[-1] == "overall pass"
@@ -131,7 +131,7 @@ def test_verify_run_json_out(capsys, tmp_path):
         "verify",
         "run",
         "--checks",
-        "o-filtration",
+        "idempotents",
         "--format",
         "json",
         "--out",
@@ -141,23 +141,23 @@ def test_verify_run_json_out(capsys, tmp_path):
     assert f"report written to {path}" in out
     data = json.loads(path.read_text())
     assert data["overall"] == "pass"
-    assert [r["id"] for r in data["results"]] == ["o-filtration"]
+    assert [r["id"] for r in data["results"]] == ["idempotents"]
 
 
 def test_verify_run_json_to_stdout(capsys):
     # without --out the report goes to stdout in the requested format
     code, out, _ = run_cli(
-        capsys, "verify", "run", "--checks", "o-filtration", "--format", "json"
+        capsys, "verify", "run", "--checks", "idempotents", "--format", "json"
     )
     assert code == 0
     data = json.loads(out)
     assert data["overall"] == "pass"
-    assert [r["id"] for r in data["results"]] == ["o-filtration"]
+    assert [r["id"] for r in data["results"]] == ["idempotents"]
 
 
 def test_verify_run_config_file_with_cli_override(capsys, tmp_path):
     cfg = tmp_path / "verify.cfg"
-    cfg.write_text("checks = o-filtration\nseed = 5\n")
+    cfg.write_text("checks = idempotents\nseed = 5\n")
     path = tmp_path / "report.json"
     code, _, _ = run_cli(
         capsys,
@@ -175,7 +175,7 @@ def test_verify_run_config_file_with_cli_override(capsys, tmp_path):
     assert code == 0
     data = json.loads(path.read_text())
     assert data["seed"] == 9
-    assert [r["id"] for r in data["results"]] == ["o-filtration"]
+    assert [r["id"] for r in data["results"]] == ["idempotents"]
 
 
 def test_verify_run_failure_exits_1(capsys):

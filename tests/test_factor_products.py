@@ -96,11 +96,6 @@ def _step_lhs_oracle(row, m, n, params):
     return embedded if row.kind in ("embed", "mixed") else sandwich
 
 
-def _step_lhs(row, m, n, params):
-    f, _ = symmetrizer(row.family, params)
-    return ncalg._step_lhs(row, m, n, params, reduce(f, params), ncalg.DEFAULT_BUDGET)
-
-
 def _keys(bound):
     span = range(-bound, bound + 1)
     return [(m, n, i) for m in span for n in span for i in (0, 1)]
@@ -152,7 +147,7 @@ def test_step_left_sides_match_rewriting(point):
     for name, row in STEP_IDENTITIES.items():
         for m in (1, 2):
             for n in (1, 2):
-                got = _step_lhs(row, m, n, point)
+                got = ncalg._step_lhs(row, m, n, point, ncalg.DEFAULT_BUDGET)
                 assert got == reduce(_step_lhs_oracle(row, m, n, point), point), (name, m, n)
 
 

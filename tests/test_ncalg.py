@@ -1,10 +1,12 @@
 import itertools
 import random
 import re
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
 
+from rank1daha import ncalg
 from rank1daha.errors import BudgetExhausted, DegenerateParameters
 from rank1daha.ncalg import (
     Element,
@@ -188,6 +190,19 @@ def test_certificate_control_missing_rule(gpoint):
     system = RewriteSystem(gpoint)
     system.rules[("Z", "Y")] = ((("Z", "Y"), system.one),)
     assert system.left_side_failures() == [("Z", "Y")]
+
+
+def test_products_refuse_a_word_a_missing_rule_leaves(monkeypatch, gpoint):
+    # without the Y*Yi rule, Y times Y^-1 T1 is the irreducible word Y Yi T1:
+    # the product kernel names it as reduce does, where it read it as T1
+    monkeypatch.setattr(ncalg, "_SYSTEMS", OrderedDict())
+    del rewrite_system(gpoint).rules[("Y", "Yi")]
+    one = RatFunc.one()
+    y, y_inv_t1 = NormalForm({(0, 1, 0): one}), NormalForm({(0, -1, 1): one})
+    with pytest.raises(ValueError, match="irreducible word Y Yi T1 is not a basis word"):
+        reduce(w("Y", "Yi", "T1"), gpoint)
+    with pytest.raises(ValueError, match="irreducible word Y Yi T1 is not a basis word"):
+        multiply(y, y_inv_t1, gpoint)
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +412,11 @@ def test_is_o_of(sym):
     assert not is_o_of(NormalForm({(-2, 1, 0): one}), 2, 1)
     # a T1 term is rejected even where its exponents are dominated
     assert not is_o_of(NormalForm({(2, 0, 1): one}), 2, 1)
+    # the corner is dominated only in a larger box; an edge point and zero are dominated
+    assert is_o_of(NormalForm({(2, 1, 0): one}), 2, 2)
+    assert not is_o_of(NormalForm({(2, 2, 0): one}), 2, 2)
+    assert is_o_of(NormalForm({(2, 2, 0): one}), 3, 3)
+    assert is_o_of(NormalForm({}), 1, 1)
 
 
 # ---------------------------------------------------------------------------
