@@ -16,28 +16,28 @@ antispherical maps, the strict-dominance filtration predicate
 subalgebra isomorphisms (:func:`check_step_identity`), duality anti-maps,
 shift-operator identities, and the rank routine of the catalog's rank certificates.
 
-Only :func:`symmetrizer` builds F = T1+1 ("sym") or F = T1+ab ("asym")
-and knows e, F^2 = eF.  The maps are cleared, free of e^-1:
-:func:`compress` returns F u F, e^2 times the compression by the idempotent
-e^-1 F, and :func:`iso_image` returns U~ F, e times the subalgebra
-isomorphism U -> e^-1 U~ F.
+Only :func:`symmetrizer` writes F = T1+1 ("sym") or F = T1+ab ("asym")
+and knows e, F^2 = eF; a point's rewrite system keeps each F, built once.
+The maps are cleared, free of e^-1: :func:`compress` returns F u F, e^2
+times the compression by the idempotent e^-1 F, and :func:`iso_image`
+returns U~ F, e times the subalgebra isomorphism U -> e^-1 U~ F.
 
 The maps are products of reduced factors.  :func:`multiply` folds two
 normal forms through the memoized products of basis monomials, and
-:func:`embed_aw`, :func:`compress`, :func:`iso_image` and the step
-identities (whose sandwiches F Z^m Y^n F are :func:`compress`) multiply F,
-basis monomials and the images of single letters that way, so they never
-expand a product into its words.  A basis product not yet memoized applies
-one rule at a time, at the junction of a letter and a basis word, and takes
-what the rule leaves through the memo again
+:func:`embed_aw`, :func:`compress` (F u F) and :func:`iso_image` (embedded
+K-words times F) multiply F, basis monomials and the images of single
+letters that way, so they never expand a product into its words; the step
+rows and the shift operators take the same two paths.  A basis product not
+yet memoized applies one rule at a time, at the junction of a letter and a
+basis word, and takes what the rule leaves through the memo again
 (:meth:`RewriteSystem.basis_product`); at a point of GF(p) the products
 run on plain int residues.  :func:`reduce` stays the independent
-word-rewriting path: the critical pairs run on it, ``duality.daha``
-reduces the images of the relations with it and compares those of the
-generators with :func:`embed_aw`, and the tests check every product path
-against it.  A ``budget`` bounds rule applications: those rewriting the
-whole element in :func:`reduce`, and in the product paths those behind
-each basis product not yet memoized, its new sub-products included.
+word-rewriting path: the critical pairs, ``idempotents`` (F^2 = eF) and
+``duality.daha`` run on it, :func:`compress` reduces its argument with it,
+and the tests check every product path against it.  A ``budget`` bounds
+rule applications: those rewriting the whole element in :func:`reduce`,
+and in the product paths those behind each basis product not yet
+memoized, its new sub-products included.
 
 The step identities are data.  Each row of :data:`STEP_IDENTITIES` states
 LHS = (leading terms + dominated rest) F, with F = T1+1 for the spherical
@@ -394,14 +394,11 @@ class NormalForm:
             "daha", {_basis_word(m, n, i): c for (m, n, i), c in self.terms.items()}
         )
 
-    def sorted_items(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0])
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         lines = []
-        for (m, n, i), coef in self.sorted_items():
+        for (m, n, i), coef in sorted(self.terms.items()):
             shown = str(coef)
             if " " in shown:
                 shown = f"({shown})"
@@ -451,11 +448,9 @@ class RewriteSystem:
         one = self.one = _one(params)
         ab = a * b
         cd = c * d
-        u = ab * cd / q  # the recurring scalar q^-1 abcd
+        u = self.u = ab * cd / q  # the recurring scalar q^-1 abcd
         ui = u.inv()
         qi = q.inv()
-        self.u = u
-        self.ab = ab
         rules: dict[tuple[str, str], tuple[tuple[Word, RatFunc], ...]] = {
             ("T1", "T1"): ((("T1",), -(ab + one)), ((), -ab)),
             ("T1", "Z"): (
@@ -535,6 +530,7 @@ class RewriteSystem:
         self._images = {
             letter: self._lifted(nf) for letter, nf in _embedding_images(params).items()
         }
+        self._symmetrizers: dict[str, dict] = {}
 
     # -- the relations and their overlaps -----------------------------------
 
@@ -793,6 +789,22 @@ class RewriteSystem:
                 out[key] = out.get(key, zero) + c * x
         return self._settle(out)
 
+    def _symmetrizer(self, family: str) -> dict:
+        """F of ``family``, lifted, from :func:`symmetrizer` on first use."""
+        if family not in self._symmetrizers:  # F = T1+eps is a normal form
+            f, _ = symmetrizer(family, self.params)
+            self._symmetrizers[family] = {_word_key(w): self._lift(c) for w, c in f.terms.items()}
+        return self._symmetrizers[family]
+
+    def _compress(self, family: str, u: dict, budget: int) -> dict:
+        """F u F for a lifted normal form u."""
+        f = self._symmetrizer(family)
+        return self._multiply(self._multiply(f, u, budget), f, budget)
+
+    def _embed_times_f(self, family: str, terms: Mapping[Word, RatFunc], budget: int) -> dict:
+        """The embedding of a K0/K1/T1 combination times F, lifted."""
+        return self._multiply(self._embed(terms, budget), self._symmetrizer(family), budget)
+
 
 def _word_key(word: Word) -> tuple[int, int, int]:
     m = n = i = 0
@@ -1004,35 +1016,33 @@ def symmetrizer(family: str, params: Params) -> tuple[Element, RatFunc]:
 def compress(
     family: str, u: Element, params: Params, budget: int = DEFAULT_BUDGET
 ) -> NormalForm:
-    """The two-sided compression F u F in normal form, F from
-    :func:`symmetrizer`, as the product F (reduced u) F.  The compression
-    by the idempotent e^-1 F is e^-2 times this.  ``budget`` bounds the
-    rule applications of the reduction of u, and those behind each basis
+    """The two-sided compression F u F in normal form, as the product
+    F (reduced u) F, F kept by the rewrite system.  The compression by the
+    idempotent e^-1 F is e^-2 times this.  ``budget`` bounds the rule
+    applications of the reduction of u, and those behind each basis
     product not yet memoized, its new sub-products included."""
     system = rewrite_system(params)
-    f = system._lifted(reduce(symmetrizer(family, params)[0], params))
-    left = system._multiply(f, system._lifted(reduce(u, params, budget)), budget)
-    return system._normal_form(system._multiply(left, f, budget))
+    u_nf = system._lifted(reduce(u, params, budget))
+    return system._normal_form(system._compress(family, u_nf, budget))
 
 
 def iso_image(
     family: str, u: Element, params: Params, budget: int = DEFAULT_BUDGET
 ) -> NormalForm:
-    """U~ F in normal form, the product of :func:`embed_aw` of U~ and F
-    from :func:`symmetrizer`.  The isomorphism U -> e^-1 U~ F from the
-    two-generator quotient algebra onto the spherical ("sym") or
-    antispherical ("asym") subalgebra is e^-1 times this.  U~ is the K0/K1
-    word U read in the central extension; for "asym" K0 is first replaced
-    by q K0, since the source is the quotient at the shifted parameters
-    (qa, qb, c, d).  ``budget`` bounds the rule applications behind each
-    basis product not yet memoized, its new sub-products included."""
+    """U~ F in normal form, the embedding of U~ times F, as in the step
+    rows.  The isomorphism U -> e^-1 U~ F from the two-generator quotient
+    algebra onto the spherical ("sym") or antispherical ("asym")
+    subalgebra is e^-1 times this.  U~ is the K0/K1 word U read in the
+    central extension; for "asym" K0 is first replaced by q K0, since the
+    source is the quotient at the shifted parameters (qa, qb, c, d).
+    ``budget`` bounds the rule applications behind each basis product not
+    yet memoized, its new sub-products included."""
     if u.alphabet != "aw":
         raise ValueError("the subalgebra isomorphisms take K0/K1 words")
     system = rewrite_system(params)
-    f = system._lifted(reduce(symmetrizer(family, params)[0], params))
-    k0 = params.value("q") if family == "asym" else _one(params)
+    k0 = params.value("q") if family == "asym" else system.one
     tilde = {word: c * k0 ** word.count("K0") for word, c in u.terms.items()}
-    return system._normal_form(system._multiply(system._embed(tilde, budget), f, budget))
+    return system._normal_form(system._embed_times_f(family, tilde, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -1119,9 +1129,7 @@ class StepRow:
 
 
 def _coef_bases(params: Params) -> tuple[RatFunc, RatFunc, RatFunc, RatFunc]:
-    vals = params.values()
-    q, a, b = vals["q"], vals["a"], vals["b"]
-    return q, a, b, a * b * vals["c"] * vals["d"] / q
+    return (*params.vals[:3], rewrite_system(params).u)  # (q, a, b, u), u = abcd/q
 
 
 def _coef(terms: Coef, n: int, bases: tuple[RatFunc, ...]) -> RatFunc:
@@ -1334,26 +1342,25 @@ def _step_exponents(row: StepRow, m: int, n: int) -> tuple[int, int]:
 
 
 def _step_lhs(row: StepRow, m: int, n: int, params: Params, budget: int) -> NormalForm:
-    # products of reduced factors: the compression F (basis monomial) F, and
+    # products of lifted factors: the compression F (basis monomial) F, and
     # the embedded K-words times F
     m, n = _step_exponents(row, m, n)
     sm, sn = row.signs
+    system = rewrite_system(params)
     if row.kind in ("sandwich", "exact", "step3"):
-        monomial = Element("daha", {_basis_word(sm * m, sn * n, 0): _one(params)})
-        sandwich = compress(row.family, monomial, params, budget)
+        monomial = {(sm * m, sn * n, 0): system._lift_one}
+        sandwich = system._normal_form(system._compress(row.family, monomial, budget))
         if row.kind != "step3":
             return sandwich
     bases = _coef_bases(params)
     if row.kind == "embed":
-        k_word = {("K1",) * (abs(sm) * m) + ("K0",) * (abs(sn) * n): _one(params)}
+        k_word = {("K1",) * (abs(sm) * m) + ("K0",) * (abs(sn) * n): system.one}
     else:
         k_word = {
             ("K1",) * (m - 1) + w + ("K0",) * (n - 1): _coef(coef, n, bases)
             for w, coef in row.middle.items()
         }
-    system = rewrite_system(params)
-    f = system._lifted(reduce(symmetrizer(row.family, params)[0], params))
-    embedded = system._normal_form(system._multiply(system._embed(k_word, budget), f, budget))
+    embedded = system._normal_form(system._embed_times_f(row.family, k_word, budget))
     if row.kind == "step3":
         return sandwich.scale(_coef(_ONE_MINUS_Q2, n, bases)) - embedded.scale(
             _coef(row.scalar, n, bases)
@@ -1387,7 +1394,8 @@ def check_step_identity(
         )
     if m < 1 or n < 1:
         raise ValueError("step identities take positive exponents")
-    eps = symmetrizer(row.family, params)[0].terms[()]
+    system = rewrite_system(params)
+    eps = system._drop(system._symmetrizer(row.family)[(0, 0, 0)])
     nf = _step_lhs(row, m, n, params, budget)
     lead_terms: dict[tuple[int, int, int], RatFunc] = {}
     for (k, l), coef in row.leading_at(m, n, params).items():
@@ -1458,27 +1466,23 @@ def duality_image(
 # Shift operators
 
 
+def _shift_operators(params: Params) -> tuple[Element, Element]:
+    # D- = Y + (a^2 b^2 cd/q) Y^-1 - (abcd/q + ab), D+ = Y + (cd/q) Y^-1 - (cd/q + 1)
+    q, a, b, c, d = params.vals
+    ab, cd_q = a * b, c * d / q
+    return (
+        Element("daha", {("Y",): _ONE, ("Yi",): ab * ab * cd_q, (): -(ab * cd_q + ab)}),
+        Element("daha", {("Y",): _ONE, ("Yi",): cd_q, (): -(cd_q + _ONE)}),
+    )
+
+
 def shift_operator_identities(
     params: Params, budget: int = DEFAULT_BUDGET
 ) -> tuple[NormalForm, NormalForm]:
     """Both shift-operator compressions; each must reduce to zero.
 
-    The first compresses Y + (a^2 b^2 cd/q) Y^-1 - (abcd/q + ab) between
-    two copies of T1+1; the second compresses Y + (cd/q) Y^-1 - (cd/q + 1)
-    between two copies of T1+ab."""
-    q, a, b, c, d = params.vals
-    ab = a * b
-    cd = c * d
-    d_minus = Element(
-        "daha",
-        {("Y",): _ONE, ("Yi",): ab * ab * cd / q, (): -(ab * cd / q + ab)},
-    )
-    d_plus = Element(
-        "daha",
-        {("Y",): _ONE, ("Yi",): cd / q, (): -(cd / q + _ONE)},
-    )
-    f_sym, _ = symmetrizer("sym", params)
-    f_asym, _ = symmetrizer("asym", params)
-    residual_minus = reduce(f_sym * d_minus * f_sym, params, budget)
-    residual_plus = reduce(f_asym * d_plus * f_asym, params, budget)
-    return residual_minus, residual_plus
+    They are :func:`compress` of Y + (a^2 b^2 cd/q) Y^-1 - (abcd/q + ab) by
+    T1+1 and of Y + (cd/q) Y^-1 - (cd/q + 1) by T1+ab, and ``budget`` bounds
+    what it bounds there."""
+    d_minus, d_plus = _shift_operators(params)
+    return compress("sym", d_minus, params, budget), compress("asym", d_plus, params, budget)

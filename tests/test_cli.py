@@ -204,6 +204,18 @@ def test_verify_run_unknown_check_exits_2(capsys):
     assert "unknown check ids" in err
 
 
+@pytest.mark.parametrize(
+    "option, value", [("--max-mn", "0"), ("--max-n", "-1"), ("--max-degree", "-1")]
+)
+def test_verify_run_empty_size_exits_2(capsys, option, value):
+    # at an empty size the checks reading it would pass without checking anything
+    checks = "step.44,step.49,eigen.Pn,casimir.scalar,awrel.inrep,symmetry.abcd"
+    code, out, err = run_cli(capsys, "verify", "run", "--checks", checks, option, value)
+    assert code == 2
+    assert option[2:] in err
+    assert "pass" not in out
+
+
 # ---------------------------------------------------------------------------
 # process-level entry points
 

@@ -27,6 +27,7 @@ from rank1daha.ncalg import (
     embed_element,
     iso_image,
     reduce,
+    shift_operator_identities,
     symmetrizer,
 )
 from rank1daha.params import ModP, RatFunc, make_params, random_params_mod_p
@@ -149,6 +150,57 @@ def test_step_left_sides_match_rewriting(point):
             for n in (1, 2):
                 got = ncalg._step_lhs(row, m, n, point, ncalg.DEFAULT_BUDGET)
                 assert got == reduce(_step_lhs_oracle(row, m, n, point), point), (name, m, n)
+
+
+def test_shift_operators_match_rewriting(point):
+    # both shift-operator compressions, and the shiftops control's perturbed
+    # lowering one, against the expanded word products F D F
+    vals = point.values()
+    ab, cd, q = vals["a"] * vals["b"], vals["c"] * vals["d"], vals["q"]
+    d_minus = Element(
+        "daha", {("Y",): _ONE, ("Yi",): ab * ab * cd / q, (): -(ab * cd / q + ab)}
+    )
+    d_plus = Element("daha", {("Y",): _ONE, ("Yi",): cd / q, (): -(cd / q + _ONE)})
+    f_sym, _ = symmetrizer("sym", point)
+    f_asym, _ = symmetrizer("asym", point)
+    first, second = shift_operator_identities(point)
+    assert first == reduce(f_sym * d_minus * f_sym, point)
+    assert second == reduce(f_asym * d_plus * f_asym, point)
+    perturbed = compress("sym", d_minus + 1, point)
+    assert perturbed == reduce(f_sym * (d_minus + 1) * f_sym, point)
+    assert not perturbed.is_zero()
+
+
+def test_step_rows_build_f_once_and_rewrite_no_words(monkeypatch):
+    """Work gate on one sweep of every step row at (m, n) <= (2, 2), the
+    exponents each row reads, at a fresh point of GF(p): the rewrite system
+    builds F once per family, and no word is rewritten.  Rebuilding and
+    reducing F on every call took 244 symmetrizer and 220 reduce_terms
+    calls for the 106 evaluations."""
+    monkeypatch.setattr(ncalg, "_SYSTEMS", OrderedDict())
+    calls = {"symmetrizer": 0, "reduce_terms": 0}
+    build, rewrite = ncalg.symmetrizer, ncalg.RewriteSystem.reduce_terms
+
+    def counted_build(*args, **kwargs):
+        calls["symmetrizer"] += 1
+        return build(*args, **kwargs)
+
+    def counted_rewrite(*args, **kwargs):
+        calls["reduce_terms"] += 1
+        return rewrite(*args, **kwargs)
+
+    monkeypatch.setattr(ncalg, "symmetrizer", counted_build)
+    monkeypatch.setattr(ncalg.RewriteSystem, "reduce_terms", counted_rewrite)
+    point = random_params_mod_p(random.Random(8))
+    evaluations = 0
+    for name, row in STEP_IDENTITIES.items():
+        uses_m, uses_n = row.uses()
+        for m in (1, 2) if uses_m else (1,):
+            for n in (1, 2) if uses_n else (1,):
+                assert check_step_identity(name, m, n, point)[1], (name, m, n)
+                evaluations += 1
+    assert evaluations == 106
+    assert calls["symmetrizer"] <= 2 and calls["reduce_terms"] == 0, calls
 
 
 # each map reaches a looping rule only through its basis products

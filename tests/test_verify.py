@@ -136,6 +136,13 @@ def test_run_checks_rejects_bad_config():
         run_checks(RunConfig(mode="approximate"))
     with pytest.raises(ConfigError):
         run_checks(RunConfig(trials=0))
+    # empty sizes: no exponent for the step rows, no P_n, no degree
+    with pytest.raises(ConfigError, match="max-mn"):
+        run_checks(RunConfig(checks=["step.44"], max_mn=0))
+    with pytest.raises(ConfigError, match="max-n"):
+        run_checks(RunConfig(checks=["eigen.Pn"], max_n=-1))
+    with pytest.raises(ConfigError, match="max-degree"):
+        run_checks(RunConfig(checks=["casimir.scalar"], max_degree=-1))
 
 
 def test_prob_mode_rejects_a_given_point(capsys, tmp_path):
