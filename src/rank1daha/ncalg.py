@@ -31,13 +31,19 @@ rows and the shift operators take the same two paths.  A basis product not
 yet memoized applies one rule at a time, at the junction of a letter and a
 basis word, and takes what the rule leaves through the memo again
 (:meth:`RewriteSystem.basis_product`); at a point of GF(p) the products
-run on plain int residues.  :func:`reduce` stays the independent
-word-rewriting path: the critical pairs, ``idempotents`` (F^2 = eF) and
-``duality.daha`` run on it, :func:`compress` reduces its argument with it,
-and the tests check every product path against it.  A ``budget`` bounds
-rule applications: those rewriting the whole element in :func:`reduce`,
-and in the product paths those behind each basis product not yet
-memoized, its new sub-products included.
+run on plain int residues.  :func:`check_step_identity` stays on them up
+to its verdict, so a ``ModP`` is built only where a normal form is
+returned: by the public maps and :func:`multiply`, and for the step
+residual.  Its table coefficients, its compressions F Z^m Y^n F and its
+embedded K-words times F are memoized per rewrite system, so the checks
+that share a point share them.
+:func:`reduce` stays the independent word-rewriting path: the critical
+pairs, ``idempotents`` (F^2 = eF) and ``duality.daha`` run on it,
+:func:`compress` reduces its argument with it, and the tests check every
+product path against it.  A ``budget`` bounds rule applications: those
+rewriting the whole element in :func:`reduce`, and in the product paths
+those behind each basis product not yet memoized, its new sub-products
+included.
 
 The step identities are data.  Each row of :data:`STEP_IDENTITIES` states
 LHS = (leading terms + dominated rest) F, with F = T1+1 for the spherical
@@ -381,14 +387,6 @@ class NormalForm:
         coef = _coerce_scalar(coef)
         return NormalForm({k: coef * c for k, c in self.terms.items()})
 
-    def layers(self) -> tuple[dict[tuple[int, int], RatFunc], dict[tuple[int, int], RatFunc]]:
-        """Split into the T1^0 and T1^1 layers, each a map (m, n) -> coef."""
-        lay0: dict[tuple[int, int], RatFunc] = {}
-        lay1: dict[tuple[int, int], RatFunc] = {}
-        for (m, n, i), coef in self.terms.items():
-            (lay1 if i else lay0)[(m, n)] = coef
-        return lay0, lay1
-
     def as_element(self) -> Element:
         return Element(
             "daha", {_basis_word(m, n, i): c for (m, n, i), c in self.terms.items()}
@@ -449,6 +447,7 @@ class RewriteSystem:
         ab = a * b
         cd = c * d
         u = self.u = ab * cd / q  # the recurring scalar q^-1 abcd
+        self._bases = (q, a, b, u)  # the bases of the step-table coefficients
         ui = u.inv()
         qi = q.inv()
         rules: dict[tuple[str, str], tuple[tuple[Word, RatFunc], ...]] = {
@@ -531,6 +530,9 @@ class RewriteSystem:
             letter: self._lifted(nf) for letter, nf in _embedding_images(params).items()
         }
         self._symmetrizers: dict[str, dict] = {}
+        self._coefs: dict[tuple[Coef, int], object] = {}
+        self._sandwiches: dict[tuple[str, tuple[int, int, int]], dict] = {}
+        self._words_times_f: dict[tuple[str, Word], dict] = {}
 
     # -- the relations and their overlaps -----------------------------------
 
@@ -768,26 +770,28 @@ class RewriteSystem:
                     out[key] = out.get(key, zero) + c1 * c
         return self._settle(out)
 
-    def _embed(self, terms: Mapping[Word, RatFunc], budget: int) -> dict:
-        """The embedding of a K0/K1/T1 combination, lifted.  Each K-word is
-        read left to right, its prefix times the next letter's image; the
+    def _linear(self, terms: Iterable[tuple[object, dict]]) -> dict:
+        """The sum of c v over the pairs (c, v) of a lifted scalar c and a
+        lifted normal form v."""
+        zero = self._lift_zero
+        acc: dict = {}
+        for c, v in terms:
+            for key, x in v.items():
+                acc[key] = acc.get(key, zero) + c * x
+        return self._settle(acc)
+
+    def _embed_word(self, word: Word, budget: int) -> dict:
+        """The embedding of one K0/K1/T1 word, lifted.  The word is read
+        left to right, its prefix times the next letter's image; the
         prefixes are memoized on the system, like the products."""
         prefixes, images = self._prefixes, self._images
-        lift, zero = self._lift, self._lift_zero
-        out: dict = {}
-        for word, coef in terms.items():
-            nf = prefixes[()]
-            for end in range(1, len(word) + 1):
-                known = prefixes.get(word[:end])
-                if known is None:
-                    known = prefixes[word[:end]] = self._multiply(
-                        nf, images[word[end - 1]], budget
-                    )
-                nf = known
-            c = lift(coef)
-            for key, x in nf.items():
-                out[key] = out.get(key, zero) + c * x
-        return self._settle(out)
+        nf = prefixes[()]
+        for end in range(1, len(word) + 1):
+            known = prefixes.get(word[:end])
+            if known is None:
+                known = prefixes[word[:end]] = self._multiply(nf, images[word[end - 1]], budget)
+            nf = known
+        return nf
 
     def _symmetrizer(self, family: str) -> dict:
         """F of ``family``, lifted, from :func:`symmetrizer` on first use."""
@@ -801,9 +805,36 @@ class RewriteSystem:
         f = self._symmetrizer(family)
         return self._multiply(self._multiply(f, u, budget), f, budget)
 
-    def _embed_times_f(self, family: str, terms: Mapping[Word, RatFunc], budget: int) -> dict:
-        """The embedding of a K0/K1/T1 combination times F, lifted."""
-        return self._multiply(self._embed(terms, budget), self._symmetrizer(family), budget)
+    def _sandwich(self, family: str, key: tuple[int, int, int], budget: int) -> dict:
+        """F (basis monomial) F, lifted, memoized: the step rows read at
+        one point share their compressions."""
+        out = self._sandwiches.get((family, key))
+        if out is None:
+            out = self._compress(family, {key: self._lift_one}, budget)
+            self._sandwiches[(family, key)] = out
+        return out
+
+    def _embed_times_f(self, family: str, terms: Mapping[Word, object], budget: int) -> dict:
+        """The embedding of a K0/K1/T1 combination with lifted coefficients
+        times F, lifted, as the sum of its words' images times F; those
+        are memoized, so the step rows and rank certificates read at one
+        point share them."""
+        memo, f, images = self._words_times_f, self._symmetrizer(family), []
+        for word, c in terms.items():
+            image = memo.get((family, word))
+            if image is None:
+                image = self._multiply(self._embed_word(word, budget), f, budget)
+                memo[(family, word)] = image
+            images.append((c, image))
+        return self._linear(images)
+
+    def _table_coef(self, terms: Coef, n: int):
+        """A step-table coefficient at exponent n, lifted, memoized."""
+        key = (terms, n)
+        c = self._coefs.get(key)
+        if c is None:
+            c = self._coefs[key] = self._lift(_coef(terms, n, self._bases))
+        return c
 
 
 def _word_key(word: Word) -> tuple[int, int, int]:
@@ -924,7 +955,8 @@ def embed_aw(
     if e.alphabet != "aw":
         raise ValueError("embed expects an element over the K0/K1/T1 alphabet")
     system = rewrite_system(params)
-    return system._normal_form(system._embed(e.terms, budget))
+    words = ((system._lift(c), system._embed_word(word, budget)) for word, c in e.terms.items())
+    return system._normal_form(system._linear(words))
 
 
 def aw_relations(
@@ -1041,7 +1073,7 @@ def iso_image(
         raise ValueError("the subalgebra isomorphisms take K0/K1 words")
     system = rewrite_system(params)
     k0 = params.value("q") if family == "asym" else system.one
-    tilde = {word: c * k0 ** word.count("K0") for word, c in u.terms.items()}
+    tilde = {word: system._lift(c * k0 ** word.count("K0")) for word, c in u.terms.items()}
     return system._normal_form(system._embed_times_f(family, tilde, budget))
 
 
@@ -1053,7 +1085,12 @@ def is_o_of(nf: NormalForm, m: int, n: int) -> bool:
     """Strict-dominance test: the element must be free of T1 and every
     monomial Z^k Y^l must satisfy |k| <= |m|, |l| <= |n| and
     (|k|, |l|) != (|m|, |n|)."""
-    for (k, l, i) in nf.terms:
+    return _dominated(nf.terms, m, n)
+
+
+def _dominated(keys: Iterable[tuple[int, int, int]], m: int, n: int) -> bool:
+    # is_o_of on the basis keys of a normal form, lifted or not
+    for (k, l, i) in keys:
         if i:
             return False
         if abs(k) > abs(m) or abs(l) > abs(n):
@@ -1063,13 +1100,14 @@ def is_o_of(nf: NormalForm, m: int, n: int) -> bool:
     return True
 
 
-def _factor_out_right(nf: NormalForm, eps: RatFunc) -> NormalForm | None:
-    """If nf = R (T1+eps) with R free of T1, return R as a normal form,
-    else None."""
-    lay0, lay1 = nf.layers()
-    if lay0 != {key: eps * coef for key, coef in lay1.items()}:
+def _factor_out_right(lifted: dict, eps, system: RewriteSystem) -> dict | None:
+    """If the lifted normal form is R (T1+eps) with R free of T1, return R,
+    lifted, else None; eps is lifted too."""
+    lay0 = {key: c for key, c in lifted.items() if not key[2]}
+    rest = {(k, l, 0): c for (k, l, i), c in lifted.items() if i}
+    if lay0 != system._settle({key: eps * c for key, c in rest.items()}):
         return None
-    return NormalForm({(k, l, 0): coef for (k, l), coef in lay1.items()})
+    return rest
 
 
 # ---------------------------------------------------------------------------
@@ -1120,16 +1158,16 @@ class StepRow:
 
     def leading_at(self, m: int, n: int, params: Params) -> dict[tuple[int, int], RatFunc]:
         """The leading terms at exponents (m, n): (k, l) -> coefficient."""
-        m, n = _step_exponents(self, m, n)
-        bases = _coef_bases(params)
-        return {
-            (sk * m, sl * n): _coef(coef, n, bases)
-            for (sk, sl), coef in self.leading.items()
-        }
+        system = rewrite_system(params)
+        return {key: system._drop(c) for key, c in _leading(self, m, n, system).items()}
 
 
-def _coef_bases(params: Params) -> tuple[RatFunc, RatFunc, RatFunc, RatFunc]:
-    return (*params.vals[:3], rewrite_system(params).u)  # (q, a, b, u), u = abcd/q
+def _leading(row: StepRow, m: int, n: int, system: RewriteSystem) -> dict:
+    # StepRow.leading_at with lifted coefficients
+    m, n = _step_exponents(row, m, n)
+    return {
+        (sk * m, sl * n): system._table_coef(coef, n) for (sk, sl), coef in row.leading.items()
+    }
 
 
 def _coef(terms: Coef, n: int, bases: tuple[RatFunc, ...]) -> RatFunc:
@@ -1342,30 +1380,31 @@ def _step_exponents(row: StepRow, m: int, n: int) -> tuple[int, int]:
 
 
 def _step_lhs(row: StepRow, m: int, n: int, params: Params, budget: int) -> NormalForm:
+    system = rewrite_system(params)
+    return system._normal_form(_lifted_step_lhs(row, m, n, system, budget))
+
+
+def _lifted_step_lhs(row: StepRow, m: int, n: int, system: RewriteSystem, budget: int) -> dict:
     # products of lifted factors: the compression F (basis monomial) F, and
     # the embedded K-words times F
     m, n = _step_exponents(row, m, n)
     sm, sn = row.signs
-    system = rewrite_system(params)
     if row.kind in ("sandwich", "exact", "step3"):
-        monomial = {(sm * m, sn * n, 0): system._lift_one}
-        sandwich = system._normal_form(system._compress(row.family, monomial, budget))
+        sandwich = system._sandwich(row.family, (sm * m, sn * n, 0), budget)
         if row.kind != "step3":
             return sandwich
-    bases = _coef_bases(params)
     if row.kind == "embed":
-        k_word = {("K1",) * (abs(sm) * m) + ("K0",) * (abs(sn) * n): system.one}
+        k_word = {("K1",) * (abs(sm) * m) + ("K0",) * (abs(sn) * n): system._lift_one}
     else:
         k_word = {
-            ("K1",) * (m - 1) + w + ("K0",) * (n - 1): _coef(coef, n, bases)
+            ("K1",) * (m - 1) + w + ("K0",) * (n - 1): system._table_coef(coef, n)
             for w, coef in row.middle.items()
         }
-    embedded = system._normal_form(system._embed_times_f(row.family, k_word, budget))
-    if row.kind == "step3":
-        return sandwich.scale(_coef(_ONE_MINUS_Q2, n, bases)) - embedded.scale(
-            _coef(row.scalar, n, bases)
-        )
-    return embedded
+    embedded = system._embed_times_f(row.family, k_word, budget)
+    if row.kind != "step3":
+        return embedded
+    c1, c2 = system._table_coef(_ONE_MINUS_Q2, n), system._table_coef(row.scalar, n)
+    return system._linear(((c1, sandwich), (-c2, embedded)))
 
 
 def check_step_identity(
@@ -1386,6 +1425,12 @@ def check_step_identity(
     is a product of reduced factors (F, a basis monomial, an embedded
     K-word), so ``budget`` bounds the rule applications behind each basis
     product not yet memoized, its new sub-products included.
+
+    Everything up to the verdict runs on the product kernel's lifted
+    coefficients, int residues at a point of GF(p), and the returned
+    residual is the only normal form built.  The table coefficients, the
+    compressions and the embedded K-words times F are memoized on the
+    rewrite system.
     """
     row = STEP_IDENTITIES.get(identity)
     if row is None:
@@ -1395,20 +1440,19 @@ def check_step_identity(
     if m < 1 or n < 1:
         raise ValueError("step identities take positive exponents")
     system = rewrite_system(params)
-    eps = system._drop(system._symmetrizer(row.family)[(0, 0, 0)])
-    nf = _step_lhs(row, m, n, params, budget)
-    lead_terms: dict[tuple[int, int, int], RatFunc] = {}
-    for (k, l), coef in row.leading_at(m, n, params).items():
-        _acc(lead_terms, (k, l, 1), coef)
-        _acc(lead_terms, (k, l, 0), coef * eps)
-    residual = nf - NormalForm(lead_terms)
+    eps = system._symmetrizer(row.family)[(0, 0, 0)]
+    lead_f: dict = {}  # the leading terms times F = T1+eps
+    for (k, l), c in _leading(row, m, n, system).items():
+        lead_f[(k, l, 1)], lead_f[(k, l, 0)] = c, c * eps
+    one = system._lift_one
+    lhs = _lifted_step_lhs(row, m, n, system, budget)
+    residual = system._linear(((one, lhs), (-one, lead_f)))
     if row.kind == "exact":
-        return residual, residual.is_zero()
-    rest = _factor_out_right(residual, eps)
-    if rest is None:
-        return residual, False
+        return system._normal_form(residual), not residual
+    rest = _factor_out_right(residual, eps, system)
     uses_m, uses_n = row.uses()
-    return residual, is_o_of(rest, m if uses_m else 0, n if uses_n else 0)
+    ok = rest is not None and _dominated(rest, m if uses_m else 0, n if uses_n else 0)
+    return system._normal_form(residual), ok
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ under a stable id.  A check receives a parameter set and reports pass or
 fail with the first offending residual; :func:`run_checks` drives a
 selected subset in either exact mode (one run, usually symbolic) or
 probabilistic mode (several runs at seeded random points of GF(p),
-p = 2^61 - 1, that satisfy the genericity conditions mod p).  Each run is
+p = 2^61 - 1, that satisfy the genericity conditions mod p; trial k of
+every check runs at one point, drawn from the seed and k).  Each run is
 exact in its field; a false pass in probabilistic mode needs the residual
 to vanish at a random point of GF(p), which happens with probability at
 most deg/p per trial, deg being the total degree of the residual's
@@ -22,7 +23,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Mapping, Sequence
 
 from . import ncalg, polyrep
@@ -632,6 +633,14 @@ def check_ids() -> list[str]:
 # Runner
 
 
+@lru_cache(maxsize=64)
+def _trial_point(seed: int, k: int) -> Params:
+    """The point of GF(p) of trial k under ``seed``, drawn once.  Every check
+    runs its trial k there, so the checks of one trial share one rewrite
+    system and its memoized products."""
+    return random_params_mod_p(random.Random(f"{seed}:trial:{k}"))
+
+
 def _run_one(
     spec: CheckSpec, config: RunConfig
 ) -> CheckResult:
@@ -642,6 +651,8 @@ def _run_one(
         "max_degree": config.max_degree,
         "max_n": config.max_n,
     }
+    # the rank certificates' witness draws at a symbolic point read this;
+    # the random points of prob mode come from _trial_point
     rng = random.Random(f"{config.seed}:{spec.id}")
     start = time.monotonic()
     trials = 0
@@ -654,8 +665,8 @@ def _run_one(
             trials = 1
             summary = spec.runner(params, bounds, rng)
         else:
-            for _ in range(config.trials):
-                params = random_params_mod_p(rng)
+            for k in range(config.trials):
+                params = _trial_point(config.seed, k)
                 where = f"at {params.label}: "
                 trials += 1
                 summary = spec.runner(params, bounds, rng)

@@ -8,12 +8,15 @@ literal leading coefficients as well as sweep the whole table.
 """
 
 import dataclasses
+import random
 
 import pytest
+from test_factor_products import _step_lhs_oracle
 
 from rank1daha import ncalg
 from rank1daha.errors import UnknownIdentity
-from rank1daha.ncalg import STEP_IDENTITIES, check_step_identity
+from rank1daha.ncalg import STEP_IDENTITIES, Element, check_step_identity, reduce, symmetrizer
+from rank1daha.params import random_params_mod_p
 from rank1daha.verify import RunConfig, run_checks
 
 
@@ -122,6 +125,56 @@ def test_perturbed_row_fails(monkeypatch, gpoint, name, key):
     residual, ok = check_step_identity(name, 2, 2, gpoint)
     assert not ok
     assert not residual.is_zero()
+
+
+@pytest.mark.parametrize("which", ["gpoint", "modp", "sym"])
+@pytest.mark.parametrize("name, key", _CONTROLS)
+def test_perturbed_residual_matches_rewriting(monkeypatch, request, which, name, key):
+    # a failure prints the residual, so it must be the oracle's: reduce of
+    # the expanded left side minus the leading terms times F
+    if which == "modp":
+        point = random_params_mod_p(random.Random(3))
+    else:
+        point = request.getfixturevalue(which)
+    row = _perturbed(STEP_IDENTITIES[name], key)
+    monkeypatch.setitem(ncalg.STEP_IDENTITIES, name, row)
+    m, n = (1, 1) if row.kind == "exact" else (2, 2)
+    bases = ncalg.rewrite_system(point)._bases
+    leading = {
+        ncalg._basis_word(sk * m, sl * n, 0): ncalg._coef(coef, n, bases)
+        for (sk, sl), coef in row.leading.items()
+    }
+    f, _ = symmetrizer(row.family, point)
+    expected = reduce(_step_lhs_oracle(row, 2, 2, point) - Element("daha", leading) * f, point)
+    residual, ok = check_step_identity(name, 2, 2, point)
+    assert not ok
+    assert residual == expected
+
+
+@pytest.mark.parametrize("which", ["gpoint", "modp"])
+def test_residual_off_the_right_factor_fails(monkeypatch, request, which):
+    # the T1 factorisation is a test of its own: a dominated residual must
+    # also be R (T1+eps), so adding F keeps the verdict and T1 alone breaks it
+    if which == "modp":
+        point = random_params_mod_p(random.Random(3))
+    else:
+        point = request.getfixturevalue(which)
+    system = ncalg.rewrite_system(point)
+    one, eps = system._lift_one, system._symmetrizer("sym")[(0, 0, 0)]
+    lhs, (base, _) = ncalg._lifted_step_lhs, check_step_identity("44", 2, 1, point)
+
+    def plus(extra):
+        def patched(row, m, n, system, budget):
+            return system._linear(((one, lhs(row, m, n, system, budget)), (one, extra)))
+
+        return patched
+
+    monkeypatch.setattr(ncalg, "_lifted_step_lhs", plus({(0, 0, 1): one, (0, 0, 0): eps}))
+    assert check_step_identity("44", 2, 1, point)[1]
+    monkeypatch.setattr(ncalg, "_lifted_step_lhs", plus({(0, 0, 1): one}))
+    residual, ok = check_step_identity("44", 2, 1, point)
+    assert not ok
+    assert (residual - base).terms == {(0, 0, 1): 1}
 
 
 @pytest.mark.parametrize("name, key", _CONTROLS)

@@ -240,9 +240,59 @@ def test_any_runner_exception_still_yields_a_report(monkeypatch, tmp_path):
     )
     assert code == 1
     (row,) = json.loads(out.read_text())["results"]
-    point = random_params_mod_p(random.Random("1729:raises"))
+    point = random_params_mod_p(random.Random("1729:trial:0"))
     assert (row["verdict"], row["trials"]) == ("error", 1)
     assert row["residual_summary"] == f"at {point.label}: RuntimeError: runner broke"
+
+
+def test_every_check_runs_trial_k_at_one_point(monkeypatch):
+    # the points of a prob run depend on the seed and the trial only: trial k
+    # of every check sees one point, whichever checks run beside it
+    seen = {}
+
+    def recording(check_id):
+        def runner(params, bounds, rng):
+            seen.setdefault(check_id, []).append(params)
+            return ""
+
+        return runner
+
+    specs = [CheckSpec(cid, "records its points", "prob", recording(cid)) for cid in ("p1", "p2")]
+    monkeypatch.setattr(verify, "CHECK_CATALOG", [*CHECK_CATALOG, *specs])
+    for spec in specs:
+        monkeypatch.setitem(verify._CATALOG_BY_ID, spec.id, spec)
+    report = run_checks(RunConfig(checks=["p1", "p2"], mode="prob", trials=3))
+    assert [(r.verdict, r.trials) for r in report.results] == [("pass", 3)] * 2
+    together = seen.copy()
+    seen.clear()
+    run_checks(RunConfig(checks=["p2"], mode="prob", trials=3))
+    points = [random_params_mod_p(random.Random(f"1729:trial:{k}")) for k in range(3)]
+    assert together["p1"] == together["p2"] == seen["p2"] == points
+    labels = [p.label for p in points]
+    assert [p.label for p in together["p1"]] == [p.label for p in seen["p2"]] == labels
+    assert len(set(labels)) == 3
+    # another seed, other points
+    seen.clear()
+    run_checks(RunConfig(checks=["p1"], mode="prob", trials=3, seed=7))
+    assert not set(seen["p1"]) & set(points)
+
+
+def test_checks_of_one_trial_share_a_rewrite_system(monkeypatch):
+    """Work gate: with one point per trial, the checks of trial k share one
+    rewrite system and its memoized products.  Three checks at two trials
+    built 6 systems when every check drew its own points."""
+    monkeypatch.setattr(ncalg, "_SYSTEMS", OrderedDict())
+    built = [0]
+    init = ncalg.RewriteSystem.__init__
+
+    def counted(self, params):
+        built[0] += 1
+        init(self, params)
+
+    monkeypatch.setattr(ncalg.RewriteSystem, "__init__", counted)
+    config = RunConfig(checks=["step.44", "step3.spherical", "center.daha"], mode="prob", trials=2)
+    assert [(r.verdict, r.trials) for r in run_checks(config).results] == [("pass", 2)] * 3
+    assert built[0] == 2
 
 
 def test_prob_run_keeps_per_params_caches_bounded():
