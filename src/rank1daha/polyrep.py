@@ -21,13 +21,14 @@ and the summands of the terminating 4phi3 sum for P_n are its coordinates
 c_k in that basis.  Times (q;q)_n they are products of linear factors,
 c~_k = (q^-n, abcd q^(n-1);q)_k q^k (ab q^k, ac q^k, ad q^k;q)_(n-k)
 (q^(k+1);q)_(n-k), and P_n = N_n^-1 sum_k c~_k phi_k with the normaliser
-N_n = a^n (abcd q^(n-1);q)_n (q;q)_n.  At symbolic parameters the c~_k and
-N_n are Laurent polynomials, so the eigen check, which works on them,
-never meets a multi-term denominator; ``askey_wilson`` divides through.
-Each public function converts its z-form input into
-coordinates once, by peeling the top z-degree (the z^k coefficient of
-phi_k is the monomial (-a)^k q^(k(k-1)/2), so no gcd runs), and its result
-back once, by Horner's rule in the factors phi_(k+1) / phi_k.
+N_n = a^n (abcd q^(n-1);q)_n (q;q)_n.  The eigen, recurrence and symmetry
+identities of the family are sums of such factored terms, each checked
+after dividing out the factors its terms share, so no check of the family
+meets a multi-term denominator; ``askey_wilson`` divides through.  Each
+public function converts its z-form input into coordinates once, by
+peeling the top z-degree (the z^k coefficient of phi_k is the monomial
+(-a)^k q^(k(k-1)/2), so no gcd runs), and its result back once, by
+Horner's rule in the factors phi_(k+1) / phi_k.
 
 The Casimir word combination and the two q-commutator relations are the
 quotient relations of :mod:`rank1daha.ncalg`, applied word by word as
@@ -37,6 +38,8 @@ operators.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
+from math import prod
 from typing import Mapping, Sequence
 
 from .errors import DegenerateParameters, NotSymmetric
@@ -299,34 +302,78 @@ def apply_word(word: Sequence[str], f: LaurentPoly, params: Params) -> LaurentPo
     return _from_phi(_word_image(tuple(word), {(): _to_phi(f, basis)}, basis), basis)
 
 
-def _pn_factors(n: int, params: Params) -> tuple[list[tuple], RatFunc]:
+# A factor 1 - x q^m of the family is keyed (x, m), x a product of a, b, c,
+# d spelled by its sorted letters ("1" if empty): a key names a factor of
+# Q(q,a,b,c,d), not its value, so factors that coincide only at a point
+# (1 - ac and 1 - bd where ac = bd) stay apart.  A term is a scalar and a
+# dict from keys to exponents, negative in a denominator.
+Term = tuple[RatFunc, Mapping[tuple[str, int], int]]
+
+
+class _Factors(dict):
+    """The values of factor keys at one parameter set, each computed once."""
+
+    def __init__(self, params: Params):
+        super().__init__()
+        self.q, *abcd = params.vals
+        self.letters = dict(zip("1abcd", (_ONE, *abcd)))
+
+    def __missing__(self, key: tuple[str, int]) -> RatFunc:
+        x, m = key
+        self[key] = out = _ONE - prod((self.letters[c] for c in x), start=self.q**m)
+        return out
+
+
+def _term(scalar: RatFunc, *terms: Term) -> Term:
+    """scalar times the product of ``terms``."""
+    factors: Counter = Counter()
+    for s, f in terms:
+        scalar = scalar * s
+        factors.update(f)
+    return scalar, factors
+
+
+def _reduced(terms: Sequence[Term], values: _Factors) -> RatFunc:
+    """The sum of ``terms`` divided by the least power of each factor in
+    them, expanded at the point of ``values``.  The divisor is a nonzero
+    element of Q(q,a,b,c,d) whatever the point, so the result is the value
+    there of one Laurent polynomial in q, a, b, c, d, which is zero exactly
+    when the sum is zero in Q(q,a,b,c,d).  Terms with the factor 1 - q^0 = 0
+    drop out first."""
+    terms = [(s, f) for s, f in terms if f.get(("1", 0), 0) <= 0]
+    keys = set().union(*(f for _, f in terms))
+    least = {key: min(f.get(key, 0) for _, f in terms) for key in keys}
+    total = _ZERO
+    for s, f in terms:
+        for key, low in least.items():
+            for _ in range(f.get(key, 0) - low):
+                s = s * values[key]
+        total = total + s
+    return total
+
+
+def _pn_factors(n: int, values: _Factors) -> list[tuple]:
     """The linear factors of the terminating 4phi3 sum for P_n,
 
       a^-n / (abcd q^(n-1);q)_n
         sum_k  (q^-n, abcd q^(n-1);q)_k q^k / (q;q)_k
                (ab q^k, ac q^k, ad q^k;q)_(n-k)  phi_k,
 
-    one row per j < n: 1 - q^(j-n) and 1 - abcd q^(n-1+j), of the (..;q)_k
-    products; 1 - q^(j+1), of (q;q)_k; and the triple 1 - ab q^j,
-    1 - ac q^j, 1 - ad q^j, of the (..;q)_(n-k) products.  Also the
-    divisor (abcd q^(n-1);q)_n.
+    as keys, one row per j < n: (1, j-n) and (abcd, n-1+j), of the (..;q)_k
+    products; (1, j+1), of (q;q)_k; and the triple (ab, j), (ac, j),
+    (ad, j), of the (..;q)_(n-k) products.  The keys (abcd, n-1+j) are also
+    the factors of the divisor (abcd q^(n-1);q)_n, which must not vanish at
+    the point of ``values``.
     """
     if n < 0:
         raise ValueError("polynomial degree must be nonnegative")
-    q, a, b, c, d = params.vals
-    top = a * b * c * d * q ** (n - 1)
-    powers = [q**k for k in range(n + 1)]
-    rows = []
-    divisor = _ONE
-    for j in range(n):
-        x = powers[j]
-        step = _ONE - top * x
-        divisor = divisor * step
-        tail = (_ONE - a * b * x, _ONE - a * c * x, _ONE - a * d * x)
-        rows.append((_ONE - x / powers[n], step, _ONE - powers[j + 1], tail))
-    if divisor.is_zero():
+    rows = [
+        (("1", j - n), ("abcd", n - 1 + j), ("1", j + 1), (("ab", j), ("ac", j), ("ad", j)))
+        for j in range(n)
+    ]
+    if any(values[step].is_zero() for _, step, _, _ in rows):
         raise DegenerateParameters("abcd*q^m = 1", m=None)
-    return rows, divisor
+    return rows
 
 
 def _summands(rises: Sequence[Sequence[RatFunc]], tails: Sequence[Sequence[RatFunc]]) -> Coords:
@@ -350,28 +397,25 @@ def _summands(rises: Sequence[Sequence[RatFunc]], tails: Sequence[Sequence[RatFu
 def _pn_coords(n: int, params: Params) -> tuple[Coords, RatFunc]:
     """The coordinates of P_n up to one scalar, the summands of the 4phi3
     sum, and that scalar a^-n / (abcd q^(n-1);q)_n."""
-    rows, divisor = _pn_factors(n, params)
+    values = _Factors(params)
+    rows = _pn_factors(n, values)
     q, a = params.vals[:2]
     # divide by each 1 - q^(j+1) as the product runs: the cleared summands
     # with one inverse of N_n at the end make askey_wilson for n <= 5
     # about 2.5 times slower at symbolic parameters
-    rises = [(rise, step, q, fall.inv()) for rise, step, fall, _ in rows]
-    coords = _summands(rises, [tail for *_, tail in rows])
-    return coords, (a**n * divisor).inv()
+    rises = [(values[rise], values[step], q, values[fall].inv()) for rise, step, fall, _ in rows]
+    coords = _summands(rises, [[values[key] for key in tail] for *_, tail in rows])
+    return coords, prod((values[step] for _, step, _, _ in rows), start=a**n).inv()
 
 
-def _pn_cleared(n: int, params: Params) -> tuple[Coords, RatFunc]:
-    """The cleared coordinates (q;q)_n c_k of P_n, Laurent polynomials at
-    symbolic parameters, and the normaliser N_n = a^n (abcd q^(n-1);q)_n
-    (q;q)_n with P_n = N_n^-1 sum_k (q;q)_n c_k phi_k."""
-    rows, divisor = _pn_factors(n, params)
-    q, a = params.vals[:2]
-    rises = [(rise, step, q) for rise, step, _, _ in rows]
-    coords = _summands(rises, [(*tail, fall) for _, _, fall, tail in rows])
-    norm = a**n * divisor
-    for _, _, fall, _ in rows:
-        norm = norm * fall
-    return coords, norm
+def _pn_terms(n: int, values: _Factors) -> tuple[list[Term], Term]:
+    """The cleared coordinates c~_k = (q;q)_n c_k of P_n, k = 0..n, and its
+    normaliser N_n = a^n (abcd q^(n-1);q)_n (q;q)_n, as terms."""
+    rows = _pn_factors(n, values)
+    rises = [key for rise, step, _, _ in rows for key in (rise, step)]
+    tails = [key for _, _, fall, tail in rows for key in (fall, *tail)]
+    coords = [(values.q**k, Counter(rises[: 2 * k] + tails[4 * k :])) for k in range(n + 1)]
+    return coords, (values.letters["a"] ** n, Counter(rises[1::2] + tails[::4]))
 
 
 def askey_wilson(n: int, params: Params) -> LaurentPoly:
@@ -394,39 +438,90 @@ def shifted_qn(n: int, params: Params) -> LaurentPoly:
     return prefactor * p_shift
 
 
-def _recurrence_projections(max_n: int, params: Params):
-    """For n = 0..max_n, (beta_n, gamma_n, rest_n): the coefficients read
-    off by triangular projection of (z + z^-1) P_n - P_(n+1) onto P_n and
-    P_(n-1) (gamma_0 = 0), and what the projection leaves, which is zero for
-    the monic family.  Each of P_0..P_(max_n+1) is built once."""
-    if max_n < 0:
-        raise ValueError("recurrence index must be nonnegative")
-    family = [askey_wilson(n, params) for n in range(max_n + 2)]
-    for n in range(max_n + 1):
-        rest = apply_k1(family[n]) - family[n + 1]
-        beta = rest.coeff(n)
-        rest = rest - family[n].scale(beta)
-        if n == 0:
-            gamma = _ZERO
-        else:
-            gamma = rest.coeff(n - 1)
-            rest = rest - family[n - 1].scale(gamma)
-        yield beta, gamma, rest
+# The recurrence (z + z^-1) P_n = P_(n+1) + beta_n P_n + gamma_n P_(n-1) of
+# the monic family has beta_n = a + a^-1 - A_n - C_n and gamma_n = A_(n-1) C_n
+# with (Koekoek-Lesky-Swarttouw 2010, (14.1.4)) the closed forms below, each
+# stored as its power of a and the rows (x, s, t, e) of its factors
+# (1 - x q^(sn+t))^e:
+#   A_n = (1-abq^n)(1-acq^n)(1-adq^n)(1-abcdq^(n-1)) / (a(1-abcdq^(2n-1))(1-abcdq^(2n))),
+#   C_n = a(1-q^n)(1-bcq^(n-1))(1-bdq^(n-1))(1-cdq^(n-1)) / ((1-abcdq^(2n-2))(1-abcdq^(2n-1))).
+_CLOSED_FORMS = {
+    "A": (-1, (("ab", 1, 0, 1), ("ac", 1, 0, 1), ("ad", 1, 0, 1), ("abcd", 1, -1, 1),
+               ("abcd", 2, -1, -1), ("abcd", 2, 0, -1))),
+    "C": (1, (("1", 1, 0, 1), ("bc", 1, -1, 1), ("bd", 1, -1, 1), ("cd", 1, -1, 1),
+              ("abcd", 2, -2, -1), ("abcd", 2, -1, -1))),
+}
+
+
+def _coefficients(n: int, values: _Factors, swap: str = "") -> tuple[list[Term], Term]:
+    """beta_n as the terms a + a^-1, -A_n, -C_n, and gamma_n, in their
+    closed forms with the two letters of ``swap`` exchanged."""
+    table = str.maketrans(swap, swap[::-1])
+    a = values.letters["a".translate(table)]
+
+    def form(name: str, m: int) -> Term:
+        power, rows = _CLOSED_FORMS[name]
+        factors: Counter = Counter()
+        for x, s, t, e in rows:
+            factors["".join(sorted(x.translate(table))), s * m + t] += e
+        return a**power, factors
+
+    beta = [(a + a.inv(), {}), _term(-_ONE, form("A", n)), _term(-_ONE, form("C", n))]
+    return beta, _term(_ONE, form("A", n - 1), form("C", n))
 
 
 def recurrence_coeffs(max_n: int, params: Params) -> list[tuple[RatFunc, RatFunc]]:
     """The three-term recurrence coefficients (beta_n, gamma_n) for
     n = 0..max_n, with (z + z^-1) P_n = P_(n+1) + beta_n P_n + gamma_n P_(n-1),
-    recovered by triangular projection onto the monic family (gamma_0 = 0).
-    Each of P_0..P_(max_n+1) is built once."""
-    out = []
-    for beta, gamma, rest in _recurrence_projections(max_n, params):
-        if not rest.is_zero():
-            raise AssertionError(
-                "three-term projection left a residual; the monic family is broken"
-            )
-        out.append((beta, gamma))
-    return out
+    from their closed forms (gamma_0 = 0)."""
+    if max_n < 0:
+        raise ValueError("recurrence index must be nonnegative")
+    values = _Factors(params)
+    value = lambda term: prod((values[key] ** e for key, e in term[1].items()), start=term[0])
+    coeffs = [_coefficients(n, values) for n in range(max_n + 1)]
+    return [(sum(map(value, beta), _ZERO), value(gamma) if n else _ZERO)
+            for n, (beta, gamma) in enumerate(coeffs)]
+
+
+def _recurrence_residuals(max_n: int, params: Params):
+    """For n = 0..max_n, the reduced phi_k coordinates, k = 0..n+1, of
+    N_n ((z + z^-1) P_n - P_(n+1) - beta_n P_n - gamma_n P_(n-1)), all zero,
+    P_m being N_m^-1 sum_k c~^(m)_k phi_k and z + z^-1 bidiagonal; and
+    whether gamma_n (n >= 1) vanishes at ``params``."""
+    if max_n < 0:
+        raise ValueError("recurrence index must be nonnegative")
+    values, basis = _Factors(params), _Basis(params).grow(max_n + 1)
+    family = [_pn_terms(n, values) for n in range(max_n + 2)]
+
+    def ratio(m: int, n: int) -> Term:  # N_m / N_n
+        (s, f), (s2, f2) = family[m][1], family[n][1]
+        return s / s2, {key: f.get(key, 0) - f2.get(key, 0) for key in f.keys() | f2.keys()}
+
+    for n in range(max_n + 1):
+        beta, gamma = _coefficients(n, values)
+        rows = [[_term(-_ONE, ratio(n, n + 1), c)] for c in family[n + 1][0]]
+        for k, c in enumerate(family[n][0]):
+            rows[k] += [_term(basis.k1_diag[k], c), *(_term(-_ONE, t, c) for t in beta)]
+            rows[k + 1].append(_term(basis.k1_up[k], c))
+        if n:
+            down = _term(-_ONE, gamma, ratio(n, n - 1))
+            for k, c in enumerate(family[n - 1][0]):
+                rows[k].append(_term(_ONE, down, c))
+        vanishes = any(values[key].is_zero() for key, e in gamma[1].items() if e > 0)
+        yield [_reduced(terms, values) for terms in rows], n > 0 and vanishes
+
+
+def _swap_residuals(k: int, params: Params, swap: str) -> list[RatFunc]:
+    """The reduced differences of beta_k, gamma_k and A_k (beta_k's second
+    term) from their images under exchanging the two letters of ``swap``:
+    D_k beta_k, the cleared gamma_k and the cleared A_k, D_k =
+    (1-abcdq^(2k-2))(1-abcdq^(2k-1))(1-abcdq^(2k)) being symmetric in a, b,
+    c, d.  Raises where P_(k+1), which they help fix, does not exist."""
+    values = _Factors(params)
+    _pn_factors(k + 1, values)
+    (beta, gamma), (beta2, gamma2) = _coefficients(k, values), _coefficients(k, values, swap)
+    pairs = ((beta, beta2), ([gamma], [gamma2]), (beta[1:2], beta2[1:2]))
+    return [_reduced([*one, *(_term(-_ONE, t) for t in two)], values) for one, two in pairs]
 
 
 def casimir_apply(fs: Sequence[LaurentPoly], params: Params) -> list[LaurentPoly]:
@@ -461,25 +556,23 @@ def check_aw_relations_in_rep(
     return residuals
 
 
-def check_eigen_in_rep(max_n: int, params: Params) -> list[tuple[bool, LaurentPoly]]:
-    """For n = 0..max_n, whether P_n is monic and the residual
-    D P_n - lambda_n P_n, which is zero.
-
-    Both are identities on the cleared coordinates c~_k = (q;q)_n c_k and
-    the normaliser N_n of P_n = N_n^-1 sum_k c~_k phi_k: D c~ - lambda_n c~
-    = 0 entry by entry, and c~_n times the z^n coefficient of phi_n equals
-    N_n.  Every number in them is a Laurent polynomial at symbolic
-    parameters; N_n is inverted only to convert a nonzero residual back
-    to z-form.  P_n is symmetric by construction, as every phi_k is.
+def check_eigen_in_rep(max_n: int, params: Params) -> list[tuple[RatFunc, list[RatFunc]]]:
+    """For n = 0..max_n, the residuals of two identities on the cleared
+    coordinates c~_k = (q;q)_n c_k and the normaliser N_n of
+    P_n = N_n^-1 sum_k c~_k phi_k: lead(phi_n) c~_n - N_n, zero when P_n is
+    monic, and for k < n, (lambda_k - lambda_n) c~_k + mu_(k+1) c~_(k+1),
+    the phi_k coordinate of (D - lambda_n) N_n P_n.  Each is reduced by the
+    factors its terms share.  P_n is symmetric, as every phi_k is.
     """
-    basis = _Basis(params).grow(max_n)
+    values, basis = _Factors(params), _Basis(params).grow(max_n)
+    lam, mu = basis.lam, basis.mu
     out = []
     for n in range(max_n + 1):
-        coords, norm = _pn_cleared(n, params)
-        lam = basis.lam[n]
-        diff = [x - lam * c for x, c in zip(_dsym(coords, basis), coords)]
-        residual = LaurentPoly.zero()
-        if any(diff):
-            residual = _from_phi(diff, basis, norm.inv())
-        out.append((coords[n] * basis.phi[n][n] == norm, residual))
+        coords, norm = _pn_terms(n, values)
+        monic = _reduced([_term(basis.phi[n][n], coords[n]), _term(-_ONE, norm)], values)
+        eigen = [
+            _reduced([_term(lam[k] - lam[n], coords[k]), _term(mu[k + 1], coords[k + 1])], values)
+            for k in range(n)
+        ]
+        out.append((monic, eigen))
     return out

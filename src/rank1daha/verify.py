@@ -135,8 +135,8 @@ def _fmt_nf(nf: NormalForm, limit: int = 4) -> str:
     return shown
 
 
-def _fmt_poly(f: polyrep.LaurentPoly) -> str:
-    text = str(f)
+def _fmt_short(value) -> str:
+    text = str(value)
     return text if len(text) <= 200 else text[:200] + " ..."
 
 
@@ -230,13 +230,14 @@ _at_witness = _at_points(
 )
 
 
-def _kernel(point, keys, gens) -> int:
-    # the kernel dimension of x -> ([x, g] for g in gens) on the span of the basis keys
+def _kernel(point, keys, gens) -> tuple[int, list[dict]]:
+    # the kernel dimension of x -> ([x, g] for g in gens) on the span of the basis keys,
+    # and the images of the keys, block j keyed (j, key)
     gens, images = [NormalForm({g: _ONE}) for g in gens], []
     for x in (NormalForm({key: _ONE}) for key in keys):
         comms = [ncalg.multiply(x, g, point) - ncalg.multiply(g, x, point) for g in gens]
         images.append({(j, k): c for j, comm in enumerate(comms) for k, c in comm.terms.items()})
-    return len(images) - ncalg._rank(images, point)
+    return len(images) - ncalg._rank(images, point), images
 
 
 def _k_words(bound: int) -> list[tuple[str, ...]]:
@@ -371,7 +372,7 @@ def _check_centralizer_t1(point, bounds, rng) -> str | None:
     # control: Z in place of an embedded word is rejected
     if not rejected(NormalForm({(1, 0, 0): _ONE})):
         return "control: Z accepted in place of an embedded word"
-    kernel = _kernel(point, [(m, n, i) for m in span for n in span for i in (0, 1)], [(0, 0, 1)])
+    kernel, _ = _kernel(point, [(m, n, i) for m in span for n in span for i in (0, 1)], [(0, 0, 1)])
     rank = ncalg._rank([nf.terms for nf in embedded], point)
     if rank > kernel:
         return f"embedded rank {rank} exceeds the kernel dimension {kernel}"
@@ -386,19 +387,21 @@ def _check_center_daha(point, bounds, rng) -> str | None:
     span, gens = range(-_CENTER_DEGREE, _CENTER_DEGREE + 1), [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     box = [(m, n, i) for m in span for n in span for i in (0, 1)]
     box = [(m, n, i) for m, n, i in box if abs(m) + abs(n) + i <= _CENTER_DEGREE]
-    kernel = _kernel(point, box, gens)
+    kernel, images = _kernel(point, box, gens)
     if kernel != 1:
         return None if kernel > 1 else "the scalars do not commute with every generator"
-    # control: Z alone commutes with more than the scalars
-    return "" if _kernel(point, box, gens[:1]) > 1 else "control: kernel 1 for Z alone"
+    # control: Z alone commutes with more than the scalars (the Z blocks of the same images)
+    z_blocks = [{key: c for key, c in image.items() if key[0] == 0} for image in images]
+    return "" if ncalg._rank(z_blocks, point) < len(box) - 1 else "control: kernel 1 for Z alone"
 
 
 def _check_eigen_pn(params, bounds, rng) -> str:
-    for n, (monic, residual) in enumerate(polyrep.check_eigen_in_rep(bounds["max_n"], params)):
-        if not monic:
+    for n, (monic, eigen) in enumerate(polyrep.check_eigen_in_rep(bounds["max_n"], params)):
+        if monic:
             return f"P_{n} is not monic"
-        if not residual.is_zero():
-            return f"eigenvalue equation fails at n={n}: {_fmt_poly(residual)}"
+        for k, residual in enumerate(eigen):
+            if residual:
+                return f"eigenvalue equation fails at n={n}, k={k}: {_fmt_short(residual)}"
     # eigenvalue distinctness
     lams = [eigenvalue(n, params) for n in range(21)]
     for i in range(len(lams)):
@@ -409,11 +412,12 @@ def _check_eigen_pn(params, bounds, rng) -> str:
 
 
 def _check_recurrence(params, bounds, rng) -> str:
-    projections = polyrep._recurrence_projections(bounds["max_n"], params)
-    for n, (_, gamma, rest) in enumerate(projections):
-        if not rest.is_zero():
-            return f"three-term projection leaves a residual at n={n}: {_fmt_poly(rest)}"
-        if n >= 1 and gamma.is_zero():
+    residuals = polyrep._recurrence_residuals(bounds["max_n"], params)
+    for n, (coordinates, gamma_vanishes) in enumerate(residuals):
+        for k, residual in enumerate(coordinates):
+            if residual:
+                return f"three-term recurrence fails at n={n}, k={k}: {_fmt_short(residual)}"
+        if gamma_vanishes:
             return f"gamma_{n} = 0"
     return ""
 
@@ -424,7 +428,7 @@ def _check_casimir_scalar(params, bounds, rng) -> str:
     for k, (f, out) in enumerate(zip(basis, polyrep.casimir_apply(basis, params))):
         want = f.scale(q0)
         if out != want:
-            return f"k={k}: {_fmt_poly(out - want)}"
+            return f"k={k}: {_fmt_short(out - want)}"
     return ""
 
 
@@ -434,7 +438,7 @@ def _check_awrel_inrep(params, bounds, rng) -> str:
         if not res.is_zero():
             rel = 1 + (idx % 2)
             k = idx // 2
-            return f"relation {rel} on z^{k}+z^-{k}: {_fmt_poly(res)}"
+            return f"relation {rel} on z^{k}+z^-{k}: {_fmt_short(res)}"
     # negative control
     perturbed = polyrep.check_aw_relations_in_rep(1, params, perturb_B=_ONE)
     if all(r.is_zero() for r in perturbed):
@@ -443,13 +447,17 @@ def _check_awrel_inrep(params, bounds, rng) -> str:
 
 
 def _check_symmetry_abcd(params, bounds, rng) -> str:
-    base = [polyrep.askey_wilson(n, params) for n in range(bounds["max_n"] + 1)]
+    # by Favard's theorem beta_k and gamma_k, k < n, fix the monic P_n
     for x, y in (("a", "b"), ("a", "c")):
-        swapped = params.swapped(x, y)
-        for n, p_n in enumerate(base):
-            if p_n != polyrep.askey_wilson(n, swapped):
-                return f"P_{n} changes under swapping {x} and {y}"
-    return ""
+        for k in range(bounds["max_n"]):
+            beta, gamma, _ = polyrep._swap_residuals(k, params, x + y)
+            for name, residual in (("beta", beta), ("gamma", gamma)):
+                if residual:
+                    return f"{name}_{k} changes under swapping {x} and {y}: {_fmt_short(residual)}"
+    # control: A_0 alone changes under swapping a and b, over Q(q,a,b,c,d), since
+    # at a point where a = b it cannot
+    control = polyrep._swap_residuals(0, make_params("symbolic"), "ab")[2]
+    return "" if control else "control: A_0 does not change under swapping a and b"
 
 
 # ---------------------------------------------------------------------------
@@ -585,14 +593,16 @@ def _build_catalog() -> list[CheckSpec]:
             CheckSpec(
                 "eigen.Pn",
                 "the difference operator sends the monic polynomial P_n to "
-                "(q^-n + abcd q^(n-1)) P_n for n <= 8; eigenvalues distinct for n <= 20",
+                "(q^-n + abcd q^(n-1)) P_n for n <= 8, on the cleared 4phi3 coordinates of "
+                "P_n; eigenvalues distinct for n <= 20",
                 "prob",
                 _check_eigen_pn,
             ),
             CheckSpec(
                 "recurrence",
-                "(z + z^-1) P_n = P_(n+1) + beta_n P_n + gamma_n P_(n-1) projects with "
-                "zero residual for n <= 8; gamma_0 = 0 and gamma_n != 0 for n >= 1",
+                "(z + z^-1) P_n = P_(n+1) + beta_n P_n + gamma_n P_(n-1) for n <= 8 on cleared "
+                "coordinates, with beta_n = a + a^-1 - A_n - C_n and gamma_n = A_(n-1) C_n in "
+                "the closed forms of Koekoek-Lesky-Swarttouw (14.1.4); gamma_n != 0 for n >= 1",
                 "prob",
                 _check_recurrence,
             ),
@@ -612,7 +622,11 @@ def _build_catalog() -> list[CheckSpec]:
             ),
             CheckSpec(
                 "symmetry.abcd",
-                "P_n is invariant under swapping a with b and a with c, n <= 8",
+                "P_n is invariant under swapping a with b and a with c, n <= 8: so are "
+                "beta_k times its symmetric denominator (1-abcdq^(2k-2))(1-abcdq^(2k-1))"
+                "(1-abcdq^(2k)) and the cleared gamma_k, k < 8, which by Favard's theorem fix "
+                "P_n given the closed forms that recurrence proves; control: A_0 changes under "
+                "swapping a and b as a rational function",
                 "prob",
                 _check_symmetry_abcd,
             ),

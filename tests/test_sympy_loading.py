@@ -66,18 +66,17 @@ def test_runs_without_rational_functions_load_no_sympy(argv):
 
 
 def test_symbolic_scalars_with_monomial_denominators_load_no_sympy():
-    # the step identities, both duality checks at d -> qd^2/(abc), and
-    # eigen.Pn on cleared coordinates, whose normaliser is never inverted
-    argv = ("verify", "run", "--mode", "exact", "--checks", "step.44,duality.aw,duality.daha,eigen.Pn",
-            "--max-mn", "1", "--max-n", "2")
+    # the step identities, both duality checks at d -> qd^2/(abc), and the
+    # identities of P_n on factored terms, whose denominators are never expanded
+    checks = "step.44,duality.aw,duality.daha,eigen.Pn,recurrence,symmetry.abcd"
+    argv = ("verify", "run", "--mode", "exact", "--checks", checks, "--max-mn", "1", "--max-n", "2")
     assert _probe(*argv) == (0, False)
 
 
 def test_a_symbolic_run_loads_sympy():
     # askey_wilson divides by the normalising scalar of P_n, which has a
-    # multi-term denominator
-    argv = ("verify", "run", "--mode", "exact", "--checks", "recurrence", "--max-n", "1")
-    assert _probe(*argv) == (0, True)
+    # multi-term denominator, and the polynomial prints symbolic scalars
+    assert _probe("aw-poly", "--n", "1") == (0, True)
 
 
 def test_printing_a_symbolic_scalar_loads_sympy():

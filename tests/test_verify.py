@@ -80,7 +80,7 @@ def test_catalog_output_pinned(capsys):
     # the hash is that of `python -m rank1daha.cli catalog`
     assert cli.main(["catalog"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "58c8aca73591fe374974c982e0f1f60a8e086d2a9878fa5f535a640c5afa77e0"
+    assert digest == "0b8880a425264483cc774921c3e438d448b8ff27efd67cc86346d4066a4df7c0"
 
 
 class _NoDraws(random.Random):
@@ -377,24 +377,57 @@ def test_duality_aw_fails_when_the_map_keeps_word_order(monkeypatch, sym):
     assert runner(random_params_mod_p(random.Random(1)), bounds, random.Random(0))
 
 
-def test_symmetry_check_builds_the_base_family_once(monkeypatch, gpoint):
-    built = []
-    askey_wilson = polyrep.askey_wilson
+def _counted(monkeypatch, name):
+    """The first arguments of every call of polyrep's ``name``, as they run."""
+    calls, function = [], getattr(polyrep, name)
 
-    def counted(n, params):
-        built.append((n, params.label))
-        return askey_wilson(n, params)
+    def counted(n, *args):
+        calls.append(n)
+        return function(n, *args)
 
-    monkeypatch.setattr(polyrep, "askey_wilson", counted)
+    monkeypatch.setattr(polyrep, name, counted)
+    return calls
+
+
+def test_symmetry_check_builds_no_polynomial(monkeypatch, gpoint):
+    # beta_k and gamma_k, k < max_n, are compared, and no P_n is built
+    built = _counted(monkeypatch, "_pn_terms")
+    coefficients = _counted(monkeypatch, "_coefficients")
     runner = verify._CATALOG_BY_ID["symmetry.abcd"].runner
     assert runner(gpoint, {"max_mn": 1, "max_degree": 0, "max_n": 5}, random.Random(0)) == ""
-    assert sorted(n for n, label in built if label == gpoint.label) == list(range(6))
-    assert len(built) == 18
+    assert built == []
+    # each k < 5 at both swaps, unswapped and swapped, and the control's k = 0
+    assert sorted(coefficients) == sorted([*range(5)] * 4 + [0, 0])
     # the degree follows --max-n
-    built.clear()
+    coefficients.clear()
     assert runner(gpoint, {"max_mn": 1, "max_degree": 0, "max_n": 2}, random.Random(0)) == ""
-    assert sorted(n for n, label in built if label == gpoint.label) == [0, 1, 2]
-    assert len(built) == 9
+    assert sorted(coefficients) == [0] * 6 + [1] * 4
+
+
+def _point(which, request):
+    if which == "modp":
+        return random_params_mod_p(random.Random(3))
+    return request.getfixturevalue(which)
+
+
+@pytest.mark.parametrize("which", ["sym", "gpoint", "modp"])
+def test_symmetry_control_fails_on_a_blind_comparison(monkeypatch, which, request):
+    params = _point(which, request)
+    runner = verify._CATALOG_BY_ID["symmetry.abcd"].runner
+    bounds = {"max_mn": 1, "max_degree": 0, "max_n": 3}
+    # the control is a statement over Q(q,a,b,c,d): a point with a = b passes
+    equal = make_params("specialized", {"q": Fraction(3, 2), "a": 2, "b": 2, "c": 5, "d": 7})
+    assert runner(equal, bounds, random.Random(0)) == ""
+    # a closed form not symmetric under the swaps fails the comparison ...
+    rows = polyrep._CLOSED_FORMS["A"]
+    monkeypatch.setitem(polyrep._CLOSED_FORMS, "A", (rows[0], (("ab", 1, 1, 1), *rows[1][1:])))
+    summary = runner(params, bounds, random.Random(0))
+    assert summary.startswith("beta_0 changes under swapping a and b: ")
+    monkeypatch.setitem(polyrep._CLOSED_FORMS, "A", rows)
+    # ... and a comparison blind to every difference fails the control
+    monkeypatch.setattr(polyrep, "_reduced", lambda terms, values: RatFunc.zero())
+    summary = runner(params, bounds, random.Random(0))
+    assert summary == "control: A_0 does not change under swapping a and b"
 
 
 @pytest.fixture
@@ -416,10 +449,8 @@ def test_symbolic_checks_take_no_general_gcd(monkeypatch, field_ops, sym):
     denominators, so no operation falls back to sympy's general field."""
     monkeypatch.setattr(ncalg, "_SYSTEMS", OrderedDict())
     bounds = {"max_mn": 1, "max_degree": 2, "max_n": 2}
-    # recurrence and symmetry.abcd divide by the normaliser of P_n
     for spec in CHECK_CATALOG:
-        if spec.id not in ("recurrence", "symmetry.abcd"):
-            assert spec.runner(sym, bounds, random.Random(0)) == "", spec.id
+        assert spec.runner(sym, bounds, random.Random(0)) == "", spec.id
     assert len(field_ops) == 0
     # the counter sees a fallback: 1 - ab has no single-term inverse
     a, b = sym.value("a"), sym.value("b")
@@ -431,6 +462,31 @@ def test_symbolic_eigen_check_at_degree_six_takes_no_general_gcd(field_ops, sym)
     runner = verify._CATALOG_BY_ID["eigen.Pn"].runner
     assert runner(sym, {"max_mn": 1, "max_degree": 0, "max_n": 6}, random.Random(0)) == ""
     assert field_ops == []
+
+
+@pytest.mark.parametrize("check_id", ["recurrence", "symmetry.abcd"])
+def test_symbolic_family_checks_at_degree_eight_take_no_general_gcd(field_ops, sym, check_id):
+    """Work gate: at the default --max-n 8 the closed forms and the cleared
+    coordinates of P_n meet only monomial denominators."""
+    runner = verify._CATALOG_BY_ID[check_id].runner
+    assert runner(sym, {"max_mn": 1, "max_degree": 0, "max_n": 8}, random.Random(0)) == ""
+    assert field_ops == []
+
+
+def test_center_check_forms_each_commutator_once(monkeypatch):
+    """Work gate: the control reads the Z blocks of the commutators the
+    kernel has formed: 38 basis elements times 3 generators times 2
+    products, where forming the Z commutators again took 304 products."""
+    calls, multiply = [], ncalg.multiply
+
+    def counted(u, v, params, budget=ncalg.DEFAULT_BUDGET):
+        calls.append(params)
+        return multiply(u, v, params, budget)
+
+    monkeypatch.setattr(ncalg, "multiply", counted)
+    point = random_params_mod_p(random.Random(3))
+    assert verify._CATALOG_BY_ID["center.daha"].runner(point, {}, random.Random(0)) == ""
+    assert len(calls) == 228
 
 
 RANK_CHECKS = ("iso.spherical.rank", "iso.antispherical.rank", "centralizer.t1", "center.daha")
@@ -613,30 +669,35 @@ def test_relations_check_controls_fail_on_their_own(monkeypatch, gpoint, method,
     assert runner(gpoint, {"max_mn": 1, "max_degree": 0, "max_n": 0}, random.Random(0)) == summary
 
 
-def _patch_pn_cleared(monkeypatch, n_bad, change):
-    """Apply ``change`` to the cleared coordinates and the normaliser of P_(n_bad)."""
-    pn_cleared = polyrep._pn_cleared
+def _perturbed(monkeypatch, name, n_bad, change):
+    """Apply ``change`` to what polyrep's ``name`` returns for P_(n_bad)."""
+    function = getattr(polyrep, name)
 
-    def patched(n, params):
-        out = pn_cleared(n, params)
-        return change(*out) if n == n_bad else out
+    def patched(n, values):
+        out = function(n, values)
+        return change(out) if n == n_bad else out
 
-    monkeypatch.setattr(polyrep, "_pn_cleared", patched)
+    monkeypatch.setattr(polyrep, name, patched)
 
 
 def test_eigen_check_fails_on_a_wrong_coordinate(monkeypatch, sym, gpoint):
-    _patch_pn_cleared(monkeypatch, 2, lambda coords, norm: ([coords[0], coords[1] + ONE, *coords[2:]], norm))
+    # 1 - ab q^1 in place of the 4phi3 factor 1 - ab q^0 of P_2
+    def change(rows):
+        (rise, step, fall, (_, ac, ad)), *rest = rows
+        return [(rise, step, fall, (("ab", 1), ac, ad)), *rest]
+
+    _perturbed(monkeypatch, "_pn_factors", 2, change)
     runner = verify._CATALOG_BY_ID["eigen.Pn"].runner
-    for params in (sym, gpoint):
+    for params in (sym, gpoint, random_params_mod_p(random.Random(3))):
         summary = runner(params, {"max_mn": 1, "max_degree": 0, "max_n": 3}, random.Random(0))
-        assert summary.startswith("eigenvalue equation fails at n=2: ")
+        assert summary.startswith("eigenvalue equation fails at n=2, k=0: ")
 
 
 def test_eigen_check_fails_on_a_wrong_normaliser(monkeypatch, sym, gpoint):
     # the monic identity c~_n (-a)^n q^(n(n-1)/2) = N_n is computed, not built in
-    _patch_pn_cleared(monkeypatch, 3, lambda coords, norm: (coords, norm + ONE))
+    _perturbed(monkeypatch, "_pn_terms", 3, lambda out: (out[0], (out[1][0] + ONE, out[1][1])))
     runner = verify._CATALOG_BY_ID["eigen.Pn"].runner
-    for params in (sym, gpoint):
+    for params in (sym, gpoint, random_params_mod_p(random.Random(3))):
         summary = runner(params, {"max_mn": 1, "max_degree": 0, "max_n": 3}, random.Random(0))
         assert summary == "P_3 is not monic"
 
@@ -685,54 +746,42 @@ def test_given_point_runs_exact_there():
     assert report.overall == "pass"
 
 
-@pytest.mark.parametrize("which", ["gpoint", "modp"])
+@pytest.mark.parametrize("which", ["sym", "gpoint", "modp"])
 def test_recurrence_check_fails_on_a_broken_family(monkeypatch, which, request):
-    # a residual of the three-term projection is a verdict, not an error
-    params = random_params_mod_p(random.Random(3)) if which == "modp" else request.getfixturevalue(which)
-    askey_wilson = polyrep.askey_wilson
-
-    def broken(n, params):
-        p_n = askey_wilson(n, params)
-        return p_n + polyrep.LaurentPoly.symmetric_basis(0) if n == 2 else p_n
-
-    monkeypatch.setattr(polyrep, "askey_wilson", broken)
+    # a residual of the recurrence is a verdict, not an error: 1 - bc q^n in
+    # place of the factor 1 - bc q^(n-1) of C_n shows first at n = 1, since
+    # C_0 has the factor 1 - q^0 = 0
+    params = _point(which, request)
+    power, (one, bc, *rest) = polyrep._CLOSED_FORMS["C"]
+    monkeypatch.setitem(polyrep._CLOSED_FORMS, "C", (power, (one, ("bc", 1, 0, 1), *rest)))
     runner = verify._CATALOG_BY_ID["recurrence"].runner
+    assert runner(params, {"max_mn": 1, "max_degree": 0, "max_n": 0}, random.Random(0)) == ""
     summary = runner(params, {"max_mn": 1, "max_degree": 0, "max_n": 4}, random.Random(0))
-    assert summary.startswith("three-term projection leaves a residual at n=2: ")
-    # the public coefficients still refuse a broken family
-    with pytest.raises(AssertionError, match="monic family is broken"):
-        polyrep.recurrence_coeffs(4, params)
+    assert summary.startswith("three-term recurrence fails at n=1, ")
 
 
-@pytest.mark.parametrize("which", ["gpoint", "modp"])
+@pytest.mark.parametrize("which", ["sym", "gpoint", "modp"])
 def test_recurrence_check_reads_the_n0_relation(monkeypatch, which, request):
-    # (z + z^-1) P_0 = P_1 + beta_0 P_0 has no gamma term: P_1 moved by
-    # z + z^-1 must show as the residual of the projection at n = 0
-    params = random_params_mod_p(random.Random(3)) if which == "modp" else request.getfixturevalue(which)
-    askey_wilson = polyrep.askey_wilson
+    # (z + z^-1) P_0 = P_1 + beta_0 P_0 has no gamma term: P_1 with a wrong
+    # 4phi3 factor must show in the relation at n = 0
+    def change(rows):
+        ((rise, step, fall, (_, ac, ad)),) = rows
+        return [(rise, step, fall, (("ab", 1), ac, ad))]
 
-    def broken(n, params):
-        p_n = askey_wilson(n, params)
-        return p_n + polyrep.LaurentPoly.symmetric_basis(1) if n == 1 else p_n
-
-    monkeypatch.setattr(polyrep, "askey_wilson", broken)
+    _perturbed(monkeypatch, "_pn_factors", 1, change)
     runner = verify._CATALOG_BY_ID["recurrence"].runner
-    summary = runner(params, {"max_mn": 1, "max_degree": 0, "max_n": 2}, random.Random(0))
-    assert summary.startswith("three-term projection leaves a residual at n=0: "), summary
+    bounds = {"max_mn": 1, "max_degree": 0, "max_n": 2}
+    summary = runner(_point(which, request), bounds, random.Random(0))
+    assert summary.startswith("three-term recurrence fails at n=0, k=0: "), summary
 
 
 def test_recurrence_obeys_max_n_and_builds_each_polynomial_once(monkeypatch, sym):
-    built = []
-    askey_wilson = polyrep.askey_wilson
-
-    def counted(n, params):
-        built.append(n)
-        return askey_wilson(n, params)
-
-    monkeypatch.setattr(polyrep, "askey_wilson", counted)
+    built = _counted(monkeypatch, "_pn_factors")
+    coefficients = _counted(monkeypatch, "_coefficients")
     runner = verify._CATALOG_BY_ID["recurrence"].runner
     assert runner(sym, {"max_mn": 1, "max_degree": 0, "max_n": 2}, random.Random(0)) == ""
     assert built == [0, 1, 2, 3]
+    assert coefficients == [0, 1, 2]
 
 
 def test_casimir_check_builds_the_casimir_element_once(monkeypatch, gpoint):
