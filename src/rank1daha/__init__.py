@@ -65,9 +65,8 @@ from .polyrep import (
     apply_k1,
     apply_word,
     askey_wilson,
-    casimir_apply,
-    check_aw_relations_in_rep,
     recurrence_coeffs,
+    relation_residuals,
     shifted_qn,
 )
 from .verify import (
@@ -117,8 +116,6 @@ __all__ = [
     "apply_word",
     "askey_wilson",
     "aw_relations",
-    "casimir_apply",
-    "check_aw_relations_in_rep",
     "check_ids",
     "check_step_identity",
     "compress",
@@ -138,6 +135,7 @@ __all__ = [
     "random_params_mod_p",
     "recurrence_coeffs",
     "reduce",
+    "relation_residuals",
     "rewrite_system",
     "run_checks",
     "shift_operator_identities",

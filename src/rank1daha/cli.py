@@ -111,14 +111,8 @@ def _cmd_verify_run(args) -> int:
         options["checks"] = args.checks
     if args.mode is not None:
         options["mode"] = args.mode
-    for key, attr in (
-        ("seed", "seed"),
-        ("trials", "trials"),
-        ("max-mn", "max_mn"),
-        ("max-degree", "max_degree"),
-        ("max-n", "max_n"),
-    ):
-        value = getattr(args, attr, None)
+    for key in verify._INT_OPTIONS:
+        value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
             options[key] = str(value)
     if args.symbolic:

@@ -24,27 +24,40 @@ c~_k = (q^-n, abcd q^(n-1);q)_k q^k (ab q^k, ac q^k, ad q^k;q)_(n-k)
 N_n = a^n (abcd q^(n-1);q)_n (q;q)_n.  The eigen, recurrence and symmetry
 identities of the family are sums of such factored terms, each checked
 after dividing out the factors its terms share, so no check of the family
-meets a multi-term denominator; ``askey_wilson`` divides through.  Each
-public function converts its z-form input into coordinates once, by
-peeling the top z-degree (the z^k coefficient of phi_k is the monomial
-(-a)^k q^(k(k-1)/2), so no gcd runs), and its result back once, by
-Horner's rule in the factors phi_(k+1) / phi_k.
+meets a multi-term denominator; ``askey_wilson`` divides through.
 
-The Casimir word combination and the two q-commutator relations are the
-quotient relations of :mod:`rank1daha.ncalg`, applied word by word as
-operators.
+The z-form appears only at the public boundary: ``askey_wilson``,
+``apply_word``, ``apply_dsym`` and ``shifted_qn`` convert a z-form input
+into coordinates once, by peeling the top z-degree (the z^k coefficient
+of phi_k is the monomial (-a)^k q^(k(k-1)/2), so no gcd runs), and their
+result back once, by Horner's rule in the factors phi_(k+1) / phi_k.
+Every check works on coordinates.
+
+``relation_residuals`` applies the quotient relations of
+:mod:`rank1daha.ncalg` (the two q-commutator relations and the Casimir
+relation) to phi_k, word by word.  The entries of both maps are Laurent
+polynomials in t = q^k: lambda_k and the K1 diagonal entry have
+t-exponents in [-1, 1], mu_k in [-1, 3], and the K1 up entry -1.  So the
+phi_(k+j) coordinate of a length-L word's image of phi_k is a Laurent
+polynomial in q^k with exponents in [-L, 3L], and as mu_0 = 0 the span of
+phi_k, k >= 0, is invariant.  A relation with words of length at most L
+that vanishes on phi_k for k = 0..4L, at a point where q^0..q^(4L) are
+distinct, therefore vanishes on every phi_k there, hence on every
+symmetric Laurent polynomial.  The Casimir relation has words of length
+4, and q^0..q^16 are distinct at every admissible point (the genericity
+bound of :func:`rank1daha.params.make_params`).
 """
 
 from __future__ import annotations
 
-import dataclasses
 from collections import Counter
+from functools import partial
 from math import prod
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import DegenerateParameters, NotSymmetric
 from .ncalg import Element, quotient_relations
-from .params import Params, RatFunc, structure_constants
+from .params import Params, RatFunc, StructureConstants
 
 __all__ = [
     "LaurentPoly",
@@ -54,8 +67,7 @@ __all__ = [
     "askey_wilson",
     "shifted_qn",
     "recurrence_coeffs",
-    "casimir_apply",
-    "check_aw_relations_in_rep",
+    "relation_residuals",
     "check_eigen_in_rep",
 ]
 
@@ -168,26 +180,23 @@ def _times_factor(half: Coords, lin: RatFunc, aq: RatFunc) -> Coords:
 
 
 class _Basis:
-    """The tables of one call, grown on demand: phi_k by its z^0..z^k
-    coefficients, phi_(k+1) = phi_k (lin_k - aq_k (z + z^-1)) with aq_k = a q^k
-    and lin_k = 1 + aq_k^2, the inverse of its z^k coefficient, and both maps."""
+    """The tables of one call, grown on demand: both maps, with aq_k = a q^k
+    and lin_k = 1 + aq_k^2, and the inverse of the z^k coefficient of phi_k;
+    apart, phi_k by its z^0..z^k coefficients, phi_(k+1) = phi_k (lin_k -
+    aq_k (z + z^-1)), which only the z-form conversions read."""
 
     def __init__(self, params: Params):
         self.vals = params.vals
-        self.phi, self.lead_inv, self.aq, self.lin = [], [], [], []
+        self.phi = [[_ONE]]
+        self.lead_inv, self.aq, self.lin = [], [], []
         self.lam, self.mu, self.k1_diag, self.k1_up = [], [], [], []
 
     def grow(self, size: int) -> "_Basis":
-        """Extend every table through index ``size``."""
+        """Extend the tables of the maps through index ``size``."""
         q, a, b, c, d = self.vals
-        while len(self.phi) <= size:
-            k = len(self.phi)
-            if k:
-                self.phi.append(_times_factor(self.phi[-1], self.lin[-1], self.aq[-1]))
-                self.lead_inv.append(self.lead_inv[-1] * self.k1_up[-1])
-            else:
-                self.phi.append([_ONE])
-                self.lead_inv.append(_ONE)
+        while len(self.aq) <= size:
+            k = len(self.aq)
+            self.lead_inv.append(self.lead_inv[-1] * self.k1_up[-1] if k else _ONE)
             qk, qki = q**k, q ** (-k)
             x = qk / q  # q^(k-1)
             aq = a * qk
@@ -201,18 +210,26 @@ class _Basis:
             self.k1_up.append(-aq.inv())
         return self
 
+    def z_forms(self, size: int) -> list[Coords]:
+        """phi_0..phi_size by their z^0..z^k coefficients."""
+        self.grow(size)
+        while len(self.phi) <= size:
+            k = len(self.phi) - 1
+            self.phi.append(_times_factor(self.phi[k], self.lin[k], self.aq[k]))
+        return self.phi
+
 
 def _to_phi(f: LaurentPoly, basis: _Basis) -> Coords:
     """The coordinates of a symmetric f, peeling its top z-degree."""
     if not f.is_symmetric():
         raise NotSymmetric("operator input must satisfy coeff(k) = coeff(-k)")
     rest = [f.coeff(j) for j in range(f.degree() + 1)]
-    basis.grow(len(rest) - 1)
+    phi = basis.z_forms(len(rest) - 1)
     coords = [_ZERO] * len(rest)
     for k in range(len(rest) - 1, -1, -1):
         c = coords[k] = rest[k] * basis.lead_inv[k]
         if not c.is_zero():
-            for j, v in enumerate(basis.phi[k][:k]):  # z^k cancels exactly
+            for j, v in enumerate(phi[k][:k]):  # z^k cancels exactly
                 rest[j] = rest[j] - c * v
     return coords
 
@@ -232,19 +249,25 @@ def _from_phi(coords: Coords, basis: _Basis, scale: RatFunc = _ONE) -> LaurentPo
     return LaurentPoly(out)
 
 
+# The maps and _combination skip the coordinates that are the padding _ZERO,
+# tested by identity, which is cheap: a word's image of phi_k has at most nine
+# others.  A zero found by cancellation is multiplied like any coordinate.
 def _dsym(coords: Coords, basis: _Basis) -> Coords:
     basis.grow(len(coords) - 1)
-    out = [lam * c for lam, c in zip(basis.lam, coords)]
+    out = [_ZERO if c is _ZERO else lam * c for lam, c in zip(basis.lam, coords)]
     for k in range(1, len(coords)):
-        out[k - 1] = out[k - 1] + basis.mu[k] * coords[k]
+        if coords[k] is not _ZERO:
+            out[k - 1] = out[k - 1] + basis.mu[k] * coords[k]
     return out
 
 
 def _k1(coords: Coords, basis: _Basis) -> Coords:
     basis.grow(len(coords) - 1)
-    out = [diag * c for diag, c in zip(basis.k1_diag, coords)] + [_ZERO]
+    out = [_ZERO if c is _ZERO else diag * c for diag, c in zip(basis.k1_diag, coords)]
+    out.append(_ZERO)
     for k, c in enumerate(coords):
-        out[k + 1] = out[k + 1] + basis.k1_up[k] * c
+        if c is not _ZERO:
+            out[k + 1] = out[k + 1] + basis.k1_up[k] * c
     return out
 
 
@@ -263,22 +286,38 @@ def _word_image(word: tuple[str, ...], images: dict, basis: _Basis) -> Coords:
     return out
 
 
-def _apply_elements(
-    elements: Sequence[Element], f: LaurentPoly, basis: _Basis
-) -> list[LaurentPoly]:
-    """Combinations of K0/K1 words applied to f; the words share the images
-    of their common suffixes."""
-    images = {(): _to_phi(f, basis)}
-    out = []
-    for e in elements:
-        total: Coords = []
-        for word, coef in e.terms.items():
-            image = _word_image(word, images, basis)
-            total.extend([_ZERO] * (len(image) - len(total)))
-            for k, c in enumerate(image):
+def _combination(element: Element, images: dict, basis: _Basis) -> Coords:
+    """The image of ``images[()]`` under a combination of K0/K1 words; the
+    words share the images of their common suffixes."""
+    total: Coords = []
+    for word, coef in element.terms.items():
+        image = _word_image(word, images, basis)
+        total.extend([_ZERO] * (len(image) - len(total)))
+        for k, c in enumerate(image):
+            if c is not _ZERO:
                 total[k] = total[k] + coef * c
-        out.append(_from_phi(total, basis))
-    return out
+    return total
+
+
+def relation_residuals(
+    max_degree: int, params: Params, constants: Sequence[StructureConstants] = ()
+) -> Iterator[Callable[..., Coords]]:
+    """For k = 0..max_degree in turn, ``residual(name, i=0)``: the
+    phi-coordinates of R phi_k, R the relation ``name`` ("rel1", "rel2" or
+    "casimir") of :func:`rank1daha.ncalg.quotient_relations` at the
+    structure constants ``constants[i]`` (by default those of ``params``).
+    The word images of phi_k do not depend on the constants: they are formed
+    on demand, once, and shared by every relation and set of constants.  At
+    max_degree = 16 the residuals decide every phi_k (module docstring).
+    """
+    relations = [quotient_relations(params, sc) for sc in constants or [None]]
+    basis = _Basis(params)
+
+    def residual(images: dict, name: str, i: int = 0) -> Coords:
+        return _combination(relations[i][name], images, basis)
+
+    for k in range(max_degree + 1):
+        yield partial(residual, {(): [_ZERO] * k + [_ONE]})
 
 
 def apply_dsym(f: LaurentPoly, params: Params) -> LaurentPoly:
@@ -524,38 +563,6 @@ def _swap_residuals(k: int, params: Params, swap: str) -> list[RatFunc]:
     return [_reduced([*one, *(_term(-_ONE, t) for t in two)], values) for one, two in pairs]
 
 
-def casimir_apply(fs: Sequence[LaurentPoly], params: Params) -> list[LaurentPoly]:
-    """Apply the degree-four Casimir word combination to each of ``fs``,
-    building it once; on every symmetric Laurent polynomial the result is
-    the scalar Q0 times the input."""
-    sc = structure_constants(params)
-    casimir = quotient_relations(params, sc)["casimir"] + sc.Q0
-    basis = _Basis(params)
-    return [_apply_elements([casimir], f, basis)[0] for f in fs]
-
-
-def check_aw_relations_in_rep(
-    max_degree: int,
-    params: Params,
-    perturb_B: RatFunc | None = None,
-) -> list[LaurentPoly]:
-    """Residuals of the two q-commutator operator relations on the
-    symmetric spanning set z^k + z^-k, k = 0..max_degree.
-
-    All residuals are zero for the true structure constants;
-    ``perturb_B`` shifts the constant B (negative control)."""
-    sc = structure_constants(params)
-    if perturb_B is not None:
-        sc = dataclasses.replace(sc, B=sc.B + perturb_B)
-    rels = quotient_relations(params, sc)
-    basis = _Basis(params)
-    residuals = []
-    for k in range(max_degree + 1):
-        f = LaurentPoly.symmetric_basis(k)
-        residuals.extend(_apply_elements([rels["rel1"], rels["rel2"]], f, basis))
-    return residuals
-
-
 def check_eigen_in_rep(max_n: int, params: Params) -> list[tuple[RatFunc, list[RatFunc]]]:
     """For n = 0..max_n, the residuals of two identities on the cleared
     coordinates c~_k = (q;q)_n c_k and the normaliser N_n of
@@ -569,7 +576,8 @@ def check_eigen_in_rep(max_n: int, params: Params) -> list[tuple[RatFunc, list[R
     out = []
     for n in range(max_n + 1):
         coords, norm = _pn_terms(n, values)
-        monic = _reduced([_term(basis.phi[n][n], coords[n]), _term(-_ONE, norm)], values)
+        lead = basis.lead_inv[n].inv()  # the z^n coefficient of phi_n
+        monic = _reduced([_term(lead, coords[n]), _term(-_ONE, norm)], values)
         eigen = [
             _reduced([_term(lam[k] - lam[n], coords[k]), _term(mu[k + 1], coords[k + 1])], values)
             for k in range(n)

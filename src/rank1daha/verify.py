@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Mapping, Sequence
@@ -109,6 +109,11 @@ class Report:
         }
 
 
+# the integer options of a run, each with its least value (None: any integer);
+# a key spelled with "_" is the RunConfig field and the argparse dest
+_INT_OPTIONS = {"seed": None, "trials": 1, "max-mn": 1, "max-degree": 0, "max-n": 0}
+
+
 @dataclass
 class RunConfig:
     checks: Sequence[str] | None = None  # None or empty = all
@@ -116,7 +121,7 @@ class RunConfig:
     seed: int = 1729
     trials: int = 8
     max_mn: int = 3
-    max_degree: int = 6
+    max_degree: int = 16  # 4 x the longest quotient-relation word: decides every degree
     max_n: int = 8
     params: Params | None = None  # None = symbolic
 
@@ -422,28 +427,23 @@ def _check_recurrence(params, bounds, rng) -> str:
     return ""
 
 
-def _check_casimir_scalar(params, bounds, rng) -> str:
-    q0 = structure_constants(params).Q0
-    basis = [polyrep.LaurentPoly.symmetric_basis(k) for k in range(bounds["max_degree"] + 1)]
-    for k, (f, out) in enumerate(zip(basis, polyrep.casimir_apply(basis, params))):
-        want = f.scale(q0)
-        if out != want:
-            return f"k={k}: {_fmt_short(out - want)}"
-    return ""
+def _rep_check(names: tuple[str, ...]):
+    # quotient relations on phi_k, k <= max_degree; control: B + 1 breaks them on phi_0
+    def run(params, bounds, rng) -> str:
+        sc = structure_constants(params)
+        constants = (sc, replace(sc, B=sc.B + _ONE))
+        residuals = polyrep.relation_residuals(bounds["max_degree"], params, constants)
+        for k, residual in enumerate(residuals):
+            for name in names:
+                coords = residual(name)
+                if any(coords):
+                    shown = ", ".join(f"phi_{j}: {c}" for j, c in enumerate(coords) if c)
+                    return f"{name} on phi_{k}: {_fmt_short(shown)}"
+            if not k and not any(any(residual(name, 1)) for name in names):
+                return "perturbed-B control unexpectedly passed"
+        return ""
 
-
-def _check_awrel_inrep(params, bounds, rng) -> str:
-    residuals = polyrep.check_aw_relations_in_rep(bounds["max_degree"], params)
-    for idx, res in enumerate(residuals):
-        if not res.is_zero():
-            rel = 1 + (idx % 2)
-            k = idx // 2
-            return f"relation {rel} on z^{k}+z^-{k}: {_fmt_short(res)}"
-    # negative control
-    perturbed = polyrep.check_aw_relations_in_rep(1, params, perturb_B=_ONE)
-    if all(r.is_zero() for r in perturbed):
-        return "perturbed-B control unexpectedly passed"
-    return ""
+    return run
 
 
 def _check_symmetry_abcd(params, bounds, rng) -> str:
@@ -608,17 +608,23 @@ def _build_catalog() -> list[CheckSpec]:
             ),
             CheckSpec(
                 "casimir.scalar",
-                "the degree-four Casimir word acts as the scalar Q0 on z^k + z^-k "
-                "for k <= 6",
+                "the degree-four Casimir word acts as the scalar Q0 on phi_k = (az, a/z; q)_k "
+                f"for k <= {RunConfig.max_degree} (the default --max-degree), hence on every "
+                "symmetric Laurent polynomial: the phi_(k+j) coordinate of a length-L word's "
+                "image of phi_k is a Laurent polynomial in q^k with exponents in [-L, 3L], "
+                "mu_0 = 0 keeps the span of phi_k, k >= 0, invariant, and "
+                f"q^0..q^{RunConfig.max_degree} are distinct; control: perturbing B breaks it "
+                "on phi_0",
                 "prob",
-                _check_casimir_scalar,
+                _rep_check(("casimir",)),
             ),
             CheckSpec(
                 "awrel.inrep",
-                "both q-commutator operator relations annihilate z^k + z^-k for k <= 6; "
-                "perturbing B breaks them",
+                "both q-commutator operator relations annihilate phi_k for "
+                f"k <= {RunConfig.max_degree}, hence, as for casimir.scalar, every symmetric "
+                "Laurent polynomial; control: perturbing B breaks them on phi_0",
                 "prob",
-                _check_awrel_inrep,
+                _rep_check(("rel1", "rel2")),
             ),
             CheckSpec(
                 "symmetry.abcd",
@@ -702,11 +708,11 @@ def run_checks(config: RunConfig) -> Report:
     """Run the selected checks and aggregate a report."""
     if config.mode not in (None, "exact", "prob"):
         raise ConfigError(f"unknown mode {config.mode!r}")
-    if config.trials < 1:
-        raise ConfigError("trials must be positive")
-    for name, least in (("max_mn", 1), ("max_n", 0), ("max_degree", 0)):
-        if getattr(config, name) < least:  # an empty size would pass checks checking nothing
-            raise ConfigError(f"{name.replace('_', '-')} must be at least {least}")
+    for key, least in _INT_OPTIONS.items():
+        # an empty size would pass checks checking nothing
+        if least is not None and getattr(config, key.replace("-", "_")) < least:
+            rule = "positive" if key == "trials" else f"at least {least}"
+            raise ConfigError(f"{key} must be {rule}")
     if config.mode == "prob" and config.params is not None:
         raise ConfigError("prob mode draws its own random points; it takes no params")
     selected = list(config.checks or [])
@@ -986,19 +992,7 @@ def parse_expression(text: str, alphabet: str = "daha") -> Element:
 # Configuration parsing
 
 
-_CONFIG_KEYS = {
-    "checks",
-    "mode",
-    "seed",
-    "trials",
-    "max-mn",
-    "max-degree",
-    "max-n",
-    "params",
-    "symbolic",
-    "out",
-    "format",
-}
+_CONFIG_KEYS = {"checks", "mode", *_INT_OPTIONS, "params", "symbolic", "out", "format"}
 
 
 def parse_param_assignments(text: str) -> dict[str, Fraction]:
@@ -1060,16 +1054,10 @@ def config_from_options(options: Mapping[str, str]) -> RunConfig:
         if mode not in ("exact", "prob"):
             raise ConfigError(f"mode must be exact or prob, got {mode!r}")
         config.mode = mode
-    for key, attr in (
-        ("seed", "seed"),
-        ("trials", "trials"),
-        ("max-mn", "max_mn"),
-        ("max-degree", "max_degree"),
-        ("max-n", "max_n"),
-    ):
+    for key in _INT_OPTIONS:
         if key in options and options[key]:
             try:
-                setattr(config, attr, int(options[key]))
+                setattr(config, key.replace("-", "_"), int(options[key]))
             except ValueError as exc:
                 raise ConfigError(f"{key} must be an integer") from exc
     symbolic = options.get("symbolic", "").strip().lower() in ("1", "true", "yes")

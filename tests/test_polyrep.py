@@ -8,6 +8,7 @@ three-term recurrence matrix model), so the operator code and the
 hypergeometric-sum code check each other.
 """
 
+import dataclasses
 import functools
 import random
 from fractions import Fraction
@@ -15,16 +16,16 @@ from fractions import Fraction
 import pytest
 
 from rank1daha.errors import DegenerateParameters, NotSymmetric
-from rank1daha.params import RatFunc, eigenvalue, make_params
+from rank1daha.ncalg import quotient_relations
+from rank1daha.params import RatFunc, eigenvalue, make_params, structure_constants
 from rank1daha.polyrep import (
     LaurentPoly,
     apply_dsym,
     apply_k1,
     apply_word,
     askey_wilson,
-    casimir_apply,
-    check_aw_relations_in_rep,
     recurrence_coeffs,
+    relation_residuals,
     shifted_qn,
 )
 
@@ -371,42 +372,61 @@ def test_shifted_family_monic_and_distinct(gpoint):
 # Casimir scalar action and the operator relations
 
 
+def _bare_casimir_images(max_degree, params):
+    # the Casimir relation is the word combination minus Q0, so at Q0 := 0 it
+    # is the bare combination; yields its phi-coordinates on each phi_k
+    sc = structure_constants(params)
+    constants = [sc, dataclasses.replace(sc, Q0=ZERO)]
+    for k, residual in enumerate(relation_residuals(max_degree, params, constants)):
+        assert not any(residual("casimir")), f"phi_{k}"
+        coords = residual("casimir", 1)
+        yield k, {j: c for j, c in enumerate(coords) if c}
+
+
 def test_casimir_is_scalar_on_symmetric_basis(gpoint):
-    basis = [LaurentPoly.symmetric_basis(k) for k in range(7)]
-    images = casimir_apply(basis, gpoint)
-    q0 = images[0].coeff(0)
-    assert q0.as_fraction() == Fraction(-12175, 4)
-    for f, image in zip(basis, images):
-        assert image == f.scale(q0)
+    q0 = RatFunc.from_rational(Fraction(-12175, 4))
+    assert structure_constants(gpoint).Q0 == q0
+    for k, image in _bare_casimir_images(6, gpoint):
+        assert image == {k: q0}
 
 
 def test_casimir_scalar_symbolic_spot(sym):
-    f = LaurentPoly.symmetric_basis(2)
-    one_image, f_image = casimir_apply([LaurentPoly.one(), f], sym)
-    assert f_image == f.scale(one_image.coeff(0))
+    q0 = structure_constants(sym).Q0
+    assert all(image == {k: q0} for k, image in _bare_casimir_images(2, sym))
 
 
 def test_casimir_on_random_symmetric_combination(gpoint):
+    # word by word on a z-form input, through the public apply_word
     rng = random.Random(5)
     f = LaurentPoly.zero()
     for k in range(5):
         f = f + LaurentPoly.symmetric_basis(k).scale(
             RatFunc.from_rational(rng.randint(1, 9))
         )
-    one_image, f_image = casimir_apply([LaurentPoly.one(), f], gpoint)
-    assert f_image == f.scale(one_image.coeff(0))
+    image = LaurentPoly.zero()
+    for word, coef in quotient_relations(gpoint)["casimir"].terms.items():
+        image = image + apply_word(word, f, gpoint).scale(coef)
+    assert image.is_zero()
 
 
 def test_operator_relations_hold(gpoint):
-    residuals = check_aw_relations_in_rep(6, gpoint)
+    residuals = [
+        residual(name) for residual in relation_residuals(6, gpoint) for name in ("rel1", "rel2")
+    ]
     assert len(residuals) == 14
-    assert all(r.is_zero() for r in residuals)
+    assert not any(any(r) for r in residuals)
 
 
 def test_operator_relations_hold_symbolic_small(sym):
-    assert all(r.is_zero() for r in check_aw_relations_in_rep(2, sym))
+    for residual in relation_residuals(2, sym):
+        assert not any(residual("rel1")) and not any(residual("rel2"))
 
 
 def test_operator_relations_detect_wrong_constant(gpoint):
-    residuals = check_aw_relations_in_rep(3, gpoint, perturb_B=ONE)
-    assert any(not r.is_zero() for r in residuals)
+    sc = structure_constants(gpoint)
+    constants = [dataclasses.replace(sc, B=sc.B + ONE)]
+    residuals = [
+        residual(name) for residual in relation_residuals(3, gpoint, constants)
+        for name in ("rel1", "rel2")
+    ]
+    assert any(any(r) for r in residuals)

@@ -66,9 +66,13 @@ def test_runs_without_rational_functions_load_no_sympy(argv):
 
 
 def test_symbolic_scalars_with_monomial_denominators_load_no_sympy():
-    # the step identities, both duality checks at d -> qd^2/(abc), and the
-    # identities of P_n on factored terms, whose denominators are never expanded
-    checks = "step.44,duality.aw,duality.daha,eigen.Pn,recurrence,symmetry.abcd"
+    # the step identities, both duality checks at d -> qd^2/(abc), the
+    # identities of P_n on factored terms, whose denominators are never
+    # expanded, and the quotient relations on phi_k at the default --max-degree
+    checks = (
+        "step.44,duality.aw,duality.daha,eigen.Pn,recurrence,symmetry.abcd,"
+        "casimir.scalar,awrel.inrep"
+    )
     argv = ("verify", "run", "--mode", "exact", "--checks", checks, "--max-mn", "1", "--max-n", "2")
     assert _probe(*argv) == (0, False)
 

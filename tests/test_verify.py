@@ -80,7 +80,7 @@ def test_catalog_output_pinned(capsys):
     # the hash is that of `python -m rank1daha.cli catalog`
     assert cli.main(["catalog"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "0b8880a425264483cc774921c3e438d448b8ff27efd67cc86346d4066a4df7c0"
+    assert digest == "95aec1b9fc00a7e2e746e2738639aed6b0086dd2412508588688213f34741472"
 
 
 class _NoDraws(random.Random):
@@ -785,6 +785,7 @@ def test_recurrence_obeys_max_n_and_builds_each_polynomial_once(monkeypatch, sym
 
 
 def test_casimir_check_builds_the_casimir_element_once(monkeypatch, gpoint):
+    # once at the true structure constants and once at the perturbed-B control's
     built = []
     quotient_relations = polyrep.quotient_relations
 
@@ -795,7 +796,92 @@ def test_casimir_check_builds_the_casimir_element_once(monkeypatch, gpoint):
     monkeypatch.setattr(polyrep, "quotient_relations", counted)
     runner = verify._CATALOG_BY_ID["casimir.scalar"].runner
     assert runner(gpoint, {"max_mn": 1, "max_degree": 3, "max_n": 0}, random.Random(0)) == ""
-    assert built == [gpoint]
+    assert built == [gpoint, gpoint]
+
+
+REP_CHECKS = ("casimir.scalar", "awrel.inrep")
+
+
+def _rep_summary(check_id, params, max_degree=RunConfig.max_degree) -> str:
+    runner = verify._CATALOG_BY_ID[check_id].runner
+    return runner(params, {"max_mn": 1, "max_degree": max_degree, "max_n": 0}, random.Random(0))
+
+
+def test_default_degree_decides_every_degree(sym):
+    # the coordinates of a length-L word's image of phi_k are Laurent polynomials
+    # in q^k with exponents in [-L, 3L], so 4L + 1 distinct powers of q decide them
+    longest = max(len(w) for rel in ncalg.quotient_relations(sym).values() for w in rel.terms)
+    assert RunConfig().max_degree == 4 * longest == params_module._GENERICITY_BOUND
+
+
+@pytest.mark.parametrize("which", ["sym", "gpoint", "modp"])
+def test_rep_checks_never_meet_the_z_form(monkeypatch, which, request):
+    params = _point(which, request)
+
+    def refuse(*args):
+        raise AssertionError("a check converted between z-form and coordinates")
+
+    monkeypatch.setattr(polyrep, "_to_phi", refuse)
+    monkeypatch.setattr(polyrep, "_from_phi", refuse)
+    for check_id in REP_CHECKS:
+        assert _rep_summary(check_id, params) == "", check_id
+
+
+def _planted_constant(monkeypatch, name):
+    # structure_constants as the checks see it, with the named constant plus one
+    true = verify.structure_constants
+
+    def planted(params):
+        sc = true(params)
+        return dataclasses.replace(sc, **{name: getattr(sc, name) + ONE})
+
+    monkeypatch.setattr(verify, "structure_constants", planted)
+
+
+@pytest.mark.parametrize("which", ["sym", "modp"])
+def test_rep_checks_fail_on_a_wrong_b(monkeypatch, which, request):
+    params = _point(which, request)
+    _planted_constant(monkeypatch, "B")
+    assert _rep_summary("casimir.scalar", params, 0).startswith("casimir on phi_0: ")
+    assert _rep_summary("awrel.inrep", params, 0).startswith("rel1 on phi_0: ")
+
+
+@pytest.mark.parametrize("which", ["sym", "modp"])
+def test_casimir_check_fails_on_a_wrong_q0(monkeypatch, which, request):
+    params = _point(which, request)
+    _planted_constant(monkeypatch, "Q0")
+    # the relation's scalar term drops by one: the residual is -phi_0, -1 read in
+    # the field of the point
+    minus_one = str(-(params.value("q") ** 0))
+    assert _rep_summary("casimir.scalar", params, 0) == f"casimir on phi_0: phi_0: {minus_one}"
+    assert _rep_summary("awrel.inrep", params, 0) == ""
+
+
+@pytest.mark.parametrize("check_id", REP_CHECKS)
+def test_rep_check_controls_fail_on_their_own(monkeypatch, gpoint, check_id):
+    # a control whose perturbation changes nothing is reported
+    monkeypatch.setattr(verify, "replace", lambda sc, **changes: sc)
+    assert _rep_summary(check_id, gpoint, 0) == "perturbed-B control unexpectedly passed"
+
+
+@pytest.mark.parametrize("which", ["sym", "modp"])
+def test_rep_checks_fail_on_a_wrong_operator_entry_at_degree_twelve(monkeypatch, which, request):
+    # a wrong mu_12 is out of reach of the words on phi_k, k <= 6, but not of
+    # the default size
+    params = _point(which, request)
+    grow = polyrep._Basis.grow
+
+    def planted(basis, size):
+        fresh = len(basis.mu) <= 12
+        grow(basis, size)
+        if fresh and len(basis.mu) > 12:
+            basis.mu[12] = basis.mu[12] + ONE
+        return basis
+
+    monkeypatch.setattr(polyrep._Basis, "grow", planted)
+    for check_id in REP_CHECKS:
+        assert _rep_summary(check_id, params, 6) == "", check_id
+        assert " on phi_" in _rep_summary(check_id, params), check_id
 
 
 def test_reports_deterministic_for_fixed_seed(tmp_path):
