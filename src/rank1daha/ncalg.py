@@ -31,16 +31,21 @@ rows and the shift operators take the same two paths.  A basis product not
 yet memoized applies one rule at a time, at the junction of a letter and a
 basis word, and takes what the rule leaves through the memo again
 (:meth:`RewriteSystem.basis_product`); at a point of GF(p) the products
-run on plain int residues.  :func:`check_step_identity` stays on them up
-to its verdict, so a ``ModP`` is built only where a normal form is
-returned: by the public maps and :func:`multiply`, and for the step
-residual.  Its table coefficients, its compressions F Z^m Y^n F and its
-embedded K-words times F are memoized per rewrite system, so the checks
-that share a point share them.
-:func:`reduce` stays the independent word-rewriting path: the critical
-pairs, ``idempotents`` (F^2 = eF) and ``duality.daha`` run on it,
-:func:`compress` reduces its argument with it, and the tests check every
-product path against it.  A ``budget`` bounds rule applications: those
+run on plain int residues.  The verdicts stay on them:
+:func:`check_step_identity` forms its residual, the T1 factorisation and
+the dominance test in one pass and builds the residual's normal form only
+when it is read; the rank routine :func:`_rank` eliminates lifted vectors
+in place; and the rank certificates read commutators [x, g] = xg - gx of
+basis monomials from the memoized products and the isomorphism's images
+through :meth:`RewriteSystem._iso_image`.  So a ``ModP`` is built only
+where a normal form is returned: by the public maps and :func:`multiply`,
+and for a step residual that is read.  The step table coefficients, the
+compressions F Z^m Y^n F and the embedded K-words times F are memoized per
+rewrite system, so the checks that share a point share them.
+:func:`reduce` stays the independent word-rewriting path, on the same
+lifted coefficients: the critical pairs, ``idempotents`` (F^2 = eF) and
+``duality.daha`` run on it, :func:`compress` reduces its argument with it,
+and the tests check every product path against it.  A ``budget`` bounds rule applications: those
 rewriting the whole element in :func:`reduce`, and in the product paths
 those behind each basis product not yet memoized, its new sub-products
 included.
@@ -73,18 +78,15 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExhausted, DegenerateParameters, UnknownIdentity
 from .params import (
-    PRIME,
-    ModP,
     Params,
     RatFunc,
     StructureConstants,
-    _modp,
+    _lifting,
     _params_cache_entry,
-    _residue,
     structure_constants,
 )
 
@@ -129,10 +131,6 @@ def _one(params: Params) -> RatFunc:
     # the one of the parameters' field, a residue at a point of GF(p):
     # products seeded with it take no rational-constant arithmetic there
     return params.vals[0] ** 0
-
-
-def _same(x):
-    return x
 
 
 def _acc(terms: dict, key, coef: RatFunc) -> None:
@@ -407,6 +405,22 @@ class NormalForm:
         return f"NormalForm({'; '.join(str(self).splitlines())})"
 
 
+class _DeferredNormalForm(NormalForm):
+    """The normal form ``build()`` returns, built on the first read of its
+    terms: the residual of a passing step row is seldom read."""
+
+    __slots__ = ("_build",)
+
+    def __init__(self, build):
+        self._build = build
+
+    def __getattr__(self, name):  # reached only while the terms slot is unset
+        if name != "terms":
+            raise AttributeError(name)
+        self.terms = self._build().terms
+        return self.terms
+
+
 # ---------------------------------------------------------------------------
 # The rewrite system
 
@@ -518,11 +532,7 @@ class RewriteSystem:
         self.rules = rules
         # the scalar handling of the product kernel, fixed here: residues at
         # a point of GF(p), the RatFunc values themselves elsewhere
-        if isinstance(one, ModP):
-            self._lift, self._drop, self._prime = _residue, _modp, PRIME
-        else:
-            self._lift = self._drop = _same
-            self._prime = 0
+        self._lift, self._drop, self._prime = _lifting(params)
         self._lift_zero, self._lift_one = self._lift(one - one), self._lift(one)
         self._product_cache: dict[tuple, dict] = {}
         self._prefixes: dict[Word, dict] = {(): {(0, 0, 0): self._lift_one}}
@@ -547,21 +557,24 @@ class RewriteSystem:
             out.append((f"{l1}*{l2}", e))
         return out
 
-    def critical_pairs(self) -> list[tuple[Word, NormalForm]]:
+    def critical_pairs(self) -> Iterator[tuple[Word, NormalForm]]:
         """Each overlap xyz of two left sides xy and yz, with the reduced
-        difference of its two one-step rewrites, rhs(xy) z - x rhs(yz).
+        difference of its two one-step rewrites, rhs(xy) z - x rhs(yz),
+        reduced as it is read, so a caller that stops at an unresolved
+        overlap reduces none after it.
 
         Given termination (:meth:`termination_failures`), Bergman's diamond lemma
         (Adv. Math. 29, 1978) makes reduction confluent exactly when each is zero."""
-        rhs = {lhs: Element("daha", dict(terms)) for lhs, terms in self.rules.items()}
-        out = []
-        for x, y in self.rules:
-            for y2, z in self.rules:
+        rules, lift, zero = self.rules, self._lift, self._lift_zero
+        for x, y in rules:
+            for y2, z in rules:
                 if y2 == y:
-                    left = rhs[x, y] * Element.word((z,), "daha")
-                    right = Element.word((x,), "daha") * rhs[y, z]
-                    out.append(((x, y, z), self.reduce_terms((left - right).terms)))
-        return out
+                    terms: dict = {}  # lifted, as reduce_terms reads them
+                    for word, coef in rules[x, y]:
+                        terms[word + (z,)] = terms.get(word + (z,), zero) + lift(coef)
+                    for word, coef in rules[y, z]:
+                        terms[(x,) + word] = terms.get((x,) + word, zero) - lift(coef)
+                    yield (x, y, z), self.reduce_terms(terms)
 
     def termination_failures(self) -> list[tuple[tuple[str, str], Word]]:
         """The (left side L, right-side word w) pairs with w not below L.
@@ -610,17 +623,21 @@ class RewriteSystem:
     ) -> NormalForm:
         if strategy not in ("leftmost", "rightmost"):
             raise ValueError(f"unknown strategy {strategy!r}")
-        out: dict[tuple[int, int, int], RatFunc] = {}
-        pending = {tuple(w): c for w, c in terms.items() if not c.is_zero()}
+        # on the kernel's lifted coefficients (``terms`` may be lifted already),
+        # settled once per round
+        lift, zero = self._lift, self._lift_zero
+        out: dict = {}
+        pending = self._settle({tuple(w): lift(c) for w, c in terms.items()})
         steps = 0
         while pending:
-            next_pending: dict[Word, RatFunc] = {}
+            next_pending: dict = {}
             for word, coef in pending.items():
                 pos = self._find_redex(word, strategy)
                 if pos is None:
                     if not _is_basis_word(word):  # a rule table short of a left side
                         raise ValueError(f"irreducible word {' '.join(word)} is not a basis word")
-                    _acc(out, _word_key(word), coef)
+                    key = _word_key(word)
+                    out[key] = out.get(key, zero) + coef
                     continue
                 steps += 1
                 if steps > budget:
@@ -629,9 +646,10 @@ class RewriteSystem:
                     )
                 head, tail = word[:pos], word[pos + 2 :]
                 for repl, rcoef in self.rules[(word[pos], word[pos + 1])]:
-                    _acc(next_pending, head + repl + tail, coef * rcoef)
-            pending = next_pending
-        return NormalForm(out)
+                    word2 = head + repl + tail
+                    next_pending[word2] = next_pending.get(word2, zero) + coef * lift(rcoef)
+            pending = self._settle(next_pending)
+        return self._normal_form(self._settle(out))
 
     def basis_product(
         self,
@@ -819,14 +837,25 @@ class RewriteSystem:
         times F, lifted, as the sum of its words' images times F; those
         are memoized, so the step rows and rank certificates read at one
         point share them."""
-        memo, f, images = self._words_times_f, self._symmetrizer(family), []
-        for word, c in terms.items():
-            image = memo.get((family, word))
-            if image is None:
-                image = self._multiply(self._embed_word(word, budget), f, budget)
-                memo[(family, word)] = image
-            images.append((c, image))
-        return self._linear(images)
+        return self._linear((c, self._word_times_f(family, w, budget)) for w, c in terms.items())
+
+    def _word_times_f(self, family: str, word: Word, budget: int) -> dict:
+        """The embedding of one K0/K1/T1 word times F, lifted, memoized."""
+        image = self._words_times_f.get((family, word))
+        if image is None:
+            f = self._symmetrizer(family)
+            image = self._words_times_f[(family, word)] = self._multiply(
+                self._embed_word(word, budget), f, budget
+            )
+        return image
+
+    def _iso_image(self, family: str, terms: Mapping[Word, object], budget: int) -> dict:
+        """:func:`iso_image` of a K0/K1 combination with lifted coefficients,
+        lifted: for "asym" each word's coefficient takes q per K0."""
+        if family == "asym":
+            q = self._lift(self.params.vals[0])
+            terms = {word: c * q ** word.count("K0") for word, c in terms.items()}
+        return self._embed_times_f(family, terms, budget)
 
     def _table_coef(self, terms: Coef, n: int):
         """A step-table coefficient at exponent n, lifted, memoized."""
@@ -896,21 +925,29 @@ def multiply(
 
 
 def _rank(vectors: Iterable[Mapping], params: Params) -> int:
-    """The rank of ``vectors``, dicts from keys to scalars at the point
-    ``params``, by echelon form on the product kernel's lifted coefficients."""
+    """The rank of ``vectors``, dicts from keys to the product kernel's
+    lifted coefficients at the point ``params`` (int residues, not
+    necessarily reduced, at a point of GF(p)), by echelon form.  Each
+    vector is eliminated in place: a pivot row is subtracted, scaled by
+    the vector's coefficient at the pivot key over the row's, where that
+    is nonzero, and the vector is settled once; it is kept as a pivot row
+    as it is, with its largest key as the pivot key (on the commutator
+    images of the center certificate that leaves less to eliminate than
+    its first key) and the inverse of its coefficient there."""
     system = rewrite_system(params)
-    lift, zero, settle = system._lift, system._lift_zero, system._settle
-    pivots: dict = {}  # key -> pivot row: 1 at the key, 0 at earlier pivot keys
+    p, zero, settle = system._prime, system._lift_zero, system._settle
+    pivots: dict = {}  # key -> (row, 1 / row[key]), row 0 at earlier pivot keys
     for vector in vectors:
-        v = settle({key: lift(c) for key, c in vector.items()})
-        for key, row in pivots.items():
-            if key in v:  # subtract v[key] times the row
-                c = v[key]
-                v = settle({**v, **{k: v.get(k, zero) - c * x for k, x in row.items()}})
+        v = dict(vector)
+        for key, (row, inv) in pivots.items():
+            c = v.get(key)
+            if c is not None and (c := c * inv % p if p else c * inv):
+                for k, x in row.items():
+                    v[k] = v.get(k, zero) - c * x
+        v = settle(v)
         if v:
-            key, c = next(iter(v.items()))
-            inv = lift(system._drop(c).inv())
-            pivots[key] = settle({k: inv * x for k, x in v.items()})
+            key = max(v)
+            pivots[key] = (v, pow(v[key], -1, p) if p else v[key].inv())
     return len(pivots)
 
 
@@ -1072,9 +1109,8 @@ def iso_image(
     if u.alphabet != "aw":
         raise ValueError("the subalgebra isomorphisms take K0/K1 words")
     system = rewrite_system(params)
-    k0 = params.value("q") if family == "asym" else system.one
-    tilde = {word: system._lift(c * k0 ** word.count("K0")) for word, c in u.terms.items()}
-    return system._normal_form(system._embed_times_f(family, tilde, budget))
+    terms = {word: system._lift(c) for word, c in u.terms.items()}
+    return system._normal_form(system._iso_image(family, terms, budget))
 
 
 # ---------------------------------------------------------------------------
@@ -1090,24 +1126,35 @@ def is_o_of(nf: NormalForm, m: int, n: int) -> bool:
 
 def _dominated(keys: Iterable[tuple[int, int, int]], m: int, n: int) -> bool:
     # is_o_of on the basis keys of a normal form, lifted or not
-    for (k, l, i) in keys:
-        if i:
-            return False
-        if abs(k) > abs(m) or abs(l) > abs(n):
-            return False
-        if (abs(k), abs(l)) == (abs(m), abs(n)):
+    m, n = abs(m), abs(n)
+    for k, l, i in keys:
+        k, l = abs(k), abs(l)
+        if i or k > m or l > n or (k == m and l == n):
             return False
     return True
 
 
-def _factor_out_right(lifted: dict, eps, system: RewriteSystem) -> dict | None:
-    """If the lifted normal form is R (T1+eps) with R free of T1, return R,
-    lifted, else None; eps is lifted too."""
-    lay0 = {key: c for key, c in lifted.items() if not key[2]}
-    rest = {(k, l, 0): c for (k, l, i), c in lifted.items() if i}
-    if lay0 != system._settle({key: eps * c for key, c in rest.items()}):
-        return None
-    return rest
+def _step_verdict(residual: dict, eps, bound, system: RewriteSystem) -> bool:
+    """Whether the lifted normal form ``residual`` is R (T1+eps) with R free
+    of T1 and strictly dominated by ``bound`` = (m, n), or zero where
+    ``bound`` is None; eps is lifted too.  One pass over its keys, each T1
+    key read with its T1-free partner, reducing only what it reads."""
+    p, zero = system._prime, system._lift_zero
+    rest = []  # the keys of R
+    for (k, l, i), c in residual.items():
+        if i:
+            r1, r0 = c, residual.get((k, l, 0), zero) - eps * c
+        elif (k, l, 1) in residual:
+            continue  # read with its T1 partner
+        else:
+            r1, r0 = zero, c
+        if p:
+            r1, r0 = r1 % p, r0 % p
+        if r0:
+            return False  # the T1-free part is not eps times the T1 part
+        if r1:
+            rest.append((k, l, 0))
+    return not rest if bound is None else _dominated(rest, *bound)
 
 
 # ---------------------------------------------------------------------------
@@ -1393,18 +1440,18 @@ def _lifted_step_lhs(row: StepRow, m: int, n: int, system: RewriteSystem, budget
         sandwich = system._sandwich(row.family, (sm * m, sn * n, 0), budget)
         if row.kind != "step3":
             return sandwich
-    if row.kind == "embed":
-        k_word = {("K1",) * (abs(sm) * m) + ("K0",) * (abs(sn) * n): system._lift_one}
-    else:
-        k_word = {
-            ("K1",) * (m - 1) + w + ("K0",) * (n - 1): system._table_coef(coef, n)
-            for w, coef in row.middle.items()
-        }
-    embedded = system._embed_times_f(row.family, k_word, budget)
+    if row.kind == "embed":  # one word, coefficient 1: the memoized image itself
+        word = ("K1",) * (abs(sm) * m) + ("K0",) * (abs(sn) * n)
+        return system._word_times_f(row.family, word, budget)
+    k_word = {
+        ("K1",) * (m - 1) + w + ("K0",) * (n - 1): system._table_coef(coef, n)
+        for w, coef in row.middle.items()
+    }
     if row.kind != "step3":
-        return embedded
+        return system._embed_times_f(row.family, k_word, budget)
     c1, c2 = system._table_coef(_ONE_MINUS_Q2, n), system._table_coef(row.scalar, n)
-    return system._linear(((c1, sandwich), (-c2, embedded)))
+    images = ((-c2 * c, system._word_times_f(row.family, w, budget)) for w, c in k_word.items())
+    return system._linear(((c1, sandwich), *images))
 
 
 def check_step_identity(
@@ -1427,10 +1474,11 @@ def check_step_identity(
     product not yet memoized, its new sub-products included.
 
     Everything up to the verdict runs on the product kernel's lifted
-    coefficients, int residues at a point of GF(p), and the returned
-    residual is the only normal form built.  The table coefficients, the
-    compressions and the embedded K-words times F are memoized on the
-    rewrite system.
+    coefficients, int residues at a point of GF(p): the residual is the
+    left side with the leading terms subtracted at their keys, read in one
+    pass, and its normal form is built when its terms are first read.  The
+    table coefficients, the compressions and the embedded K-words times F
+    are memoized on the rewrite system.
     """
     row = STEP_IDENTITIES.get(identity)
     if row is None:
@@ -1444,15 +1492,15 @@ def check_step_identity(
     lead_f: dict = {}  # the leading terms times F = T1+eps
     for (k, l), c in _leading(row, m, n, system).items():
         lead_f[(k, l, 1)], lead_f[(k, l, 0)] = c, c * eps
-    one = system._lift_one
-    lhs = _lifted_step_lhs(row, m, n, system, budget)
-    residual = system._linear(((one, lhs), (-one, lead_f)))
-    if row.kind == "exact":
-        return system._normal_form(residual), not residual
-    rest = _factor_out_right(residual, eps, system)
+    # the left side, memoized, differs from the residual at these keys only
+    residual = dict(_lifted_step_lhs(row, m, n, system, budget))
+    zero = system._lift_zero
+    for key, c in lead_f.items():
+        residual[key] = residual.get(key, zero) - c
     uses_m, uses_n = row.uses()
-    ok = rest is not None and _dominated(rest, m if uses_m else 0, n if uses_n else 0)
-    return system._normal_form(residual), ok
+    bound = None if row.kind == "exact" else (m if uses_m else 0, n if uses_n else 0)
+    verdict = _step_verdict(residual, eps, bound, system)
+    return _DeferredNormalForm(lambda: system._normal_form(system._settle(residual))), verdict
 
 
 # ---------------------------------------------------------------------------

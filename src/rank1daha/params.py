@@ -612,6 +612,22 @@ def _modp(v: int) -> "ModP":
     return out
 
 
+def _same(x):
+    return x
+
+
+def _lifting(params: "Params") -> tuple[Callable, Callable, int]:
+    """(lift, drop, p): how inner loops carry the scalars of ``params``.  At
+    a point of GF(p) a scalar is lifted to its int residue, summed and
+    multiplied as a plain int and reduced mod p where it is read, and
+    dropped back to a ``ModP`` only where one is returned: (_residue,
+    _modp, PRIME).  Elsewhere the RatFunc values are carried as they are,
+    with p = 0."""
+    if isinstance(params.vals[0], ModP):
+        return _residue, _modp, PRIME
+    return _same, _same, 0
+
+
 class ModP(RatFunc):
     """An element of GF(p), p = 2^61 - 1: the scalar of probabilistic mode.
 

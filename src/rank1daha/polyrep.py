@@ -46,18 +46,27 @@ distinct, therefore vanishes on every phi_k there, hence on every
 symmetric Laurent polynomial.  The Casimir relation has words of length
 4, and q^0..q^16 are distinct at every admissible point (the genericity
 bound of :func:`rank1daha.params.make_params`).
+
+The checks' paths (the family identities and ``relation_residuals``) carry
+the scalars of a point of GF(p) as plain int residues, with no ``ModP``
+object per operation (:func:`_lifted`), and return their residuals so,
+reduced mod p: a residual prints as the ``ModP`` of the same value would.
+There a term of a family identity also carries the value of its factors,
+so the identity is first summed at the point; it is reduced by the factors
+its terms share only where that sum is nonzero, to show the reduced value,
+or where a factor vanishes there (:func:`_reduced`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import partial
+from functools import lru_cache, partial
 from math import prod
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import DegenerateParameters, NotSymmetric
-from .ncalg import Element, quotient_relations
-from .params import Params, RatFunc, StructureConstants
+from .ncalg import quotient_relations
+from .params import Params, RatFunc, StructureConstants, _lifting
 
 __all__ = [
     "LaurentPoly",
@@ -97,13 +106,6 @@ class LaurentPoly:
     @staticmethod
     def monomial(k: int, coef: RatFunc = _ONE) -> "LaurentPoly":
         return LaurentPoly({k: coef})
-
-    @staticmethod
-    def symmetric_basis(k: int) -> "LaurentPoly":
-        """z^k + z^-k for k >= 1; the constant 1 for k = 0."""
-        if k == 0:
-            return LaurentPoly.one()
-        return LaurentPoly({k: _ONE, -k: _ONE})
 
     # -- structure -------------------------------------------------------
 
@@ -172,6 +174,19 @@ class LaurentPoly:
 Coords = list[RatFunc]  # c_0..c_K of sum_k c_k phi_k
 
 
+def _lifted(params: Params) -> tuple[tuple, int]:
+    """The values q, a, b, c, d as the checks' paths carry them, and p
+    (:func:`rank1daha.params._lifting`): int residues and p = 2^61 - 1 at a
+    point of GF(p), else the RatFunc values themselves and 0."""
+    lift, _, p = _lifting(params)
+    return tuple(map(lift, params.vals)), p
+
+
+def _power(x, e: int, p: int):
+    # x^e for a lifted scalar x, reduced mod p where p is set; e may be negative
+    return pow(x, e, p) if p else x**e
+
+
 def _times_factor(half: Coords, lin: RatFunc, aq: RatFunc) -> Coords:
     """The z^0.. coefficients of f (lin - aq (z + z^-1)), given those of a
     symmetric f."""
@@ -183,32 +198,43 @@ class _Basis:
     """The tables of one call, grown on demand: both maps, with aq_k = a q^k
     and lin_k = 1 + aq_k^2, and the inverse of the z^k coefficient of phi_k;
     apart, phi_k by its z^0..z^k coefficients, phi_(k+1) = phi_k (lin_k -
-    aq_k (z + z^-1)), which only the z-form conversions read."""
+    aq_k (z + z^-1)), which only the z-form conversions read.  Entries are
+    carried as ``vals`` carries the point's scalars (:func:`_lifted`),
+    reduced mod p where p is set, and so are the maps' images."""
 
-    def __init__(self, params: Params):
-        self.vals = params.vals
+    def __init__(self, vals: Sequence, p: int = 0):
+        self.vals, self.p = vals, p
+        self.one, self.zero = (1, 0) if p else (_ONE, _ZERO)
         self.phi = [[_ONE]]
         self.lead_inv, self.aq, self.lin = [], [], []
         self.lam, self.mu, self.k1_diag, self.k1_up = [], [], [], []
 
     def grow(self, size: int) -> "_Basis":
         """Extend the tables of the maps through index ``size``."""
-        q, a, b, c, d = self.vals
         while len(self.aq) <= size:
-            k = len(self.aq)
-            self.lead_inv.append(self.lead_inv[-1] * self.k1_up[-1] if k else _ONE)
-            qk, qki = q**k, q ** (-k)
-            x = qk / q  # q^(k-1)
+            (q, a, b, c, d), p, one, k = self.vals, self.p, self.one, len(self.aq)
+            qk, qki = _power(q, k, p), _power(q, -k, p)
+            x = qk * _power(q, -1, p)  # q^(k-1)
             aq = a * qk
-            self.aq.append(aq)
-            self.lin.append(_ONE + aq * aq)
-            self.lam.append(qki + a * b * c * d * x)
-            self.mu.append(
-                -qki * (_ONE - qk) * (_ONE - a * b * x) * (_ONE - a * c * x) * (_ONE - a * d * x)
+            lin, aq_inv = one + aq * aq, _power(aq, -1, p)
+            entries = (
+                (self.lead_inv, self.lead_inv[-1] * self.k1_up[-1] if k else one),
+                (self.aq, aq),
+                (self.lin, lin),
+                (self.lam, qki + a * b * c * d * x),
+                (self.mu, -qki * (one - qk) * (one - a * b * x) * (one - a * c * x)
+                 * (one - a * d * x)),
+                (self.k1_diag, lin * aq_inv),
+                (self.k1_up, -aq_inv),
             )
-            self.k1_diag.append(self.lin[-1] / aq)
-            self.k1_up.append(-aq.inv())
+            for table, value in entries:
+                table.append(value % p if p else value)
         return self
+
+    def settled(self, coords: Coords) -> Coords:
+        """Lifted coordinates reduced mod p where p is set."""
+        p = self.p
+        return [c % p for c in coords] if p else coords
 
     def z_forms(self, size: int) -> list[Coords]:
         """phi_0..phi_size by their z^0..z^k coefficients."""
@@ -249,26 +275,29 @@ def _from_phi(coords: Coords, basis: _Basis, scale: RatFunc = _ONE) -> LaurentPo
     return LaurentPoly(out)
 
 
-# The maps and _combination skip the coordinates that are the padding _ZERO,
-# tested by identity, which is cheap: a word's image of phi_k has at most nine
-# others.  A zero found by cancellation is multiplied like any coordinate.
+# The maps and _combination skip the coordinates that are the padding zero of
+# the basis, tested by identity, which is cheap: a word's image of phi_k has at
+# most nine others.  A RatFunc zero found by cancellation is multiplied like any
+# coordinate (an int one reduced mod p is mostly the padding zero itself).
 def _dsym(coords: Coords, basis: _Basis) -> Coords:
     basis.grow(len(coords) - 1)
-    out = [_ZERO if c is _ZERO else lam * c for lam, c in zip(basis.lam, coords)]
+    zero = basis.zero
+    out = [zero if c is zero else lam * c for lam, c in zip(basis.lam, coords)]
     for k in range(1, len(coords)):
-        if coords[k] is not _ZERO:
+        if coords[k] is not zero:
             out[k - 1] = out[k - 1] + basis.mu[k] * coords[k]
-    return out
+    return basis.settled(out)
 
 
 def _k1(coords: Coords, basis: _Basis) -> Coords:
     basis.grow(len(coords) - 1)
-    out = [_ZERO if c is _ZERO else diag * c for diag, c in zip(basis.k1_diag, coords)]
-    out.append(_ZERO)
+    zero = basis.zero
+    out = [zero if c is zero else diag * c for diag, c in zip(basis.k1_diag, coords)]
+    out.append(zero)
     for k, c in enumerate(coords):
-        if c is not _ZERO:
+        if c is not zero:
             out[k + 1] = out[k + 1] + basis.k1_up[k] * c
-    return out
+    return basis.settled(out)
 
 
 _LETTER_MAPS = {"K0": _dsym, "K1": _k1}
@@ -286,17 +315,19 @@ def _word_image(word: tuple[str, ...], images: dict, basis: _Basis) -> Coords:
     return out
 
 
-def _combination(element: Element, images: dict, basis: _Basis) -> Coords:
-    """The image of ``images[()]`` under a combination of K0/K1 words; the
-    words share the images of their common suffixes."""
+def _combination(terms: Mapping[tuple[str, ...], RatFunc], images: dict, basis: _Basis) -> Coords:
+    """The image of ``images[()]`` under a combination of K0/K1 words with
+    coefficients carried as the basis carries its scalars; the words share
+    the images of their common suffixes."""
     total: Coords = []
-    for word, coef in element.terms.items():
+    zero = basis.zero
+    for word, coef in terms.items():
         image = _word_image(word, images, basis)
-        total.extend([_ZERO] * (len(image) - len(total)))
+        total.extend([zero] * (len(image) - len(total)))
         for k, c in enumerate(image):
-            if c is not _ZERO:
+            if c is not zero:
                 total[k] = total[k] + coef * c
-    return total
+    return basis.settled(total)
 
 
 def relation_residuals(
@@ -309,15 +340,21 @@ def relation_residuals(
     The word images of phi_k do not depend on the constants: they are formed
     on demand, once, and shared by every relation and set of constants.  At
     max_degree = 16 the residuals decide every phi_k (module docstring).
+    At a point of GF(p) the images and the coordinates are int residues.
     """
-    relations = [quotient_relations(params, sc) for sc in constants or [None]]
-    basis = _Basis(params)
+    lift, _, p = _lifting(params)
+    vals = tuple(map(lift, params.vals))
+    relations = [
+        {name: {w: lift(c) for w, c in rel.terms.items()} for name, rel in rels.items()}
+        for rels in (quotient_relations(params, sc) for sc in constants or [None])
+    ]
+    basis = _Basis(vals, p)
 
     def residual(images: dict, name: str, i: int = 0) -> Coords:
         return _combination(relations[i][name], images, basis)
 
     for k in range(max_degree + 1):
-        yield partial(residual, {(): [_ZERO] * k + [_ONE]})
+        yield partial(residual, {(): [basis.zero] * k + [basis.one]})
 
 
 def apply_dsym(f: LaurentPoly, params: Params) -> LaurentPoly:
@@ -337,39 +374,73 @@ def apply_k1(f: LaurentPoly) -> LaurentPoly:
 def apply_word(word: Sequence[str], f: LaurentPoly, params: Params) -> LaurentPoly:
     """Apply a word over {K0, K1} as a composition of operators, the
     rightmost letter acting first."""
-    basis = _Basis(params)
+    basis = _Basis(params.vals)
     return _from_phi(_word_image(tuple(word), {(): _to_phi(f, basis)}, basis), basis)
 
 
 # A factor 1 - x q^m of the family is keyed (x, m), x a product of a, b, c,
 # d spelled by its sorted letters ("1" if empty): a key names a factor of
 # Q(q,a,b,c,d), not its value, so factors that coincide only at a point
-# (1 - ac and 1 - bd where ac = bd) stay apart.  A term is a scalar and a
-# dict from keys to exponents, negative in a denominator.
-Term = tuple[RatFunc, Mapping[tuple[str, int], int]]
+# (1 - ac and 1 - bd where ac = bd) stay apart.  A term is a scalar, a
+# dict from keys to exponents, negative in a denominator, and at a point of
+# GF(p) the value there of the product of its factors (None where one of them
+# vanishes, and at any other point).
+Term = tuple[RatFunc, Mapping[tuple[str, int], int], "int | None"]
 
 
 class _Factors(dict):
-    """The values of factor keys at one parameter set, each computed once."""
+    """The values of factor keys at one parameter set, each computed once,
+    and the scalars of the terms, carried as ``vals`` is (:func:`_lifted`)."""
 
-    def __init__(self, params: Params):
+    def __init__(self, vals: Sequence, p: int = 0):
         super().__init__()
-        self.q, *abcd = params.vals
-        self.letters = dict(zip("1abcd", (_ONE, *abcd)))
+        self.p, self.powers = p, {}
+        self.one, self.zero = (1, 0) if p else (_ONE, _ZERO)
+        self.letters = dict(zip("q1abcd", (vals[0], self.one, *vals[1:])))
+
+    def power(self, letter: str, e: int) -> RatFunc:
+        """The value of the letter q, a, b, c or d to the power e, memoized."""
+        out = self.powers.get((letter, e))
+        if out is None:
+            out = self.powers[letter, e] = _power(self.letters[letter], e, self.p)
+        return out
 
     def __missing__(self, key: tuple[str, int]) -> RatFunc:
         x, m = key
-        self[key] = out = _ONE - prod((self.letters[c] for c in x), start=self.q**m)
+        out = self.one - prod((self.letters[c] for c in x), start=self.power("q", m))
+        self[key] = out = out % self.p if self.p else out
         return out
+
+    def term(self, scalar: RatFunc, factors: Mapping[tuple[str, int], int]) -> Term:
+        """The term ``scalar`` times ``factors``, with the value of the factors
+        at a point of GF(p): None where one of them vanishes to a power other
+        than 0, and at any other point."""
+        p = self.p
+        if not p:
+            return scalar, factors, None
+        num = den = 1
+        for key, e in factors.items():
+            x = self[key]
+            if not x:
+                if e:
+                    return scalar, factors, None
+            elif e > 0:
+                num = num * (x if e == 1 else pow(x, e, p)) % p
+            elif e:
+                den = den * (x if e == -1 else pow(x, -e, p)) % p
+        return scalar, factors, num if den == 1 else num * pow(den, -1, p) % p
 
 
 def _term(scalar: RatFunc, *terms: Term) -> Term:
-    """scalar times the product of ``terms``."""
+    """scalar times the product of ``terms``; the values of their factors
+    multiply as the factors do."""
     factors: Counter = Counter()
-    for s, f in terms:
+    value = 1
+    for s, f, v in terms:
         scalar = scalar * s
         factors.update(f)
-    return scalar, factors
+        value = None if value is None or v is None else value * v
+    return scalar, factors, value
 
 
 def _reduced(terms: Sequence[Term], values: _Factors) -> RatFunc:
@@ -378,17 +449,25 @@ def _reduced(terms: Sequence[Term], values: _Factors) -> RatFunc:
     element of Q(q,a,b,c,d) whatever the point, so the result is the value
     there of one Laurent polynomial in q, a, b, c, d, which is zero exactly
     when the sum is zero in Q(q,a,b,c,d).  Terms with the factor 1 - q^0 = 0
-    drop out first."""
-    terms = [(s, f) for s, f in terms if f.get(("1", 0), 0) <= 0]
-    keys = set().union(*(f for _, f in terms))
-    least = {key: min(f.get(key, 0) for _, f in terms) for key in keys}
-    total = _ZERO
-    for s, f in terms:
+    drop out first.
+
+    At a point of GF(p) where no factor of the terms vanishes, the result
+    is zero exactly when the sum at the point is, so that sum, from the
+    values the terms carry, decides first; the division runs where it is
+    nonzero, for the value shown, or where a factor vanishes."""
+    terms = [term for term in terms if term[1].get(("1", 0), 0) <= 0]
+    p = values.p
+    if p and all(v is not None for *_, v in terms) and not sum(s * v for s, _, v in terms) % p:
+        return 0
+    keys = set().union(*(f for _, f, _ in terms))
+    least = {key: min(f.get(key, 0) for _, f, _ in terms) for key in keys}
+    total = values.zero
+    for s, f, _ in terms:
         for key, low in least.items():
             for _ in range(f.get(key, 0) - low):
                 s = s * values[key]
         total = total + s
-    return total
+    return total % p if p else total
 
 
 def _pn_factors(n: int, values: _Factors) -> list[tuple]:
@@ -410,7 +489,7 @@ def _pn_factors(n: int, values: _Factors) -> list[tuple]:
         (("1", j - n), ("abcd", n - 1 + j), ("1", j + 1), (("ab", j), ("ac", j), ("ad", j)))
         for j in range(n)
     ]
-    if any(values[step].is_zero() for _, step, _, _ in rows):
+    if not all(values[step] for _, step, _, _ in rows):
         raise DegenerateParameters("abcd*q^m = 1", m=None)
     return rows
 
@@ -436,7 +515,7 @@ def _summands(rises: Sequence[Sequence[RatFunc]], tails: Sequence[Sequence[RatFu
 def _pn_coords(n: int, params: Params) -> tuple[Coords, RatFunc]:
     """The coordinates of P_n up to one scalar, the summands of the 4phi3
     sum, and that scalar a^-n / (abcd q^(n-1);q)_n."""
-    values = _Factors(params)
+    values = _Factors(params.vals)
     rows = _pn_factors(n, values)
     q, a = params.vals[:2]
     # divide by each 1 - q^(j+1) as the product runs: the cleared summands
@@ -453,14 +532,17 @@ def _pn_terms(n: int, values: _Factors) -> tuple[list[Term], Term]:
     rows = _pn_factors(n, values)
     rises = [key for rise, step, _, _ in rows for key in (rise, step)]
     tails = [key for _, _, fall, tail in rows for key in (fall, *tail)]
-    coords = [(values.q**k, Counter(rises[: 2 * k] + tails[4 * k :])) for k in range(n + 1)]
-    return coords, (values.letters["a"] ** n, Counter(rises[1::2] + tails[::4]))
+    coords = [
+        values.term(values.power("q", k), Counter(rises[: 2 * k] + tails[4 * k :]))
+        for k in range(n + 1)
+    ]
+    return coords, values.term(values.power("a", n), Counter(rises[1::2] + tails[::4]))
 
 
 def askey_wilson(n: int, params: Params) -> LaurentPoly:
     """The monic Askey-Wilson polynomial P_n as a symmetric Laurent polynomial."""
     coords, scale = _pn_coords(n, params)
-    return _from_phi(coords, _Basis(params), scale)
+    return _from_phi(coords, _Basis(params.vals), scale)
 
 
 def shifted_qn(n: int, params: Params) -> LaurentPoly:
@@ -492,21 +574,27 @@ _CLOSED_FORMS = {
 }
 
 
+@lru_cache(maxsize=128)
+def _swapped(x: str, swap: str) -> str:
+    # the letters of x with the two letters of swap exchanged, as a key spells them
+    return "".join(sorted(x.translate(str.maketrans(swap, swap[::-1]))))
+
+
 def _coefficients(n: int, values: _Factors, swap: str = "") -> tuple[list[Term], Term]:
     """beta_n as the terms a + a^-1, -A_n, -C_n, and gamma_n, in their
     closed forms with the two letters of ``swap`` exchanged."""
-    table = str.maketrans(swap, swap[::-1])
-    a = values.letters["a".translate(table)]
+    a, one = _swapped("a", swap), values.one
 
     def form(name: str, m: int) -> Term:
         power, rows = _CLOSED_FORMS[name]
         factors: Counter = Counter()
         for x, s, t, e in rows:
-            factors["".join(sorted(x.translate(table))), s * m + t] += e
-        return a**power, factors
+            factors[_swapped(x, swap), s * m + t] += e
+        return values.term(values.power(a, power), factors)
 
-    beta = [(a + a.inv(), {}), _term(-_ONE, form("A", n)), _term(-_ONE, form("C", n))]
-    return beta, _term(_ONE, form("A", n - 1), form("C", n))
+    a_plus_inverse = values.letters[a] + values.power(a, -1)
+    beta = [values.term(a_plus_inverse, {}), _term(-one, form("A", n)), _term(-one, form("C", n))]
+    return beta, _term(one, form("A", n - 1), form("C", n))
 
 
 def recurrence_coeffs(max_n: int, params: Params) -> list[tuple[RatFunc, RatFunc]]:
@@ -515,7 +603,7 @@ def recurrence_coeffs(max_n: int, params: Params) -> list[tuple[RatFunc, RatFunc
     from their closed forms (gamma_0 = 0)."""
     if max_n < 0:
         raise ValueError("recurrence index must be nonnegative")
-    values = _Factors(params)
+    values = _Factors(params.vals)
     value = lambda term: prod((values[key] ** e for key, e in term[1].items()), start=term[0])
     coeffs = [_coefficients(n, values) for n in range(max_n + 1)]
     return [(sum(map(value, beta), _ZERO), value(gamma) if n else _ZERO)
@@ -526,41 +614,58 @@ def _recurrence_residuals(max_n: int, params: Params):
     """For n = 0..max_n, the reduced phi_k coordinates, k = 0..n+1, of
     N_n ((z + z^-1) P_n - P_(n+1) - beta_n P_n - gamma_n P_(n-1)), all zero,
     P_m being N_m^-1 sum_k c~^(m)_k phi_k and z + z^-1 bidiagonal; and
-    whether gamma_n (n >= 1) vanishes at ``params``."""
+    whether gamma_n (n >= 1) vanishes at ``params``.  A term lists its
+    coordinate of P_m first, the factor dict that _term copies whole, and a
+    ratio of normalisers keeps only the factors that do not cancel."""
     if max_n < 0:
         raise ValueError("recurrence index must be nonnegative")
-    values, basis = _Factors(params), _Basis(params).grow(max_n + 1)
+    vals, p = _lifted(params)
+    values, basis = _Factors(vals, p), _Basis(vals, p).grow(max_n + 1)
     family = [_pn_terms(n, values) for n in range(max_n + 2)]
+    one = values.one
 
     def ratio(m: int, n: int) -> Term:  # N_m / N_n
-        (s, f), (s2, f2) = family[m][1], family[n][1]
-        return s / s2, {key: f.get(key, 0) - f2.get(key, 0) for key in f.keys() | f2.keys()}
+        (s, f, _), (s2, f2, _) = family[m][1], family[n][1]
+        exponents = ((key, f.get(key, 0) - f2.get(key, 0)) for key in f.keys() | f2.keys())
+        return values.term(s * _power(s2, -1, p), {key: e for key, e in exponents if e})
 
     for n in range(max_n + 1):
         beta, gamma = _coefficients(n, values)
-        rows = [[_term(-_ONE, ratio(n, n + 1), c)] for c in family[n + 1][0]]
+        up = ratio(n, n + 1)
+        rows = [[_term(-one, c, up)] for c in family[n + 1][0]]
         for k, c in enumerate(family[n][0]):
-            rows[k] += [_term(basis.k1_diag[k], c), *(_term(-_ONE, t, c) for t in beta)]
+            rows[k] += [_term(basis.k1_diag[k], c), *(_term(-one, c, t) for t in beta)]
             rows[k + 1].append(_term(basis.k1_up[k], c))
         if n:
-            down = _term(-_ONE, gamma, ratio(n, n - 1))
+            down = _term(-one, gamma, ratio(n, n - 1))
             for k, c in enumerate(family[n - 1][0]):
-                rows[k].append(_term(_ONE, down, c))
-        vanishes = any(values[key].is_zero() for key, e in gamma[1].items() if e > 0)
+                rows[k].append(_term(one, c, down))
+        vanishes = not all(values[key] for key, e in gamma[1].items() if e > 0)
         yield [_reduced(terms, values) for terms in rows], n > 0 and vanishes
 
 
-def _swap_residuals(k: int, params: Params, swap: str) -> list[RatFunc]:
-    """The reduced differences of beta_k, gamma_k and A_k (beta_k's second
-    term) from their images under exchanging the two letters of ``swap``:
-    D_k beta_k, the cleared gamma_k and the cleared A_k, D_k =
+def _swap_residuals(
+    max_n: int, params: Params, swaps: Sequence[str]
+) -> Iterator[tuple[str, int, list[RatFunc]]]:
+    """For each swap of ``swaps`` and k = 0..max_n-1 in turn, (swap, k, the
+    reduced differences of beta_k, gamma_k and A_k (beta_k's second term)
+    from their images under exchanging the two letters of the swap): D_k
+    beta_k, the cleared gamma_k and the cleared A_k, D_k =
     (1-abcdq^(2k-2))(1-abcdq^(2k-1))(1-abcdq^(2k)) being symmetric in a, b,
-    c, d.  Raises where P_(k+1), which they help fix, does not exist."""
-    values = _Factors(params)
-    _pn_factors(k + 1, values)
-    (beta, gamma), (beta2, gamma2) = _coefficients(k, values), _coefficients(k, values, swap)
-    pairs = ((beta, beta2), ([gamma], [gamma2]), (beta[1:2], beta2[1:2]))
-    return [_reduced([*one, *(_term(-_ONE, t) for t in two)], values) for one, two in pairs]
+    c, d.  The unswapped closed forms are built once per k.  Raises at a k
+    where P_(k+1), which they help fix, does not exist."""
+    values = _Factors(*_lifted(params))
+    minus, unswapped = -values.one, []
+    for swap in swaps:
+        for k in range(max_n):
+            if k == len(unswapped):
+                _pn_factors(k + 1, values)
+                unswapped.append(_coefficients(k, values))
+            (beta, gamma), (beta2, gamma2) = unswapped[k], _coefficients(k, values, swap)
+            pairs = ((beta, beta2), ([gamma], [gamma2]), (beta[1:2], beta2[1:2]))
+            yield swap, k, [
+                _reduced([*one, *(_term(minus, t) for t in two)], values) for one, two in pairs
+            ]
 
 
 def check_eigen_in_rep(max_n: int, params: Params) -> list[tuple[RatFunc, list[RatFunc]]]:
@@ -569,15 +674,17 @@ def check_eigen_in_rep(max_n: int, params: Params) -> list[tuple[RatFunc, list[R
     P_n = N_n^-1 sum_k c~_k phi_k: lead(phi_n) c~_n - N_n, zero when P_n is
     monic, and for k < n, (lambda_k - lambda_n) c~_k + mu_(k+1) c~_(k+1),
     the phi_k coordinate of (D - lambda_n) N_n P_n.  Each is reduced by the
-    factors its terms share.  P_n is symmetric, as every phi_k is.
+    factors its terms share.  P_n is symmetric, as every phi_k is.  At a
+    point of GF(p) the residuals are int residues.
     """
-    values, basis = _Factors(params), _Basis(params).grow(max_n)
+    vals, p = _lifted(params)
+    values, basis = _Factors(vals, p), _Basis(vals, p).grow(max_n)
     lam, mu = basis.lam, basis.mu
     out = []
     for n in range(max_n + 1):
         coords, norm = _pn_terms(n, values)
-        lead = basis.lead_inv[n].inv()  # the z^n coefficient of phi_n
-        monic = _reduced([_term(lead, coords[n]), _term(-_ONE, norm)], values)
+        lead = _power(basis.lead_inv[n], -1, p)  # the z^n coefficient of phi_n
+        monic = _reduced([_term(lead, coords[n]), _term(-values.one, norm)], values)
         eigen = [
             _reduced([_term(lam[k] - lam[n], coords[k]), _term(mu[k + 1], coords[k + 1])], values)
             for k in range(n)

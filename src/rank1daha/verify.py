@@ -237,11 +237,18 @@ _at_witness = _at_points(
 
 def _kernel(point, keys, gens) -> tuple[int, list[dict]]:
     # the kernel dimension of x -> ([x, g] for g in gens) on the span of the basis keys,
-    # and the images of the keys, block j keyed (j, key)
-    gens, images = [NormalForm({g: _ONE}) for g in gens], []
-    for x in (NormalForm({key: _ONE}) for key in keys):
-        comms = [ncalg.multiply(x, g, point) - ncalg.multiply(g, x, point) for g in gens]
-        images.append({(j, k): c for j, comm in enumerate(comms) for k, c in comm.terms.items()})
+    # and the images of the keys, block j keyed (j, key), on the kernel's lifted coefficients:
+    # [x, g] = xg - gx from the memoized basis products
+    system = ncalg.rewrite_system(point)
+    product, zero, budget, images = system._product, system._lift_zero, ncalg.DEFAULT_BUDGET, []
+    for x in keys:
+        image = {}
+        for j, g in enumerate(gens):
+            for k, c in product(x, g, budget).items():
+                image[(j, k)] = c
+            for k, c in product(g, x, budget).items():
+                image[(j, k)] = image.get((j, k), zero) - c
+        images.append(image)
     return len(images) - ncalg._rank(images, point), images
 
 
@@ -254,8 +261,10 @@ def _k_words(bound: int) -> list[tuple[str, ...]]:
 
 
 def _check_iso_rank(family: str, point, bounds, rng) -> str | None:
+    system = ncalg.rewrite_system(point)
     words = [w for w in _k_words(4) if len(w) <= 4]  # n + 2l + m <= 4: 21 words
-    images = {w: ncalg.iso_image(family, Element("aw", {w: _ONE}), point).terms for w in words}
+    one, budget = system._lift_one, ncalg.DEFAULT_BUDGET
+    images = {w: system._iso_image(family, {w: one}, budget) for w in words}
     if ncalg._rank(images.values(), point) < len(images):
         return None
     # control: with J(K0) replaced by 2 J(K1) the rank drops by one
@@ -363,22 +372,24 @@ def _check_shiftops(params, bounds, rng) -> str:
 
 @_at_witness
 def _check_centralizer_t1(point, bounds, rng) -> str | None:
-    t1, span = NormalForm({(0, 0, 1): _ONE}), range(-2, 3)
+    system, span = ncalg.rewrite_system(point), range(-2, 3)
+    box = [(m, n, i) for m in span for n in span for i in (0, 1)]
+    kernel, images = _kernel(point, box, [(0, 0, 1)])
+    commutators = dict(zip(box, images))
 
-    def rejected(nf: NormalForm) -> bool:  # outside the box |m|, |n| <= 2, or not commuting
-        outside = any(m not in span or n not in span for m, n, _ in nf.terms)
-        return outside or ncalg.multiply(nf, t1, point) != ncalg.multiply(t1, nf, point)
+    def rejected(v: dict) -> bool:  # outside the box |m|, |n| <= 2, or not commuting
+        outside = any(key not in commutators for key in v)
+        return outside or bool(system._linear((c, commutators[key]) for key, c in v.items()))
 
     words = [w + t for w in _k_words(2) for t in ((), ("T1",))]
-    embedded = [ncalg.embed_aw(Element("aw", {w: _ONE}), point) for w in words]
-    for word, nf in zip(words, embedded):
-        if rejected(nf):
+    embedded = [system._embed_word(w, ncalg.DEFAULT_BUDGET) for w in words]
+    for word, v in zip(words, embedded):
+        if rejected(v):
             return f"embedded {' '.join(word)} leaves the box or does not commute with T1"
     # control: Z in place of an embedded word is rejected
-    if not rejected(NormalForm({(1, 0, 0): _ONE})):
+    if not rejected({(1, 0, 0): system._lift_one}):
         return "control: Z accepted in place of an embedded word"
-    kernel, _ = _kernel(point, [(m, n, i) for m in span for n in span for i in (0, 1)], [(0, 0, 1)])
-    rank = ncalg._rank([nf.terms for nf in embedded], point)
+    rank = ncalg._rank(embedded, point)
     if rank > kernel:
         return f"embedded rank {rank} exceeds the kernel dimension {kernel}"
     return "" if rank == kernel == len(embedded) else None
@@ -448,15 +459,14 @@ def _rep_check(names: tuple[str, ...]):
 
 def _check_symmetry_abcd(params, bounds, rng) -> str:
     # by Favard's theorem beta_k and gamma_k, k < n, fix the monic P_n
-    for x, y in (("a", "b"), ("a", "c")):
-        for k in range(bounds["max_n"]):
-            beta, gamma, _ = polyrep._swap_residuals(k, params, x + y)
-            for name, residual in (("beta", beta), ("gamma", gamma)):
-                if residual:
-                    return f"{name}_{k} changes under swapping {x} and {y}: {_fmt_short(residual)}"
+    residuals = polyrep._swap_residuals(bounds["max_n"], params, ("ab", "ac"))
+    for (x, y), k, (beta, gamma, _) in residuals:
+        for name, residual in (("beta", beta), ("gamma", gamma)):
+            if residual:
+                return f"{name}_{k} changes under swapping {x} and {y}: {_fmt_short(residual)}"
     # control: A_0 alone changes under swapping a and b, over Q(q,a,b,c,d), since
     # at a point where a = b it cannot
-    control = polyrep._swap_residuals(0, make_params("symbolic"), "ab")[2]
+    _, _, (_, _, control) = next(polyrep._swap_residuals(1, make_params("symbolic"), ("ab",)))
     return "" if control else "control: A_0 does not change under swapping a and b"
 
 

@@ -396,12 +396,12 @@ def test_symmetry_check_builds_no_polynomial(monkeypatch, gpoint):
     runner = verify._CATALOG_BY_ID["symmetry.abcd"].runner
     assert runner(gpoint, {"max_mn": 1, "max_degree": 0, "max_n": 5}, random.Random(0)) == ""
     assert built == []
-    # each k < 5 at both swaps, unswapped and swapped, and the control's k = 0
-    assert sorted(coefficients) == sorted([*range(5)] * 4 + [0, 0])
+    # each k < 5 unswapped once and at both swaps, and the control's k = 0
+    assert sorted(coefficients) == sorted([*range(5)] * 3 + [0, 0])
     # the degree follows --max-n
     coefficients.clear()
     assert runner(gpoint, {"max_mn": 1, "max_degree": 0, "max_n": 2}, random.Random(0)) == ""
-    assert sorted(coefficients) == [0] * 6 + [1] * 4
+    assert sorted(coefficients) == [0] * 5 + [1] * 3
 
 
 def _point(which, request):
@@ -475,15 +475,16 @@ def test_symbolic_family_checks_at_degree_eight_take_no_general_gcd(field_ops, s
 
 def test_center_check_forms_each_commutator_once(monkeypatch):
     """Work gate: the control reads the Z blocks of the commutators the
-    kernel has formed: 38 basis elements times 3 generators times 2
+    kernel has formed: 38 basis elements times 3 generators times 2 basis
     products, where forming the Z commutators again took 304 products."""
-    calls, multiply = [], ncalg.multiply
+    calls, product = [], ncalg.RewriteSystem._product
 
-    def counted(u, v, params, budget=ncalg.DEFAULT_BUDGET):
-        calls.append(params)
-        return multiply(u, v, params, budget)
+    def counted(self, key1, key2, budget, spent=None):
+        if spent is None:  # a product asked for, not a sub-product of one
+            calls.append((key1, key2))
+        return product(self, key1, key2, budget, spent)
 
-    monkeypatch.setattr(ncalg, "multiply", counted)
+    monkeypatch.setattr(ncalg.RewriteSystem, "_product", counted)
     point = random_params_mod_p(random.Random(3))
     assert verify._CATALOG_BY_ID["center.daha"].runner(point, {}, random.Random(0)) == ""
     assert len(calls) == 228
@@ -496,8 +497,7 @@ def test_multiplicativity_controls_catch_a_vacuous_map(monkeypatch, gpoint):
     # a map that sends everything to zero satisfies every multiplicativity
     # identity (test_acceptance.py::test_05 has the compression's control);
     # under the rank certificates its images have rank 0, which proves nothing
-    zero = lambda family, u, params, budget=ncalg.DEFAULT_BUDGET: ncalg.NormalForm.zero()
-    monkeypatch.setattr(ncalg, "iso_image", zero)
+    monkeypatch.setattr(ncalg.RewriteSystem, "_iso_image", lambda self, family, terms, budget: {})
     bounds = {"max_mn": 1, "max_degree": 0, "max_n": 0}
     for check_id in RANK_CHECKS[:2]:
         with pytest.raises(DegenerateParameters, match=f"rank drops at {gpoint.label}$"):
@@ -550,7 +550,7 @@ def _rank_summary(monkeypatch, check_id, point, **patches):
 @pytest.mark.parametrize("which", ["gpoint", "modp"])
 def test_rank_certificates_fail_on_planted_defects(monkeypatch, which, request):
     point = random_params_mod_p(random.Random(3)) if which == "modp" else request.getfixturevalue(which)
-    rank, embed_aw, multiply = ncalg._rank, ncalg.embed_aw, ncalg.multiply
+    rank, system = ncalg._rank, ncalg.RewriteSystem
     for check_id in RANK_CHECKS:
         assert verify._CATALOG_BY_ID[check_id].runner(point, {}, random.Random(0)) == ""
     # a rank routine blind to dependencies breaks each control
@@ -570,35 +570,111 @@ def test_rank_certificates_fail_on_planted_defects(monkeypatch, which, request):
     )
     monkeypatch.setattr(ncalg, "_rank", rank)
     # embedded words that leave the box or do not commute with T1
+    embed_word = system._embed_word
     for key, word in (((3, 0, 0), "K1"), ((1, 0, 0), "K0 K1")):
-        wrong = lambda e, params, budget=ncalg.DEFAULT_BUDGET, word=tuple(word.split()), key=key: (
-            ncalg.NormalForm({key: ONE}) if word in e.terms else embed_aw(e, params, budget)
+        wrong = lambda self, w, budget, word=tuple(word.split()), key=key: (
+            {key: self._lift_one} if w == word else embed_word(self, w, budget)
         )
-        summary = _rank_summary(monkeypatch, "centralizer.t1", point, embed_aw=wrong)
+        monkeypatch.setattr(system, "_embed_word", wrong)
+        summary = _rank_summary(monkeypatch, "centralizer.t1", point)
         assert summary == f"embedded {word} leaves the box or does not commute with T1"
-    monkeypatch.setattr(ncalg, "embed_aw", embed_aw)
-    # products under which everything commutes accept Z, and make the
+    monkeypatch.setattr(system, "_embed_word", embed_word)
+    # basis products under which everything commutes accept Z, and make the
     # center everything
-    commuting = lambda u, v, params, budget=ncalg.DEFAULT_BUDGET: ncalg.NormalForm.zero()
-    assert _rank_summary(monkeypatch, "centralizer.t1", point, multiply=commuting) == (
+    product = system._product
+    monkeypatch.setattr(system, "_product", lambda self, key1, key2, budget, spent=None: {})
+    assert _rank_summary(monkeypatch, "centralizer.t1", point) == (
         "control: Z accepted in place of an embedded word"
     )
     with pytest.raises(DegenerateParameters, match="rank drops at"):
-        _rank_summary(monkeypatch, "center.daha", point, multiply=commuting)
-    monkeypatch.setattr(ncalg, "multiply", multiply)
+        _rank_summary(monkeypatch, "center.daha", point)
+    monkeypatch.setattr(system, "_product", product)
     # a dependent image is a drop, never a fail
-    iso_image = ncalg.iso_image
-    dependent = lambda family, u, params, budget=ncalg.DEFAULT_BUDGET: iso_image(
-        family, Element("aw", {("K1",): ONE}) if ("K0",) in u.terms else u, params, budget
+    iso_image = system._iso_image
+    dependent = lambda self, family, terms, budget: iso_image(
+        self, family, {("K1",): self._lift_one} if ("K0",) in terms else terms, budget
     )
+    monkeypatch.setattr(system, "_iso_image", dependent)
     with pytest.raises(DegenerateParameters, match="rank drops at"):
-        _rank_summary(monkeypatch, "iso.spherical.rank", point, iso_image=dependent)
+        _rank_summary(monkeypatch, "iso.spherical.rank", point)
+
+
+def _counted_settles(monkeypatch):
+    """The number of RewriteSystem._settle calls, as they run."""
+    calls, settle = [0], ncalg.RewriteSystem._settle
+
+    def counted(self, acc):
+        calls[0] += 1
+        return settle(self, acc)
+
+    monkeypatch.setattr(ncalg.RewriteSystem, "_settle", counted)
+    return calls
+
+
+def test_rank_settles_once_per_vector(monkeypatch):
+    """Work gate: _rank eliminates each vector in place, reducing only the
+    coefficients at pivot keys it reads, and settles it once; a pivot row
+    is kept as it is, so no settle is made per pivot.  The kernel images of
+    center.daha are read without re-lifting."""
+    point = random_params_mod_p(random.Random(3))
+    span = range(-3, 4)
+    box = [(m, n, i) for m in span for n in span for i in (0, 1) if abs(m) + abs(n) + i <= 3]
+    gens = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    verify._kernel(point, box, gens)  # warm the products
+    settles = _counted_settles(monkeypatch)
+    kernel, images = verify._kernel(point, box, gens)
+    assert (len(images), kernel, settles[0]) == (38, 1, 38)
+
+
+def _new_modp_count(monkeypatch):
+    """The number of ModP objects built, as they are built."""
+    built, new, init = [0], params_module._new, params_module.ModP.__init__
+
+    def counted_new(cls):
+        built[0] += cls is params_module.ModP
+        return new(cls)
+
+    def counted_init(self, value):
+        built[0] += 1
+        init(self, value)
+
+    monkeypatch.setattr(params_module, "_new", counted_new)
+    monkeypatch.setattr(params_module.ModP, "__init__", counted_init)
+    return built
+
+
+def test_warm_gfp_verdicts_build_no_modp(monkeypatch):
+    """Work gate: at a warm point of GF(p) the rank certificates, every step
+    row, recurrence and symmetry.abcd reach their verdicts on int residues,
+    and so do eigen.Pn's residuals: one passing trial builds no ModP.  The
+    commutators are differences of memoized basis products, the step
+    residual is read only where a row fails, and the family identities are
+    summed at the point from the values their terms carry."""
+    point = random_params_mod_p(random.Random(11))
+    bounds = {"max_mn": 3, "max_degree": 16, "max_n": 8}
+    steps = [spec.id for spec in CHECK_CATALOG if spec.id.startswith(("step", "astep"))]
+    runners = [verify._CATALOG_BY_ID[cid].runner for cid in (*RANK_CHECKS, *steps)]
+    runners += [verify._CATALOG_BY_ID[cid].runner for cid in ("recurrence", "symmetry.abcd")]
+
+    def trial():
+        for runner in runners:
+            assert runner(point, bounds, random.Random(0)) == ""
+        for monic, eigen in polyrep.check_eigen_in_rep(bounds["max_n"], point):
+            assert not monic and not any(eigen)
+
+    trial()
+    built = _new_modp_count(monkeypatch)
+    point.vals[0] * point.vals[1]  # the counter counts
+    assert built == [1]
+    built[0] = 0
+    trial()
+    assert built == [0]
 
 
 @pytest.mark.parametrize("which", ["sym", "gpoint", "modp"])
 def test_relations_check_resolves_every_overlap(which, request):
     params = random_params_mod_p(random.Random(3)) if which == "modp" else request.getfixturevalue(which)
-    pairs = ncalg.RewriteSystem(params).critical_pairs()
+    pairs = list(ncalg.RewriteSystem(params).critical_pairs())
     assert len(pairs) == 25
     assert all(nf.is_zero() for _, nf in pairs)
     runner = verify._CATALOG_BY_ID["relations-daha"].runner
@@ -622,6 +698,26 @@ def test_relations_check_fails_on_a_perturbed_rule(monkeypatch, gpoint):
     assert summary.startswith("overlap ") and "does not resolve" in summary
     unresolved = [xyz for xyz, nf in ncalg.RewriteSystem(gpoint).critical_pairs() if not nf.is_zero()]
     assert 0 < len(unresolved) < 25
+
+
+@pytest.mark.parametrize("which", ["gpoint", "modp"])
+def test_relations_control_stops_at_its_first_unresolved_overlap(monkeypatch, which, request):
+    """Work gate: the critical pairs are reduced as they are read, so the
+    perturbed T1*Z control stops at its first unresolved overlap, the second
+    of the 25, where reducing all of them took about 3 ms per GF(p) trial."""
+    params = _point(which, request)
+    systems, reduce_terms = [], ncalg.RewriteSystem.reduce_terms
+
+    def counted(self, *args, **kwargs):
+        systems.append(self)
+        return reduce_terms(self, *args, **kwargs)
+
+    monkeypatch.setattr(ncalg.RewriteSystem, "reduce_terms", counted)
+    runner = verify._CATALOG_BY_ID["relations-daha"].runner
+    assert runner(params, {"max_mn": 1, "max_degree": 0, "max_n": 0}, random.Random(0)) == ""
+    shared = ncalg.rewrite_system(params)
+    assert sum(system is shared for system in systems) == 25
+    assert 1 <= sum(system is not shared for system in systems) <= 2
 
 
 def _perturbed_relations_summary(monkeypatch, params, change):
@@ -695,7 +791,7 @@ def test_eigen_check_fails_on_a_wrong_coordinate(monkeypatch, sym, gpoint):
 
 def test_eigen_check_fails_on_a_wrong_normaliser(monkeypatch, sym, gpoint):
     # the monic identity c~_n (-a)^n q^(n(n-1)/2) = N_n is computed, not built in
-    _perturbed(monkeypatch, "_pn_terms", 3, lambda out: (out[0], (out[1][0] + ONE, out[1][1])))
+    _perturbed(monkeypatch, "_pn_terms", 3, lambda out: (out[0], (out[1][0] + 1, *out[1][1:])))
     runner = verify._CATALOG_BY_ID["eigen.Pn"].runner
     for params in (sym, gpoint, random_params_mod_p(random.Random(3))):
         summary = runner(params, {"max_mn": 1, "max_degree": 0, "max_n": 3}, random.Random(0))
@@ -799,6 +895,37 @@ def test_casimir_check_builds_the_casimir_element_once(monkeypatch, gpoint):
     assert built == [gpoint, gpoint]
 
 
+def test_family_identities_fall_back_where_a_factor_vanishes_mod_p(monkeypatch):
+    """At a point of GF(p) where 1 - ac vanishes, the sum of a family
+    identity at the point decides nothing; _reduced divides out the factors
+    its terms share instead, as at a rational point.  There the recurrence
+    holds and gamma_1 = A_0 C_1 vanishes, as at q=3/2,a=2,b=3,c=1/2,d=7."""
+    q, a, b, _, d = random_params_mod_p(random.Random(5)).vals
+    point = Params((q, a, b, a.inv(), d), 16, "ac = 1 mod 2^61-1")
+    values, key = polyrep._Factors(*polyrep._lifted(point)), ("ac", 0)
+    assert values[key] == 0
+    # one term: its value at the point is 0, its reduced value its scalar
+    term = values.term(3, {key: 1})
+    assert term[2] is None
+    assert polyrep._reduced([term], values) == 3
+    assert polyrep._reduced([term, values.term(-3, {key: 1})], values) == 0
+    assert values.term(3, {key: 1, ("ab", 0): 1})[2] is None
+    # the recurrence: rows whose terms carry 1 - ac are reduced, the others summed
+    rows, reduced = [], polyrep._reduced
+
+    def recorded(terms, values):
+        carried = any(term[1].get(key, 0) > 0 for term in terms)
+        rows.append((carried, all(term[2] is not None for term in terms)))
+        return reduced(terms, values)
+
+    monkeypatch.setattr(polyrep, "_reduced", recorded)
+    runner = verify._CATALOG_BY_ID["recurrence"].runner
+    bounds = {"max_mn": 1, "max_degree": 0, "max_n": 4}
+    assert runner(point, bounds, random.Random(0)) == "gamma_1 = 0"
+    assert (True, False) in rows and (False, True) in rows
+    assert (True, True) not in rows
+
+
 REP_CHECKS = ("casimir.scalar", "awrel.inrep")
 
 
@@ -875,7 +1002,7 @@ def test_rep_checks_fail_on_a_wrong_operator_entry_at_degree_twelve(monkeypatch,
         fresh = len(basis.mu) <= 12
         grow(basis, size)
         if fresh and len(basis.mu) > 12:
-            basis.mu[12] = basis.mu[12] + ONE
+            basis.mu[12] = basis.mu[12] + 1
         return basis
 
     monkeypatch.setattr(polyrep._Basis, "grow", planted)
