@@ -77,8 +77,7 @@ sum of c q^i a^j b^k u^(l n) with u = abcd/q.  One evaluator,
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import BudgetExhausted, DegenerateParameters, UnknownIdentity
 from .params import (
@@ -1181,8 +1180,7 @@ _K1K0_MINUS_QK0K1 = {("K1", "K0"): _1, ("K0", "K1"): ((-1, 1, 0, 0, 0),)}
 _MINUS_QK1K0_PLUS_K0K1 = {("K1", "K0"): ((-1, 1, 0, 0, 0),), ("K0", "K1"): _1}
 
 
-@dataclass(frozen=True)
-class StepRow:
+class StepRow(NamedTuple):
     """One step identity as plain data; the module docstring gives the
     format.  ``statement`` is the catalog statement of ``check``, given on
     the first row of that check only."""
@@ -1193,7 +1191,7 @@ class StepRow:
     signs: tuple[int, int]
     leading: Mapping[tuple[int, int], Coef]
     statement: str = ""
-    middle: Mapping[Word, Coef] = field(default_factory=dict)
+    middle: Mapping[Word, Coef] = {}  # shared by the rows without one, never mutated
     scalar: Coef = _1
 
     def uses(self) -> tuple[bool, bool]:

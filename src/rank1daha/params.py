@@ -40,11 +40,10 @@ computed from the values by a single code path.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
 from operator import add, mul, sub, truediv
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Callable, Mapping, NamedTuple, Sequence, TypeVar
 
 import random
 
@@ -767,7 +766,6 @@ def _check_admissible(vals: Sequence[RatFunc], bound: int) -> None:
         raise DegenerateParameters("ab = 1")
 
 
-@dataclass(frozen=True, eq=False)
 class Params:
     """One parameter set: the values of q, a, b, c, d, the genericity bound
     M of the admissibility conditions, and a label for reports.
@@ -776,16 +774,15 @@ class Params:
     indeterminates, rational constants, residues mod p or derived rational
     functions.
     Equality and hashing read the values and the bound, not the label; the
-    hash is computed once, since parameter sets key the rewrite-system and
-    operator-image caches on every lookup.
+    hash is computed once, since parameter sets key the rewrite-system
+    cache on every lookup.
     """
 
-    vals: tuple[RatFunc, ...]
-    genericity_bound: int
-    label: str
+    __slots__ = ("vals", "genericity_bound", "label", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.vals, self.genericity_bound)))
+    def __init__(self, vals: tuple[RatFunc, ...], genericity_bound: int, label: str):
+        self.vals, self.genericity_bound, self.label = vals, genericity_bound, label
+        self._hash = hash((vals, genericity_bound))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Params):
@@ -794,6 +791,9 @@ class Params:
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __repr__(self) -> str:
+        return f"Params({self.vals!r}, {self.genericity_bound!r}, {self.label!r})"
 
     # -- values ---------------------------------------------------------
 
@@ -872,9 +872,10 @@ class Params:
         return self.label
 
 
-# Caches keyed by a parameter set (rewrite systems, operator images) keep
-# only this many most recently used sets, so a run over many random points
-# stays bounded in memory.
+# The rewrite-system cache keeps only this many most recently used parameter
+# sets.  That bounds the points of exact mode: the rank certificates' witness
+# points at symbolic parameters, and the points of successive runs in one
+# process.  A prob run empties the cache as each of its trials ends.
 _PARAMS_CACHE_BOUND = 8
 
 _T = TypeVar("_T")
@@ -965,8 +966,7 @@ def elementary_symmetric(params: Params) -> tuple[RatFunc, RatFunc, RatFunc, Rat
     return (e1, e2, e3, e4)
 
 
-@dataclass(frozen=True)
-class StructureConstants:
+class StructureConstants(NamedTuple):
     """All scalar constants of the two q-commutator relations, their central
     extension, and the Casimir scalar, for one parameter set."""
 

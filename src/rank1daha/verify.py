@@ -6,8 +6,10 @@ fail with the first offending residual; :func:`run_checks` drives a
 selected subset in either exact mode (one run, usually symbolic) or
 probabilistic mode (several runs at seeded random points of GF(p),
 p = 2^61 - 1, that satisfy the genericity conditions mod p; trial k of
-every check runs at one point, drawn from the seed and k).  Each run is
-exact in its field; a false pass in probabilistic mode needs the residual
+every check runs at one point, drawn from the seed and k; exact rows run
+first, then trial k of every probabilistic row before trial k+1 of any,
+so a run holds one trial's rewrite systems at a time).  Each run is exact
+in its field; a false pass in probabilistic mode needs the residual
 to vanish at a random point of GF(p), which happens with probability at
 most deg/p per trial, deg being the total degree of the residual's
 numerator.  No check samples random words: every verdict is a statement
@@ -21,10 +23,9 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache, partial
-from typing import Callable, Mapping, Sequence
+from functools import partial
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import ncalg, polyrep
 from .errors import ConfigError, DegenerateParameters, ExtensionDisabled, ParseError
@@ -62,8 +63,7 @@ TOOL_VERSION = "0.1.0"
 _ONE = RatFunc.one()
 
 
-@dataclass(frozen=True)
-class CheckSpec:
+class CheckSpec(NamedTuple):
     """One catalog entry: a stable id, its statement, and its default mode
     when the run neither forces a mode nor gives a parameter point."""
 
@@ -73,8 +73,7 @@ class CheckSpec:
     runner: Callable  # (params, bounds, rng) -> str ("" = pass, else summary)
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     id: str
     verdict: str  # "pass" | "fail" | "skip" | "error"
     residual_summary: str
@@ -82,17 +81,10 @@ class CheckResult:
     elapsed_ms: int
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "verdict": self.verdict,
-            "residual_summary": self.residual_summary,
-            "trials": self.trials,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return self._asdict()
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     tool_version: str
     params_echo: str
     seed: int
@@ -100,13 +92,7 @@ class Report:
     overall: str  # "pass" | "fail"; "pass" when every result is pass or skip
 
     def to_dict(self) -> dict:
-        return {
-            "tool_version": self.tool_version,
-            "params_echo": self.params_echo,
-            "seed": self.seed,
-            "results": [r.to_dict() for r in self.results],
-            "overall": self.overall,
-        }
+        return {**self._asdict(), "results": [r.to_dict() for r in self.results]}
 
 
 # the integer options of a run, each with its least value (None: any integer);
@@ -114,8 +100,7 @@ class Report:
 _INT_OPTIONS = {"seed": None, "trials": 1, "max-mn": 1, "max-degree": 0, "max-n": 0}
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     checks: Sequence[str] | None = None  # None or empty = all
     mode: str | None = None  # None: exact if params is set, else per-check default
     seed: int = 1729
@@ -442,7 +427,7 @@ def _rep_check(names: tuple[str, ...]):
     # quotient relations on phi_k, k <= max_degree; control: B + 1 breaks them on phi_0
     def run(params, bounds, rng) -> str:
         sc = structure_constants(params)
-        constants = (sc, replace(sc, B=sc.B + _ONE))
+        constants = (sc, sc._replace(B=sc.B + _ONE))
         residuals = polyrep.relation_residuals(bounds["max_degree"], params, constants)
         for k, residual in enumerate(residuals):
             for name in names:
@@ -491,6 +476,7 @@ def _step_catalog_entries() -> list[CheckSpec]:
 
 
 def _build_catalog() -> list[CheckSpec]:
+    max_degree = RunConfig().max_degree
     catalog = [
         CheckSpec(
             "relations-daha",
@@ -619,11 +605,11 @@ def _build_catalog() -> list[CheckSpec]:
             CheckSpec(
                 "casimir.scalar",
                 "the degree-four Casimir word acts as the scalar Q0 on phi_k = (az, a/z; q)_k "
-                f"for k <= {RunConfig.max_degree} (the default --max-degree), hence on every "
+                f"for k <= {max_degree} (the default --max-degree), hence on every "
                 "symmetric Laurent polynomial: the phi_(k+j) coordinate of a length-L word's "
                 "image of phi_k is a Laurent polynomial in q^k with exponents in [-L, 3L], "
                 "mu_0 = 0 keeps the span of phi_k, k >= 0, invariant, and "
-                f"q^0..q^{RunConfig.max_degree} are distinct; control: perturbing B breaks it "
+                f"q^0..q^{max_degree} are distinct; control: perturbing B breaks it "
                 "on phi_0",
                 "prob",
                 _rep_check(("casimir",)),
@@ -631,7 +617,7 @@ def _build_catalog() -> list[CheckSpec]:
             CheckSpec(
                 "awrel.inrep",
                 "both q-commutator operator relations annihilate phi_k for "
-                f"k <= {RunConfig.max_degree}, hence, as for casimir.scalar, every symmetric "
+                f"k <= {max_degree}, hence, as for casimir.scalar, every symmetric "
                 "Laurent polynomial; control: perturbing B breaks them on phi_0",
                 "prob",
                 _rep_check(("rel1", "rel2")),
@@ -663,59 +649,70 @@ def check_ids() -> list[str]:
 # Runner
 
 
-@lru_cache(maxsize=64)
 def _trial_point(seed: int, k: int) -> Params:
-    """The point of GF(p) of trial k under ``seed``, drawn once.  Every check
-    runs its trial k there, so the checks of one trial share one rewrite
-    system and its memoized products."""
+    """The point of GF(p) of trial k under ``seed``.  Every check runs its
+    trial k there, so the checks of one trial share one rewrite system and
+    its memoized products."""
     return random_params_mod_p(random.Random(f"{seed}:trial:{k}"))
 
 
-def _run_one(
-    spec: CheckSpec, config: RunConfig
-) -> CheckResult:
-    # a user-given point is checked exactly there, never at random points
-    mode = config.mode or ("exact" if config.params else spec.default_mode)
-    bounds = {
-        "max_mn": config.max_mn,
-        "max_degree": config.max_degree,
-        "max_n": config.max_n,
-    }
-    # the rank certificates' witness draws at a symbolic point read this;
-    # the random points of prob mode come from _trial_point
-    rng = random.Random(f"{config.seed}:{spec.id}")
-    start = time.monotonic()
-    trials = 0
-    verdict = "pass"
-    summary = ""
-    where = ""  # in prob mode, the random point that a failure happened at
+def _attempt(spec: CheckSpec, params: Params, config: RunConfig, rng, where: str = "") -> tuple:
+    """The verdict and summary of one run of a check at ``params``; a failure
+    starts with ``where``, the random point it happened at in prob mode."""
+    bounds = {"max_mn": config.max_mn, "max_degree": config.max_degree, "max_n": config.max_n}
     try:
-        if mode == "exact":
-            params = config.params or make_params("symbolic")
-            trials = 1
-            summary = spec.runner(params, bounds, rng)
-        else:
-            for k in range(config.trials):
-                params = _trial_point(config.seed, k)
-                where = f"at {params.label}: "
-                trials += 1
-                summary = spec.runner(params, bounds, rng)
-                if summary:
-                    break
-        if summary:
-            verdict = "fail"
-            summary = where + summary
+        summary = spec.runner(params, bounds, rng)
     except Exception as exc:
         # whatever a check raises is its verdict; the run goes on to report.
         # A point the check cannot use at all (no dual family) is a skip
         verdict = "skip" if isinstance(exc, ExtensionDisabled) else "error"
-        summary = f"{where}{type(exc).__name__}: {exc}"
-    elapsed_ms = int((time.monotonic() - start) * 1000)
-    return CheckResult(spec.id, verdict, summary, trials, elapsed_ms)
+        return verdict, f"{where}{type(exc).__name__}: {exc}"
+    return ("fail", where + summary) if summary else ("pass", "")
+
+
+def _check_rng(spec: CheckSpec, config: RunConfig) -> random.Random:
+    # the rank certificates' witness draws at a symbolic point read this;
+    # the random points of prob mode come from _trial_point
+    return random.Random(f"{config.seed}:{spec.id}")
+
+
+def _run_one(spec: CheckSpec, config: RunConfig) -> CheckResult:
+    """One exact-mode row: one run at the given point, else symbolic.  A
+    user-given point is checked exactly there, never at random points."""
+    start = time.monotonic()
+    params = config.params or make_params("symbolic")
+    verdict, summary = _attempt(spec, params, config, _check_rng(spec, config))
+    return CheckResult(spec.id, verdict, summary, 1, int((time.monotonic() - start) * 1000))
+
+
+def _run_trials(specs: Sequence[CheckSpec], config: RunConfig) -> list[CheckResult]:
+    """The prob-mode rows, trial-major: trial k of every row still passing runs
+    at one point before trial k+1 of any row starts, and a row stops at its
+    first failure.  A row's time is the sum of its trials' times.  Once a trial
+    ends its points are never met again, and the exact rows ran before, so the
+    rewrite-system cache is emptied: the run holds one trial's systems (its
+    point's and its dual point's) at a time."""
+    rngs = [_check_rng(spec, config) for spec in specs]
+    results = [CheckResult(spec.id, "pass", "", 0, 0) for spec in specs]
+    seconds = [0.0] * len(specs)
+    live = range(len(specs))
+    for k in range(config.trials):
+        if not live:
+            break
+        point = _trial_point(config.seed, k)
+        for i in live:
+            start = time.monotonic()
+            verdict, summary = _attempt(specs[i], point, config, rngs[i], f"at {point.label}: ")
+            seconds[i] += time.monotonic() - start
+            results[i] = CheckResult(specs[i].id, verdict, summary, k + 1, 0)
+        ncalg._SYSTEMS.clear()
+        live = [i for i in live if results[i].verdict == "pass"]
+    return [r._replace(elapsed_ms=int(t * 1000)) for r, t in zip(results, seconds)]
 
 
 def run_checks(config: RunConfig) -> Report:
-    """Run the selected checks and aggregate a report."""
+    """Run the selected checks and aggregate a report: the exact-mode rows
+    first, then the prob-mode rows trial by trial, reported in catalog order."""
     if config.mode not in (None, "exact", "prob"):
         raise ConfigError(f"unknown mode {config.mode!r}")
     for key, least in _INT_OPTIONS.items():
@@ -737,10 +734,15 @@ def run_checks(config: RunConfig) -> Report:
             )
         wanted = set(selected)
         specs = [spec for spec in CHECK_CATALOG if spec.id in wanted]
-    results = [_run_one(spec, config) for spec in specs]
-    overall = "pass" if all(r.verdict in ("pass", "skip") for r in results) else "fail"
+    # a user-given point makes every check exact
+    modes = [config.mode or ("exact" if config.params else spec.default_mode) for spec in specs]
+    results = {s.id: _run_one(s, config) for s, mode in zip(specs, modes) if mode == "exact"}
+    prob = _run_trials([s for s, mode in zip(specs, modes) if mode == "prob"], config)
+    results.update((r.id, r) for r in prob)
+    rows = [results[spec.id] for spec in specs]
+    overall = "pass" if all(r.verdict in ("pass", "skip") for r in rows) else "fail"
     params_echo = config.params.label if config.params else "symbolic"
-    return Report(TOOL_VERSION, params_echo, config.seed, results, overall)
+    return Report(TOOL_VERSION, params_echo, config.seed, rows, overall)
 
 
 # ---------------------------------------------------------------------------
@@ -780,23 +782,7 @@ def render_text(report: Report) -> str:
 def load_report(path: str) -> Report:
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
-    results = [
-        CheckResult(
-            r["id"],
-            r["verdict"],
-            r["residual_summary"],
-            r["trials"],
-            r["elapsed_ms"],
-        )
-        for r in data["results"]
-    ]
-    return Report(
-        data["tool_version"],
-        data["params_echo"],
-        data["seed"],
-        results,
-        data["overall"],
-    )
+    return Report(**{**data, "results": [CheckResult(**r) for r in data["results"]]})
 
 
 # ---------------------------------------------------------------------------
@@ -1053,28 +1039,28 @@ def parse_config_file(path: str) -> dict[str, str]:
 def config_from_options(options: Mapping[str, str]) -> RunConfig:
     """Build a RunConfig from string options (config file or CLI merge),
     validating every value."""
-    config = RunConfig()
+    fields: dict = {}
     if "checks" in options and options["checks"]:
         value = options["checks"].strip()
-        config.checks = (
+        fields["checks"] = (
             None if value == "all" else [c.strip() for c in value.split(",") if c.strip()]
         )
     if "mode" in options and options["mode"]:
         mode = options["mode"].strip()
         if mode not in ("exact", "prob"):
             raise ConfigError(f"mode must be exact or prob, got {mode!r}")
-        config.mode = mode
+        fields["mode"] = mode
     for key in _INT_OPTIONS:
         if key in options and options[key]:
             try:
-                setattr(config, key.replace("-", "_"), int(options[key]))
+                fields[key.replace("-", "_")] = int(options[key])
             except ValueError as exc:
                 raise ConfigError(f"{key} must be an integer") from exc
     symbolic = options.get("symbolic", "").strip().lower() in ("1", "true", "yes")
     if "params" in options and options["params"] and not symbolic:
         assignments = parse_param_assignments(options["params"])
         try:
-            config.params = make_params("specialized", assignments)
+            fields["params"] = make_params("specialized", assignments)
         except (DegenerateParameters, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-    return config
+    return RunConfig(**fields)

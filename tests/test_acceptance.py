@@ -6,7 +6,6 @@ asserted where the contract states one.  Run with -v to get one
 pass/fail line per criterion.
 """
 
-import dataclasses
 import itertools
 import json
 import random
@@ -167,7 +166,7 @@ def test_07_eigenfunctions_and_distinct_eigenvalues(gpoint):
 
 def test_08_operator_relations_zero_with_nonzero_control(sym):
     sc = structure_constants(sym)
-    constants = [sc, dataclasses.replace(sc, B=sc.B + ONE)]
+    constants = [sc, sc._replace(B=sc.B + ONE)]
     perturbed = []
     for k, residual in enumerate(relation_residuals(6, sym, constants)):
         for name in ("rel1", "rel2"):

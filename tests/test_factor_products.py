@@ -290,19 +290,25 @@ def test_step3_and_iso_rewrite_no_words(monkeypatch):
     sub-products too: 399 entries (643 with the 49 products of the
     retired iso.spherical.mult)."""
     monkeypatch.setattr(ncalg, "_SYSTEMS", OrderedDict())
-    steps = [0]
-    find_redex = ncalg.RewriteSystem._find_redex
+    steps, systems = [0], []
+    find_redex, init = ncalg.RewriteSystem._find_redex, ncalg.RewriteSystem.__init__
 
     def counted(self, word, strategy):
         pos = find_redex(self, word, strategy)
         steps[0] += pos is not None
         return pos
 
+    def kept(self, params):
+        # the run releases its trial's system when the trial ends; keep it to read
+        init(self, params)
+        systems.append(self)
+
     monkeypatch.setattr(ncalg.RewriteSystem, "_find_redex", counted)
+    monkeypatch.setattr(ncalg.RewriteSystem, "__init__", kept)
     config = RunConfig(checks=["step3.spherical", "iso.spherical.rank"], mode="prob", trials=1)
     assert [r.verdict for r in run_checks(config).results] == ["pass", "pass"]
     assert steps[0] == 0
-    memoized = sum(len(s._product_cache) for s in ncalg._SYSTEMS.values())
+    memoized = sum(len(s._product_cache) for s in systems)
     assert 0 < memoized <= 399, memoized
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from collections import OrderedDict
 from fractions import Fraction
@@ -613,16 +612,17 @@ def test_dual_at_a_given_root(spoint):
 
 
 def test_params_hold_values_bound_and_label(gpoint):
-    assert [f.name for f in dataclasses.fields(Params)] == ["vals", "genericity_bound", "label"]
+    same = Params(vals=gpoint.vals, genericity_bound=gpoint.genericity_bound, label=gpoint.label)
+    assert (same.vals, same.genericity_bound, same.label) == (gpoint.vals, 16, gpoint.label)
     assert gpoint.label == "q=3/2,a=2,b=3,c=5,d=7"
     assert [v.as_fraction() for v in gpoint.vals] == [Fraction(3, 2), 2, 3, 5, 7]
     values = gpoint.values()
     values["a"] = RatFunc.one()  # callers may mutate the dict they get
     assert gpoint.value("a").as_fraction() == 2
     # equality and hashing ignore the label, not the genericity bound
-    relabelled = dataclasses.replace(gpoint, label="elsewhere")
+    relabelled = Params(gpoint.vals, gpoint.genericity_bound, "elsewhere")
     assert relabelled == gpoint and hash(relabelled) == hash(gpoint)
-    assert dataclasses.replace(gpoint, genericity_bound=8) != gpoint
+    assert Params(gpoint.vals, 8, gpoint.label) != gpoint
 
 
 def test_shifted_point_equals_the_point_it_names(gpoint):

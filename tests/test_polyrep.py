@@ -8,7 +8,6 @@ three-term recurrence matrix model), so the operator code and the
 hypergeometric-sum code check each other.
 """
 
-import dataclasses
 import functools
 import random
 from fractions import Fraction
@@ -383,7 +382,7 @@ def _bare_casimir_images(max_degree, params):
     # the Casimir relation is the word combination minus Q0, so at Q0 := 0 it
     # is the bare combination; yields its phi-coordinates on each phi_k
     sc = structure_constants(params)
-    constants = [sc, dataclasses.replace(sc, Q0=ZERO)]
+    constants = [sc, sc._replace(Q0=ZERO)]
     for k, residual in enumerate(relation_residuals(max_degree, params, constants)):
         assert not any(residual("casimir")), f"phi_{k}"
         coords = residual("casimir", 1)
@@ -431,7 +430,7 @@ def test_operator_relations_hold_symbolic_small(sym):
 
 def test_operator_relations_detect_wrong_constant(gpoint):
     sc = structure_constants(gpoint)
-    constants = [dataclasses.replace(sc, B=sc.B + ONE)]
+    constants = [sc._replace(B=sc.B + ONE)]
     residuals = [
         residual(name) for residual in relation_residuals(3, gpoint, constants)
         for name in ("rel1", "rel2")

@@ -7,7 +7,6 @@ The checker returns the residual and a verdict, so the tests can pin
 literal leading coefficients as well as sweep the whole table.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -112,10 +111,10 @@ def test_controls_cover_every_kind():
 
 def _perturbed(row, key):
     if key is None:
-        return dataclasses.replace(row, scalar=_plus_one(row.scalar))
+        return row._replace(scalar=_plus_one(row.scalar))
     leading = dict(row.leading)
     leading[key] = _plus_one(leading[key])
-    return dataclasses.replace(row, leading=leading)
+    return row._replace(leading=leading)
 
 
 @pytest.mark.parametrize("name, key", _CONTROLS)

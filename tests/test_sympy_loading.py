@@ -1,4 +1,5 @@
-"""sympy is imported only for multi-term denominators and printing.
+"""sympy is imported only for multi-term denominators and printing, and no
+introspection module at all.
 
 Runs at GF(p) points and at rational points compute with Python integers,
 and symbolic scalars with monomial denominators with Laurent polynomials
@@ -47,6 +48,14 @@ def _probe(*argv: str) -> tuple[int, bool]:
 def test_importing_the_package_loads_no_sympy():
     source = "import sys, rank1daha, rank1daha.cli; print('sympy' in sys.modules)"
     assert _last_line(source) == "False"
+
+
+def test_importing_the_cli_loads_no_introspection_modules():
+    # dataclasses pulls in inspect, ast, dis and tokenize: about 1 MB of
+    # resident memory and some milliseconds of every process's start-up
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    source = f"import sys, rank1daha.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    assert _last_line(source) == "[]"
 
 
 @pytest.mark.parametrize(

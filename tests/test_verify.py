@@ -1,10 +1,10 @@
 """The check catalog, runner, reports, and the expression/config parsers."""
 
-import dataclasses
 import hashlib
 import json
 import random
-from collections import OrderedDict
+import weakref
+from collections import Counter, OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -14,7 +14,6 @@ from rank1daha import params as params_module
 from rank1daha.errors import ConfigError, DegenerateParameters, ParseError
 from rank1daha.ncalg import Element
 from rank1daha.params import (
-    _PARAMS_CACHE_BOUND,
     Params,
     RatFunc,
     make_params,
@@ -295,7 +294,19 @@ def test_checks_of_one_trial_share_a_rewrite_system(monkeypatch):
     assert built[0] == 2
 
 
-def test_prob_run_keeps_per_params_caches_bounded():
+def test_prob_run_keeps_per_params_caches_bounded(monkeypatch):
+    """A prob run holds one trial's rewrite systems at a time: each of 16
+    trials finds the cache empty and builds its point's system, and none
+    is left when the run ends.  The least-recently-used bound kept 8."""
+    monkeypatch.setattr(ncalg, "_SYSTEMS", OrderedDict())
+    held = []
+    init = ncalg.RewriteSystem.__init__
+
+    def counted(self, params):
+        held.append(len(ncalg._SYSTEMS))
+        init(self, params)
+
+    monkeypatch.setattr(ncalg.RewriteSystem, "__init__", counted)
     config = RunConfig(
         checks=["iso.spherical.rank", "casimir.scalar"],
         mode="prob",
@@ -304,7 +315,84 @@ def test_prob_run_keeps_per_params_caches_bounded():
     )
     report = run_checks(config)
     assert [(r.verdict, r.trials) for r in report.results] == [("pass", 16)] * 2
-    assert len(ncalg._SYSTEMS) <= _PARAMS_CACHE_BOUND
+    assert held == [0] * 16
+    assert not ncalg._SYSTEMS
+
+
+def _register(monkeypatch, runners):
+    # prob-mode catalog entries after the real ones, one per (id, runner)
+    specs = [CheckSpec(cid, "a test runner", "prob", runner) for cid, runner in runners.items()]
+    monkeypatch.setattr(verify, "CHECK_CATALOG", [*CHECK_CATALOG, *specs])
+    for spec in specs:
+        monkeypatch.setitem(verify._CATALOG_BY_ID, spec.id, spec)
+
+
+def test_prob_rows_run_trial_major(monkeypatch):
+    """Trial k of every prob row runs before trial k+1 of any row; exact rows
+    run first; a row that fails stops at its first failing trial, with that
+    trial's point in its summary, while the others go on."""
+    calls = []
+
+    def recording(check_id, fails_at=None):
+        def runner(params, bounds, rng):
+            calls.append((check_id, params))
+            return "planted" if fails_at is not None and params == points[fails_at] else ""
+
+        return runner
+
+    points = [random_params_mod_p(random.Random(f"1729:trial:{k}")) for k in range(3)]
+    _register(monkeypatch, {"p1": recording("p1"), "p2": recording("p2", fails_at=1),
+                            "p3": recording("p3")})
+    report = run_checks(RunConfig(checks=["p1", "p2", "p3"], mode="prob", trials=3))
+    rows = [(r.id, r.verdict, r.trials, r.residual_summary) for r in report.results]
+    assert rows == [
+        ("p1", "pass", 3, ""),
+        ("p2", "fail", 2, f"at {points[1].label}: planted"),
+        ("p3", "pass", 3, ""),
+    ]
+    assert calls == [
+        ("p1", points[0]), ("p2", points[0]), ("p3", points[0]),
+        ("p1", points[1]), ("p2", points[1]), ("p3", points[1]),
+        ("p1", points[2]), ("p3", points[2]),
+    ]
+    # in the default modes the exact rows run before trial 0 of any prob row
+    calls.clear()
+    exact = CheckSpec("e1", "an exact test runner", "exact", recording("e1"))
+    monkeypatch.setattr(verify, "CHECK_CATALOG", [exact, *verify.CHECK_CATALOG])
+    monkeypatch.setitem(verify._CATALOG_BY_ID, "e1", exact)
+    report = run_checks(RunConfig(checks=["p1", "e1"], trials=2))
+    assert [r.id for r in report.results] == ["e1", "p1"]
+    assert [(cid, p.label) for cid, p in calls] == [
+        ("e1", "symbolic"), ("p1", points[0].label), ("p1", points[1].label),
+    ]
+
+
+def test_prob_run_builds_each_trial_system_once(monkeypatch):
+    """Work gate: --mode prob --trials 8 over the whole catalog constructs 24
+    rewrite systems, one each for every trial point, its perturbed control
+    (relations-daha) and its dual point; with check-major order and a cache
+    of 8 points the dual points evicted the trial systems and the run built
+    48.  No system of an earlier trial is alive while trial k runs."""
+    monkeypatch.setattr(ncalg, "_SYSTEMS", OrderedDict())
+    built = []
+    init = ncalg.RewriteSystem.__init__
+
+    def recorded(self, params):
+        init(self, params)
+        built.append((weakref.ref(self), params))
+
+    def probe(params, bounds, rng):
+        alive = {p for ref, p in built if ref() is not None}
+        return "" if alive <= {params, params.dual()} else f"{len(alive)} points alive"
+
+    monkeypatch.setattr(ncalg.RewriteSystem, "__init__", recorded)
+    _register(monkeypatch, {"probe": probe})
+    report = run_checks(RunConfig(mode="prob", trials=8))
+    assert [(r.verdict, r.trials) for r in report.results] == [("pass", 8)] * len(report.results)
+    assert len(built) == 24
+    points = [random_params_mod_p(random.Random(f"1729:trial:{k}")) for k in range(8)]
+    per_point = Counter(p for _, p in built)
+    assert per_point == {**{p: 2 for p in points}, **{p.dual(): 1 for p in points}}
 
 
 def test_prob_mode_takes_no_rational_arithmetic(monkeypatch):
@@ -808,11 +896,11 @@ def test_step_check_failure_summaries(monkeypatch):
     row = ncalg.STEP_IDENTITIES["49"]
     leading = {**row.leading, (1, 1): row.leading[(1, 1)] + perturb}
     monkeypatch.setitem(
-        ncalg.STEP_IDENTITIES, "49", dataclasses.replace(row, leading=leading)
+        ncalg.STEP_IDENTITIES, "49", row._replace(leading=leading)
     )
     row = ncalg.STEP_IDENTITIES["sph3.3"]
     monkeypatch.setitem(
-        ncalg.STEP_IDENTITIES, "sph3.3", dataclasses.replace(row, scalar=row.scalar + perturb)
+        ncalg.STEP_IDENTITIES, "sph3.3", row._replace(scalar=row.scalar + perturb)
     )
 
     def summary(check_id):
@@ -929,7 +1017,7 @@ def test_family_identities_fall_back_where_a_factor_vanishes_mod_p(monkeypatch):
 REP_CHECKS = ("casimir.scalar", "awrel.inrep")
 
 
-def _rep_summary(check_id, params, max_degree=RunConfig.max_degree) -> str:
+def _rep_summary(check_id, params, max_degree=RunConfig().max_degree) -> str:
     runner = verify._CATALOG_BY_ID[check_id].runner
     return runner(params, {"max_mn": 1, "max_degree": max_degree, "max_n": 0}, random.Random(0))
 
@@ -960,7 +1048,7 @@ def _planted_constant(monkeypatch, name):
 
     def planted(params):
         sc = true(params)
-        return dataclasses.replace(sc, **{name: getattr(sc, name) + ONE})
+        return sc._replace(**{name: getattr(sc, name) + ONE})
 
     monkeypatch.setattr(verify, "structure_constants", planted)
 
@@ -987,7 +1075,7 @@ def test_casimir_check_fails_on_a_wrong_q0(monkeypatch, which, request):
 @pytest.mark.parametrize("check_id", REP_CHECKS)
 def test_rep_check_controls_fail_on_their_own(monkeypatch, gpoint, check_id):
     # a control whose perturbation changes nothing is reported
-    monkeypatch.setattr(verify, "replace", lambda sc, **changes: sc)
+    monkeypatch.setattr(params_module.StructureConstants, "_replace", lambda sc, **changes: sc)
     assert _rep_summary(check_id, gpoint, 0) == "perturbed-B control unexpectedly passed"
 
 
@@ -1016,8 +1104,7 @@ def test_reports_deterministic_for_fixed_seed(tmp_path):
     paths = []
     for run in range(2):
         report = run_checks(config)
-        for r in report.results:
-            r.elapsed_ms = 0
+        report = report._replace(results=[r._replace(elapsed_ms=0) for r in report.results])
         path = tmp_path / f"run{run}.json"
         emit_report(report, str(path))
         paths.append(path)
@@ -1033,7 +1120,7 @@ def test_report_json_round_trip(tmp_path):
     path = tmp_path / "report.json"
     emit_report(report, str(path))
     loaded = load_report(str(path))
-    assert dataclasses.asdict(loaded) == dataclasses.asdict(report)
+    assert loaded.to_dict() == report.to_dict()
     data = json.loads(path.read_text())
     assert data["overall"] == "pass"
     assert data["seed"] == 1729
