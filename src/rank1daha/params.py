@@ -781,8 +781,15 @@ class Params:
     __slots__ = ("vals", "genericity_bound", "label", "_hash")
 
     def __init__(self, vals: tuple[RatFunc, ...], genericity_bound: int, label: str):
-        self.vals, self.genericity_bound, self.label = vals, genericity_bound, label
-        self._hash = hash((vals, genericity_bound))
+        hashed = hash((vals, genericity_bound))
+        for name, value in zip(self.__slots__, (vals, genericity_bound, label, hashed)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *_):
+        # the cached hash and cache lookups assume the fields never change
+        raise AttributeError(f"Params is immutable; cannot set {name!r}")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Params):
@@ -875,7 +882,7 @@ class Params:
 # The rewrite-system cache keeps only this many most recently used parameter
 # sets.  That bounds the points of exact mode: the rank certificates' witness
 # points at symbolic parameters, and the points of successive runs in one
-# process.  A prob run empties the cache as each of its trials ends.
+# process.  A prob run empties the cache as each of its later trials starts.
 _PARAMS_CACHE_BOUND = 8
 
 _T = TypeVar("_T")

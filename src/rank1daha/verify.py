@@ -656,58 +656,55 @@ def _trial_point(seed: int, k: int) -> Params:
     return random_params_mod_p(random.Random(f"{seed}:trial:{k}"))
 
 
-def _attempt(spec: CheckSpec, params: Params, config: RunConfig, rng, where: str = "") -> tuple:
-    """The verdict and summary of one run of a check at ``params``; a failure
-    starts with ``where``, the random point it happened at in prob mode."""
+def _run_one(spec: CheckSpec, config: RunConfig) -> CheckResult:
+    """One run of a check at the given point, else at the symbolic one: an
+    exact-mode row, or one trial of a prob-mode row."""
     bounds = {"max_mn": config.max_mn, "max_degree": config.max_degree, "max_n": config.max_n}
+    # the rank certificates' witness draws at a symbolic point read this;
+    # the random points of prob mode come from _trial_point
+    rng = random.Random(f"{config.seed}:{spec.id}")
+    start = time.monotonic()
+    verdict = "pass"
     try:
-        summary = spec.runner(params, bounds, rng)
+        summary = spec.runner(config.params or make_params("symbolic"), bounds, rng)
+        if summary:
+            verdict = "fail"
     except Exception as exc:
         # whatever a check raises is its verdict; the run goes on to report.
         # A point the check cannot use at all (no dual family) is a skip
         verdict = "skip" if isinstance(exc, ExtensionDisabled) else "error"
-        return verdict, f"{where}{type(exc).__name__}: {exc}"
-    return ("fail", where + summary) if summary else ("pass", "")
-
-
-def _check_rng(spec: CheckSpec, config: RunConfig) -> random.Random:
-    # the rank certificates' witness draws at a symbolic point read this;
-    # the random points of prob mode come from _trial_point
-    return random.Random(f"{config.seed}:{spec.id}")
-
-
-def _run_one(spec: CheckSpec, config: RunConfig) -> CheckResult:
-    """One exact-mode row: one run at the given point, else symbolic.  A
-    user-given point is checked exactly there, never at random points."""
-    start = time.monotonic()
-    params = config.params or make_params("symbolic")
-    verdict, summary = _attempt(spec, params, config, _check_rng(spec, config))
-    return CheckResult(spec.id, verdict, summary, 1, int((time.monotonic() - start) * 1000))
+        summary = f"{type(exc).__name__}: {exc}"
+    elapsed_ms = int((time.monotonic() - start) * 1000)
+    return CheckResult(spec.id, verdict, summary, 1, elapsed_ms)
 
 
 def _run_trials(specs: Sequence[CheckSpec], config: RunConfig) -> list[CheckResult]:
     """The prob-mode rows, trial-major: trial k of every row still passing runs
     at one point before trial k+1 of any row starts, and a row stops at its
-    first failure.  A row's time is the sum of its trials' times.  Once a trial
-    ends its points are never met again, and the exact rows ran before, so the
-    rewrite-system cache is emptied: the run holds one trial's systems (its
-    point's and its dual point's) at a time."""
-    rngs = [_check_rng(spec, config) for spec in specs]
-    results = [CheckResult(spec.id, "pass", "", 0, 0) for spec in specs]
-    seconds = [0.0] * len(specs)
-    live = range(len(specs))
+    first failure, which names the point.  A row's time is the sum of its
+    trials' times.  A trial's points are never met again once it ends, and
+    the exact rows ran before, so the rewrite-system cache is emptied as each
+    later trial starts: the run holds one trial's systems (its point's and its
+    dual point's) at a time."""
+    results = {spec.id: CheckResult(spec.id, "pass", "", 0, 0) for spec in specs}
+    live = list(specs)
     for k in range(config.trials):
         if not live:
             break
+        if k:
+            ncalg._SYSTEMS.clear()
         point = _trial_point(config.seed, k)
-        for i in live:
-            start = time.monotonic()
-            verdict, summary = _attempt(specs[i], point, config, rngs[i], f"at {point.label}: ")
-            seconds[i] += time.monotonic() - start
-            results[i] = CheckResult(specs[i].id, verdict, summary, k + 1, 0)
-        ncalg._SYSTEMS.clear()
-        live = [i for i in live if results[i].verdict == "pass"]
-    return [r._replace(elapsed_ms=int(t * 1000)) for r, t in zip(results, seconds)]
+        trial = config._replace(params=point)
+        for spec in live:
+            r = _run_one(spec, trial)
+            where = f"at {point.label}: " if r.verdict != "pass" else ""
+            results[spec.id] = r._replace(
+                residual_summary=where + r.residual_summary,
+                trials=k + 1,
+                elapsed_ms=results[spec.id].elapsed_ms + r.elapsed_ms,
+            )
+        live = [spec for spec in live if results[spec.id].verdict == "pass"]
+    return list(results.values())
 
 
 def run_checks(config: RunConfig) -> Report:
@@ -782,7 +779,8 @@ def render_text(report: Report) -> str:
 def load_report(path: str) -> Report:
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
-    return Report(**{**data, "results": [CheckResult(**r) for r in data["results"]]})
+    results = [CheckResult(*(r[f] for f in CheckResult._fields)) for r in data["results"]]
+    return Report(*(results if f == "results" else data[f] for f in Report._fields))
 
 
 # ---------------------------------------------------------------------------

@@ -623,6 +623,13 @@ def test_params_hold_values_bound_and_label(gpoint):
     relabelled = Params(gpoint.vals, gpoint.genericity_bound, "elsewhere")
     assert relabelled == gpoint and hash(relabelled) == hash(gpoint)
     assert Params(gpoint.vals, 8, gpoint.label) != gpoint
+    # parameter sets key caches by a hash computed once, so they stay as built
+    for name in ("vals", "genericity_bound", "label", "_hash"):
+        with pytest.raises(AttributeError):
+            setattr(gpoint, name, None)
+        with pytest.raises(AttributeError):
+            delattr(gpoint, name)
+    assert gpoint == same and gpoint.label == "q=3/2,a=2,b=3,c=5,d=7"
 
 
 def test_shifted_point_equals_the_point_it_names(gpoint):

@@ -296,8 +296,9 @@ def test_checks_of_one_trial_share_a_rewrite_system(monkeypatch):
 
 def test_prob_run_keeps_per_params_caches_bounded(monkeypatch):
     """A prob run holds one trial's rewrite systems at a time: each of 16
-    trials finds the cache empty and builds its point's system, and none
-    is left when the run ends.  The least-recently-used bound kept 8."""
+    trials finds the cache empty and builds its point's system, and only the
+    last trial's is left when the run ends.  The least-recently-used bound
+    kept 8."""
     monkeypatch.setattr(ncalg, "_SYSTEMS", OrderedDict())
     held = []
     init = ncalg.RewriteSystem.__init__
@@ -316,7 +317,23 @@ def test_prob_run_keeps_per_params_caches_bounded(monkeypatch):
     report = run_checks(config)
     assert [(r.verdict, r.trials) for r in report.results] == [("pass", 16)] * 2
     assert held == [0] * 16
-    assert not ncalg._SYSTEMS
+    assert list(ncalg._SYSTEMS) == [random_params_mod_p(random.Random("1729:trial:15"))]
+
+
+def test_each_trial_of_a_prob_row_is_one_run_one(monkeypatch):
+    """The benchmark's tracer wraps verify._run_one for its per-check spans:
+    every trial of every prob row goes through it, at that trial's point."""
+    seen = []
+    run_one = verify._run_one
+
+    def recording(spec, config):
+        seen.append((spec.id, config.params.label))
+        return run_one(spec, config)
+
+    monkeypatch.setattr(verify, "_run_one", recording)
+    run_checks(RunConfig(checks=["idempotents", "casimir.scalar"], mode="prob", trials=2))
+    labels = [random_params_mod_p(random.Random(f"1729:trial:{k}")).label for k in range(2)]
+    assert seen == [(cid, label) for label in labels for cid in ("idempotents", "casimir.scalar")]
 
 
 def _register(monkeypatch, runners):
@@ -1124,6 +1141,15 @@ def test_report_json_round_trip(tmp_path):
     data = json.loads(path.read_text())
     assert data["overall"] == "pass"
     assert data["seed"] == 1729
+    # keys the report format does not know are ignored; a missing one is named
+    data["note"] = "extra"
+    data["results"][0]["note"] = "extra"
+    path.write_text(json.dumps(data))
+    assert load_report(str(path)).to_dict() == report.to_dict()
+    del data["results"][0]["trials"]
+    path.write_text(json.dumps(data))
+    with pytest.raises(KeyError, match="trials"):
+        load_report(str(path))
 
 
 def test_render_text_one_line_per_check():

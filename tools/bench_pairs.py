@@ -1,15 +1,14 @@
 """Alternated parent/change pairs of the benchmark, written as one BENCH_*.json.
 
-    python3 tools/bench_pairs.py --parent REV --label NAME --what TEXT
-        [--seeds 13] [--pairs 10] [--seconds 30] [--prob-pairs 10]
+    python3 tools/bench_pairs.py --parent REV --label NAME --what TEXT [--seeds 13]
 
 Run it from the root of a checkout.  The parent side runs from the
 tracked files of REV, exported with ``git archive`` into a temporary
 directory; the change side runs from the working tree.  For each seed,
-pair i runs ``perfbench/run.py --workload all --seed SEED --seconds S
---trace 0`` once from each side, the parent first in odd pairs, with
-``PYTHONDONTWRITEBYTECODE=1`` so that every run compiles the package from
-source.  A run's line is the last line of its standard output.  The
+each of 10 pairs runs ``perfbench/run.py --workload all --seed SEED
+--trace 0`` once from each side, at the benchmark's own run length, the
+parent first in odd pairs, with ``PYTHONDONTWRITEBYTECODE=1`` so that
+every run compiles the package from source.  A run's line is the last line of its standard output.  The
 summary gives, per metric, each side's median and quartiles
 (``statistics.quantiles``, exclusive method) and the number of pairs in
 which the change read lower.
@@ -17,8 +16,7 @@ which the change read lower.
 The ``in_process`` block measures a whole default-size prob run,
 ``verify run --mode prob --trials 8 --seed 1729``: the ``RewriteSystem``
 constructions of one in-process run per side (a count, which repeats
-exactly), and the peak RSS of ``--prob-pairs`` alternated pairs of fresh
-processes (``ru_maxrss`` of the child, as the benchmark reads it).
+exactly), and the peak RSS of 10 alternated pairs of fresh processes (``ru_maxrss`` of the child, as the benchmark reads it).
 
 The file goes to ``BENCH_<label>.json`` at the root of the checkout.
 """
@@ -41,6 +39,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ["perfbench/run.py", "--workload", "all", "--trace", "0"]
 PROB_RUN = ["verify", "run", "--mode", "prob", "--trials", "8", "--seed", "1729"]
+PAIRS = 10  # alternated pairs per seed and per in-process measure
 
 # counts RewriteSystem constructions over one prob run, in the process
 _COUNT_SYSTEMS = """
@@ -71,8 +70,8 @@ def _export(rev: str, dest: Path) -> str:
     return commit
 
 
-def _bench_line(side: Path, seed: int, seconds: int) -> dict:
-    proc = subprocess.run([sys.executable, *BENCH, "--seed", str(seed), "--seconds", str(seconds)],
+def _bench_line(side: Path, seed: int) -> dict:
+    proc = subprocess.run([sys.executable, *BENCH, "--seed", str(seed)],
                           cwd=side, env=_env(side), capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if not lines:
@@ -94,11 +93,11 @@ def _spread(values: list[float]) -> dict:
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
-def _pairs(sides: dict[str, Path], count: int, measure) -> list[tuple[str, int, object]]:
-    """``measure(side)`` for ``count`` pairs, the parent first in odd pairs:
+def _pairs(sides: dict[str, Path], measure) -> list[tuple[str, int, object]]:
+    """``measure(side)`` for ``PAIRS`` pairs, the parent first in odd pairs:
     (side name, pair, value) in the order run."""
     out = []
-    for pair in range(1, count + 1):
+    for pair in range(1, PAIRS + 1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
         for name in order:
             out.append((name, pair, measure(sides[name])))
@@ -120,14 +119,14 @@ def _summary(runs: list[dict]) -> dict:
     return summary
 
 
-def _in_process(sides: dict[str, Path], count: int) -> dict:
+def _in_process(sides: dict[str, Path]) -> dict:
     systems = {}
     for name, side in sides.items():
         proc = subprocess.run([sys.executable, "-c", _COUNT_SYSTEMS], cwd=side, env=_env(side),
                               check=True, capture_output=True, text=True)
         systems[name] = json.loads(proc.stdout.strip().splitlines()[-1])
     rss = {"parent": [], "change": []}
-    for name, _, value in _pairs(sides, count, _peak_rss_mb):
+    for name, _, value in _pairs(sides, _peak_rss_mb):
         rss[name].append(round(value, 4))
     lower = sum(c < p for p, c in zip(rss["parent"], rss["change"]))
     return {
@@ -138,7 +137,7 @@ def _in_process(sides: dict[str, Path], count: int) -> dict:
             **systems,
         },
         "peak_rss_mb": {
-            "what": f"ru_maxrss of a fresh process per side and pair, {count} alternated pairs, "
+            "what": f"ru_maxrss of a fresh process per side and pair, {PAIRS} alternated pairs, "
                     "parent first in odd pairs",
             **rss,
             "summary": {n: _spread(v) for n, v in rss.items()},
@@ -162,9 +161,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--label", required=True, help="names the file BENCH_<label>.json")
     parser.add_argument("--what", required=True, help="what the change does, for the file")
     parser.add_argument("--seeds", type=int, nargs="+", default=[13])
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=30)
-    parser.add_argument("--prob-pairs", type=int, default=10)
     args = parser.parse_args(argv)
 
     parent_dir = Path(tempfile.mkdtemp(prefix="bench-parent-"))
@@ -173,11 +169,10 @@ def main(argv: list[str] | None = None) -> int:
         sides = {"parent": parent_dir, "change": ROOT}
         runs = []
         for seed in args.seeds:
-            for name, pair, line in _pairs(sides, args.pairs,
-                                           lambda side: _bench_line(side, seed, args.seconds)):
+            for name, pair, line in _pairs(sides, lambda side: _bench_line(side, seed)):
                 order = int(pair % 2 == (name == "change"))
                 runs.append({"seed": seed, "pair": pair, "side": name, "order": order, "line": line})
-        in_process = _in_process(sides, args.prob_pairs)
+        in_process = _in_process(sides)
     finally:
         shutil.rmtree(parent_dir, ignore_errors=True)
 
@@ -186,9 +181,8 @@ def main(argv: list[str] | None = None) -> int:
     bench = {
         "label": args.label,
         "what": args.what,
-        "command": " ".join(["python3", *BENCH[:-2], "--seed SEED", f"--seconds {args.seconds}",
-                             *BENCH[-2:]]),
-        "protocol": f"{args.pairs} pairs per seed, parent and change alternated (parent first in "
+        "command": " ".join(["python3", *BENCH[:-2], "--seed SEED", *BENCH[-2:]]),
+        "protocol": f"{PAIRS} pairs per seed, parent and change alternated (parent first in "
                     "odd pairs); the parent runs from its tracked files exported by git archive, "
                     "the change from the working tree, both with no compiled bytecode "
                     "(PYTHONDONTWRITEBYTECODE=1); each run's line is the last line of its "
@@ -196,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
         "parent": commit,
         "host": _host(),
         "seeds": args.seeds,
-        "pairs": args.pairs,
+        "pairs": PAIRS,
         "summary": _summary(runs),
         "all_correct": all(r["line"]["correct"] for r in runs),
         "failed_operations": failed,
