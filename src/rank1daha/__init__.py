@@ -39,7 +39,6 @@ from .ncalg import (
     duality_image,
     embed_aw,
     embed_element,
-    is_o_of,
     iso_image,
     multiply,
     quotient_relations,
@@ -125,7 +124,6 @@ __all__ = [
     "embed_aw",
     "embed_element",
     "emit_report",
-    "is_o_of",
     "iso_image",
     "load_report",
     "make_params",

@@ -32,10 +32,14 @@ class DivisionByZero(KernelError):
 class BudgetExhausted(KernelError):
     """The rewrite engine exceeded its step budget.
 
-    The rewrite rules terminate (``RewriteSystem.termination_failures``
-    checks an order that every rule decreases; the ``relations-daha`` check
-    runs it), so hitting the budget means a reduction longer than the
-    budget allows, or a rule table that fails that check.
+    The one budget is ``ncalg.DEFAULT_BUDGET``: the rule applications
+    behind each basis product not yet memoized, its new sub-products
+    included.  The rewrite rules terminate
+    (``RewriteSystem.termination_failures`` checks an order that every rule
+    decreases; the ``relations-daha`` check runs it), so hitting the budget
+    means a product longer than the budget allows, or a rule table that
+    fails that check.  Such a table can also nest past the interpreter's
+    recursion limit first, which raises this too.
     """
 
 

@@ -4,17 +4,17 @@ The algebra carries five generators T1, Y, Y^-1, Z, Z^-1 subject to a
 Hecke-type quadratic relation for T1, cross relations moving T1 to the
 right, and q-commutation relations moving Y-letters to the right of
 Z-letters.  Every element has a unique expansion in the basis
-Z^m Y^n T1^i (m, n integers, i in {0, 1}); :func:`reduce` computes it by
-exhaustive rewriting of adjacent letter pairs.
+Z^m Y^n T1^i (m, n integers, i in {0, 1}); :func:`reduce` computes it
+through the memoized products of basis monomials, as every map does.
 
 On top of the rewriting core this module provides: the three-generator
 central extension of the Askey-Wilson q-commutator algebra, its defining
 relations (:func:`aw_relations`, :func:`quotient_relations`) and its
 embedding (:func:`embed_aw`), the symmetrizers and the spherical /
-antispherical maps, the strict-dominance filtration predicate
-:func:`is_o_of`, the catalog of step identities used to prove the two
-subalgebra isomorphisms (:func:`check_step_identity`), duality anti-maps,
-shift-operator identities, and the rank routine of the catalog's rank certificates.
+antispherical maps, the catalog of step identities used to prove the two
+subalgebra isomorphisms (:func:`check_step_identity`) with its
+strict-dominance test, duality anti-maps, shift-operator identities, and
+the rank routine of the catalog's rank certificates.
 
 Only :func:`symmetrizer` writes F = T1+1 ("sym") or F = T1+ab ("asym")
 and knows e, F^2 = eF; a point's rewrite system keeps each F, built once.
@@ -42,13 +42,15 @@ where a normal form is returned: by the public maps and :func:`multiply`,
 and for a step residual that is read.  The step table coefficients, the
 compressions F Z^m Y^n F and the embedded K-words times F are memoized per
 rewrite system, so the checks that share a point share them.
-:func:`reduce` stays the independent word-rewriting path, on the same
-lifted coefficients: the critical pairs, ``idempotents`` (F^2 = eF) and
-``duality.daha`` run on it, :func:`compress` reduces its argument with it,
-and the tests check every product path against it.  A ``budget`` bounds rule applications: those
-rewriting the whole element in :func:`reduce`, and in the product paths
-those behind each basis product not yet memoized, its new sub-products
-included.
+:func:`reduce` takes the same products: it splits a word at a redex into a
+basis word and a shorter word and multiplies their normal forms, so the
+critical pairs, ``idempotents`` (F^2 = eF), ``duality.daha`` and the
+argument of :func:`compress` share the memo too.  Each kernel step applies
+one rule in context, so every result is a reduct of its input, and
+Bergman's diamond lemma needs no particular reduction strategy.  One
+constant, :data:`DEFAULT_BUDGET`, read at call time, bounds the rule
+applications behind each basis product not yet memoized, its new
+sub-products included; memoized products cost none.
 
 The step identities are data.  Each row of :data:`STEP_IDENTITIES` states
 LHS = (leading terms + dominated rest) F, with F = T1+1 for the spherical
@@ -106,7 +108,6 @@ __all__ = [
     "symmetrizer",
     "compress",
     "iso_image",
-    "is_o_of",
     "check_step_identity",
     "STEP_IDENTITIES",
     "StepRow",
@@ -562,8 +563,11 @@ class RewriteSystem:
         reduced as it is read, so a caller that stops at an unresolved
         overlap reduces none after it.
 
-        Given termination (:meth:`termination_failures`), Bergman's diamond lemma
-        (Adv. Math. 29, 1978) makes reduction confluent exactly when each is zero."""
+        :meth:`reduce_terms` reduces it through the product kernel, each of
+        whose steps applies one rule in context, so the result is a reduct
+        of the difference whatever order the steps take.  Given termination
+        (:meth:`termination_failures`), Bergman's diamond lemma (Adv. Math.
+        29, 1978) makes reduction confluent exactly when each is zero."""
         rules, lift, zero = self.rules, self._lift, self._lift_zero
         for x, y in rules:
             for y2, z in rules:
@@ -603,7 +607,7 @@ class RewriteSystem:
         pairs = [(x, y) for x in DAHA_ALPHABET for y in DAHA_ALPHABET]
         return [pair for pair in pairs if (pair in self.rules) == _is_basis_word(pair)]
 
-    # -- the rewriting loop ---------------------------------------------
+    # -- normal forms of words ------------------------------------------
 
     def _find_redex(self, word: Word, strategy: str) -> int | None:
         last = len(word) - 1
@@ -617,45 +621,37 @@ class RewriteSystem:
     def reduce_terms(
         self,
         terms: Mapping[Word, RatFunc],
-        budget: int = DEFAULT_BUDGET,
         strategy: str = "leftmost",
     ) -> NormalForm:
+        """The normal form of the sum of c w over the words w and coefficients
+        c of ``terms``, lifted or not (the critical pairs pass lifted ones),
+        each word's by :meth:`_word_normal_form`."""
         if strategy not in ("leftmost", "rightmost"):
             raise ValueError(f"unknown strategy {strategy!r}")
-        # on the kernel's lifted coefficients (``terms`` may be lifted already),
-        # settled once per round
-        lift, zero = self._lift, self._lift_zero
-        out: dict = {}
-        pending = self._settle({tuple(w): lift(c) for w, c in terms.items()})
-        steps = 0
-        while pending:
-            next_pending: dict = {}
-            for word, coef in pending.items():
-                pos = self._find_redex(word, strategy)
-                if pos is None:
-                    if not _is_basis_word(word):  # a rule table short of a left side
-                        raise ValueError(f"irreducible word {' '.join(word)} is not a basis word")
-                    key = _word_key(word)
-                    out[key] = out.get(key, zero) + coef
-                    continue
-                steps += 1
-                if steps > budget:
-                    raise BudgetExhausted(
-                        f"rewriting exceeded {budget} rule applications"
-                    )
-                head, tail = word[:pos], word[pos + 2 :]
-                for repl, rcoef in self.rules[(word[pos], word[pos + 1])]:
-                    word2 = head + repl + tail
-                    next_pending[word2] = next_pending.get(word2, zero) + coef * lift(rcoef)
-            pending = self._settle(next_pending)
-        return self._normal_form(self._settle(out))
+        lift = self._lift
+        lifted = self._settle({tuple(w): lift(c) for w, c in terms.items()})
+        return self._normal_form(
+            self._linear((c, self._word_normal_form(w, strategy)) for w, c in lifted.items())
+        )
 
-    def basis_product(
-        self,
-        key1: tuple[int, int, int],
-        key2: tuple[int, int, int],
-        budget: int = DEFAULT_BUDGET,
-    ) -> NormalForm:
+    def _word_normal_form(self, word: Word, strategy: str) -> dict:
+        """The lifted normal form of one word, split at the redex that
+        ``strategy`` finds, at letters i and i+1.  At the leftmost one
+        w[:i+1] is a basis word, and the normal form is it times that of
+        w[i+1:]; at the rightmost one w[i+1:] is a basis word, and the
+        normal form is that of w[:i+1] times it.  The products are the
+        kernel's, whose every step applies one rule in context, so either
+        order is a reduction sequence and ends at the same normal form."""
+        i = self._find_redex(word, strategy)
+        if i is None:
+            return {_basis_key(word): self._lift_one}
+        if strategy == "leftmost":
+            rest = self._word_normal_form(word[i + 1 :], strategy)
+            return self._times(_basis_key(word[: i + 1]), rest, None)
+        head = self._word_normal_form(word[: i + 1], strategy)
+        return self._multiply(head, {_basis_key(word[i + 1 :]): self._lift_one})
+
+    def basis_product(self, key1: tuple[int, int, int], key2: tuple[int, int, int]) -> NormalForm:
         """The reduced product of two basis monomials, memoized; products
         of general normal forms decompose into these.
 
@@ -669,9 +665,10 @@ class RewriteSystem:
         the rules (:meth:`termination_failures`) makes this recursion finite,
         and the left sides (:meth:`left_side_failures`) make its ends basis
         words; an end that is not one raises ValueError, as in
-        :meth:`reduce_terms`.  ``budget`` bounds the rule applications
-        behind a product not yet memoized, its new sub-products included."""
-        return self._normal_form(self._product(key1, key2, budget))
+        :meth:`reduce_terms`.  :data:`DEFAULT_BUDGET` bounds the rule
+        applications behind a product not yet memoized, its new sub-products
+        included."""
+        return self._normal_form(self._product(key1, key2))
 
     # -- the product kernel, on lifted coefficients ---------------------
     #
@@ -696,81 +693,79 @@ class RewriteSystem:
             return {key: r for key, c in acc.items() if (r := c % p)}
         return {key: c for key, c in acc.items() if c}
 
-    def _product(self, key1, key2, budget: int, spent: list[int] | None = None) -> dict:
+    def _product(self, key1, key2, spent: list[int] | None = None) -> dict:
         cached = self._product_cache.get((key1, key2))
         if cached is not None:
             return cached
         if spent is None:  # an outermost miss: its new sub-products share the budget
             spent = [0]
             try:
-                return self._product(key1, key2, budget, spent)
+                return self._product(key1, key2, spent)
             except RecursionError:
                 raise BudgetExhausted(
                     f"rewriting nested too deeply after {spent[0]} rule applications"
                 ) from None
         m, n, i = key1
         if not m and abs(n) + i == 1:
-            result = self._peel(key1, key2, budget, spent)
+            result = self._peel(key1, key2, spent)
         elif not m and not i and n:
             step = 1 if n > 0 else -1
-            inner = self._product((0, n - step, 0), key2, budget, spent)
-            result = self._times((0, step, 0), inner, budget, spent)
+            inner = self._product((0, n - step, 0), key2, spent)
+            result = self._times((0, step, 0), inner, spent)
         else:
             if i:
-                result = self._product((0, 0, 1), key2, budget, spent)
+                result = self._product((0, 0, 1), key2, spent)
             else:
                 result = {key2: self._lift_one}
             if n:
-                result = self._times((0, n, 0), result, budget, spent)
+                result = self._times((0, n, 0), result, spent)
             if m:
                 result = {(k0 + m, k1, k2): c for (k0, k1, k2), c in result.items()}
         self._product_cache[(key1, key2)] = result
         return result
 
-    def _peel(self, key1, key2, budget: int, spent: list[int]) -> dict:
+    def _peel(self, key1, key2, spent: list[int]) -> dict:
         """x w for a letter x (Y, Y^-1 or T1) and a basis word w = w1 w',
         by one rule application at the junction x w1."""
         x = _basis_word(*key1)[0]
         w = _basis_word(*key2)
         rhs = self.rules.get((x, w[0])) if w else None
         if rhs is None:
-            if not _is_basis_word((x,) + w):  # a rule table short of a left side
-                raise ValueError(f"irreducible word {' '.join((x,) + w)} is not a basis word")
-            return {_word_key((x,) + w): self._lift_one}
+            return {_basis_key((x,) + w): self._lift_one}
         spent[0] += 1
-        if spent[0] > budget:
-            raise BudgetExhausted(f"rewriting exceeded {budget} rule applications")
+        if spent[0] > DEFAULT_BUDGET:
+            raise BudgetExhausted(f"rewriting exceeded {DEFAULT_BUDGET} rule applications")
         rest = _word_key(w[1:])
         lift, zero = self._lift, self._lift_zero
         acc: dict = {}
         for word, coef in rhs:
             if _is_basis_word(word):
-                terms = self._product(_word_key(word), rest, budget, spent)
+                terms = self._product(_word_key(word), rest, spent)
             else:
                 # only a rule table altered after construction has such a
                 # word; it is multiplied letter by letter, so that no memo
                 # key stands for a word it is not
                 terms = {rest: self._lift_one}
                 for letter in reversed(word):
-                    terms = self._times(_word_key((letter,)), terms, budget, spent)
+                    terms = self._times(_word_key((letter,)), terms, spent)
             c = lift(coef)
             for key, v in terms.items():
                 acc[key] = acc.get(key, zero) + c * v
         return self._settle(acc)
 
-    def _times(self, key1, v: dict, budget: int, spent: list[int] | None) -> dict:
+    def _times(self, key1, v: dict, spent: list[int] | None) -> dict:
         """The basis monomial key1 times the lifted normal form v."""
         cache, zero = self._product_cache, self._lift_zero
         acc: dict = {}
         for key2, c in v.items():
             terms = cache.get((key1, key2))
             if terms is None:
-                terms = self._product(key1, key2, budget, spent)
+                terms = self._product(key1, key2, spent)
             for key, x in terms.items():
                 acc[key] = acc.get(key, zero) + c * x
         return self._settle(acc)
 
-    def _multiply(self, u: dict, v: dict, budget: int) -> dict:
+    def _multiply(self, u: dict, v: dict) -> dict:
         """u v for lifted normal forms.  The monomials of u are grouped by
         (n, i): Y^n T1^i v is formed once per group and shifted by each Z^m
         of it."""
@@ -780,7 +775,7 @@ class RewriteSystem:
         zero = self._lift_zero
         out: dict = {}
         for (n, i), shifts in groups.items():
-            head = self._times((0, n, i), v, budget, None)
+            head = self._times((0, n, i), v, None)
             for m, c1 in shifts:
                 for (k0, k1, k2), c in head.items():
                     key = (k0 + m, k1, k2)
@@ -797,7 +792,7 @@ class RewriteSystem:
                 acc[key] = acc.get(key, zero) + c * x
         return self._settle(acc)
 
-    def _embed_word(self, word: Word, budget: int) -> dict:
+    def _embed_word(self, word: Word) -> dict:
         """The embedding of one K0/K1/T1 word, lifted.  The word is read
         left to right, its prefix times the next letter's image; the
         prefixes are memoized on the system, like the products."""
@@ -806,7 +801,7 @@ class RewriteSystem:
         for end in range(1, len(word) + 1):
             known = prefixes.get(word[:end])
             if known is None:
-                known = prefixes[word[:end]] = self._multiply(nf, images[word[end - 1]], budget)
+                known = prefixes[word[:end]] = self._multiply(nf, images[word[end - 1]])
             nf = known
         return nf
 
@@ -817,44 +812,42 @@ class RewriteSystem:
             self._symmetrizers[family] = {_word_key(w): self._lift(c) for w, c in f.terms.items()}
         return self._symmetrizers[family]
 
-    def _compress(self, family: str, u: dict, budget: int) -> dict:
+    def _compress(self, family: str, u: dict) -> dict:
         """F u F for a lifted normal form u."""
         f = self._symmetrizer(family)
-        return self._multiply(self._multiply(f, u, budget), f, budget)
+        return self._multiply(self._multiply(f, u), f)
 
-    def _sandwich(self, family: str, key: tuple[int, int, int], budget: int) -> dict:
+    def _sandwich(self, family: str, key: tuple[int, int, int]) -> dict:
         """F (basis monomial) F, lifted, memoized: the step rows read at
         one point share their compressions."""
         out = self._sandwiches.get((family, key))
         if out is None:
-            out = self._compress(family, {key: self._lift_one}, budget)
+            out = self._compress(family, {key: self._lift_one})
             self._sandwiches[(family, key)] = out
         return out
 
-    def _embed_times_f(self, family: str, terms: Mapping[Word, object], budget: int) -> dict:
+    def _embed_times_f(self, family: str, terms: Mapping[Word, object]) -> dict:
         """The embedding of a K0/K1/T1 combination with lifted coefficients
         times F, lifted, as the sum of its words' images times F; those
         are memoized, so the step rows and rank certificates read at one
         point share them."""
-        return self._linear((c, self._word_times_f(family, w, budget)) for w, c in terms.items())
+        return self._linear((c, self._word_times_f(family, w)) for w, c in terms.items())
 
-    def _word_times_f(self, family: str, word: Word, budget: int) -> dict:
+    def _word_times_f(self, family: str, word: Word) -> dict:
         """The embedding of one K0/K1/T1 word times F, lifted, memoized."""
         image = self._words_times_f.get((family, word))
         if image is None:
             f = self._symmetrizer(family)
-            image = self._words_times_f[(family, word)] = self._multiply(
-                self._embed_word(word, budget), f, budget
-            )
+            image = self._words_times_f[(family, word)] = self._multiply(self._embed_word(word), f)
         return image
 
-    def _iso_image(self, family: str, terms: Mapping[Word, object], budget: int) -> dict:
+    def _iso_image(self, family: str, terms: Mapping[Word, object]) -> dict:
         """:func:`iso_image` of a K0/K1 combination with lifted coefficients,
         lifted: for "asym" each word's coefficient takes q per K0."""
         if family == "asym":
             q = self._lift(self.params.vals[0])
             terms = {word: c * q ** word.count("K0") for word, c in terms.items()}
-        return self._embed_times_f(family, terms, budget)
+        return self._embed_times_f(family, terms)
 
     def _table_coef(self, terms: Coef, n: int):
         """A step-table coefficient at exponent n, lifted, memoized."""
@@ -863,6 +856,14 @@ class RewriteSystem:
         if c is None:
             c = self._coefs[key] = self._lift(_coef(terms, n, self._bases))
         return c
+
+
+def _basis_key(word: Word) -> tuple[int, int, int]:
+    # the key of a word that admits no rule: a rule table short of a left
+    # side leaves words that are not basis words, and no key stands for one
+    if not _is_basis_word(word):
+        raise ValueError(f"irreducible word {' '.join(word)} is not a basis word")
+    return _word_key(word)
 
 
 def _word_key(word: Word) -> tuple[int, int, int]:
@@ -890,37 +891,27 @@ def rewrite_system(params: Params) -> RewriteSystem:
     return _params_cache_entry(_SYSTEMS, params, RewriteSystem)
 
 
-def reduce(
-    e: Element,
-    params: Params,
-    budget: int = DEFAULT_BUDGET,
-    strategy: str = "leftmost",
-) -> NormalForm:
+def reduce(e: Element, params: Params, strategy: str = "leftmost") -> NormalForm:
     """Expand an element over the five-letter alphabet in the canonical
-    basis Z^m Y^n T1^i by rewriting its words, the independent oracle of
-    the product paths.  A rule application rewrites one adjacent letter
-    pair of one word; ``budget`` bounds those of the whole reduction."""
+    basis Z^m Y^n T1^i.  Each word is split at its leftmost or rightmost
+    redex (``strategy``) into a basis word and a shorter word, and the two
+    normal forms are multiplied through the memoized basis products
+    (:meth:`RewriteSystem._word_normal_form`).  Every step of those
+    products applies one rule in context, so the result is a reduct of the
+    element, and the diamond lemma makes it the normal form whichever
+    redex is split at."""
     if e.alphabet != "daha":
         raise ValueError("reduce expects an element over the five-letter alphabet")
-    return rewrite_system(params).reduce_terms(e.terms, budget, strategy)
+    return rewrite_system(params).reduce_terms(e.terms, strategy)
 
 
-def multiply(
-    u: NormalForm,
-    v: NormalForm,
-    params: Params,
-    budget: int = DEFAULT_BUDGET,
-) -> NormalForm:
+def multiply(u: NormalForm, v: NormalForm, params: Params) -> NormalForm:
     """Product of two basis expansions, assembled from memoized
     basis-monomial products (:meth:`RewriteSystem.basis_product`).  The
     monomials of u are grouped by (n, i): Y^n T1^i v is formed once per
-    group and shifted by each Z^m of it.  ``budget`` bounds the rule
-    applications behind each basis product not yet memoized, its new
-    sub-products included; memoized products cost none."""
+    group and shifted by each Z^m of it."""
     system = rewrite_system(params)
-    return system._normal_form(
-        system._multiply(system._lifted(u), system._lifted(v), budget)
-    )
+    return system._normal_form(system._multiply(system._lifted(u), system._lifted(v)))
 
 
 def _rank(vectors: Iterable[Mapping], params: Params) -> int:
@@ -974,24 +965,19 @@ def embed_element(e: Element, params: Params) -> Element:
     return e.map_letters(images, "daha")
 
 
-def embed_aw(
-    e: Element,
-    params: Params,
-    budget: int = DEFAULT_BUDGET,
-) -> NormalForm:
+def embed_aw(e: Element, params: Params) -> NormalForm:
     """Embed K0 -> Y + (abcd/q) Y^-1, K1 -> Z + Z^-1, T1 -> T1, in normal
     form.  Each K-word is read left to right, its reduced prefix multiplied
     by the next letter's image as in :func:`multiply`; the prefixes are
     memoized on the rewrite system of ``params``, so every call at that
-    point shares them.  ``budget`` bounds the rule applications behind each
-    basis product not yet memoized, its new sub-products included.
+    point shares them.
 
     The embedding is injective, so equal normal forms certify equality in
     the three-generator algebra."""
     if e.alphabet != "aw":
         raise ValueError("embed expects an element over the K0/K1/T1 alphabet")
     system = rewrite_system(params)
-    words = ((system._lift(c), system._embed_word(word, budget)) for word, c in e.terms.items())
+    words = ((system._lift(c), system._embed_word(word)) for word, c in e.terms.items())
     return system._normal_form(system._linear(words))
 
 
@@ -1081,50 +1067,37 @@ def symmetrizer(family: str, params: Params) -> tuple[Element, RatFunc]:
     return Element("daha", {("T1",): one, (): eps}), e
 
 
-def compress(
-    family: str, u: Element, params: Params, budget: int = DEFAULT_BUDGET
-) -> NormalForm:
+def compress(family: str, u: Element, params: Params) -> NormalForm:
     """The two-sided compression F u F in normal form, as the product
     F (reduced u) F, F kept by the rewrite system.  The compression by the
-    idempotent e^-1 F is e^-2 times this.  ``budget`` bounds the rule
-    applications of the reduction of u, and those behind each basis
-    product not yet memoized, its new sub-products included."""
+    idempotent e^-1 F is e^-2 times this."""
     system = rewrite_system(params)
-    u_nf = system._lifted(reduce(u, params, budget))
-    return system._normal_form(system._compress(family, u_nf, budget))
+    u_nf = system._lifted(reduce(u, params))
+    return system._normal_form(system._compress(family, u_nf))
 
 
-def iso_image(
-    family: str, u: Element, params: Params, budget: int = DEFAULT_BUDGET
-) -> NormalForm:
+def iso_image(family: str, u: Element, params: Params) -> NormalForm:
     """U~ F in normal form, the embedding of U~ times F, as in the step
     rows.  The isomorphism U -> e^-1 U~ F from the two-generator quotient
     algebra onto the spherical ("sym") or antispherical ("asym")
     subalgebra is e^-1 times this.  U~ is the K0/K1 word U read in the
     central extension; for "asym" K0 is first replaced by q K0, since the
-    source is the quotient at the shifted parameters (qa, qb, c, d).
-    ``budget`` bounds the rule applications behind each basis product not
-    yet memoized, its new sub-products included."""
+    source is the quotient at the shifted parameters (qa, qb, c, d)."""
     if u.alphabet != "aw":
         raise ValueError("the subalgebra isomorphisms take K0/K1 words")
     system = rewrite_system(params)
     terms = {word: system._lift(c) for word, c in u.terms.items()}
-    return system._normal_form(system._iso_image(family, terms, budget))
+    return system._normal_form(system._iso_image(family, terms))
 
 
 # ---------------------------------------------------------------------------
 # The strict-dominance filtration
 
 
-def is_o_of(nf: NormalForm, m: int, n: int) -> bool:
-    """Strict-dominance test: the element must be free of T1 and every
-    monomial Z^k Y^l must satisfy |k| <= |m|, |l| <= |n| and
-    (|k|, |l|) != (|m|, |n|)."""
-    return _dominated(nf.terms, m, n)
-
-
 def _dominated(keys: Iterable[tuple[int, int, int]], m: int, n: int) -> bool:
-    # is_o_of on the basis keys of a normal form, lifted or not
+    """Strict-dominance test on the basis keys of a normal form: each key
+    must be free of T1, and its monomial Z^k Y^l must satisfy |k| <= |m|,
+    |l| <= |n| and (|k|, |l|) != (|m|, |n|)."""
     m, n = abs(m), abs(n)
     for k, l, i in keys:
         k, l = abs(k), abs(l)
@@ -1424,41 +1397,35 @@ def _step_exponents(row: StepRow, m: int, n: int) -> tuple[int, int]:
     return (1, 1) if row.kind == "exact" else (m, n)
 
 
-def _step_lhs(row: StepRow, m: int, n: int, params: Params, budget: int) -> NormalForm:
+def _step_lhs(row: StepRow, m: int, n: int, params: Params) -> NormalForm:
     system = rewrite_system(params)
-    return system._normal_form(_lifted_step_lhs(row, m, n, system, budget))
+    return system._normal_form(_lifted_step_lhs(row, m, n, system))
 
 
-def _lifted_step_lhs(row: StepRow, m: int, n: int, system: RewriteSystem, budget: int) -> dict:
+def _lifted_step_lhs(row: StepRow, m: int, n: int, system: RewriteSystem) -> dict:
     # products of lifted factors: the compression F (basis monomial) F, and
     # the embedded K-words times F
     m, n = _step_exponents(row, m, n)
     sm, sn = row.signs
     if row.kind in ("sandwich", "exact", "step3"):
-        sandwich = system._sandwich(row.family, (sm * m, sn * n, 0), budget)
+        sandwich = system._sandwich(row.family, (sm * m, sn * n, 0))
         if row.kind != "step3":
             return sandwich
     if row.kind == "embed":  # one word, coefficient 1: the memoized image itself
         word = ("K1",) * (abs(sm) * m) + ("K0",) * (abs(sn) * n)
-        return system._word_times_f(row.family, word, budget)
+        return system._word_times_f(row.family, word)
     k_word = {
         ("K1",) * (m - 1) + w + ("K0",) * (n - 1): system._table_coef(coef, n)
         for w, coef in row.middle.items()
     }
     if row.kind != "step3":
-        return system._embed_times_f(row.family, k_word, budget)
+        return system._embed_times_f(row.family, k_word)
     c1, c2 = system._table_coef(_ONE_MINUS_Q2, n), system._table_coef(row.scalar, n)
-    images = ((-c2 * c, system._word_times_f(row.family, w, budget)) for w, c in k_word.items())
+    images = ((-c2 * c, system._word_times_f(row.family, w)) for w, c in k_word.items())
     return system._linear(((c1, sandwich), *images))
 
 
-def check_step_identity(
-    identity: str,
-    m: int,
-    n: int,
-    params: Params,
-    budget: int = DEFAULT_BUDGET,
-) -> tuple[NormalForm, bool]:
+def check_step_identity(identity: str, m: int, n: int, params: Params) -> tuple[NormalForm, bool]:
     """Verify one step identity at exponents (m, n).
 
     Returns (residual, verdict): the residual is the left side in normal
@@ -1468,8 +1435,7 @@ def check_step_identity(
     identity reads, and for exact identities when the residual is zero.
     One-index identities read only the exponent they use.  The left side
     is a product of reduced factors (F, a basis monomial, an embedded
-    K-word), so ``budget`` bounds the rule applications behind each basis
-    product not yet memoized, its new sub-products included.
+    K-word).
 
     Everything up to the verdict runs on the product kernel's lifted
     coefficients, int residues at a point of GF(p): the residual is the
@@ -1491,7 +1457,7 @@ def check_step_identity(
     for (k, l), c in _leading(row, m, n, system).items():
         lead_f[(k, l, 1)], lead_f[(k, l, 0)] = c, c * eps
     # the left side, memoized, differs from the residual at these keys only
-    residual = dict(_lifted_step_lhs(row, m, n, system, budget))
+    residual = dict(_lifted_step_lhs(row, m, n, system))
     zero = system._lift_zero
     for key, c in lead_f.items():
         residual[key] = residual.get(key, zero) - c
@@ -1566,13 +1532,10 @@ def _shift_operators(params: Params) -> tuple[Element, Element]:
     )
 
 
-def shift_operator_identities(
-    params: Params, budget: int = DEFAULT_BUDGET
-) -> tuple[NormalForm, NormalForm]:
+def shift_operator_identities(params: Params) -> tuple[NormalForm, NormalForm]:
     """Both shift-operator compressions; each must reduce to zero.
 
     They are :func:`compress` of Y + (a^2 b^2 cd/q) Y^-1 - (abcd/q + ab) by
-    T1+1 and of Y + (cd/q) Y^-1 - (cd/q + 1) by T1+ab, and ``budget`` bounds
-    what it bounds there."""
+    T1+1 and of Y + (cd/q) Y^-1 - (cd/q + 1) by T1+ab."""
     d_minus, d_plus = _shift_operators(params)
-    return compress("sym", d_minus, params, budget), compress("asym", d_plus, params, budget)
+    return compress("sym", d_minus, params), compress("asym", d_plus, params)

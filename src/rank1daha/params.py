@@ -25,11 +25,11 @@ Zippel, EUROSAM 1979), and only then can the identity falsely pass.
 :class:`Params` is one parameter set, stored as its five values: free
 indeterminates (:func:`make_params` in symbolic mode), rational constants
 (specialized mode), residues mod p (:func:`random_params_mod_p`), or the
-derived values of the shifted family (qa, qb, c, d), the dual family
-(s, ab/s, ac/s, ad/s) with s^2 = abcd/q, and the swapped families.
-abcd/q is not a square in Q(q,a,b,c,d), but d -> q d^2/(abc) embeds that
-field into itself and sends abcd/q to d^2, so the dual family is taken at
-the moved point :meth:`Params.with_square_root`, where s = d.  One routine
+derived values of the shifted family (qa, qb, c, d) or the dual family
+(s, ab/s, ac/s, ad/s) with s^2 = abcd/q.  abcd/q is not a square in
+Q(q,a,b,c,d), but d -> q d^2/(abc) embeds that field into itself and
+sends abcd/q to d^2, so the dual family is taken at the moved point
+:meth:`Params.with_square_root`, where s = d.  One routine
 checks the genericity conditions for all of them: :func:`make_params` on
 outside input, the sampler mod p, and every derived family whose values
 are constants.  All derived scalar quantities (elementary symmetric
@@ -828,13 +828,6 @@ class Params:
         """The same parameters with a -> qa and b -> qb (c, d, q fixed)."""
         q, a, b, c, d = self.vals
         return self._derived((q, q * a, q * b, c, d), ";shift(a->qa,b->qb)")
-
-    def swapped(self, x: str, y: str) -> "Params":
-        """The same parameters with the values of ``x`` and ``y`` exchanged."""
-        vals = list(self.vals)
-        i, j = _PARAM_INDEX[x], _PARAM_INDEX[y]
-        vals[i], vals[j] = vals[j], vals[i]
-        return self._derived(vals, f";swap({x},{y})")
 
     def with_square_root(self) -> "Params":
         """The symbolic point moved by d -> q d^2/(abc), where abcd/q = d^2.

@@ -132,7 +132,10 @@ def _fmt_short(value) -> str:
 
 def _check_relations_daha(params, bounds, rng) -> str:
     # termination and the left sides first: they are cheap, and the overlaps
-    # of a table that does not terminate can rewrite until the budget runs out
+    # of a table that does not terminate can rewrite until the budget runs out.
+    # The overlaps are reduced through the product kernel; each of its steps
+    # applies one rule in context, so a zero there is a reduction to zero, and
+    # the diamond lemma asks for no particular strategy
     system = ncalg.rewrite_system(params)
     for lhs, word in system.termination_failures():
         return f"rule {'*'.join(lhs)}: right-side word {' '.join(word)} is not below its left side"
@@ -225,13 +228,13 @@ def _kernel(point, keys, gens) -> tuple[int, list[dict]]:
     # and the images of the keys, block j keyed (j, key), on the kernel's lifted coefficients:
     # [x, g] = xg - gx from the memoized basis products
     system = ncalg.rewrite_system(point)
-    product, zero, budget, images = system._product, system._lift_zero, ncalg.DEFAULT_BUDGET, []
+    product, zero, images = system._product, system._lift_zero, []
     for x in keys:
         image = {}
         for j, g in enumerate(gens):
-            for k, c in product(x, g, budget).items():
+            for k, c in product(x, g).items():
                 image[(j, k)] = c
-            for k, c in product(g, x, budget).items():
+            for k, c in product(g, x).items():
                 image[(j, k)] = image.get((j, k), zero) - c
         images.append(image)
     return len(images) - ncalg._rank(images, point), images
@@ -248,8 +251,8 @@ def _k_words(bound: int) -> list[tuple[str, ...]]:
 def _check_iso_rank(family: str, point, bounds, rng) -> str | None:
     system = ncalg.rewrite_system(point)
     words = [w for w in _k_words(4) if len(w) <= 4]  # n + 2l + m <= 4: 21 words
-    one, budget = system._lift_one, ncalg.DEFAULT_BUDGET
-    images = {w: system._iso_image(family, {w: one}, budget) for w in words}
+    one = system._lift_one
+    images = {w: system._iso_image(family, {w: one}) for w in words}
     if ncalg._rank(images.values(), point) < len(images):
         return None
     # control: with J(K0) replaced by 2 J(K1) the rank drops by one
@@ -367,7 +370,7 @@ def _check_centralizer_t1(point, bounds, rng) -> str | None:
         return outside or bool(system._linear((c, commutators[key]) for key, c in v.items()))
 
     words = [w + t for w in _k_words(2) for t in ((), ("T1",))]
-    embedded = [system._embed_word(w, ncalg.DEFAULT_BUDGET) for w in words]
+    embedded = [system._embed_word(w) for w in words]
     for word, v in zip(words, embedded):
         if rejected(v):
             return f"embedded {' '.join(word)} leaves the box or does not commute with T1"

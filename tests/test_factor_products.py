@@ -1,19 +1,21 @@
 """The kernel's maps are products of reduced factors; rewriting the fully
 expanded element is the oracle they must agree with.
 
-``compress``, ``iso_image``, ``embed_aw`` and the left sides of the step
-identities multiply short normal forms (F, basis monomials, letter
-images) through the memoized basis products, and each basis product
-applies one rule at a time, at the junction of a letter and a basis word.
-Here the basis products and the maps are compared with ``reduce`` of the
-same element written out as a sum of words, at symbolic parameters on
-small inputs, at a rational point and at points of GF(p).
+``reduce``, ``compress``, ``iso_image``, ``embed_aw`` and the left sides of
+the step identities multiply short normal forms (F, basis monomials,
+letter images) through the memoized basis products, and each basis
+product applies one rule at a time, at the junction of a letter and a
+basis word.  Here the basis products, ``reduce`` and the maps are compared
+with the breadth-first rewriting of ``rewriting.py`` of the same element
+written out as a sum of words, at symbolic parameters on small inputs, at
+a rational point and at points of GF(p).
 """
 
 import random
 from collections import OrderedDict
 
 import pytest
+from rewriting import rewrite, rewrite_terms
 
 from rank1daha import ncalg
 from rank1daha.errors import BudgetExhausted
@@ -71,7 +73,7 @@ def _iso_oracle(family, u, params):
     if family == "asym":
         q = params.value("q")
         tilde = Element("aw", {w: c * q ** w.count("K0") for w, c in u.terms.items()})
-    return reduce(embed_element(tilde, params) * f, params)
+    return rewrite(embed_element(tilde, params) * f, params)
 
 
 def _step_lhs_oracle(row, m, n, params):
@@ -117,7 +119,20 @@ def test_basis_products_match_rewriting(which, request):
     for key1, key2 in pairs:
         word = ncalg._basis_word(*key1) + ncalg._basis_word(*key2)
         got = system.basis_product(key1, key2)
-        assert got == system.reduce_terms({word: system.one}), (key1, key2)
+        assert got == rewrite_terms(system, {word: system.one}), (key1, key2)
+
+
+@pytest.mark.parametrize("which", ["sym", "gpoint", "modp"])
+def test_reduce_matches_rewriting(which, request):
+    # reduce splits a word at its leftmost or rightmost redex and multiplies
+    # the parts through the basis products; both orders must give the oracle's
+    params = random_params_mod_p(random.Random(3)) if which == "modp" else request.getfixturevalue(which)
+    rng = random.Random(9)
+    for word in _words(rng, ncalg.DAHA_ALPHABET, 20, 4 if which == "sym" else 6):
+        e = Element("daha", {word: _ONE})
+        want = rewrite(e, params)
+        for strategy in ("leftmost", "rightmost"):
+            assert reduce(e, params, strategy=strategy) == want, (word, strategy)
 
 
 def test_compress_matches_rewriting(point):
@@ -126,7 +141,7 @@ def test_compress_matches_rewriting(point):
         f, _ = symmetrizer(family, point)
         for word in _words(rng, ncalg.DAHA_ALPHABET, 4, _max_len(point, 2, 4)):
             u = Element("daha", {word: _ONE})
-            assert compress(family, u, point) == reduce(f * u * f, point), word
+            assert compress(family, u, point) == rewrite(f * u * f, point), word
 
 
 def test_iso_image_matches_rewriting(point):
@@ -141,15 +156,15 @@ def test_embed_aw_matches_rewriting(point):
     rng = random.Random(7)
     for _ in range(4):
         e = _aw_element(rng, _max_len(point, 3, 5))
-        assert embed_aw(e, point) == reduce(embed_element(e, point), point), e
+        assert embed_aw(e, point) == rewrite(embed_element(e, point), point), e
 
 
 def test_step_left_sides_match_rewriting(point):
     for name, row in STEP_IDENTITIES.items():
         for m in (1, 2):
             for n in (1, 2):
-                got = ncalg._step_lhs(row, m, n, point, ncalg.DEFAULT_BUDGET)
-                assert got == reduce(_step_lhs_oracle(row, m, n, point), point), (name, m, n)
+                got = ncalg._step_lhs(row, m, n, point)
+                assert got == rewrite(_step_lhs_oracle(row, m, n, point), point), (name, m, n)
 
 
 def test_shift_operators_match_rewriting(point):
@@ -164,10 +179,10 @@ def test_shift_operators_match_rewriting(point):
     f_sym, _ = symmetrizer("sym", point)
     f_asym, _ = symmetrizer("asym", point)
     first, second = shift_operator_identities(point)
-    assert first == reduce(f_sym * d_minus * f_sym, point)
-    assert second == reduce(f_asym * d_plus * f_asym, point)
+    assert first == rewrite(f_sym * d_minus * f_sym, point)
+    assert second == rewrite(f_asym * d_plus * f_asym, point)
     perturbed = compress("sym", d_minus + 1, point)
-    assert perturbed == reduce(f_sym * (d_minus + 1) * f_sym, point)
+    assert perturbed == rewrite(f_sym * (d_minus + 1) * f_sym, point)
     assert not perturbed.is_zero()
 
 
@@ -191,7 +206,7 @@ def test_step_rows_build_f_once_and_rewrite_no_words(monkeypatch):
     calls for the 106 evaluations."""
     monkeypatch.setattr(ncalg, "_SYSTEMS", OrderedDict())
     calls = {"symmetrizer": 0, "reduce_terms": 0}
-    build, rewrite = ncalg.symmetrizer, ncalg.RewriteSystem.reduce_terms
+    build, reduce_terms = ncalg.symmetrizer, ncalg.RewriteSystem.reduce_terms
 
     def counted_build(*args, **kwargs):
         calls["symmetrizer"] += 1
@@ -199,7 +214,7 @@ def test_step_rows_build_f_once_and_rewrite_no_words(monkeypatch):
 
     def counted_rewrite(*args, **kwargs):
         calls["reduce_terms"] += 1
-        return rewrite(*args, **kwargs)
+        return reduce_terms(*args, **kwargs)
 
     monkeypatch.setattr(ncalg, "symmetrizer", counted_build)
     monkeypatch.setattr(ncalg.RewriteSystem, "reduce_terms", counted_rewrite)
@@ -242,21 +257,32 @@ def test_warm_step_rows_take_no_modp_arithmetic(monkeypatch):
 
 # each map reaches a looping rule only through its basis products
 _LOOPING_CALLS = {
-    "compress": lambda p: compress("sym", Element.word(("Z",), "daha"), p, budget=10),
-    "iso_image": lambda p: iso_image("asym", Element.word(("K0", "K1"), "aw"), p, budget=10),
-    "step.44": lambda p: check_step_identity("44", 1, 1, p, budget=10),
-    "step.56": lambda p: check_step_identity("56", 1, 1, p, budget=10),
+    "compress": lambda p: compress("sym", Element.word(("Z",), "daha"), p),
+    "iso_image": lambda p: iso_image("asym", Element.word(("K0", "K1"), "aw"), p),
+    "step.44": lambda p: check_step_identity("44", 1, 1, p),
+    "step.56": lambda p: check_step_identity("56", 1, 1, p),
+    "reduce-leftmost": lambda p: reduce(Element.word(("T1", "Y", "Z"), "daha"), p),
+    "reduce-rightmost": lambda p: reduce(
+        Element.word(("T1", "Y", "Z"), "daha"), p, strategy="rightmost"
+    ),
+    "critical_pairs": lambda p: list(ncalg.rewrite_system(p).critical_pairs()),
 }
+
+
+def _looping_table(monkeypatch, point):
+    # a rule table that never terminates is what the budget guards against
+    monkeypatch.setattr(ncalg, "_SYSTEMS", OrderedDict())
+    rules = ncalg.rewrite_system(point).rules
+    one = rules[("Z", "Zi")][0][1]
+    monkeypatch.setitem(rules, ("T1", "T1"), ((("T1", "T1"), one),))
+    monkeypatch.setitem(rules, ("Y", "Z"), ((("Y", "Z"), one),))
+    return one
 
 
 @pytest.mark.parametrize("name", sorted(_LOOPING_CALLS))
 def test_a_looping_rule_exhausts_the_budget(monkeypatch, gpoint, name):
-    # a rule table that never terminates is what the budget guards against
-    monkeypatch.setattr(ncalg, "_SYSTEMS", OrderedDict())
-    rules = ncalg.rewrite_system(gpoint).rules
-    one = rules[("Z", "Zi")][0][1]
-    monkeypatch.setitem(rules, ("T1", "T1"), ((("T1", "T1"), one),))
-    monkeypatch.setitem(rules, ("Y", "Z"), ((("Y", "Z"), one),))
+    _looping_table(monkeypatch, gpoint)
+    monkeypatch.setattr(ncalg, "DEFAULT_BUDGET", 10)
     with pytest.raises(BudgetExhausted, match="exceeded 10 rule applications"):
         _LOOPING_CALLS[name](gpoint)
 
@@ -267,20 +293,36 @@ def test_a_looping_rule_exhausts_the_budget_mod_p(monkeypatch, name):
     # residues; under the default budget the loop nests past the
     # interpreter's limit first, and that ends in BudgetExhausted too
     point = random_params_mod_p(random.Random(3))
-    monkeypatch.setattr(ncalg, "_SYSTEMS", OrderedDict())
-    rules = ncalg.rewrite_system(point).rules
-    one = rules[("Z", "Zi")][0][1]
-    monkeypatch.setitem(rules, ("T1", "T1"), ((("T1", "T1"), one),))
-    monkeypatch.setitem(rules, ("Y", "Z"), ((("Y", "Z"), one),))
+    one = _looping_table(monkeypatch, point)
     t1 = NormalForm({(0, 0, 1): one})
     calls = {
-        "multiply": lambda budget: ncalg.multiply(t1, t1, point, budget),
-        "embed_aw": lambda budget: embed_aw(Element.word(("K0", "K1"), "aw"), point, budget),
+        "multiply": lambda: ncalg.multiply(t1, t1, point),
+        "embed_aw": lambda: embed_aw(Element.word(("K0", "K1"), "aw"), point),
     }
-    with pytest.raises(BudgetExhausted, match="exceeded 10 rule applications"):
-        calls[name](10)
     with pytest.raises(BudgetExhausted, match="nested too deeply"):
-        calls[name](ncalg.DEFAULT_BUDGET)
+        calls[name]()
+    monkeypatch.setattr(ncalg, "DEFAULT_BUDGET", 10)
+    with pytest.raises(BudgetExhausted, match="exceeded 10 rule applications"):
+        calls[name]()
+
+
+def test_reduce_splits_words_into_basis_products(monkeypatch):
+    """Work gate on ``reduce`` of Y^3 Z^3 T1 Y^-2 Z^-2 at a cold point of
+    GF(p): the word is split at its redexes into basis words, and their
+    products take 462 one-rule steps (``_peel`` calls).  Rewriting the
+    whole word breadth first applied 257,857 rules."""
+    monkeypatch.setattr(ncalg, "_SYSTEMS", OrderedDict())
+    calls, peel = [0], ncalg.RewriteSystem._peel
+
+    def counted(self, *args):
+        calls[0] += 1
+        return peel(self, *args)
+
+    monkeypatch.setattr(ncalg.RewriteSystem, "_peel", counted)
+    word = ("Y",) * 3 + ("Z",) * 3 + ("T1",) + ("Yi",) * 2 + ("Zi",) * 2
+    point = random_params_mod_p(random.Random(3))
+    assert not reduce(Element.word(word, "daha"), point).is_zero()
+    assert 0 < calls[0] <= 510, calls[0]
 
 
 def test_step3_and_iso_rewrite_no_words(monkeypatch):

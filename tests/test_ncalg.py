@@ -5,6 +5,7 @@ from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
+from rewriting import rewrite
 
 from rank1daha import ncalg
 from rank1daha.errors import BudgetExhausted, DegenerateParameters
@@ -12,13 +13,13 @@ from rank1daha.ncalg import (
     Element,
     NormalForm,
     RewriteSystem,
+    _dominated,
     _is_basis_word,
     _rank,
     aw_relations,
     compress,
     duality_image,
     embed_aw,
-    is_o_of,
     iso_image,
     multiply,
     quotient_relations,
@@ -119,10 +120,12 @@ def test_reduction_fixed_point_and_confluence(gpoint):
         assert left == right == again
 
 
-def test_budget_exhaustion_raises():
+def test_budget_exhaustion_raises(monkeypatch):
     p = make_params("specialized", {"q": Fraction(3, 2), "a": 2, "b": 3, "c": 5, "d": 7})
+    monkeypatch.setattr(ncalg, "_SYSTEMS", OrderedDict())
+    monkeypatch.setattr(ncalg, "DEFAULT_BUDGET", 10)
     with pytest.raises(BudgetExhausted):
-        reduce(w(*["Y", "Z"] * 4), p, budget=10)
+        reduce(w(*["Y", "Z"] * 4), p)
 
 
 def test_unknown_strategy_rejected(gpoint):
@@ -194,15 +197,22 @@ def test_certificate_control_missing_rule(gpoint):
 
 def test_products_refuse_a_word_a_missing_rule_leaves(monkeypatch, gpoint):
     # without the Y*Yi rule, Y times Y^-1 T1 is the irreducible word Y Yi T1:
-    # the product kernel names it as reduce does, where it read it as T1
+    # the product kernel names it, where it read it as T1
     monkeypatch.setattr(ncalg, "_SYSTEMS", OrderedDict())
-    del rewrite_system(gpoint).rules[("Y", "Yi")]
+    system = rewrite_system(gpoint)
+    del system.rules[("Y", "Yi")]
     one = RatFunc.one()
     y, y_inv_t1 = NormalForm({(0, 1, 0): one}), NormalForm({(0, -1, 1): one})
     with pytest.raises(ValueError, match="irreducible word Y Yi T1 is not a basis word"):
         reduce(w("Y", "Yi", "T1"), gpoint)
     with pytest.raises(ValueError, match="irreducible word Y Yi T1 is not a basis word"):
         multiply(y, y_inv_t1, gpoint)
+    # reduce splits a word at a redex into a part that admits no rule and the
+    # rest; the part is checked too, where Y Yi T1 Z would read as T1 Z
+    for word in (("Y", "Yi", "T1", "Z"), ("Z", "Y", "Yi", "T1")):
+        for strategy in ("leftmost", "rightmost"):
+            with pytest.raises(ValueError, match="is not a basis word"):
+                system.reduce_terms({word: one}, strategy)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +226,7 @@ def _check_multiply_identity_and_consistency(params):
         u = reduce(w(*[rng.choice(LETTERS) for _ in range(3)]), params)
         v = reduce(w(*[rng.choice(LETTERS) for _ in range(3)]), params)
         assert multiply(one, u, params) == u
-        assert multiply(u, v, params) == reduce(u.as_element() * v.as_element(), params)
+        assert multiply(u, v, params) == rewrite(u.as_element() * v.as_element(), params)
 
 
 def test_multiply_identity_and_consistency(gpoint):
@@ -405,18 +415,17 @@ def test_iso_antispherical_kills_shifted_relation(gpoint):
 # Dominance predicate
 
 
-def test_is_o_of(sym):
-    one = RatFunc.one()
-    assert not is_o_of(NormalForm({(2, 1, 0): one}), 2, 1)
-    assert is_o_of(NormalForm({(1, 1, 0): one * 3, (-1, 0, 0): one}), 2, 1)
-    assert not is_o_of(NormalForm({(-2, 1, 0): one}), 2, 1)
+def test_dominated():
+    assert not _dominated([(2, 1, 0)], 2, 1)
+    assert _dominated([(1, 1, 0), (-1, 0, 0)], 2, 1)
+    assert not _dominated([(-2, 1, 0)], 2, 1)
     # a T1 term is rejected even where its exponents are dominated
-    assert not is_o_of(NormalForm({(2, 0, 1): one}), 2, 1)
+    assert not _dominated([(2, 0, 1)], 2, 1)
     # the corner is dominated only in a larger box; an edge point and zero are dominated
-    assert is_o_of(NormalForm({(2, 1, 0): one}), 2, 2)
-    assert not is_o_of(NormalForm({(2, 2, 0): one}), 2, 2)
-    assert is_o_of(NormalForm({(2, 2, 0): one}), 3, 3)
-    assert is_o_of(NormalForm({}), 1, 1)
+    assert _dominated([(2, 1, 0)], 2, 2)
+    assert not _dominated([(2, 2, 0)], 2, 2)
+    assert _dominated([(2, 2, 0)], 3, 3)
+    assert _dominated([], 1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -408,8 +408,6 @@ def test_admissibility_mod_p():
     shifts_to_ab_one = point(2, Fraction(1, 3), Fraction(3, 4), Fraction(1, 4), Fraction(9, 2))
     with pytest.raises(DegenerateParameters, match="ab = 1"):
         shifts_to_ab_one.shifted()
-    with pytest.raises(DegenerateParameters, match="ab = 1"):
-        point(Fraction(3, 2), 2, 3, Fraction(1, 3), 7).swapped("a", "c")
 
 
 # ---------------------------------------------------------------------------
@@ -645,16 +643,6 @@ def test_derived_labels(spoint, sym):
     assert sym.with_square_root().dual().shifted().label == (
         "symbolic;d->qd^2/(abc);dual(s,ab/s,ac/s,ad/s);shift(a->qa,b->qb)"
     )
-    assert sym.swapped("a", "c").label == "symbolic;swap(a,c)"
-
-
-def test_swapped_params(sym, gpoint):
-    swapped = sym.swapped("a", "c")
-    assert (swapped.value("a"), swapped.value("c"), swapped.value("b")) == (C, A, B)
-    assert swapped.is_symbolic
-    assert gpoint.swapped("b", "d") == make_params(
-        "specialized", {"q": Fraction(3, 2), "a": 2, "b": 7, "c": 5, "d": 3}
-    )
 
 
 def test_every_rational_family_is_validated():
@@ -673,9 +661,3 @@ def test_every_rational_family_is_validated():
     ]
     with pytest.raises(DegenerateParameters):
         dual.shifted()
-    # swapping a and c gives ab = 1
-    point = make_params(
-        "specialized", {"q": Fraction(3, 2), "a": 2, "b": 3, "c": Fraction(1, 3), "d": 7}
-    )
-    with pytest.raises(DegenerateParameters):
-        point.swapped("a", "c")

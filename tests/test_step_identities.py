@@ -10,11 +10,12 @@ literal leading coefficients as well as sweep the whole table.
 import random
 
 import pytest
+from rewriting import rewrite
 from test_factor_products import _step_lhs_oracle
 
 from rank1daha import ncalg
 from rank1daha.errors import UnknownIdentity
-from rank1daha.ncalg import STEP_IDENTITIES, Element, check_step_identity, reduce, symmetrizer
+from rank1daha.ncalg import STEP_IDENTITIES, Element, check_step_identity, symmetrizer
 from rank1daha.params import random_params_mod_p
 from rank1daha.verify import RunConfig, run_checks
 
@@ -129,8 +130,8 @@ def test_perturbed_row_fails(monkeypatch, gpoint, name, key):
 @pytest.mark.parametrize("which", ["gpoint", "modp", "sym"])
 @pytest.mark.parametrize("name, key", _CONTROLS)
 def test_perturbed_residual_matches_rewriting(monkeypatch, request, which, name, key):
-    # a failure prints the residual, so it must be the oracle's: reduce of
-    # the expanded left side minus the leading terms times F
+    # a failure prints the residual, so it must be the oracle's: the rewritten
+    # expanded left side minus the leading terms times F
     if which == "modp":
         point = random_params_mod_p(random.Random(3))
     else:
@@ -144,7 +145,7 @@ def test_perturbed_residual_matches_rewriting(monkeypatch, request, which, name,
         for (sk, sl), coef in row.leading.items()
     }
     f, _ = symmetrizer(row.family, point)
-    expected = reduce(_step_lhs_oracle(row, 2, 2, point) - Element("daha", leading) * f, point)
+    expected = rewrite(_step_lhs_oracle(row, 2, 2, point) - Element("daha", leading) * f, point)
     residual, ok = check_step_identity(name, 2, 2, point)
     assert not ok
     assert residual == expected
@@ -163,8 +164,8 @@ def test_residual_off_the_right_factor_fails(monkeypatch, request, which):
     lhs, (base, _) = ncalg._lifted_step_lhs, check_step_identity("44", 2, 1, point)
 
     def plus(extra):
-        def patched(row, m, n, system, budget):
-            return system._linear(((one, lhs(row, m, n, system, budget)), (one, extra)))
+        def patched(row, m, n, system):
+            return system._linear(((one, lhs(row, m, n, system)), (one, extra)))
 
         return patched
 

@@ -584,10 +584,10 @@ def test_center_check_forms_each_commutator_once(monkeypatch):
     products, where forming the Z commutators again took 304 products."""
     calls, product = [], ncalg.RewriteSystem._product
 
-    def counted(self, key1, key2, budget, spent=None):
+    def counted(self, key1, key2, spent=None):
         if spent is None:  # a product asked for, not a sub-product of one
             calls.append((key1, key2))
-        return product(self, key1, key2, budget, spent)
+        return product(self, key1, key2, spent)
 
     monkeypatch.setattr(ncalg.RewriteSystem, "_product", counted)
     point = random_params_mod_p(random.Random(3))
@@ -602,7 +602,7 @@ def test_multiplicativity_controls_catch_a_vacuous_map(monkeypatch, gpoint):
     # a map that sends everything to zero satisfies every multiplicativity
     # identity (test_acceptance.py::test_05 has the compression's control);
     # under the rank certificates its images have rank 0, which proves nothing
-    monkeypatch.setattr(ncalg.RewriteSystem, "_iso_image", lambda self, family, terms, budget: {})
+    monkeypatch.setattr(ncalg.RewriteSystem, "_iso_image", lambda self, family, terms: {})
     bounds = {"max_mn": 1, "max_degree": 0, "max_n": 0}
     for check_id in RANK_CHECKS[:2]:
         with pytest.raises(DegenerateParameters, match=f"rank drops at {gpoint.label}$"):
@@ -677,8 +677,8 @@ def test_rank_certificates_fail_on_planted_defects(monkeypatch, which, request):
     # embedded words that leave the box or do not commute with T1
     embed_word = system._embed_word
     for key, word in (((3, 0, 0), "K1"), ((1, 0, 0), "K0 K1")):
-        wrong = lambda self, w, budget, word=tuple(word.split()), key=key: (
-            {key: self._lift_one} if w == word else embed_word(self, w, budget)
+        wrong = lambda self, w, word=tuple(word.split()), key=key: (
+            {key: self._lift_one} if w == word else embed_word(self, w)
         )
         monkeypatch.setattr(system, "_embed_word", wrong)
         summary = _rank_summary(monkeypatch, "centralizer.t1", point)
@@ -687,7 +687,7 @@ def test_rank_certificates_fail_on_planted_defects(monkeypatch, which, request):
     # basis products under which everything commutes accept Z, and make the
     # center everything
     product = system._product
-    monkeypatch.setattr(system, "_product", lambda self, key1, key2, budget, spent=None: {})
+    monkeypatch.setattr(system, "_product", lambda self, key1, key2, spent=None: {})
     assert _rank_summary(monkeypatch, "centralizer.t1", point) == (
         "control: Z accepted in place of an embedded word"
     )
@@ -696,8 +696,8 @@ def test_rank_certificates_fail_on_planted_defects(monkeypatch, which, request):
     monkeypatch.setattr(system, "_product", product)
     # a dependent image is a drop, never a fail
     iso_image = system._iso_image
-    dependent = lambda self, family, terms, budget: iso_image(
-        self, family, {("K1",): self._lift_one} if ("K0",) in terms else terms, budget
+    dependent = lambda self, family, terms: iso_image(
+        self, family, {("K1",): self._lift_one} if ("K0",) in terms else terms
     )
     monkeypatch.setattr(system, "_iso_image", dependent)
     with pytest.raises(DegenerateParameters, match="rank drops at"):
