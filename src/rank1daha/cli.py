@@ -68,7 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument("--seed", type=int, metavar="N")
     p_run.add_argument("--trials", type=int, metavar="N")
-    p_run.add_argument("--max-mn", type=int, metavar="N", dest="max_mn")
+    p_run.add_argument("--max-mn", type=int, metavar="N", dest="max_mn",
+                       help="at least 1; bounds nothing, as (1, 1) decides every step row")
     p_run.add_argument("--max-degree", type=int, metavar="N", dest="max_degree")
     p_run.add_argument("--max-n", type=int, metavar="N", dest="max_n")
     _add_param_options(p_run)

@@ -72,8 +72,21 @@ holds:
   belongs to and, on that check's first row, the check's statement.
 
 Every coefficient is a tuple of integer terms (c, i, j, k, l) meaning the
-sum of c q^i a^j b^k u^(l n) with u = abcd/q.  One evaluator,
-:func:`check_step_identity`, serves every row.
+sum of c q^i a^j b^k u^(l n) with u = abcd/q.  :func:`check_step_identity`
+evaluates every row, and a row that holds at (1, 1) holds for every m, n >= 1
+iff each term has the l its signs force (:func:`_scaling_break`): (sn - sl)/2
+at the corner (sk, sl), (sn - 1)/2 in a step-3 scalar, 0 in a middle word or
+where n is not read.  F commutes with K1 = Z + Z^-1 and K~0 = Y + uY^-1
+(``embed.t1central``); Z^2 = K1 Z - 1 and Y^2 = K~0 Y - u give, for all integers,
+Z^m = p_m(K1) + q_m(K1) Z and Y^n = p'_n(K~0) + Y q'_n(K~0), so F Z^m Y^n F =
+p_m G_1 p'_n + p_m G_Y q'_n + q_m G_Z p'_n + q_m G_ZY q'_n with G_X = F X F, and
+the K-words are K1^(m-1) J(w)F K~0^(n-1) (Koornwinder, SIGMA 3 (2007) 063).
+The polynomials shift basis keys (Z is leftmost, K~0 passes T1), and each base
+form is S F, S free of T1 on [-1, 1]^2: G_1 by ``idempotents``, G_Z, G_Y, G_ZY by
+the (1, 1) instances of step.44, 47, 49 (astep.* for "asym"), J(w)F by the row's
+own.  So every key at (m, n) has |k| <= m, |l| <= n, and a corner is reached
+only through extreme coefficients, free of m and homogeneous in n (deg Y = 1,
+deg u = 2): corner(m, n) = corner(1, 1) u^((sn - sl)(n - 1)/2).
 """
 
 from __future__ import annotations
@@ -1392,6 +1405,16 @@ STEP_IDENTITIES: dict[str, StepRow] = {
 }
 
 
+def _scaling_break(row: StepRow) -> str:
+    """The first term of ``row`` that breaks the docstring's scaling rule, or ""."""
+    sn = row.signs[1]  # 0 where the row reads no n
+    forced = [(str(key), c, (sn - key[1]) / 2) for key, c in row.leading.items()]
+    forced += [(" ".join(w), c, 0) for w, c in row.middle.items()]
+    forced += [("scalar", row.scalar, (sn - 1) / 2)] if row.kind == "step3" else []
+    return next((f"{where} coefficient term {t}: u^({t[4]} n), forced u^({l:g} n)"
+                 for where, terms, l in forced for t in terms if t[4] != l), "")
+
+
 def _step_exponents(row: StepRow, m: int, n: int) -> tuple[int, int]:
     # the exact rows compress one letter whatever the exponents
     return (1, 1) if row.kind == "exact" else (m, n)
@@ -1435,7 +1458,8 @@ def check_step_identity(identity: str, m: int, n: int, params: Params) -> tuple[
     identity reads, and for exact identities when the residual is zero.
     One-index identities read only the exponent they use.  The left side
     is a product of reduced factors (F, a basis monomial, an embedded
-    K-word).
+    K-word).  The catalog reads (1, 1), which with :func:`_scaling_break`
+    decides every exponent; the general (m, n) is the tests' oracle.
 
     Everything up to the verdict runs on the product kernel's lifted
     coefficients, int residues at a point of GF(p): the residual is the

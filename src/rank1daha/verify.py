@@ -261,18 +261,19 @@ def _check_iso_rank(family: str, point, bounds, rng) -> str | None:
     return "" if rank == len(images) - 1 else f"control: rank {rank} with J(K0) = 2 J(K1)"
 
 
-def _check_steps(names: tuple[str, ...]):
-    # rows of one catalog check; a row's signs give the exponents it reads
+def _check_steps(names: Sequence[str]):
+    # rows of one catalog check: the scaling rule on the table data of every
+    # row, then each row at (1, 1), decide every exponent
     def run(params, bounds, rng) -> str:
-        exponents = range(1, bounds["max_mn"] + 1)
+        where = {name: f"{name} " if len(names) > 1 else "" for name in names}
         for name in names:
-            uses_m, uses_n = ncalg.STEP_IDENTITIES[name].uses()
-            for m in exponents if uses_m else (1,):
-                for n in exponents if uses_n else (1,):
-                    residual, ok = ncalg.check_step_identity(name, m, n, params)
-                    if not ok:
-                        where = f"{name} " if len(names) > 1 else ""
-                        return f"{where}(m,n)=({m},{n}): {_fmt_nf(residual)}"
+            broken = ncalg._scaling_break(ncalg.STEP_IDENTITIES[name])
+            if broken:
+                return where[name] + broken
+        for name in names:
+            residual, ok = ncalg.check_step_identity(name, 1, 1, params)
+            if not ok:
+                return f"{where[name]}(m,n)=(1,1): {_fmt_nf(residual)}"
         return ""
 
     return run
@@ -467,15 +468,16 @@ def _step_catalog_entries() -> list[CheckSpec]:
     groups: dict[str, list[str]] = {}
     for name, row in ncalg.STEP_IDENTITIES.items():
         groups.setdefault(row.check, []).append(name)
-    return [
-        CheckSpec(
-            check_id,
-            ncalg.STEP_IDENTITIES[names[0]].statement,
-            "exact",
-            _check_steps(tuple(names)),
-        )
-        for check_id, names in groups.items()
-    ]
+    specs = []
+    for check_id, names in groups.items():
+        row = ncalg.STEP_IDENTITIES[names[0]]
+        twin = "astep" if row.family == "asym" else "step"
+        scope = ", ".join(x for x, used in zip("mn", row.uses()) if used)  # "" for exact rows
+        scope = scope and (f"; for every {scope} >= 1, decided at (1, 1) by embed.t1central, "
+                           f"idempotents, the (1, 1) instances of {twin}.44, {twin}.47 and "
+                           f"{twin}.49, and the u-exponents the signs force")
+        specs.append(CheckSpec(check_id, row.statement + scope, "exact", _check_steps(names)))
+    return specs
 
 
 def _build_catalog() -> list[CheckSpec]:
@@ -662,7 +664,7 @@ def _trial_point(seed: int, k: int) -> Params:
 def _run_one(spec: CheckSpec, config: RunConfig) -> CheckResult:
     """One run of a check at the given point, else at the symbolic one: an
     exact-mode row, or one trial of a prob-mode row."""
-    bounds = {"max_mn": config.max_mn, "max_degree": config.max_degree, "max_n": config.max_n}
+    bounds = {"max_degree": config.max_degree, "max_n": config.max_n}
     # the rank certificates' witness draws at a symbolic point read this;
     # the random points of prob mode come from _trial_point
     rng = random.Random(f"{config.seed}:{spec.id}")

@@ -4,7 +4,10 @@ Every entry states that a short word in the embedded AW generators, cut
 down by a right factor T1+1 (symmetric family) or T1+ab (antisymmetric
 family), equals its listed leading Laurent terms plus a dominated rest.
 The checker returns the residual and a verdict, so the tests can pin
-literal leading coefficients as well as sweep the whole table.
+literal leading coefficients as well as sweep the whole table.  The
+catalog evaluates each row at (m, n) = (1, 1) only, which decides every
+exponent (``test_step_scaling.py``); these sweeps over general (m, n) are
+the oracle of that argument.
 """
 
 import random
