@@ -24,6 +24,7 @@ from .errors import (
     MissingAssignment,
     NotSymmetric,
     ParseError,
+    UnkeyedDenominator,
     UnknownIdentity,
 )
 from .ncalg import (
@@ -109,6 +110,7 @@ __all__ = [
     "RunConfig",
     "StructureConstants",
     "TOOL_VERSION",
+    "UnkeyedDenominator",
     "UnknownIdentity",
     "apply_dsym",
     "apply_k1",

@@ -29,6 +29,16 @@ class DivisionByZero(KernelError):
     """Division or inversion of a zero scalar."""
 
 
+class UnkeyedDenominator(KernelError):
+    """A symbolic scalar would get a denominator that is not a product of
+    keys: binomials alpha + beta y and cyclotomic polynomials Phi_k(y) in
+    one Laurent monomial y of q, a, b, c, d (the denominators of the
+    Askey-Wilson family and of the rewrite rules are such products).  Only
+    a value whose numerator is a monomial or such a binomial has an
+    inverse; the message names the polynomial that was to be inverted.
+    """
+
+
 class BudgetExhausted(KernelError):
     """The rewrite engine exceeded its step budget.
 

@@ -1187,14 +1187,9 @@ class StepRow(NamedTuple):
             return False, False
         return self.signs[0] != 0, self.signs[1] != 0
 
-    def leading_at(self, m: int, n: int, params: Params) -> dict[tuple[int, int], RatFunc]:
-        """The leading terms at exponents (m, n): (k, l) -> coefficient."""
-        system = rewrite_system(params)
-        return {key: system._drop(c) for key, c in _leading(self, m, n, system).items()}
-
 
 def _leading(row: StepRow, m: int, n: int, system: RewriteSystem) -> dict:
-    # StepRow.leading_at with lifted coefficients
+    # the leading terms at exponents (m, n): (k, l) -> lifted coefficient
     m, n = _step_exponents(row, m, n)
     return {
         (sk * m, sl * n): system._table_coef(coef, n) for (sk, sl), coef in row.leading.items()
@@ -1418,11 +1413,6 @@ def _scaling_break(row: StepRow) -> str:
 def _step_exponents(row: StepRow, m: int, n: int) -> tuple[int, int]:
     # the exact rows compress one letter whatever the exponents
     return (1, 1) if row.kind == "exact" else (m, n)
-
-
-def _step_lhs(row: StepRow, m: int, n: int, params: Params) -> NormalForm:
-    system = rewrite_system(params)
-    return system._normal_form(_lifted_step_lhs(row, m, n, system))
 
 
 def _lifted_step_lhs(row: StepRow, m: int, n: int, system: RewriteSystem) -> dict:

@@ -9,10 +9,12 @@ A rational constant is a reduced fraction of two Python ints.  A rational
 function whose reduced denominator is a monomial, as almost every one the
 kernel builds (the rewrite rules invert only q, ab, cd and abcd/q), is a
 Laurent polynomial over Z with one positive integer denominator, and adds
-and multiplies on Python ints.  sympy's sparse field Q(q,a,b,c,d) is
-imported only for an operation that meets or produces a multi-term
-denominator (such as the normalising scalar of P_n) and for printing, so
-the default ``verify run`` never imports it.
+and multiplies on Python ints.  Any other denominator the kernel meets is
+a product of binomials, such as the factors 1 - x q^m of the Askey-Wilson
+normaliser, and the value is a Laurent numerator over a product of keyed
+irreducible factors; only a monomial or a binomial that splits into them
+can be inverted.  Every form prints as sympy 1.14 prints the same element
+of Q(q,a,b,c,d), without importing it.
 
 Probabilistic mode evaluates at points of the prime field GF(p),
 p = 2^61 - 1, instead: a :class:`ModP` is one residue and stands in for a
@@ -39,10 +41,11 @@ computed from the values by a single code path.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
-from operator import add, mul, sub, truediv
+from functools import lru_cache
+from math import gcd, isqrt, prod
+from operator import add, sub
 from typing import Callable, Mapping, NamedTuple, Sequence, TypeVar
 
 import random
@@ -52,6 +55,7 @@ from .errors import (
     DivisionByZero,
     ExtensionDisabled,
     MissingAssignment,
+    UnkeyedDenominator,
 )
 
 __all__ = [
@@ -169,11 +173,9 @@ _ZEXP = (0, 0, 0, 0, 0)
 
 
 class _Lau:
-    """sum(t[e] * x^e) / d, zero being {} / 1.  ``fe`` memoizes the sympy
-    field element of the same value, so a component that meets the general
-    field again and again is converted once."""
+    """sum(t[e] * x^e) / d, zero being {} / 1."""
 
-    __slots__ = ("t", "d", "fe")
+    __slots__ = ("t", "d")
 
     def __bool__(self) -> bool:
         return bool(self.t)
@@ -193,7 +195,7 @@ def _lau(t: dict, d: int) -> _Lau:
             t = {m: c // g for m, c in t.items()}
             d //= g
     out = _new(_Lau)
-    out.t, out.d, out.fe = t, d, None
+    out.t, out.d = t, d
     return out
 
 
@@ -203,69 +205,136 @@ def _lconst(x) -> _Lau:
 
 
 _LZERO = _lau({}, 1)
-_LONE = _lau({_ZEXP: 1}, 1)
 
 
 # ---------------------------------------------------------------------------
-# The general rational function field, loaded on first use
+# Keyed denominators
 #
-# sympy's sparse field Q(q,a,b,c,d) holds the components whose reduced
-# denominator has several terms.  Its import is most of the start-up time
-# and memory of a process, so _load_field runs only where a value needs it.
-
-_FIELD = None
-_POLY = None  # PolyElement.new: wraps a term dict as it is
-_QQ_NEW = None
-
-
-def _load_field() -> None:
-    """Import sympy and bind the field and its constructors."""
-    global _FIELD, _POLY, _QQ_NEW
-    if _FIELD is not None:
-        return
-    from sympy import QQ
-    from sympy.polys.fields import field
-
-    _FIELD = field("q,a,b,c,d", QQ)[0]
-    _POLY = _FIELD.ring.dtype
-    _QQ_NEW = QQ.dtype
+# A key is an irreducible integer polynomial p(y) in one Laurent monomial
+# y = x^v, v primitive (its exponents have gcd 1) and oriented (its first
+# nonzero exponent is positive): a binomial alpha + beta y with |alpha| !=
+# |beta| and alpha > 0, or a cyclotomic polynomial Phi_k(y), stored as the
+# pair (v, coefficients of p from y^0 up).  Keys are irreducible and no two
+# are associates, so a value is uniquely a Laurent numerator that no key
+# divides over a product of keys.
 
 
-def _as_field(x):
-    """The field element of a component, in the reduced form sympy's
-    ``cancel`` gives: for a Laurent polynomial, integers over d * x^m."""
-    if type(x) is not _Lau:
-        return x
-    if x.fe is None:
-        _load_field()
-        shift = tuple(max(0, -min(col)) for col in zip(*x.t)) if x.t else _ZEXP
-        numer = {tuple(map(add, m, shift)): _QQ_NEW(c) for m, c in x.t.items()}
-        x.fe = _FIELD.raw_new(_POLY(numer), _POLY({shift: _QQ_NEW(x.d)}))
-    return x.fe
+def _pdiv(f: list[int], p: Sequence[int]) -> list[int] | None:
+    """f / p for integer coefficient lists from y^0 up, None unless p divides
+    f.  p is primitive, so an exact quotient is integral (Gauss's lemma)."""
+    out = []
+    while len(f) >= len(p):
+        c, r = divmod(f[-1], p[-1])
+        if r:
+            return None
+        out.append(c)
+        f = [x - c * y for x, y in zip(f, [0] * (len(f) - len(p)) + list(p))][:-1]
+    return None if any(f) else out[::-1]
 
 
-def _component(x):
-    """The component of a Laurent polynomial or a sympy field element: the
-    Laurent form exactly when the reduced denominator is a monomial."""
-    if type(x) is _Lau or len(x.denom) != 1:
-        return x
-    ((shift, c),) = x.denom.items()
-    c = Fraction(int(c.numerator), int(c.denominator))
-    coefs = {
-        tuple(map(sub, m, shift)): Fraction(int(n.numerator), int(n.denominator)) / c
-        for m, n in x.numer.items()
-    }
-    d = lcm(*(f.denominator for f in coefs.values()))
-    out = _lau({m: f.numerator * (d // f.denominator) for m, f in coefs.items()}, d)
-    out.fe = x
+@lru_cache(maxsize=None)
+def _cyclotomic(k: int) -> tuple[int, ...]:
+    """The coefficients of Phi_k from y^0 up: y^k - 1 over Phi_j, j | k, j < k."""
+    p = [-1] + [0] * (k - 1) + [1]
+    for j in range(1, k):
+        if not k % j:
+            p = _pdiv(p, _cyclotomic(j))
+    return tuple(p)
+
+
+def _divide(t: dict, key) -> dict | None:
+    """The Laurent polynomial t over a key, None unless the key divides it.
+    Z[x^+-1] is a free Z[y^+-1]-module on the cosets of Z v, so the key
+    divides t exactly when it divides t's polynomial in y on each coset."""
+    v, p = key
+    i, rows, out = next(i for i, w in enumerate(v) if w), {}, {}
+    for e, c in t.items():
+        j = e[i] // v[i]
+        rows.setdefault(tuple(x - j * w for x, w in zip(e, v)), {})[j] = c
+    for base, row in rows.items():
+        low = min(row)
+        quo = _pdiv([row.get(j, 0) for j in range(low, max(row) + 1)], p)
+        if quo is None:
+            return None
+        out.update((tuple(x + j * w for x, w in zip(base, v)), c) for j, c in enumerate(quo, low) if c)
     return out
 
 
-def _field_op(op, *args):
-    """op on the field forms of the components ``args``, as a component: the
-    one way into sympy's general field arithmetic, for every operation that
-    meets a multi-term denominator or may produce one."""
-    return _component(op(*map(_as_field, args)))
+def _expanded(key) -> _Lau:
+    """A key as the Laurent polynomial p(x^v)."""
+    v, p = key
+    return _lau({tuple(j * w for w in v): c for j, c in enumerate(p) if c}, 1)
+
+
+class _Keyed(NamedTuple):
+    """n / prod(key^e for key, e in k): a Laurent numerator n that no key
+    divides, over sorted (key, exponent) pairs, at least one."""
+
+    n: _Lau
+    k: tuple
+
+
+def _keyed(n: _Lau, keys: Mapping, test=None) -> "_Lau | _Keyed":
+    """n / prod(key^e), each key in ``test`` (by default every key) that
+    divides n divided out."""
+    t, kept = n.t, []
+    for key in sorted(keys):
+        e = keys[key]
+        while e and t and (test is None or key in test) and (quo := _divide(t, key)) is not None:
+            t, e = quo, e - 1
+        if e:
+            kept.append((key, e))
+    n = n if t is n.t else _lau(t, n.d)
+    return _Keyed(n, tuple(kept)) if kept and t else n
+
+
+def _parts(x) -> tuple[_Lau, Counter]:
+    return (x, Counter()) if type(x) is _Lau else (x.n, Counter(dict(x.k)))
+
+
+def _times(n: _Lau, keys: Counter) -> _Lau:
+    """n times the product of the keys, with multiplicity."""
+    for key in keys.elements():
+        n = _cmul(n, _expanded(key))
+    return n
+
+
+def _kadd(x, y, sign: int):
+    """x + sign*y over the lcm of the keys.  A key whose exponents in x and y
+    differ cannot divide the sum, as it divides neither numerator."""
+    (nx, kx), (ny, ky) = _parts(x), _parts(y)
+    keys = kx | ky
+    total = _cadd(_times(nx, keys - kx), _times(ny, keys - ky), sign)
+    return _keyed(total, keys, {key for key in keys if kx[key] == ky[key]})
+
+
+def _kmul(x, y):
+    """x * y, each side's keys cancelled against the other side's numerator."""
+    (nx, kx), (ny, ky) = _parts(x), _parts(y)
+    (ny, kx), (nx, ky) = _parts(_keyed(ny, kx)), _parts(_keyed(nx, ky))
+    return _keyed(_cmul(nx, ny), kx + ky, ())
+
+
+def _factored(n: _Lau) -> tuple[int, tuple, dict]:
+    """(c, m, keys) with n = c x^m prod(keys) / n.d, for a monomial or a
+    binomial that splits into keys: c0 + c1 y with |c0| != |c1| is one, and
+    y^g - 1 is the product of Phi_j(y) over j | g, y^g + 1 over j | 2g with
+    j not dividing g."""
+    (low, c0), *rest = sorted(n.t.items())  # so high - low is oriented
+    if not rest:
+        return c0, low, {}
+    if len(rest) == 1:
+        ((high, c1),) = rest
+        w = tuple(map(sub, high, low))
+        g, h = gcd(*w), gcd(c0, c1)
+        v = tuple(e // g for e in w)
+        if abs(c0) == abs(c1):
+            js = [j for j in range(1, 2 * g + 1) if not 2 * g % j and (g % j == 0) == (c0 != c1)]
+            return c0 if c0 == c1 else -c0, low, {(v, _cyclotomic(j)): 1 for j in js}
+        if g == 1:
+            h = h if c0 > 0 else -h
+            return h, low, {(v, (c0 // h, c1 // h)): 1}
+    raise UnkeyedDenominator(f"1/({_text(n)}) would have a denominator that is no product of keys")
 
 
 # Component arithmetic: Laurent operands stay on Python ints.
@@ -276,7 +345,7 @@ def _cadd(x, y, sign: int = 1):
     if not x and sign == 1:
         return y
     if type(x) is not _Lau or type(y) is not _Lau:
-        return _field_op(add if sign == 1 else sub, x, y)
+        return _kadd(x, y, sign)
     d = x.d
     if d == y.d:
         t = x.t.copy()
@@ -300,7 +369,7 @@ def _cmul(x, y):
     if not x or not y:
         return _LZERO
     if type(x) is not _Lau or type(y) is not _Lau:
-        return _field_op(mul, x, y)
+        return _kmul(x, y)
     tx, ty = x.t, y.t
     if len(tx) > len(ty):
         tx, ty = ty, tx
@@ -327,26 +396,47 @@ def _cmul(x, y):
 
 
 def _cinv(x):
-    """1 / x for a nonzero component."""
-    if type(x) is _Lau and len(x.t) == 1:
-        ((m, c),) = x.t.items()
-        return _lau({tuple(-e for e in m): -x.d if c < 0 else x.d}, abs(c))
-    return _field_op(truediv, _LONE, x)
+    """1 / x for a nonzero component; no key of x divides x's numerator."""
+    n, keys = _parts(x)
+    c, m, factors = _factored(n)
+    num = _lau({tuple(-e for e in m): -n.d if c < 0 else n.d}, abs(c))
+    return _keyed(_times(num, keys), factors, ())
 
 
 def _ceval(x, vals: Sequence[Fraction]) -> Fraction:
     """A component's value at a rational point."""
-    if type(x) is _Lau:
-        try:
-            terms = (c * prod(v**e for v, e in zip(vals, m)) for m, c in x.t.items())
-            return sum(terms, Fraction(0)) / x.d
-        except ZeroDivisionError:
-            raise DivisionByZero("evaluation point hits a denominator zero") from None
-    point = [(g, _QQ_NEW(v.numerator, v.denominator)) for g, v in zip(_FIELD.ring.gens, vals)]
-    num, den = x.numer.evaluate(point), x.denom.evaluate(point)
-    if den == 0:
-        raise DivisionByZero("evaluation point hits a denominator zero")
-    return _frac_of_ground(num) / _frac_of_ground(den)
+    try:
+        if type(x) is _Keyed:
+            return _ceval(x.n, vals) / prod(_ceval(_expanded(key), vals) ** e for key, e in x.k)
+        terms = (c * prod(v**e for v, e in zip(vals, m)) for m, c in x.t.items())
+        return sum(terms, Fraction(0)) / x.d
+    except ZeroDivisionError:
+        raise DivisionByZero("evaluation point hits a denominator zero") from None
+
+
+def _poly_text(t: dict) -> str:
+    out = ""
+    for e in sorted(t, reverse=True):
+        c, names = t[e], [name if k == 1 else f"{name}**{k}" for name, k in zip(PARAM_NAMES, e) if k]
+        out += (" - " if c < 0 else " + ") + "*".join([str(abs(c))] * (abs(c) != 1 or not names) + names)
+    return out[3:] if out[1] == "+" else "-" + out[3:]
+
+
+def _text(x) -> str:
+    """A component as sympy 1.14 prints its element of Q(q,a,b,c,d): integer
+    numerator and denominator polynomials in lowest terms, the denominator's
+    lex-leading coefficient positive, terms in lex-descending order of the
+    exponents of q, a, b, c, d, the numerator in parentheses if it has
+    several terms and the denominator unless it is a constant or one letter."""
+    n, keys = _parts(x)
+    den = _times(_lau({_ZEXP: n.d}, 1), keys).t
+    shift = [-min(col) for col in zip(*n.t, *den)]
+    num, den = ({tuple(map(add, e, shift)): c for e, c in p.items()} for p in (n.t, den))
+    sign = 1 if den[max(den)] > 0 else -1
+    top, bottom = (_poly_text({e: sign * c for e, c in p.items()}) for p in (num, den))
+    if bottom == "1":
+        return top
+    return (f"({top})" if " " in top else top) + "/" + (bottom if bottom.isalnum() else f"({bottom})")
 
 
 def _rf(r0) -> "RatFunc":
@@ -365,8 +455,8 @@ class RatFunc:
     parameters are specialized) is a single reduced rational in ``g``, two
     Python ints.  Any other value has ``g`` None and one component ``r0``,
     a Laurent polynomial when its reduced denominator is a monomial and a
-    sympy field element otherwise.  Every form is unique, so structural
-    equality is semantic equality.
+    Laurent numerator over keyed factors otherwise.  Every form is unique,
+    so structural equality is semantic equality.
     """
 
     __slots__ = ("r0", "g")
@@ -374,8 +464,8 @@ class RatFunc:
     r1 = None  # no second component; perfbench/tracer.py reads it
 
     def __init__(self, r0):
-        """The scalar of a component or a sympy field element."""
-        v = _rf(_component(r0))
+        """The scalar of a component."""
+        v = _rf(r0)
         self.g, self.r0 = v.g, v.r0
 
     @staticmethod
@@ -527,8 +617,7 @@ class RatFunc:
         if self.g is not None or o.g is not None:
             # a non-ground value is never constant, by construction
             return self.g is not None and o.g is not None and self.g == o.g
-        a, b = self.r0, o.r0
-        return type(a) is type(b) and a == b
+        return self.r0 == o.r0
 
     def __hash__(self) -> int:
         if self.g is not None:
@@ -545,12 +634,6 @@ class RatFunc:
         vals = [Fraction(point[name]) for name in PARAM_NAMES]
         return (_ceval(self.r0, vals), Fraction(0))
 
-    def subs(self, point: Mapping[str, _Rational]) -> "RatFunc":
-        """Substitute rational values for the five parameters."""
-        if self.g is not None:
-            return self
-        return RatFunc.from_rational(self.evaluate(point)[0])
-
     def as_fraction(self) -> Fraction:
         """Return the value of a constant scalar as an exact rational."""
         if self.g is None:
@@ -562,7 +645,7 @@ class RatFunc:
     def __str__(self) -> str:
         if self.g is not None:
             return str(self.g)
-        return str(_as_field(self.r0))
+        return _text(self.r0)
 
     def __repr__(self) -> str:
         return f"RatFunc({self})"

@@ -24,7 +24,8 @@ c~_k = (q^-n, abcd q^(n-1);q)_k q^k (ab q^k, ac q^k, ad q^k;q)_(n-k)
 N_n = a^n (abcd q^(n-1);q)_n (q;q)_n.  The eigen, recurrence and symmetry
 identities of the family are sums of such factored terms, each checked
 after dividing out the factors its terms share, so no check of the family
-meets a multi-term denominator; ``askey_wilson`` divides through.
+builds a value over keyed denominators (:mod:`rank1daha.params`);
+``askey_wilson`` divides through, one factor at a time.
 
 The z-form appears only at the public boundary: ``askey_wilson``,
 ``apply_word``, ``apply_dsym`` and ``shifted_qn`` convert a z-form input
@@ -260,9 +261,9 @@ def _to_phi(f: LaurentPoly, basis: _Basis) -> Coords:
     return coords
 
 
-def _from_phi(coords: Coords, basis: _Basis, scale: RatFunc = _ONE) -> LaurentPoly:
-    """scale * sum_k c_k phi_k as a Laurent polynomial in z, by Horner's
-    rule in the factors phi_(k+1) / phi_k."""
+def _from_phi(coords: Coords, basis: _Basis) -> LaurentPoly:
+    """sum_k c_k phi_k as a Laurent polynomial in z, by Horner's rule in the
+    factors phi_(k+1) / phi_k."""
     basis.grow(len(coords) - 1)
     half: Coords = []
     for k in range(len(coords) - 1, -1, -1):
@@ -271,7 +272,7 @@ def _from_phi(coords: Coords, basis: _Basis, scale: RatFunc = _ONE) -> LaurentPo
     out = {}
     for j, h in enumerate(half):
         if not h.is_zero():
-            out[j] = out[-j] = h * scale
+            out[j] = out[-j] = h
     return LaurentPoly(out)
 
 
@@ -494,36 +495,24 @@ def _pn_factors(n: int, values: _Factors) -> list[tuple]:
     return rows
 
 
-def _summands(rises: Sequence[Sequence[RatFunc]], tails: Sequence[Sequence[RatFunc]]) -> Coords:
-    """prod_(j<k) rises[j] * prod_(j>=k) tails[j] for k = 0..len(rises),
-    each row a sequence of factors, as running products over k (the tails
-    as suffix products)."""
-    suffix = [_ONE]
-    for factors in reversed(tails):
-        rest = suffix[-1]
-        for f in factors:
-            rest = rest * f
-        suffix.append(rest)
-    coords, prefix = [], _ONE
-    for factors, rest in zip([*rises, ()], reversed(suffix)):
-        coords.append(prefix * rest)
-        for f in factors:
-            prefix = prefix * f
-    return coords
-
-
-def _pn_coords(n: int, params: Params) -> tuple[Coords, RatFunc]:
-    """The coordinates of P_n up to one scalar, the summands of the 4phi3
-    sum, and that scalar a^-n / (abcd q^(n-1);q)_n."""
+def _pn_coords(n: int, params: Params) -> Coords:
+    """The coordinates of P_n: the summands of the 4phi3 sum, a^-n times, each
+    divided by the factors 1 - abcd q^(n-1+j), j >= k, of (abcd q^(n-1);q)_n
+    that its (abcd q^(n-1);q)_k lacks, as running products over k (those
+    over j >= k as suffix products).  Every factor of a denominator is a
+    binomial inverted alone, which the products cancel against the numerator
+    factors that share it as they run."""
     values = _Factors(params.vals)
     rows = _pn_factors(n, values)
     q, a = params.vals[:2]
-    # divide by each 1 - q^(j+1) as the product runs: the cleared summands
-    # with one inverse of N_n at the end make askey_wilson for n <= 5
-    # about 2.5 times slower at symbolic parameters
-    rises = [(values[rise], values[step], q, values[fall].inv()) for rise, step, fall, _ in rows]
-    coords = _summands(rises, [[values[key] for key in tail] for *_, tail in rows])
-    return coords, prod((values[step] for _, step, _, _ in rows), start=a**n).inv()
+    suffix = [a**-n]
+    for _, step, _, tail in reversed(rows):
+        suffix.append(prod((values[key] for key in tail), start=suffix[-1]) * values[step].inv())
+    coords, prefix = [], _ONE
+    for (rise, _, fall, _), rest in zip(rows, reversed(suffix)):
+        coords.append(prefix * rest)
+        prefix = prefix * values[rise] * q * values[fall].inv()
+    return [*coords, prefix * suffix[0]]
 
 
 def _pn_terms(n: int, values: _Factors) -> tuple[list[Term], Term]:
@@ -541,8 +530,7 @@ def _pn_terms(n: int, values: _Factors) -> tuple[list[Term], Term]:
 
 def askey_wilson(n: int, params: Params) -> LaurentPoly:
     """The monic Askey-Wilson polynomial P_n as a symmetric Laurent polynomial."""
-    coords, scale = _pn_coords(n, params)
-    return _from_phi(coords, _Basis(params.vals), scale)
+    return _from_phi(_pn_coords(n, params), _Basis(params.vals))
 
 
 def shifted_qn(n: int, params: Params) -> LaurentPoly:

@@ -7,6 +7,9 @@ memoized basis products, so the tests compare every product path, and
 ``reduce`` itself, with it.  Its work and memory grow fast with the
 length of a word, so the tests keep to short ones.  Its ``budget``
 bounds the rule applications of one whole rewriting.
+
+``step_lhs`` and ``leading_at`` read a step identity's left side and its
+leading terms off the kernel, for the tests that compare them.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from rank1daha.errors import BudgetExhausted
+from rank1daha import ncalg
 from rank1daha.ncalg import Element, NormalForm, RewriteSystem, _is_basis_word, _word_key, rewrite_system
 from rank1daha.params import Params, RatFunc
 
@@ -67,3 +71,15 @@ def rewrite(
     if e.alphabet != "daha":
         raise ValueError("rewriting expects an element over the five-letter alphabet")
     return rewrite_terms(rewrite_system(params), e.terms, budget, strategy)
+
+
+def step_lhs(row: ncalg.StepRow, m: int, n: int, params: Params) -> NormalForm:
+    """The kernel's left side of a step identity at exponents (m, n)."""
+    system = rewrite_system(params)
+    return system._normal_form(ncalg._lifted_step_lhs(row, m, n, system))
+
+
+def leading_at(row: ncalg.StepRow, m: int, n: int, params: Params) -> dict[tuple[int, int], RatFunc]:
+    """A step identity's leading terms at exponents (m, n): (k, l) -> coefficient."""
+    system = rewrite_system(params)
+    return {key: system._drop(c) for key, c in ncalg._leading(row, m, n, system).items()}

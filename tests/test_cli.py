@@ -53,6 +53,20 @@ def test_reduce_aw_alphabet_embeds(capsys):
     assert out.splitlines() == ["1 * Z^-1", "1 * Z"]
 
 
+def test_reduce_over_keyed_denominators(capsys):
+    # the sum over (1 + 2q)(a + b), with the denominator expanded in the
+    # field's order of terms
+    code, out, _ = run_cli(capsys, "reduce", "Z/(1+2*q) + Z/(a+b)")
+    assert code == 0
+    assert out == "((2*q + a + b + 1)/(2*q*a + 2*q*b + a + b)) * Z\n"
+
+
+def test_reduce_three_term_denominator_exits_2(capsys):
+    code, out, err = run_cli(capsys, "reduce", "Z/(1+q+a)")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: UnkeyedDenominator: 1/(q + a + 1) ")
+
+
 def test_reduce_parse_error_exits_2(capsys):
     code, _, err = run_cli(capsys, "reduce", "T1 +")
     assert code == 2

@@ -1,31 +1,35 @@
 import random
 from collections import OrderedDict
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
+from operator import add
 
 import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
-from sympy import QQ
+from sympy import QQ, Poly, Symbol, cyclotomic_poly
+from sympy.polys.fields import field
 
 from rank1daha.errors import (
     DegenerateParameters,
     DivisionByZero,
     ExtensionDisabled,
     MissingAssignment,
+    UnkeyedDenominator,
 )
-from rank1daha import params as params_module
 from rank1daha.params import (
     _PARAMS_CACHE_BOUND,
     PRIME,
     ModP,
     Params,
     RatFunc,
-    _as_field,
     _check_admissible,
-    _component,
+    _cyclotomic,
+    _expanded,
+    _Keyed,
     _Lau,
     _lau,
     _params_cache_entry,
+    _parts,
     eigenvalue,
     elementary_symmetric,
     make_params,
@@ -33,9 +37,8 @@ from rank1daha.params import (
     structure_constants,
 )
 
-# sympy's field is loaded on first use; these tests use it as the oracle
-params_module._load_field()
-_FIELD = params_module._FIELD
+# sympy's field Q(q,a,b,c,d) is the oracle of the scalar arithmetic and its text
+_FIELD = field("q,a,b,c,d", QQ)[0]
 
 Q = RatFunc.gen("q")
 A = RatFunc.gen("a")
@@ -159,96 +162,243 @@ def test_field_axioms(x, y, z):
     assert (x + y) + z == x + (y + z)
     assert x * (y + z) == x * y + x * z
     assert (x * y) * z == x * (y * z)
-    if not x.is_zero():
-        assert x * x.inv() == RatFunc.one()
+    if x.is_constant() or len(_parts(x.r0)[0].t) <= 2:
+        if not x.is_zero():
+            assert x * x.inv() == RatFunc.one()
+    else:  # a numerator of three or more terms has no inverse over keys
+        with pytest.raises(UnkeyedDenominator):
+            x.inv()
 
 
-# Scalar arithmetic must give exactly what sympy's own field operations
-# give: the same numerator and denominator polynomials, whether the
-# components are Laurent polynomials or general field elements.
+# Scalar arithmetic must give exactly what sympy's field operations give, for
+# Laurent values and for values over keyed denominators alike: the same
+# element of Q(q,a,b,c,d), in the unique stored form, printed as sympy
+# prints it.  Each drawn value is built twice, as a RatFunc by the kernel's
+# own arithmetic and as sympy's element.
 
 _coefs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
-_monoms = st.tuples(*[st.integers(min_value=0, max_value=2)] * 5)
-_terms = st.lists(st.tuples(_coefs, _monoms), min_size=1, max_size=4)
+_monoms = st.tuples(*[st.integers(min_value=-2, max_value=2)] * 5)
+_terms = st.lists(st.tuples(_coefs, _monoms), min_size=1, max_size=3)
+_ZEXP = (0,) * 5
+_GENS = [RatFunc.gen(name) for name in "qabcd"]
 
 
-def _poly(terms):
-    out = _FIELD.zero
+def _both(terms):
+    """sum c x^e over ``terms`` as (a RatFunc by the kernel's arithmetic,
+    sympy's element)."""
+    kernel, poly = RatFunc.zero(), {}
     for coef, exps in terms:
-        term = _FIELD(QQ(coef.numerator, coef.denominator))
-        for gen, e in zip(_FIELD.gens, exps):
-            term = term * gen**e
-        out = out + term
+        k = RatFunc.from_rational(coef)
+        for gen, e in zip(_GENS, exps):
+            k = k * gen**e
+        kernel, poly[exps] = kernel + k, poly.get(exps, 0) + coef
+    shift = [max(0, -min(col)) for col in zip(*poly)]
+    ring = _FIELD.ring
+    numer = ring({tuple(map(add, e, shift)): QQ(c.numerator, c.denominator) for e, c in poly.items() if c})
+    return kernel, _FIELD.new(numer, ring({tuple(shift): QQ(1)}))
+
+
+def _in_y(coeffs, w):
+    # sum c_i y^i for y = x^w, as _both terms
+    return [(Fraction(int(c)), tuple(i * e for e in w)) for i, c in enumerate(coeffs) if c]
+
+
+def to_field(x: RatFunc):
+    """sympy's element of a RatFunc, read from its stored form."""
+    if x.is_constant():
+        c = x.as_fraction()
+        return _FIELD(QQ(c.numerator, c.denominator))
+    n, keys = _parts(x.r0)
+    out = _both([(Fraction(c, n.d), e) for e, c in n.t.items()])[1]
+    for key, e in keys.items():
+        out = out / _both([(Fraction(c), m) for m, c in _expanded(key).t.items()])[1] ** e
     return out
 
 
 @st.composite
-def field_elements(draw):
-    """Sympy field elements with a one-term or a many-term denominator."""
-    numer = _poly(draw(_terms))
-    if draw(st.booleans()):
-        denom = _poly([(draw(_coefs), draw(_monoms))])
-    else:
-        denom = _poly(draw(st.lists(st.tuples(_coefs, _monoms), min_size=2, max_size=3)))
-    assume(denom)
-    return numer / denom
+def keyed_factors(draw):
+    """A factor f(y) in a Laurent monomial y, as (1/f and f by the kernel,
+    f by sympy): a binomial alpha + beta y, Phi_k(y) for k <= 6, or 1 +- y^g,
+    which splits into cyclotomic keys."""
+    w = draw(_monoms.filter(any))
+    g = gcd(*w)
+    w = tuple(e // g for e in w)  # y primitive: its exponents have gcd 1
+    kind = draw(st.sampled_from(["binomial", "cyclotomic", "split"]))
+    if kind == "binomial":
+        alpha, beta = draw(st.tuples(*[st.integers(-4, 4).filter(bool)] * 2))
+        kernel, oracle = _both(_in_y([alpha, beta], w))
+        return kernel.inv(), kernel, oracle
+    if kind == "split":
+        power, sign = draw(st.integers(2, 4)), draw(st.sampled_from([1, -1]))
+        kernel, oracle = _both(_in_y([1] + [0] * (power - 1) + [sign], w))
+        return kernel.inv(), kernel, oracle
+    # from sympy's table: 1/Phi_k(y) = prod(Phi_j(y), j | k, j < k) / (y^k - 1)
+    k, y = draw(st.integers(1, 6)), Symbol("y")
+    rest = prod((cyclotomic_poly(j, y, polys=True) for j in range(1, k) if not k % j), start=Poly(1, y))
+    inverse = _both(_in_y(rest.all_coeffs()[::-1], w))[0] / _both(_in_y([-1] + [0] * (k - 1) + [1], w))[0]
+    kernel, oracle = _both(_in_y(cyclotomic_poly(k, y, polys=True).all_coeffs()[::-1], w))
+    return inverse, kernel, oracle
 
 
-def assert_same_element(got, want):
-    assert got.numer == want.numer and got.denom == want.denom
-    for poly in (got.numer, got.denom):
-        assert all(type(c) is QQ.dtype for c in poly.values())
-    assert str(got) == str(want)
+@st.composite
+def keyed_values(draw):
+    """A Laurent numerator over at most two drawn factors, as (a RatFunc,
+    sympy's element); sometimes the numerator also holds the first factor,
+    which must cancel."""
+    kernel, oracle = _both(draw(_terms))
+    factors = draw(st.lists(keyed_factors(), max_size=2))
+    for inverse, _, f in factors:
+        kernel, oracle = kernel * inverse, oracle / f
+    if factors and draw(st.booleans()):
+        _, k, o = factors[0]
+        kernel, oracle = kernel * k, oracle * o
+    return kernel, oracle
+
+
+def assert_canonical(x: RatFunc):
+    """x is in its stored form: a reduced Laurent numerator over sorted keys,
+    each primitive, oriented and irreducible, none dividing the numerator."""
+    if x.is_constant():
+        return
+    (n, keys), numer = _parts(x.r0), to_field(RatFunc(_parts(x.r0)[0]))
+    assert type(n) is _Lau and n.d > 0 and all(n.t.values()) and gcd(n.d, *n.t.values()) == 1
+    if type(x.r0) is _Lau:
+        return
+    assert type(x.r0) is _Keyed and x.r0.k and list(x.r0.k) == sorted(x.r0.k)
+    for (v, p), e in x.r0.k:
+        assert e > 0 and gcd(*v) == 1 and next(w for w in v if w) > 0
+        y = Symbol("y")
+        assert (len(p) == 2 and p[0] > 0 and abs(p[0]) != abs(p[1]) and gcd(*p) == 1) or any(
+            tuple(cyclotomic_poly(k, y, polys=True).all_coeffs()[::-1]) == p for k in range(1, 13)
+        ), p
+        # the key stays in the denominator: it does not divide the numerator
+        assert len((numer / to_field(RatFunc(_expanded((v, p))))).denom) > 1
 
 
 def assert_same_scalar(got: RatFunc, want):
-    """``got`` is want, its component in the form the denominator calls
-    for: Laurent exactly when it is a monomial."""
+    """``got`` is want, in its stored form: Laurent exactly when the reduced
+    denominator is a monomial, and printed as sympy prints want."""
+    assert to_field(got) == want
     if got.is_constant():
-        c = got.as_fraction()
-        assert want.denom.is_ground and want.numer.is_ground
-        assert_same_element(_FIELD(QQ(c.numerator, c.denominator)), want)
-        return
-    assert (type(got.r0) is _Lau) == (len(want.denom) == 1)
-    assert_same_element(_as_field(got.r0), want)
+        assert want.numer.is_ground and want.denom.is_ground
+    else:
+        assert (type(got.r0) is _Lau) == (len(want.denom) == 1)
+    assert_canonical(got)
+    assert str(got) == str(want)
+
+
+def _splits(n: _Lau) -> bool:
+    """Whether a numerator has an inverse: a monomial, or a binomial
+    c0 + c1 x^w with w primitive or |c0| = |c1|."""
+    if len(n.t) == 1:
+        return True
+    if len(n.t) > 2:
+        return False
+    (e0, c0), (e1, c1) = n.t.items()
+    return abs(c0) == abs(c1) or gcd(*(i - j for i, j in zip(e0, e1))) == 1
+
+
+def assert_same_inverse(got: RatFunc, want):
+    """got.inv() is 1/want where got's numerator splits into keys; elsewhere
+    it raises UnkeyedDenominator."""
+    if got.is_constant() or _splits(_parts(got.r0)[0]):
+        assert_same_scalar(got.inv(), 1 / want)
+        assert got.inv() * got == 1
+    else:
+        with pytest.raises(UnkeyedDenominator):
+            got.inv()
 
 
 # no shrink phase: each example runs sympy's field arithmetic, so shrinking
 # a failure took minutes; the failing example prints as drawn
-@settings(max_examples=150, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+_ORACLE_SETTINGS = settings(
+    max_examples=150, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate)
+)
+
+
+@_ORACLE_SETTINGS
+@given(keyed_values(), keyed_values())
+def test_keyed_arithmetic_matches_sympy(x, y):
+    (gx, x), (gy, y) = x, y
+    assert_same_scalar(gx, x)
+    assert_same_scalar(gx + gy, x + y)
+    assert_same_scalar(gx - gy, x - y)
+    assert_same_scalar(-gx, -x)
+    assert_same_scalar(gx * gy, x * y)
+    assert (gx == gy) == (x == y)
+    # equal values built two ways are equal, with equal hashes
+    for one, two in ((gx + gy - gy, gx), (gx * gy, gy * gx), ((gx + gy) * (gx - gy), gx * gx - gy * gy)):
+        assert one == two and hash(one) == hash(two)
+    if x:
+        assert_same_inverse(gx, x)
+
+
+def test_three_term_inverse_raises():
+    # the one inverse the keyed form has no place for: a numerator with
+    # three terms would become a denominator that is not a product of keys
+    # (1 - qa = -Phi_1(qa), so the numerator over it is -(q + a + 1)), nor does
+    # a binomial in a power of y whose coefficients differ in size
+    for value, text in ((Q + A + 1, "q + a + 1"), ((Q + A + 1) / (1 - Q * A), "-q - a - 1"),
+                        (1 - 4 * Q * Q, "-4*q**2 + 1")):
+        with pytest.raises(UnkeyedDenominator) as excinfo:
+            value.inv()
+        assert str(excinfo.value).startswith(f"1/({text}) ")
+    # a binomial that splits into keys has one: 1 - q^6 over Phi_1..Phi_6
+    assert (1 - Q**6).inv() * (1 - Q) * (1 + Q) * (1 + Q + Q * Q) * (1 - Q + Q * Q) == 1
+
+
+@st.composite
+def field_elements(draw):
+    """sympy's elements with a one-term denominator."""
+    numer = _both(draw(_terms))[1]
+    denom = _both([(draw(_coefs.filter(bool)), draw(_monoms))])[1]
+    return numer / denom
+
+
+def from_field(x) -> RatFunc:
+    """The RatFunc of sympy's element with a one-term denominator, by the
+    kernel's arithmetic."""
+    ((shift, c),) = x.denom.terms()
+    terms = [(Fraction(int(n.numerator), int(n.denominator)), e) for e, n in x.numer.terms()]
+    return _both(terms)[0] / _both([(Fraction(int(c.numerator), int(c.denominator)), shift)])[0]
+
+
+@_ORACLE_SETTINGS
 @given(field_elements(), field_elements())
 def test_one_term_denominator_arithmetic_matches_sympy(x, y):
-    gx, gy = RatFunc(x), RatFunc(y)
+    gx, gy = from_field(x), from_field(y)
+    assert_same_scalar(gx, x)
     assert_same_scalar(gx + gy, x + y)
     assert_same_scalar(gx - gy, x - y)
     assert_same_scalar(-gx, -x)
     assert_same_scalar(gx * gy, x * y)
     if x:
-        assert_same_scalar(gx.inv(), _FIELD.one / x)
+        assert_same_inverse(gx, x)
 
 
-@given(_coefs, field_elements())
+@settings(deadline=None)
+@given(_coefs, keyed_values())
 def test_ground_scalars_enter_the_field_reduced(c, x):
     g, qc = RatFunc.from_rational(c), _FIELD(QQ(c.numerator, c.denominator))
-    assert_same_element(_as_field(g._part()), qc)
-    assert_same_scalar(g * RatFunc(x), x * qc)
-    assert_same_scalar(g + RatFunc(x), x + qc)
+    part = g._part()
+    assert (part.t, part.d) == (({_ZEXP: c.numerator} if c else {}), c.denominator)
+    assert_same_scalar(g * x[0], x[1] * qc)
+    assert_same_scalar(g + x[0], x[1] + qc)
 
 
 @settings(max_examples=100, deadline=None)
 @given(field_elements())
 def test_monomial_denominators_round_trip_through_the_laurent_form(x):
-    comp = _component(x)
-    if len(x.denom) != 1:
-        assert comp is x  # a multi-term denominator stays a field element
+    value = from_field(x)
+    if value.is_constant():
         return
+    comp = value.r0
     assert type(comp) is _Lau
     assert comp.d > 0 and all(comp.t.values())
     assert gcd(comp.d, *comp.t.values()) == 1
-    fresh = _lau(dict(comp.t), comp.d)  # without the memoized field form
-    assert_same_element(_as_field(fresh), x)
-    assert _component(_as_field(fresh)) == comp
-
+    fresh = RatFunc(_lau(dict(comp.t), comp.d))  # the constructor takes a component
+    assert fresh == value and hash(fresh) == hash(value)
+    assert to_field(fresh) == x and str(fresh) == str(x)
 
 # Ground scalars compute with Python integers; Fraction is the oracle.
 
@@ -517,7 +667,7 @@ def test_elementary_symmetric_at_unit_point(sym):
     # a=b=c=d=1 is outside the admissible region (ab = 1), so evaluate the
     # symbolic polynomials at that point instead of building Params there.
     point = {"q": Fraction(2), "a": 1, "b": 1, "c": 1, "d": 1}
-    values = [e.subs(point).as_fraction() for e in elementary_symmetric(sym)]
+    values = [e.evaluate(point)[0] for e in elementary_symmetric(sym)]
     assert values == [4, 6, 4, 1]
 
 

@@ -14,6 +14,7 @@ evaluation per step row and point.
 import random
 
 import pytest
+from rewriting import step_lhs
 
 from rank1daha import ncalg, verify
 from rank1daha.ncalg import STEP_IDENTITIES, NormalForm, check_step_identity
@@ -104,10 +105,10 @@ def _check_scaling(params, bound):
             continue
         uses_m, uses_n = row.uses()
         sn = row.signs[1]
-        base = ncalg._step_lhs(row, 1, 1, params)
+        base = step_lhs(row, 1, 1, params)
         for m in range(1, bound + 1) if uses_m else (1,):
             for n in range(1, bound + 1) if uses_n else (1,):
-                lhs = ncalg._step_lhs(row, m, n, params)
+                lhs = step_lhs(row, m, n, params)
                 kmax, lmax = m if uses_m else 0, n if uses_n else 0
                 assert all(abs(k) <= kmax and abs(l) <= lmax for k, l, _ in lhs.terms), (name, m, n)
                 for sk in (1, -1) if uses_m else (0,):

@@ -1,11 +1,11 @@
-"""sympy is imported only for multi-term denominators and printing, and no
-introspection module at all.
+"""No command imports sympy, and importing the CLI loads no introspection
+module.
 
-Runs at GF(p) points and at rational points compute with Python integers,
-and symbolic scalars with monomial denominators with Laurent polynomials
-over Z, so a process that meets none of these never imports sympy.  Each
-case runs in a fresh interpreter, since the test process itself has long
-imported it.
+Ground scalars are Python ints, symbolic ones Laurent polynomials over Z
+or Laurent numerators over keyed factors, and their text is the package's
+own.  Each probe runs one command in a fresh interpreter where
+``sys.modules["sympy"]`` is None, so that any import of sympy raises, since
+the test process itself has long imported it.
 """
 
 import os
@@ -17,12 +17,16 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# runs one command line through the CLI, then prints whether sympy was imported
+# runs one command line through the CLI with sympy unimportable, then prints
+# its exit code and whether it wrote any output
 _PROBE = """
-import sys
+import io, sys
+sys.modules["sympy"] = None
 from rank1daha import cli
+out, sys.stdout = sys.stdout, io.StringIO()
 code = cli.main(sys.argv[1:])
-print(code, "sympy" in sys.modules)
+text, sys.stdout = sys.stdout.getvalue(), out
+print(code, bool(text))
 """
 
 
@@ -38,11 +42,6 @@ def _last_line(source: str, *argv: str) -> str:
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     return proc.stdout.splitlines()[-1]
-
-
-def _probe(*argv: str) -> tuple[int, bool]:
-    code, loaded = _last_line(_PROBE, *argv).split()
-    return int(code), loaded == "True"
 
 
 def test_importing_the_package_loads_no_sympy():
@@ -61,41 +60,23 @@ def test_importing_the_cli_loads_no_introspection_modules():
 @pytest.mark.parametrize(
     "argv",
     [
-        # GF(p) points, the duality check included
-        ("verify", "run", "--mode", "prob", "--trials", "1",
-         "--checks", "iso.spherical.rank,eigen.Pn,duality.daha"),
-        # a rational point; the duality.aw row is a skip that prints abcd/q = 140
-        ("verify", "run", "--params", "q=3/2,a=2,b=3,c=5,d=7",
-         "--checks", "step.44,duality.aw", "--max-mn", "1"),
+        # every check at its default mode and sizes: exact at symbolic
+        # parameters (the sym-exact checks at the default --max-degree among
+        # them) or prob
+        ("verify", "run"),
+        ("verify", "run", "--mode", "prob", "--trials", "1"),
+        ("verify", "run", "--params", "q=3/2,a=2,b=3,c=5,d=7"),
+        # P_3 over keyed denominators, and P_2 at (qa, qb, c, d) times the
+        # shifted family's prefactor
+        ("aw-poly", "--n", "3"),
+        ("aw-poly", "--shifted", "--n", "3"),
+        # symbolic scalars printed, one of them over keyed denominators
+        ("reduce", "T1*Z"),
+        ("reduce", "Z/(1+2*q) + Z/(a+b)"),
+        ("catalog",),
     ],
-    ids=["prob", "rational-point"],
+    ids=["verify-run", "prob", "rational-point", "aw-poly", "aw-poly-shifted", "reduce",
+         "reduce-keyed", "catalog"],
 )
-def test_runs_without_rational_functions_load_no_sympy(argv):
-    assert _probe(*argv) == (0, False)
-
-
-def test_symbolic_scalars_with_monomial_denominators_load_no_sympy():
-    # the step identities, both duality checks at d -> qd^2/(abc), the
-    # identities of P_n on factored terms, whose denominators are never
-    # expanded, and the quotient relations on phi_k at the default --max-degree
-    checks = (
-        "step.44,duality.aw,duality.daha,eigen.Pn,recurrence,symmetry.abcd,"
-        "casimir.scalar,awrel.inrep"
-    )
-    argv = ("verify", "run", "--mode", "exact", "--checks", checks, "--max-mn", "1", "--max-n", "2")
-    assert _probe(*argv) == (0, False)
-
-
-def test_a_symbolic_run_loads_sympy():
-    # askey_wilson divides by the normalising scalar of P_n, which has a
-    # multi-term denominator, and the polynomial prints symbolic scalars
-    assert _probe("aw-poly", "--n", "1") == (0, True)
-
-
-def test_printing_a_symbolic_scalar_loads_sympy():
-    source = (
-        "import sys; from rank1daha.params import RatFunc; "
-        "x = RatFunc.gen('q') * RatFunc.gen('a') + 1; before = 'sympy' in sys.modules; "
-        "text = str(x); print(text, before, 'sympy' in sys.modules)"
-    )
-    assert _last_line(source) == "q*a + 1 False True"
+def test_no_command_imports_sympy(argv):
+    assert _last_line(_PROBE, *argv) == "0 True"

@@ -537,30 +537,34 @@ def test_symmetry_control_fails_on_a_blind_comparison(monkeypatch, which, reques
 
 @pytest.fixture
 def field_ops(monkeypatch):
-    """The operations that fall back to sympy's general field, as they run."""
-    calls = []
-    field_op = params_module._field_op
+    """The values over keyed denominators, as they are built: the scalars
+    whose reduced denominator is not a monomial."""
+    built = []
+    keyed = params_module._keyed
 
-    def counted_field_op(op, *args):
-        calls.append(op)
-        return field_op(op, *args)
+    def counted_keyed(*args):
+        out = keyed(*args)
+        if type(out) is params_module._Keyed:
+            built.append(out)
+        return out
 
-    monkeypatch.setattr(params_module, "_field_op", counted_field_op)
-    return calls
+    monkeypatch.setattr(params_module, "_keyed", counted_keyed)
+    return built
 
 
 def test_symbolic_checks_take_no_general_gcd(monkeypatch, field_ops, sym):
     """Work gate: over symbolic parameters these checks only meet monomial
-    denominators, so no operation falls back to sympy's general field."""
+    denominators, so no value over keyed denominators is built."""
     monkeypatch.setattr(ncalg, "_SYSTEMS", OrderedDict())
     bounds = {"max_mn": 1, "max_degree": 2, "max_n": 2}
     for spec in CHECK_CATALOG:
         assert spec.runner(sym, bounds, random.Random(0)) == "", spec.id
     assert len(field_ops) == 0
-    # the counter sees a fallback: 1 - ab has no single-term inverse
+    # the counter sees a keyed value: 1 - ab has no single-term inverse
     a, b = sym.value("a"), sym.value("b")
-    assert (RatFunc.one() - a * b).inv() * (RatFunc.one() - a * b) == RatFunc.one()
-    assert len(field_ops) == 2
+    inverse = (RatFunc.one() - a * b).inv()
+    assert type(inverse.r0) is params_module._Keyed and field_ops == [inverse.r0]
+    assert inverse * (RatFunc.one() - a * b) == RatFunc.one()
 
 
 def test_symbolic_eigen_check_at_degree_six_takes_no_general_gcd(field_ops, sym):
