@@ -145,7 +145,7 @@ def _cmd_verify_run(args) -> int:
 
 def _cmd_reduce(args) -> int:
     params = _params_from_args(args) or make_params("symbolic")
-    element = verify.parse_expression(args.expr, args.alphabet)
+    element = verify.parse_expression(args.expr, args.alphabet, params)
     if args.alphabet == "aw":
         nf = ncalg.embed_aw(element, params)
     else:

@@ -281,33 +281,30 @@ def _check_steps(names: Sequence[str]):
 
 @_at_square_root
 def _check_duality_aw(params, bounds, rng) -> str:
+    # that the map kills the relations is a corollary, not recomputed here:
+    # u -> dual_DAHA(J(u)) and u -> J_dual(dual_AW(u)) are anti-homomorphisms from
+    # the free algebra on K0, K1, T1 agreeing on the generators (duality.daha), so
+    # J_dual(dual_AW(rel)) = dual_DAHA(J(rel)) = 0 for every relation of the central
+    # extension (embed.rel*, embed.t1central, the quadratic of idempotents); a
+    # quotient relation differs from its extension relation by terms x (T1+ab) y,
+    # and T1 is central with (T1+ab)(T1+1) = 0.  Those rows hold at this point: the
+    # symbolic point moves by a field embedding, and every row runs at a constant one
     target = params.dual()
-    # relations of the central extension map to exact zero
-    for name, rel in ncalg.aw_relations(params).items():
-        img, tgt = ncalg.duality_image(rel, "AW", params)
-        nf = ncalg.embed_aw(img, tgt)
-        if not nf.is_zero():
-            return f"{name} image: {_fmt_nf(nf)}"
-    # quotient relations map to zero modulo the T1 = -ab ideal, so their images times T1+1 vanish
     sc, sc_dual = structure_constants(params), structure_constants(target)
-    quotient = ncalg.quotient_relations(params, sc)
-    for name, rel in quotient.items():
-        img, tgt = ncalg.duality_image(rel, "AW", params)
-        nf = ncalg.iso_image("sym", img, tgt)
-        if not nf.is_zero():
-            return f"{name} image (mod ideal): {_fmt_nf(nf)}"
-    # the Casimir scalar transforms by qa/(bcd) ...
     vals = params.values()
     factor = vals["q"] * vals["a"] / (vals["b"] * vals["c"] * vals["d"])
+    reciprocal = factor.inv()
+    # the Casimir scalar transforms by qa/(bcd) ...
     if sc_dual.Q0 != factor * sc.Q0:
         return "dual Casimir scalar is not qa/(bcd) times the source scalar"
+    # control: the reciprocal fails, wherever it differs (qa != +-bcd)
+    if reciprocal != factor and sc_dual.Q0 == reciprocal * sc.Q0:
+        return "control: dual Casimir scalar is also bcd/(qa) times the source scalar"
     # ... while the Casimir word expression transforms by the reciprocal
-    casimir = quotient["casimir"] + sc.Q0
+    casimir = ncalg.quotient_relations(params, sc)["casimir"] + sc.Q0
     q_img, tgt = ncalg.duality_image(casimir, "AW", params)
     q_dual = ncalg.quotient_relations(target, sc_dual)["casimir"] + sc_dual.Q0
-    diff = ncalg.embed_aw(q_img, tgt) - ncalg.embed_aw(q_dual, tgt).scale(
-        factor.inv()
-    )
+    diff = ncalg.embed_aw(q_img, tgt) - ncalg.embed_aw(q_dual, tgt).scale(reciprocal)
     if not diff.is_zero():
         return f"Casimir expression scaling failed: {_fmt_nf(diff)}"
     return ""
@@ -548,11 +545,13 @@ def _build_catalog() -> list[CheckSpec]:
         [
             CheckSpec(
                 "duality.aw",
-                "the letter map K0 -> s K1, K1 -> a^-1 K0 (s^2 = abcd/q) on reversed words, an "
-                "anti-map by construction, sends every defining relation to zero in the "
-                "dual-parameter algebra "
-                "(s, ab/s, ac/s, ad/s); quotient relations vanish modulo T1 = -ab; the "
-                "Casimir scalar transforms by qa/(bcd) and the Casimir word by bcd/(qa)",
+                "the anti-map K0 -> s K1, K1 -> a^-1 K0 (s^2 = abcd/q) on reversed words sends "
+                "every defining relation to zero in the dual algebra (s, ab/s, ac/s, ad/s), and "
+                "quotient relations modulo T1 = -ab: through the embedding it is duality.daha's "
+                "map, and there every relation, the quadratic (T1+ab)(T1+1) included, is zero by "
+                "embed.rel*, embed.t1central and idempotents; checked here: the Casimir scalar "
+                "transforms by qa/(bcd) and the Casimir word by bcd/(qa); control: the "
+                "reciprocal fails the scalar identity unless qa = +-bcd",
                 "exact",
                 _check_duality_aw,
             ),
@@ -661,9 +660,9 @@ def _trial_point(seed: int, k: int) -> Params:
     return random_params_mod_p(random.Random(f"{seed}:trial:{k}"))
 
 
-def _run_one(spec: CheckSpec, config: RunConfig) -> CheckResult:
+def _run_one(spec: CheckSpec, config: RunConfig) -> tuple[CheckResult, float]:
     """One run of a check at the given point, else at the symbolic one: an
-    exact-mode row, or one trial of a prob-mode row."""
+    exact-mode row, or one trial of a prob-mode row; with its time in seconds."""
     bounds = {"max_degree": config.max_degree, "max_n": config.max_n}
     # the rank certificates' witness draws at a symbolic point read this;
     # the random points of prob mode come from _trial_point
@@ -679,19 +678,20 @@ def _run_one(spec: CheckSpec, config: RunConfig) -> CheckResult:
         # A point the check cannot use at all (no dual family) is a skip
         verdict = "skip" if isinstance(exc, ExtensionDisabled) else "error"
         summary = f"{type(exc).__name__}: {exc}"
-    elapsed_ms = int((time.monotonic() - start) * 1000)
-    return CheckResult(spec.id, verdict, summary, 1, elapsed_ms)
+    seconds = time.monotonic() - start
+    return CheckResult(spec.id, verdict, summary, 1, int(seconds * 1000)), seconds
 
 
 def _run_trials(specs: Sequence[CheckSpec], config: RunConfig) -> list[CheckResult]:
     """The prob-mode rows, trial-major: trial k of every row still passing runs
     at one point before trial k+1 of any row starts, and a row stops at its
     first failure, which names the point.  A row's time is the sum of its
-    trials' times.  A trial's points are never met again once it ends, and
-    the exact rows ran before, so the rewrite-system cache is emptied as each
-    later trial starts: the run holds one trial's systems (its point's and its
-    dual point's) at a time."""
+    trials' times, truncated to whole ms once.  A trial's points are never met
+    again once it ends, and the exact rows ran before, so the rewrite-system
+    cache is emptied as each later trial starts: the run holds one trial's
+    systems (its point's and its dual point's) at a time."""
     results = {spec.id: CheckResult(spec.id, "pass", "", 0, 0) for spec in specs}
+    seconds = dict.fromkeys(results, 0.0)
     live = list(specs)
     for k in range(config.trials):
         if not live:
@@ -701,15 +701,14 @@ def _run_trials(specs: Sequence[CheckSpec], config: RunConfig) -> list[CheckResu
         point = _trial_point(config.seed, k)
         trial = config._replace(params=point)
         for spec in live:
-            r = _run_one(spec, trial)
+            r, spent = _run_one(spec, trial)
+            seconds[spec.id] += spent
             where = f"at {point.label}: " if r.verdict != "pass" else ""
             results[spec.id] = r._replace(
-                residual_summary=where + r.residual_summary,
-                trials=k + 1,
-                elapsed_ms=results[spec.id].elapsed_ms + r.elapsed_ms,
+                residual_summary=where + r.residual_summary, trials=k + 1
             )
         live = [spec for spec in live if results[spec.id].verdict == "pass"]
-    return list(results.values())
+    return [r._replace(elapsed_ms=int(seconds[r.id] * 1000)) for r in results.values()]
 
 
 def run_checks(config: RunConfig) -> Report:
@@ -738,7 +737,7 @@ def run_checks(config: RunConfig) -> Report:
         specs = [spec for spec in CHECK_CATALOG if spec.id in wanted]
     # a user-given point makes every check exact
     modes = [config.mode or ("exact" if config.params else spec.default_mode) for spec in specs]
-    results = {s.id: _run_one(s, config) for s, mode in zip(specs, modes) if mode == "exact"}
+    results = {s.id: _run_one(s, config)[0] for s, mode in zip(specs, modes) if mode == "exact"}
     prob = _run_trials([s for s, mode in zip(specs, modes) if mode == "prob"], config)
     results.update((r.id, r) for r in prob)
     rows = [results[spec.id] for spec in specs]
@@ -833,10 +832,11 @@ class _Parser:
     as coefficients of the empty word, so mixed scalar/word arithmetic
     falls out of Element's own operations."""
 
-    def __init__(self, text: str, alphabet: str):
+    def __init__(self, text: str, alphabet: str, params: Params):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.alphabet = alphabet
+        self.params = params
         self.letters = (
             ncalg.DAHA_ALPHABET if alphabet == "daha" else ncalg.AW_ALPHABET
         )
@@ -927,7 +927,7 @@ class _Parser:
             if name in self.letters:
                 return Element(self.alphabet, {(name,): _ONE})
             if name in PARAM_NAMES:
-                return Element(self.alphabet, {(): RatFunc.gen(name)})
+                return Element(self.alphabet, {(): self.params.value(name)})
             raise ParseError(
                 f"unknown name {name!r} for the {self.alphabet} alphabet",
                 tok[2],
@@ -951,17 +951,12 @@ class _Parser:
     _INVERTIBLE = {"Y": "Yi", "Yi": "Y", "Z": "Zi", "Zi": "Z"}
 
     def _power(self, value: Element, exponent: int, pos: int) -> Element:
-        if exponent >= 0:
-            scalar = None
-            if set(value.terms) <= {()}:
-                scalar = value.terms.get((), RatFunc.zero())
-            if scalar is not None:
-                return Element(self.alphabet, {(): scalar**exponent})
-            return value**exponent
-        # negative exponent: scalar, or a single invertible letter
         if set(value.terms) <= {()}:
             scalar = value.terms.get((), RatFunc.zero())
             return Element(self.alphabet, {(): scalar**exponent})
+        if exponent >= 0:
+            return value**exponent
+        # a negative exponent of a word: a single invertible letter only
         if len(value.terms) == 1:
             (word, coef), = value.terms.items()
             if len(word) == 1 and word[0] in self._INVERTIBLE and coef == _ONE:
@@ -974,17 +969,18 @@ class _Parser:
         )
 
 
-def parse_expression(text: str, alphabet: str = "daha") -> Element:
+def parse_expression(text: str, alphabet: str = "daha", params: Params | None = None) -> Element:
     """Parse an expression over the requested alphabet.
 
     Grammar: generators (T1, Y, Yi, Z, Zi or K0, K1, T1), parameter names
-    q,a,b,c,d and integer literals as scalars, '+', '-', '*', '/'
+    q,a,b,c,d (their values at ``params``, by default the symbolic point's
+    free symbols) and integer literals as scalars, '+', '-', '*', '/'
     (division by scalars), '^' with integer exponents (negative allowed on
     Y and Z, meaning inverse powers), and parentheses.
     """
     if alphabet not in ("daha", "aw"):
         raise ConfigError(f"unknown alphabet {alphabet!r}")
-    return _Parser(text, alphabet).parse()
+    return _Parser(text, alphabet, params or make_params("symbolic")).parse()
 
 
 # ---------------------------------------------------------------------------

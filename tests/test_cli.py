@@ -67,6 +67,16 @@ def test_reduce_three_term_denominator_exits_2(capsys):
     assert err.startswith("error: UnkeyedDenominator: 1/(q + a + 1) ")
 
 
+def test_reduce_reads_parameter_letters_at_the_point(capsys):
+    # at q=3/2, a=2 the letters are those values, so 1+q+a = 9/2 is a constant
+    code, out, _ = run_cli(capsys, "reduce", "q*Z", "--params", GPARAMS)
+    assert (code, out) == (0, "3/2 * Z\n")
+    code, out, _ = run_cli(capsys, "reduce", "Z/(1+q+a)", "--params", GPARAMS)
+    assert (code, out) == (0, "2/9 * Z\n")
+    code, out, _ = run_cli(capsys, "reduce", "q*K1", "--alphabet", "aw", "--params", GPARAMS)
+    assert (code, out) == (0, "3/2 * Z^-1\n3/2 * Z\n")
+
+
 def test_reduce_parse_error_exits_2(capsys):
     code, _, err = run_cli(capsys, "reduce", "T1 +")
     assert code == 2

@@ -562,13 +562,26 @@ def test_duality_aw_generator_images(spoint):
     assert image.terms == {("K0",): RatFunc.from_rational(Fraction(1, 3))}
 
 
-def test_duality_aw_kills_extension_relations(spoint):
-    dual = spoint.dual()
-    dual_relations = aw_relations(dual)
-    for name, relation in aw_relations(spoint).items():
-        image, target = duality_image(relation, "AW", spoint)
+@pytest.mark.parametrize("which", ["spoint", "root", "modp"])
+def test_duality_aw_kills_extension_relations(which, request):
+    # the oracle of duality.aw, which names these as corollaries of other rows:
+    # the dual images of the relations of the central extension embed to zero,
+    # and those of the quotient relations vanish modulo T1 = -ab
+    if which == "spoint":
+        point = request.getfixturevalue("spoint")
+    elif which == "root":
+        point = make_params("symbolic").with_square_root()
+    else:
+        point = random_params_mod_p(random.Random(4))
+    dual = point.dual()
+    assert aw_relations(dual)  # the dual family is admissible and buildable
+    for name, relation in aw_relations(point).items():
+        image, target = duality_image(relation, "AW", point)
+        assert target == dual
         assert embed_aw(image, target).is_zero(), name
-    assert dual_relations  # the dual family is admissible and buildable
+    for name, relation in quotient_relations(point).items():
+        image, target = duality_image(relation, "AW", point)
+        assert iso_image("sym", image, target).is_zero(), name
 
 
 def test_duality_is_anti_multiplicative(spoint):

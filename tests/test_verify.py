@@ -6,6 +6,7 @@ import random
 import weakref
 from collections import Counter, OrderedDict
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -79,7 +80,7 @@ def test_catalog_output_pinned(capsys):
     # the hash is that of `python -m rank1daha.cli catalog`
     assert cli.main(["catalog"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == "e7309eeed76bccc70a6fea838a0e125103fa299c43f033a4bf01e4c13f9a1fe5"
+    assert digest == "3aaf422c595472af0ccfa3a8cb114143b17be4017aa349d52c81f4e5f2869ce4"
 
 
 class _NoDraws(random.Random):
@@ -336,6 +337,15 @@ def test_each_trial_of_a_prob_row_is_one_run_one(monkeypatch):
     assert seen == [(cid, label) for label in labels for cid in ("idempotents", "casimir.scalar")]
 
 
+def test_prob_row_time_is_truncated_once(monkeypatch):
+    # two trials of 0.6 ms each: truncating each trial first would report 0 ms
+    ticks = iter(k * 0.0006 for k in range(4))
+    monkeypatch.setattr(verify, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    _register(monkeypatch, {"p1": lambda params, bounds, rng: ""})
+    report = run_checks(RunConfig(checks=["p1"], mode="prob", trials=2))
+    assert [(r.trials, r.elapsed_ms) for r in report.results] == [(2, 1)]
+
+
 def _register(monkeypatch, runners):
     # prob-mode catalog entries after the real ones, one per (id, runner)
     specs = [CheckSpec(cid, "a test runner", "prob", runner) for cid, runner in runners.items()]
@@ -480,6 +490,45 @@ def test_duality_aw_fails_when_the_map_keeps_word_order(monkeypatch, sym):
     # the failure names the moved point, where d in a residual reads as s
     assert at_symbolic.startswith("at symbolic;d->qd^2/(abc): ")
     assert runner(random_params_mod_p(random.Random(1)), bounds, random.Random(0))
+
+
+def test_duality_aw_embeds_no_relation_image(monkeypatch, sym):
+    # the relations' images are corollaries named in the statement: the row
+    # embeds the two sides of the Casimir scaling and nothing else
+    calls = Counter()
+    for name in ("embed_aw", "iso_image"):
+        function = getattr(ncalg, name)
+
+        def counted(*args, _name=name, _function=function):
+            calls[_name] += 1
+            return _function(*args)
+
+        monkeypatch.setattr(ncalg, name, counted)
+    runner = verify._CATALOG_BY_ID["duality.aw"].runner
+    assert runner(sym, {"max_mn": 1, "max_degree": 0, "max_n": 0}, random.Random(0)) == ""
+    assert calls == {"embed_aw": 2}
+
+
+@pytest.mark.parametrize("which", ["sym", "modp"])
+def test_duality_aw_control_catches_a_blind_scalar_comparison(monkeypatch, which, request):
+    # with the Casimir scalar read as 0 at both ends, qa/(bcd) passes and so
+    # does its reciprocal, which the control rejects
+    structure_constants = verify.structure_constants
+    monkeypatch.setattr(
+        verify, "structure_constants",
+        lambda point: structure_constants(point)._replace(Q0=RatFunc.zero()),
+    )
+    runner = verify._CATALOG_BY_ID["duality.aw"].runner
+    failure = runner(_point(which, request), {"max_mn": 1, "max_degree": 0, "max_n": 0},
+                     random.Random(0))
+    assert "control: dual Casimir scalar is also bcd/(qa)" in failure
+
+
+def test_duality_aw_control_is_moot_where_the_factor_is_its_reciprocal():
+    # qa = bcd = 6 and abcd/q = 9: the reciprocal is no perturbation, and the row passes
+    point = make_params("specialized", {"q": 2, "a": 3, "b": 1, "c": 2, "d": 3})
+    report = run_checks(RunConfig(checks=["duality.aw"], params=point))
+    assert [(r.verdict, r.residual_summary) for r in report.results] == [("pass", "")]
 
 
 def _counted(monkeypatch, name):
