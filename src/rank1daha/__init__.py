@@ -27,36 +27,29 @@ from .errors import (
     UnkeyedDenominator,
     UnknownIdentity,
 )
-from .ncalg import (
-    AW_ALPHABET,
-    DAHA_ALPHABET,
-    DEFAULT_BUDGET,
-    Element,
-    NormalForm,
-    RewriteSystem,
+from .aw3 import (
     aw_relations,
-    check_step_identity,
     compress,
     duality_image,
     embed_aw,
     embed_element,
     iso_image,
-    multiply,
     quotient_relations,
-    reduce,
-    rewrite_system,
     shift_operator_identities,
-    symmetrizer,
 )
+from .checks import CheckSpec
+from .expression import parse_expression
+from .family import recurrence_coeffs
+from .field import RatFunc
+from .laurent import PARAM_NAMES
+from .modp import random_params_mod_p
+from .ncalg import DEFAULT_BUDGET, RewriteSystem, multiply, reduce, rewrite_system
 from .params import (
-    PARAM_NAMES,
     Params,
-    RatFunc,
     StructureConstants,
     eigenvalue,
     elementary_symmetric,
     make_params,
-    random_params_mod_p,
     structure_constants,
 )
 from .polyrep import (
@@ -65,22 +58,13 @@ from .polyrep import (
     apply_k1,
     apply_word,
     askey_wilson,
-    recurrence_coeffs,
     relation_residuals,
     shifted_qn,
 )
-from .verify import (
-    TOOL_VERSION,
-    CheckResult,
-    CheckSpec,
-    Report,
-    RunConfig,
-    check_ids,
-    emit_report,
-    load_report,
-    parse_expression,
-    run_checks,
-)
+from .reports import CheckResult, Report, RunConfig, load_report
+from .steps import check_step_identity
+from .verify import TOOL_VERSION, check_ids, emit_report, run_checks
+from .words import AW_ALPHABET, DAHA_ALPHABET, Element, NormalForm, symmetrizer
 
 __version__ = TOOL_VERSION
 

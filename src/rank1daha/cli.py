@@ -13,8 +13,10 @@ import argparse
 import sys
 from fractions import Fraction
 
-from . import ncalg, polyrep, verify
+from . import aw3, ncalg, polyrep, reports, verify
+from .checks import CHECK_CATALOG
 from .errors import ConfigError, DegenerateParameters, KernelError, ParseError
+from .expression import parse_expression
 from .params import Params, make_params
 
 
@@ -34,7 +36,7 @@ def _add_param_options(parser: argparse.ArgumentParser) -> None:
 
 def _params_from_args(args) -> Params | None:
     if getattr(args, "params", None):
-        assignments = verify.parse_param_assignments(args.params)
+        assignments = reports.parse_param_assignments(args.params)
         return make_params("specialized", assignments)
     return None
 
@@ -106,13 +108,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_verify_run(args) -> int:
     options: dict[str, str] = {}
     if args.config:
-        options.update(verify.parse_config_file(args.config))
+        options.update(reports.parse_config_file(args.config))
     # CLI flags override the file
     if args.checks is not None:
         options["checks"] = args.checks
     if args.mode is not None:
         options["mode"] = args.mode
-    for key in verify._INT_OPTIONS:
+    for key in reports._INT_OPTIONS:
         value = getattr(args, key.replace("-", "_"), None)
         if value is not None:
             options[key] = str(value)
@@ -126,7 +128,7 @@ def _cmd_verify_run(args) -> int:
         options["format"] = args.format
     if args.out is not None:
         options["out"] = args.out
-    config = verify.config_from_options(options)
+    config = reports.config_from_options(options)
 
     out_format = options.get("format") or "text"
     if out_format not in ("json", "text"):
@@ -139,15 +141,15 @@ def _cmd_verify_run(args) -> int:
         sys.stdout.write(f"report written to {out_path}\n")
         sys.stdout.write(f"overall {report.overall}\n")
     else:
-        sys.stdout.write(verify.render_report(report, out_format))
+        sys.stdout.write(reports.render_report(report, out_format))
     return 0 if report.overall == "pass" else 1
 
 
 def _cmd_reduce(args) -> int:
     params = _params_from_args(args) or make_params("symbolic")
-    element = verify.parse_expression(args.expr, args.alphabet, params)
+    element = parse_expression(args.expr, args.alphabet, params)
     if args.alphabet == "aw":
-        nf = ncalg.embed_aw(element, params)
+        nf = aw3.embed_aw(element, params)
     else:
         nf = ncalg.reduce(element, params)
     sys.stdout.write(str(nf) + "\n")
@@ -169,7 +171,7 @@ def _cmd_aw_poly(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    for spec in verify.CHECK_CATALOG:
+    for spec in CHECK_CATALOG:
         sys.stdout.write(f"{spec.id}\n    {spec.statement}\n")
     return 0
 

@@ -17,9 +17,11 @@ from __future__ import annotations
 from typing import Mapping
 
 from rank1daha.errors import BudgetExhausted
-from rank1daha import ncalg
-from rank1daha.ncalg import Element, NormalForm, RewriteSystem, _is_basis_word, _word_key, rewrite_system
-from rank1daha.params import Params, RatFunc
+from rank1daha import ncalg, steps
+from rank1daha.field import RatFunc
+from rank1daha.ncalg import RewriteSystem, rewrite_system
+from rank1daha.params import Params
+from rank1daha.words import Element, NormalForm, _is_basis_word, _word_key
 
 BUDGET = 10**6
 
@@ -73,13 +75,13 @@ def rewrite(
     return rewrite_terms(rewrite_system(params), e.terms, budget, strategy)
 
 
-def step_lhs(row: ncalg.StepRow, m: int, n: int, params: Params) -> NormalForm:
+def step_lhs(row: steps.StepRow, m: int, n: int, params: Params) -> NormalForm:
     """The kernel's left side of a step identity at exponents (m, n)."""
     system = rewrite_system(params)
-    return system._normal_form(ncalg._lifted_step_lhs(row, m, n, system))
+    return system._normal_form(steps._lifted_step_lhs(row, m, n, system))
 
 
-def leading_at(row: ncalg.StepRow, m: int, n: int, params: Params) -> dict[tuple[int, int], RatFunc]:
+def leading_at(row: steps.StepRow, m: int, n: int, params: Params) -> dict[tuple[int, int], RatFunc]:
     """A step identity's leading terms at exponents (m, n): (k, l) -> coefficient."""
     system = rewrite_system(params)
-    return {key: system._drop(c) for key, c in ncalg._leading(row, m, n, system).items()}
+    return {key: system._drop(c) for key, c in steps._leading(row, m, n, system).items()}

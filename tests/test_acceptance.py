@@ -15,23 +15,22 @@ import time
 from fractions import Fraction
 
 from rank1daha import verify
-from rank1daha.ncalg import (
-    Element,
-    NormalForm,
+from rank1daha.aw3 import (
     _rank,
-    check_step_identity,
     compress,
     duality_image,
     embed_aw,
     iso_image,
-    multiply,
-    reduce,
     shift_operator_identities,
-    symmetrizer,
 )
-from rank1daha.params import RatFunc, eigenvalue, structure_constants
+from rank1daha.field import RatFunc
+from rank1daha.ncalg import multiply, reduce
+from rank1daha.params import eigenvalue, structure_constants
 from rank1daha.polyrep import apply_dsym, askey_wilson, relation_residuals
-from rank1daha.verify import RunConfig, run_checks
+from rank1daha.reports import RunConfig
+from rank1daha.steps import check_step_identity
+from rank1daha.verify import run_checks
+from rank1daha.words import Element, NormalForm, symmetrizer
 
 ONE = RatFunc.one()
 DAHA_LETTERS = ("T1", "Y", "Yi", "Z", "Zi")

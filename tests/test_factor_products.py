@@ -17,23 +17,17 @@ from collections import OrderedDict
 import pytest
 from rewriting import rewrite, rewrite_terms, step_lhs
 
-from rank1daha import ncalg
+from rank1daha import ncalg, steps, words
+from rank1daha.aw3 import compress, embed_aw, embed_element, iso_image, shift_operator_identities
 from rank1daha.errors import BudgetExhausted
-from rank1daha.ncalg import (
-    STEP_IDENTITIES,
-    Element,
-    NormalForm,
-    check_step_identity,
-    compress,
-    embed_aw,
-    embed_element,
-    iso_image,
-    reduce,
-    shift_operator_identities,
-    symmetrizer,
-)
-from rank1daha.params import ModP, RatFunc, make_params, random_params_mod_p
-from rank1daha.verify import RunConfig, run_checks
+from rank1daha.field import RatFunc
+from rank1daha.modp import ModP, random_params_mod_p
+from rank1daha.ncalg import reduce
+from rank1daha.params import make_params
+from rank1daha.reports import RunConfig
+from rank1daha.steps import STEP_IDENTITIES, check_step_identity
+from rank1daha.verify import run_checks
+from rank1daha.words import Element, NormalForm, symmetrizer
 
 _ONE = RatFunc.one()
 
@@ -87,14 +81,14 @@ def _step_lhs_oracle(row, m, n, params):
         k_word = {("K1",) * (abs(sm) * m) + ("K0",) * (abs(sn) * n): _ONE}
     else:
         k_word = {
-            ("K1",) * (m - 1) + w + ("K0",) * (n - 1): ncalg._coef(coef, n, bases)
+            ("K1",) * (m - 1) + w + ("K0",) * (n - 1): steps._coef(coef, n, bases)
             for w, coef in row.middle.items()
         }
     embedded = embed_element(Element("aw", k_word), params) * f
-    sandwich = f * Element("daha", {ncalg._basis_word(sm * m, sn * n, 0): _ONE}) * f
+    sandwich = f * Element("daha", {words._basis_word(sm * m, sn * n, 0): _ONE}) * f
     if row.kind == "step3":
-        return sandwich.scale(ncalg._coef(ncalg._ONE_MINUS_Q2, n, bases)) - embedded.scale(
-            ncalg._coef(row.scalar, n, bases)
+        return sandwich.scale(steps._coef(steps._ONE_MINUS_Q2, n, bases)) - embedded.scale(
+            steps._coef(row.scalar, n, bases)
         )
     return embedded if row.kind in ("embed", "mixed") else sandwich
 
@@ -117,7 +111,7 @@ def test_basis_products_match_rewriting(which, request):
     bound = 2 if which == "modp" else 1
     pairs += [(k1, k2) for k1 in _keys(bound) for k2 in _keys(bound)]
     for key1, key2 in pairs:
-        word = ncalg._basis_word(*key1) + ncalg._basis_word(*key2)
+        word = words._basis_word(*key1) + words._basis_word(*key2)
         got = system.basis_product(key1, key2)
         assert got == rewrite_terms(system, {word: system.one}), (key1, key2)
 
@@ -128,7 +122,7 @@ def test_reduce_matches_rewriting(which, request):
     # the parts through the basis products; both orders must give the oracle's
     params = random_params_mod_p(random.Random(3)) if which == "modp" else request.getfixturevalue(which)
     rng = random.Random(9)
-    for word in _words(rng, ncalg.DAHA_ALPHABET, 20, 4 if which == "sym" else 6):
+    for word in _words(rng, words.DAHA_ALPHABET, 20, 4 if which == "sym" else 6):
         e = Element("daha", {word: _ONE})
         want = rewrite(e, params)
         for strategy in ("leftmost", "rightmost"):
@@ -139,7 +133,7 @@ def test_compress_matches_rewriting(point):
     rng = random.Random(5)
     for family in ("sym", "asym"):
         f, _ = symmetrizer(family, point)
-        for word in _words(rng, ncalg.DAHA_ALPHABET, 4, _max_len(point, 2, 4)):
+        for word in _words(rng, words.DAHA_ALPHABET, 4, _max_len(point, 2, 4)):
             u = Element("daha", {word: _ONE})
             assert compress(family, u, point) == rewrite(f * u * f, point), word
 
@@ -218,8 +212,11 @@ def test_step_rows_build_f_once_and_rewrite_no_words(monkeypatch):
 
     monkeypatch.setattr(ncalg, "symmetrizer", counted_build)
     monkeypatch.setattr(ncalg.RewriteSystem, "reduce_terms", counted_rewrite)
-    assert _sweep_steps(random_params_mod_p(random.Random(8))) == 106
-    assert calls["symmetrizer"] <= 2 and calls["reduce_terms"] == 0, calls
+    point = random_params_mod_p(random.Random(8))
+    assert _sweep_steps(point) == 106
+    assert calls == {"symmetrizer": 2, "reduce_terms": 0}, calls
+    reduce(Element.word(("T1",), "daha"), point)  # the counter counts
+    assert calls["reduce_terms"] == 1
 
 
 def test_warm_step_rows_take_no_modp_arithmetic(monkeypatch):
@@ -332,12 +329,12 @@ def test_step3_and_iso_rewrite_no_words(monkeypatch):
     sub-products too: 399 entries (643 with the 49 products of the
     retired iso.spherical.mult)."""
     monkeypatch.setattr(ncalg, "_SYSTEMS", OrderedDict())
-    steps, systems = [0], []
+    splits, systems = [0], []
     find_redex, init = ncalg.RewriteSystem._find_redex, ncalg.RewriteSystem.__init__
 
     def counted(self, word, strategy):
         pos = find_redex(self, word, strategy)
-        steps[0] += pos is not None
+        splits[0] += pos is not None
         return pos
 
     def kept(self, params):
@@ -349,9 +346,11 @@ def test_step3_and_iso_rewrite_no_words(monkeypatch):
     monkeypatch.setattr(ncalg.RewriteSystem, "__init__", kept)
     config = RunConfig(checks=["step3.spherical", "iso.spherical.rank"], mode="prob", trials=1)
     assert [r.verdict for r in run_checks(config).results] == ["pass", "pass"]
-    assert steps[0] == 0
+    assert splits[0] == 0
     memoized = sum(len(s._product_cache) for s in systems)
     assert 0 < memoized <= 399, memoized
+    reduce(Element.word(("T1", "Z"), "daha"), systems[0].params)  # the counter counts
+    assert splits[0] == 1
 
 
 def test_step3_and_iso_work_gate(monkeypatch):

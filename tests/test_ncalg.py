@@ -9,32 +9,22 @@ from rewriting import rewrite
 
 from rank1daha import ncalg
 from rank1daha.errors import BudgetExhausted, DegenerateParameters
-from rank1daha.ncalg import (
-    Element,
-    NormalForm,
-    RewriteSystem,
-    _dominated,
-    _is_basis_word,
+from rank1daha.aw3 import (
     _rank,
     aw_relations,
     compress,
     duality_image,
     embed_aw,
     iso_image,
-    multiply,
     quotient_relations,
-    reduce,
-    rewrite_system,
     shift_operator_identities,
-    symmetrizer,
 )
-from rank1daha.params import (
-    PRIME,
-    RatFunc,
-    make_params,
-    random_params_mod_p,
-    structure_constants,
-)
+from rank1daha.field import RatFunc
+from rank1daha.modp import PRIME, random_params_mod_p
+from rank1daha.ncalg import RewriteSystem, multiply, reduce, rewrite_system
+from rank1daha.params import make_params, structure_constants
+from rank1daha.steps import _dominated
+from rank1daha.words import Element, NormalForm, _is_basis_word, symmetrizer
 
 LETTERS = ("T1", "Y", "Yi", "Z", "Zi")
 

@@ -16,24 +16,17 @@ from rank1daha.errors import (
     MissingAssignment,
     UnkeyedDenominator,
 )
+from rank1daha.field import RatFunc
+from rank1daha.laurent import _cyclotomic, _expanded, _Keyed, _Lau, _lau, _parts
+from rank1daha.modp import PRIME, ModP, random_params_mod_p
 from rank1daha.params import (
     _PARAMS_CACHE_BOUND,
-    PRIME,
-    ModP,
     Params,
-    RatFunc,
     _check_admissible,
-    _cyclotomic,
-    _expanded,
-    _Keyed,
-    _Lau,
-    _lau,
     _params_cache_entry,
-    _parts,
     eigenvalue,
     elementary_symmetric,
     make_params,
-    random_params_mod_p,
     structure_constants,
 )
 

@@ -15,15 +15,16 @@ from fractions import Fraction
 import pytest
 
 from rank1daha.errors import DegenerateParameters, NotSymmetric
-from rank1daha.ncalg import quotient_relations
-from rank1daha.params import RatFunc, eigenvalue, make_params, structure_constants
+from rank1daha.aw3 import quotient_relations
+from rank1daha.family import recurrence_coeffs
+from rank1daha.field import RatFunc
+from rank1daha.params import eigenvalue, make_params, structure_constants
 from rank1daha.polyrep import (
     LaurentPoly,
     apply_dsym,
     apply_k1,
     apply_word,
     askey_wilson,
-    recurrence_coeffs,
     relation_residuals,
     shifted_qn,
 )

@@ -16,11 +16,13 @@ import pytest
 from rewriting import leading_at, rewrite
 from test_factor_products import _step_lhs_oracle
 
-from rank1daha import ncalg
+from rank1daha import ncalg, steps, words
 from rank1daha.errors import UnknownIdentity
-from rank1daha.ncalg import STEP_IDENTITIES, Element, check_step_identity, symmetrizer
-from rank1daha.params import random_params_mod_p
-from rank1daha.verify import RunConfig, run_checks
+from rank1daha.modp import random_params_mod_p
+from rank1daha.reports import RunConfig
+from rank1daha.steps import STEP_IDENTITIES, check_step_identity
+from rank1daha.verify import run_checks
+from rank1daha.words import Element, symmetrizer
 
 
 def u_of(params):
@@ -124,7 +126,7 @@ def _perturbed(row, key):
 @pytest.mark.parametrize("name, key", _CONTROLS)
 def test_perturbed_row_fails(monkeypatch, gpoint, name, key):
     assert check_step_identity(name, 2, 2, gpoint)[1]
-    monkeypatch.setitem(ncalg.STEP_IDENTITIES, name, _perturbed(STEP_IDENTITIES[name], key))
+    monkeypatch.setitem(steps.STEP_IDENTITIES, name, _perturbed(STEP_IDENTITIES[name], key))
     residual, ok = check_step_identity(name, 2, 2, gpoint)
     assert not ok
     assert not residual.is_zero()
@@ -140,11 +142,11 @@ def test_perturbed_residual_matches_rewriting(monkeypatch, request, which, name,
     else:
         point = request.getfixturevalue(which)
     row = _perturbed(STEP_IDENTITIES[name], key)
-    monkeypatch.setitem(ncalg.STEP_IDENTITIES, name, row)
+    monkeypatch.setitem(steps.STEP_IDENTITIES, name, row)
     m, n = (1, 1) if row.kind == "exact" else (2, 2)
     bases = ncalg.rewrite_system(point)._bases
     leading = {
-        ncalg._basis_word(sk * m, sl * n, 0): ncalg._coef(coef, n, bases)
+        words._basis_word(sk * m, sl * n, 0): steps._coef(coef, n, bases)
         for (sk, sl), coef in row.leading.items()
     }
     f, _ = symmetrizer(row.family, point)
@@ -164,7 +166,7 @@ def test_residual_off_the_right_factor_fails(monkeypatch, request, which):
         point = request.getfixturevalue(which)
     system = ncalg.rewrite_system(point)
     one, eps = system._lift_one, system._symmetrizer("sym")[(0, 0, 0)]
-    lhs, (base, _) = ncalg._lifted_step_lhs, check_step_identity("44", 2, 1, point)
+    lhs, (base, _) = steps._lifted_step_lhs, check_step_identity("44", 2, 1, point)
 
     def plus(extra):
         def patched(row, m, n, system):
@@ -172,9 +174,9 @@ def test_residual_off_the_right_factor_fails(monkeypatch, request, which):
 
         return patched
 
-    monkeypatch.setattr(ncalg, "_lifted_step_lhs", plus({(0, 0, 1): one, (0, 0, 0): eps}))
+    monkeypatch.setattr(steps, "_lifted_step_lhs", plus({(0, 0, 1): one, (0, 0, 0): eps}))
     assert check_step_identity("44", 2, 1, point)[1]
-    monkeypatch.setattr(ncalg, "_lifted_step_lhs", plus({(0, 0, 1): one}))
+    monkeypatch.setattr(steps, "_lifted_step_lhs", plus({(0, 0, 1): one}))
     residual, ok = check_step_identity("44", 2, 1, point)
     assert not ok
     assert (residual - base).terms == {(0, 0, 1): 1}
@@ -186,7 +188,7 @@ def test_perturbed_row_fails_in_prob_mode(monkeypatch, name, key):
     row = STEP_IDENTITIES[name]
     config = RunConfig(checks=[row.check], mode="prob", trials=2, max_mn=2)
     assert [(r.verdict, r.trials) for r in run_checks(config).results] == [("pass", 2)]
-    monkeypatch.setitem(ncalg.STEP_IDENTITIES, name, _perturbed(row, key))
+    monkeypatch.setitem(steps.STEP_IDENTITIES, name, _perturbed(row, key))
     (result,) = run_checks(config).results
     assert (result.verdict, result.trials) == ("fail", 1)
     assert result.residual_summary.startswith("at q=")

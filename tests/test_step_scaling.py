@@ -16,10 +16,12 @@ import random
 import pytest
 from rewriting import step_lhs
 
-from rank1daha import ncalg, verify
-from rank1daha.ncalg import STEP_IDENTITIES, NormalForm, check_step_identity
-from rank1daha.params import random_params_mod_p
-from rank1daha.verify import RunConfig, run_checks
+from rank1daha import ncalg, steps, verify
+from rank1daha.modp import random_params_mod_p
+from rank1daha.reports import RunConfig
+from rank1daha.steps import STEP_IDENTITIES, check_step_identity
+from rank1daha.verify import run_checks
+from rank1daha.words import NormalForm
 
 
 @pytest.fixture(scope="module", params=["gpoint", "modp"])
@@ -130,7 +132,7 @@ def test_corners_scale_symbolically(sym):
 
 
 def test_every_row_keeps_the_scaling_rule():
-    assert {name: ncalg._scaling_break(row) for name, row in STEP_IDENTITIES.items()} == {
+    assert {name: steps._scaling_break(row) for name, row in STEP_IDENTITIES.items()} == {
         name: "" for name in STEP_IDENTITIES
     }
 
@@ -141,20 +143,20 @@ def test_every_row_keeps_the_scaling_rule():
 
 def _lhs_calls(monkeypatch):
     calls = []
-    lhs = ncalg._lifted_step_lhs
+    lhs = steps._lifted_step_lhs
 
     def counted(row, m, n, system):
         calls.append((row.check, m, n))
         return lhs(row, m, n, system)
 
-    monkeypatch.setattr(ncalg, "_lifted_step_lhs", counted)
+    monkeypatch.setattr(steps, "_lifted_step_lhs", counted)
     return calls
 
 
 def test_wrong_u_exponent_fails_before_any_product(monkeypatch, gpoint):
     row = STEP_IDENTITIES["47"]
     leading = {**row.leading, (0, -1): ((-1, 0, 1, 1, 0),)}  # -ab for -ab u^n
-    monkeypatch.setitem(ncalg.STEP_IDENTITIES, "47", row._replace(leading=leading))
+    monkeypatch.setitem(steps.STEP_IDENTITIES, "47", row._replace(leading=leading))
     calls = _lhs_calls(monkeypatch)
     summary = verify._CATALOG_BY_ID["step.47"].runner(gpoint, {}, random.Random(0))
     assert summary == (
@@ -163,11 +165,12 @@ def test_wrong_u_exponent_fails_before_any_product(monkeypatch, gpoint):
     assert calls == []
     # the general evaluator, the oracle, agrees that the row is false
     assert not check_step_identity("47", 1, 2, gpoint)[1]
+    assert calls == [("step.47", 1, 2)]  # the counter counts
 
 
 def test_wrong_step3_scalar_exponent_fails(monkeypatch, gpoint):
     row = STEP_IDENTITIES["sph3.3"]  # scalar q u^-n
-    monkeypatch.setitem(ncalg.STEP_IDENTITIES, "sph3.3", row._replace(scalar=((1, 1, 0, 0, 0),)))
+    monkeypatch.setitem(steps.STEP_IDENTITIES, "sph3.3", row._replace(scalar=((1, 1, 0, 0, 0),)))
     calls = _lhs_calls(monkeypatch)
     summary = verify._CATALOG_BY_ID["step3.spherical"].runner(gpoint, {}, random.Random(0))
     assert summary == (
@@ -175,12 +178,13 @@ def test_wrong_step3_scalar_exponent_fails(monkeypatch, gpoint):
     )
     assert calls == []
     assert not check_step_identity("sph3.3", 1, 2, gpoint)[1]
+    assert calls == [("step3.spherical", 1, 2)]  # the counter counts
 
 
 def test_wrong_middle_exponent_fails(monkeypatch, gpoint):
     row = STEP_IDENTITIES["56"]
     monkeypatch.setitem(
-        ncalg.STEP_IDENTITIES, "56", row._replace(middle={("K0", "K1"): ((1, 0, 0, 0, 1),)})
+        steps.STEP_IDENTITIES, "56", row._replace(middle={("K0", "K1"): ((1, 0, 0, 0, 1),)})
     )
     summary = verify._CATALOG_BY_ID["step.56"].runner(gpoint, {}, random.Random(0))
     assert summary.startswith("K0 K1 coefficient term (1, 0, 0, 0, 1): u^(1 n)")
@@ -192,13 +196,13 @@ def test_wrong_middle_exponent_fails(monkeypatch, gpoint):
 
 def _step_calls(monkeypatch):
     calls = []
-    check = ncalg.check_step_identity
+    check = steps.check_step_identity
 
     def counted(identity, m, n, params):
         calls.append((m, n))
         return check(identity, m, n, params)
 
-    monkeypatch.setattr(ncalg, "check_step_identity", counted)
+    monkeypatch.setattr(steps, "check_step_identity", counted)
     return calls
 
 

@@ -10,30 +10,23 @@ from types import SimpleNamespace
 
 import pytest
 
-from rank1daha import cli, ncalg, polyrep, verify
+from rank1daha import aw3, checks, cli, family, laurent, modp, ncalg, polyrep, steps, verify
 from rank1daha import params as params_module
+from rank1daha.checks import CHECK_CATALOG, CheckSpec
 from rank1daha.errors import ConfigError, DegenerateParameters, ParseError
-from rank1daha.ncalg import Element
-from rank1daha.params import (
-    Params,
-    RatFunc,
-    make_params,
-    random_params_mod_p,
-)
-from rank1daha.verify import (
-    CHECK_CATALOG,
-    TOOL_VERSION,
-    CheckSpec,
+from rank1daha.expression import parse_expression
+from rank1daha.field import RatFunc
+from rank1daha.modp import random_params_mod_p
+from rank1daha.params import Params, make_params
+from rank1daha.reports import (
     RunConfig,
-    check_ids,
-    emit_report,
     load_report,
     parse_config_file,
-    parse_expression,
     parse_param_assignments,
     render_text,
-    run_checks,
 )
+from rank1daha.verify import TOOL_VERSION, check_ids, emit_report, run_checks
+from rank1daha.words import Element
 
 ONE = RatFunc.one()
 
@@ -497,13 +490,13 @@ def test_duality_aw_embeds_no_relation_image(monkeypatch, sym):
     # embeds the two sides of the Casimir scaling and nothing else
     calls = Counter()
     for name in ("embed_aw", "iso_image"):
-        function = getattr(ncalg, name)
+        function = getattr(aw3, name)
 
         def counted(*args, _name=name, _function=function):
             calls[_name] += 1
             return _function(*args)
 
-        monkeypatch.setattr(ncalg, name, counted)
+        monkeypatch.setattr(aw3, name, counted)
     runner = verify._CATALOG_BY_ID["duality.aw"].runner
     assert runner(sym, {"max_mn": 1, "max_degree": 0, "max_n": 0}, random.Random(0)) == ""
     assert calls == {"embed_aw": 2}
@@ -513,9 +506,10 @@ def test_duality_aw_embeds_no_relation_image(monkeypatch, sym):
 def test_duality_aw_control_catches_a_blind_scalar_comparison(monkeypatch, which, request):
     # with the Casimir scalar read as 0 at both ends, qa/(bcd) passes and so
     # does its reciprocal, which the control rejects
-    structure_constants = verify.structure_constants
+    structure_constants = aw3.structure_constants
+    monkeypatch.setattr(ncalg, "_SYSTEMS", OrderedDict())  # no point's constants memoized
     monkeypatch.setattr(
-        verify, "structure_constants",
+        aw3, "structure_constants",
         lambda point: structure_constants(point)._replace(Q0=RatFunc.zero()),
     )
     runner = verify._CATALOG_BY_ID["duality.aw"].runner
@@ -532,14 +526,14 @@ def test_duality_aw_control_is_moot_where_the_factor_is_its_reciprocal():
 
 
 def _counted(monkeypatch, name):
-    """The first arguments of every call of polyrep's ``name``, as they run."""
-    calls, function = [], getattr(polyrep, name)
+    """The first arguments of every call of family's ``name``, as they run."""
+    calls, function = [], getattr(family, name)
 
     def counted(n, *args):
         calls.append(n)
         return function(n, *args)
 
-    monkeypatch.setattr(polyrep, name, counted)
+    monkeypatch.setattr(family, name, counted)
     return calls
 
 
@@ -556,6 +550,10 @@ def test_symmetry_check_builds_no_polynomial(monkeypatch, gpoint):
     coefficients.clear()
     assert runner(gpoint, {"max_mn": 1, "max_degree": 0, "max_n": 2}, random.Random(0)) == ""
     assert sorted(coefficients) == [0] * 5 + [1] * 3
+    # the counters count: eigen.Pn builds P_0 and P_1
+    eigen = verify._CATALOG_BY_ID["eigen.Pn"].runner
+    assert eigen(gpoint, {"max_mn": 1, "max_degree": 0, "max_n": 1}, random.Random(0)) == ""
+    assert built == [0, 1]
 
 
 def _point(which, request):
@@ -573,13 +571,13 @@ def test_symmetry_control_fails_on_a_blind_comparison(monkeypatch, which, reques
     equal = make_params("specialized", {"q": Fraction(3, 2), "a": 2, "b": 2, "c": 5, "d": 7})
     assert runner(equal, bounds, random.Random(0)) == ""
     # a closed form not symmetric under the swaps fails the comparison ...
-    rows = polyrep._CLOSED_FORMS["A"]
-    monkeypatch.setitem(polyrep._CLOSED_FORMS, "A", (rows[0], (("ab", 1, 1, 1), *rows[1][1:])))
+    rows = family._CLOSED_FORMS["A"]
+    monkeypatch.setitem(family._CLOSED_FORMS, "A", (rows[0], (("ab", 1, 1, 1), *rows[1][1:])))
     summary = runner(params, bounds, random.Random(0))
     assert summary.startswith("beta_0 changes under swapping a and b: ")
-    monkeypatch.setitem(polyrep._CLOSED_FORMS, "A", rows)
+    monkeypatch.setitem(family._CLOSED_FORMS, "A", rows)
     # ... and a comparison blind to every difference fails the control
-    monkeypatch.setattr(polyrep, "_reduced", lambda terms, values: RatFunc.zero())
+    monkeypatch.setattr(family, "_reduced", lambda terms, values: RatFunc.zero())
     summary = runner(params, bounds, random.Random(0))
     assert summary == "control: A_0 does not change under swapping a and b"
 
@@ -589,15 +587,19 @@ def field_ops(monkeypatch):
     """The values over keyed denominators, as they are built: the scalars
     whose reduced denominator is not a monomial."""
     built = []
-    keyed = params_module._keyed
+    keyed = laurent._keyed
 
     def counted_keyed(*args):
         out = keyed(*args)
-        if type(out) is params_module._Keyed:
+        if type(out) is laurent._Keyed:
             built.append(out)
         return out
 
-    monkeypatch.setattr(params_module, "_keyed", counted_keyed)
+    monkeypatch.setattr(laurent, "_keyed", counted_keyed)
+    # the counter counts: 1 + q has no single-term inverse
+    (RatFunc.one() + RatFunc.gen("q")).inv()
+    assert len(built) == 1
+    built.clear()
     return built
 
 
@@ -612,7 +614,7 @@ def test_symbolic_checks_take_no_general_gcd(monkeypatch, field_ops, sym):
     # the counter sees a keyed value: 1 - ab has no single-term inverse
     a, b = sym.value("a"), sym.value("b")
     inverse = (RatFunc.one() - a * b).inv()
-    assert type(inverse.r0) is params_module._Keyed and field_ops == [inverse.r0]
+    assert type(inverse.r0) is laurent._Keyed and field_ops == [inverse.r0]
     assert inverse * (RatFunc.one() - a * b) == RatFunc.one()
 
 
@@ -666,14 +668,14 @@ def _rank_dropping_at(monkeypatch, drops):
     """Patch the rank routine to return one less at the points where
     ``drops(point, seen)`` holds, ``seen`` being the list of points it has
     met so far, in order; returns that list."""
-    rank, seen = ncalg._rank, []
+    rank, seen = aw3._rank, []
 
     def patched(vectors, params):
         if params not in seen:
             seen.append(params)
         return rank(vectors, params) - drops(params, seen)
 
-    monkeypatch.setattr(ncalg, "_rank", patched)
+    monkeypatch.setattr(aw3, "_rank", patched)
     return seen
 
 
@@ -701,14 +703,14 @@ def test_rank_certificate_that_always_drops_is_an_error(monkeypatch, gpoint, che
 
 def _rank_summary(monkeypatch, check_id, point, **patches):
     for name, value in patches.items():
-        monkeypatch.setattr(ncalg, name, value)
+        monkeypatch.setattr(aw3, name, value)
     return verify._CATALOG_BY_ID[check_id].runner(point, {}, random.Random(0))
 
 
 @pytest.mark.parametrize("which", ["gpoint", "modp"])
 def test_rank_certificates_fail_on_planted_defects(monkeypatch, which, request):
     point = random_params_mod_p(random.Random(3)) if which == "modp" else request.getfixturevalue(which)
-    rank, system = ncalg._rank, ncalg.RewriteSystem
+    rank, system = aw3._rank, ncalg.RewriteSystem
     for check_id in RANK_CHECKS:
         assert verify._CATALOG_BY_ID[check_id].runner(point, {}, random.Random(0)) == ""
     # a rank routine blind to dependencies breaks each control
@@ -726,7 +728,7 @@ def test_rank_certificates_fail_on_planted_defects(monkeypatch, which, request):
     assert _rank_summary(monkeypatch, "center.daha", point, _rank=one_short) == (
         "control: kernel 1 for Z alone"
     )
-    monkeypatch.setattr(ncalg, "_rank", rank)
+    monkeypatch.setattr(aw3, "_rank", rank)
     # embedded words that leave the box or do not commute with T1
     embed_word = system._embed_word
     for key, word in (((3, 0, 0), "K1"), ((1, 0, 0), "K0 K1")):
@@ -778,26 +780,26 @@ def test_rank_settles_once_per_vector(monkeypatch):
     span = range(-3, 4)
     box = [(m, n, i) for m in span for n in span for i in (0, 1) if abs(m) + abs(n) + i <= 3]
     gens = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    verify._kernel(point, box, gens)  # warm the products
+    checks._kernel(point, box, gens)  # warm the products
     settles = _counted_settles(monkeypatch)
-    kernel, images = verify._kernel(point, box, gens)
+    kernel, images = checks._kernel(point, box, gens)
     assert (len(images), kernel, settles[0]) == (38, 1, 38)
 
 
 def _new_modp_count(monkeypatch):
     """The number of ModP objects built, as they are built."""
-    built, new, init = [0], params_module._new, params_module.ModP.__init__
+    built, new, init = [0], modp._new, modp.ModP.__init__
 
     def counted_new(cls):
-        built[0] += cls is params_module.ModP
+        built[0] += cls is modp.ModP
         return new(cls)
 
     def counted_init(self, value):
         built[0] += 1
         init(self, value)
 
-    monkeypatch.setattr(params_module, "_new", counted_new)
-    monkeypatch.setattr(params_module.ModP, "__init__", counted_init)
+    monkeypatch.setattr(modp, "_new", counted_new)
+    monkeypatch.setattr(modp.ModP, "__init__", counted_init)
     return built
 
 
@@ -810,14 +812,14 @@ def test_warm_gfp_verdicts_build_no_modp(monkeypatch):
     summed at the point from the values their terms carry."""
     point = random_params_mod_p(random.Random(11))
     bounds = {"max_mn": 3, "max_degree": 16, "max_n": 8}
-    steps = [spec.id for spec in CHECK_CATALOG if spec.id.startswith(("step", "astep"))]
-    runners = [verify._CATALOG_BY_ID[cid].runner for cid in (*RANK_CHECKS, *steps)]
+    step_ids = [spec.id for spec in CHECK_CATALOG if spec.id.startswith(("step", "astep"))]
+    runners = [verify._CATALOG_BY_ID[cid].runner for cid in (*RANK_CHECKS, *step_ids)]
     runners += [verify._CATALOG_BY_ID[cid].runner for cid in ("recurrence", "symmetry.abcd")]
 
     def trial():
         for runner in runners:
             assert runner(point, bounds, random.Random(0)) == ""
-        for monic, eigen in polyrep.check_eigen_in_rep(bounds["max_n"], point):
+        for monic, eigen in family.check_eigen_in_rep(bounds["max_n"], point):
             assert not monic and not any(eigen)
 
     trial()
@@ -924,14 +926,14 @@ def test_relations_check_controls_fail_on_their_own(monkeypatch, gpoint, method,
 
 
 def _perturbed(monkeypatch, name, n_bad, change):
-    """Apply ``change`` to what polyrep's ``name`` returns for P_(n_bad)."""
-    function = getattr(polyrep, name)
+    """Apply ``change`` to what family's ``name`` returns for P_(n_bad)."""
+    function = getattr(family, name)
 
     def patched(n, values):
         out = function(n, values)
         return change(out) if n == n_bad else out
 
-    monkeypatch.setattr(polyrep, name, patched)
+    monkeypatch.setattr(family, name, patched)
 
 
 def test_eigen_check_fails_on_a_wrong_coordinate(monkeypatch, sym, gpoint):
@@ -963,16 +965,16 @@ def test_step_check_failure_summaries(monkeypatch):
     )
     bounds = {"max_mn": 2, "max_degree": 0, "max_n": 0}
     perturb = ((1, 0, 0, 0, 0),)
-    row = ncalg.STEP_IDENTITIES["49"]
+    row = steps.STEP_IDENTITIES["49"]
     leading = {**row.leading, (1, 1): row.leading[(1, 1)] + perturb}
     monkeypatch.setitem(
-        ncalg.STEP_IDENTITIES, "49", row._replace(leading=leading)
+        steps.STEP_IDENTITIES, "49", row._replace(leading=leading)
     )
     # the step-3 scalar's perturbation keeps the u-exponent its signs force,
     # so the row reaches its (1, 1) evaluation
-    row = ncalg.STEP_IDENTITIES["sph3.3"]
+    row = steps.STEP_IDENTITIES["sph3.3"]
     monkeypatch.setitem(
-        ncalg.STEP_IDENTITIES, "sph3.3", row._replace(scalar=row.scalar + ((1, 0, 0, 0, -1),))
+        steps.STEP_IDENTITIES, "sph3.3", row._replace(scalar=row.scalar + ((1, 0, 0, 0, -1),))
     )
 
     def summary(check_id):
@@ -1008,8 +1010,8 @@ def test_recurrence_check_fails_on_a_broken_family(monkeypatch, which, request):
     # place of the factor 1 - bc q^(n-1) of C_n shows first at n = 1, since
     # C_0 has the factor 1 - q^0 = 0
     params = _point(which, request)
-    power, (one, bc, *rest) = polyrep._CLOSED_FORMS["C"]
-    monkeypatch.setitem(polyrep._CLOSED_FORMS, "C", (power, (one, ("bc", 1, 0, 1), *rest)))
+    power, (one, bc, *rest) = family._CLOSED_FORMS["C"]
+    monkeypatch.setitem(family._CLOSED_FORMS, "C", (power, (one, ("bc", 1, 0, 1), *rest)))
     runner = verify._CATALOG_BY_ID["recurrence"].runner
     assert runner(params, {"max_mn": 1, "max_degree": 0, "max_n": 0}, random.Random(0)) == ""
     summary = runner(params, {"max_mn": 1, "max_degree": 0, "max_n": 4}, random.Random(0))
@@ -1055,6 +1057,38 @@ def test_casimir_check_builds_the_casimir_element_once(monkeypatch, gpoint):
     assert built == [gpoint, gpoint]
 
 
+def test_point_constants_and_relations_are_built_once_per_point(monkeypatch, sym):
+    """Work gate: the rows that read a point's structure constants or its
+    relations (the embed rows, idempotents and both relation rows on phi_k)
+    build each once per distinct point, kept by the point's rewrite system;
+    each perturbed-B control builds its own relations.  Each row building its
+    own took 6 structure_constants and 8 aw_relations builds per point."""
+    monkeypatch.setattr(ncalg, "_SYSTEMS", OrderedDict())
+    constants, relations = [], []
+    structure_constants, aw_relations = aw3.structure_constants, aw3.aw_relations
+
+    def counted_constants(params):
+        constants.append(params)
+        return structure_constants(params)
+
+    def counted_relations(params, sc=None):
+        if sc is not None:  # a build; None reads the point's own
+            relations.append(params)
+        return aw_relations(params, sc)
+
+    monkeypatch.setattr(aw3, "structure_constants", counted_constants)
+    monkeypatch.setattr(aw3, "aw_relations", counted_relations)
+    ids = ("embed.rel34", "embed.rel35", "embed.rel36", "embed.t1central", "idempotents",
+           "casimir.scalar", "awrel.inrep")
+    points = [sym, random_params_mod_p(random.Random(3))]
+    for point in points:
+        for check_id in ids:
+            runner = verify._CATALOG_BY_ID[check_id].runner
+            assert runner(point, {"max_degree": 1, "max_n": 0}, random.Random(0)) == "", check_id
+    assert constants == points
+    assert Counter(relations) == {point: 3 for point in points}  # 1 + 2 controls
+
+
 def test_family_identities_fall_back_where_a_factor_vanishes_mod_p(monkeypatch):
     """At a point of GF(p) where 1 - ac vanishes, the sum of a family
     identity at the point decides nothing; _reduced divides out the factors
@@ -1067,18 +1101,18 @@ def test_family_identities_fall_back_where_a_factor_vanishes_mod_p(monkeypatch):
     # one term: its value at the point is 0, its reduced value its scalar
     term = values.term(3, {key: 1})
     assert term[2] is None
-    assert polyrep._reduced([term], values) == 3
-    assert polyrep._reduced([term, values.term(-3, {key: 1})], values) == 0
+    assert family._reduced([term], values) == 3
+    assert family._reduced([term, values.term(-3, {key: 1})], values) == 0
     assert values.term(3, {key: 1, ("ab", 0): 1})[2] is None
     # the recurrence: rows whose terms carry 1 - ac are reduced, the others summed
-    rows, reduced = [], polyrep._reduced
+    rows, reduced = [], family._reduced
 
     def recorded(terms, values):
         carried = any(term[1].get(key, 0) > 0 for term in terms)
         rows.append((carried, all(term[2] is not None for term in terms)))
         return reduced(terms, values)
 
-    monkeypatch.setattr(polyrep, "_reduced", recorded)
+    monkeypatch.setattr(family, "_reduced", recorded)
     runner = verify._CATALOG_BY_ID["recurrence"].runner
     bounds = {"max_mn": 1, "max_degree": 0, "max_n": 4}
     assert runner(point, bounds, random.Random(0)) == "gamma_1 = 0"
@@ -1097,7 +1131,7 @@ def _rep_summary(check_id, params, max_degree=RunConfig().max_degree) -> str:
 def test_default_degree_decides_every_degree(sym):
     # the coordinates of a length-L word's image of phi_k are Laurent polynomials
     # in q^k with exponents in [-L, 3L], so 4L + 1 distinct powers of q decide them
-    longest = max(len(w) for rel in ncalg.quotient_relations(sym).values() for w in rel.terms)
+    longest = max(len(w) for rel in aw3.quotient_relations(sym).values() for w in rel.terms)
     assert RunConfig().max_degree == 4 * longest == params_module._GENERICITY_BOUND
 
 
@@ -1116,13 +1150,14 @@ def test_rep_checks_never_meet_the_z_form(monkeypatch, which, request):
 
 def _planted_constant(monkeypatch, name):
     # structure_constants as the checks see it, with the named constant plus one
-    true = verify.structure_constants
+    true = aw3.structure_constants
+    monkeypatch.setattr(ncalg, "_SYSTEMS", OrderedDict())  # no point's constants memoized
 
     def planted(params):
         sc = true(params)
         return sc._replace(**{name: getattr(sc, name) + ONE})
 
-    monkeypatch.setattr(verify, "structure_constants", planted)
+    monkeypatch.setattr(aw3, "structure_constants", planted)
 
 
 @pytest.mark.parametrize("which", ["sym", "modp"])
