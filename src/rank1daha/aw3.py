@@ -19,14 +19,14 @@ times F, so they never expand a product into its words.  The rank
 certificates read commutators [x, g] = xg - gx of basis monomials from the
 memoized products and the isomorphism's images through
 :meth:`rank1daha.ncalg.RewriteSystem._iso_image`, and :func:`_rank`
-eliminates those lifted vectors in place.  A point's structure constants
-and the relations at them are built once and kept by its rewrite system
-(:func:`_at_point`), so the checks that share a point share them.
+eliminates those lifted vectors in place.  A point's structure constants,
+and its relations at each set of constants, are built once and kept in
+its rewrite system's memo, so the checks that share a point share them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from . import ncalg
 from .field import RatFunc
@@ -55,20 +55,20 @@ def _rank(vectors: Iterable[Mapping], params: Params) -> int:
     as it is, with its largest key as the pivot key (on the commutator
     images of the center certificate that leaves less to eliminate than
     its first key) and the inverse of its coefficient there."""
-    system = ncalg.rewrite_system(params)
-    p, zero, settle = system._prime, system._lift_zero, system._settle
+    carrier = ncalg.rewrite_system(params).carrier
+    zero, mod, inv, settle = carrier.zero, carrier.mod, carrier.inv, carrier.settle
     pivots: dict = {}  # key -> (row, 1 / row[key]), row 0 at earlier pivot keys
     for vector in vectors:
         v = dict(vector)
-        for key, (row, inv) in pivots.items():
+        for key, (row, row_inv) in pivots.items():
             c = v.get(key)
-            if c is not None and (c := c * inv % p if p else c * inv):
+            if c is not None and (c := mod(c * row_inv)):
                 for k, x in row.items():
                     v[k] = v.get(k, zero) - c * x
         v = settle(v)
         if v:
             key = max(v)
-            pivots[key] = (v, pow(v[key], -1, p) if p else v[key].inv())
+            pivots[key] = (v, inv(v[key]))
     return len(pivots)
 
 
@@ -97,7 +97,7 @@ def embed_aw(e: Element, params: Params) -> NormalForm:
     if e.alphabet != "aw":
         raise ValueError("embed expects an element over the K0/K1/T1 alphabet")
     system = ncalg.rewrite_system(params)
-    words = ((system._lift(c), system._embed_word(word)) for word, c in e.terms.items())
+    words = ((system.carrier.lift(c), system._embed_word(word)) for word, c in e.terms.items())
     return system._normal_form(system._linear(words))
 
 
@@ -109,9 +109,14 @@ def aw_relations(
     zero: the two deformed q-commutator relations rel34 and rel35, the
     Casimir relation rel36, the centrality of T1, and the quadratic.  The
     structure constants default to those of ``params``, and the relations
-    at them are built once per point (:func:`_at_point`)."""
-    if sc is None:
-        return dict(_at_point(params, "aw", lambda: aw_relations(params, _constants(params))))
+    at each set of constants are built once per point (:func:`_relations`)."""
+    sc = _constants(params) if sc is None else sc
+    system = ncalg.rewrite_system(params)
+    return dict(system._once(("relations", sc), lambda: _relations(params, sc)))
+
+
+def _relations(params: Params, sc: StructureConstants) -> dict[str, Element]:
+    # the relations of aw_relations at the structure constants sc
     q = params.value("q")
     ab = params.value("a") * params.value("b")
     qpqi = q + q.inv()
@@ -166,19 +171,9 @@ def quotient_relations(
     }
 
 
-def _at_point(params: Params, kind: str, build: Callable[[], object]):
-    """The table ``kind`` of the point itself (its structure constants, or
-    its relations at them): ``build()`` once, kept by the point's rewrite
-    system, so it is bounded and released with the system's memos."""
-    tables = ncalg.rewrite_system(params)._tables
-    if kind not in tables:
-        tables[kind] = build()
-    return tables[kind]
-
-
 def _constants(params: Params) -> StructureConstants:
     """The structure constants of ``params``, built once per point."""
-    return _at_point(params, "constants", lambda: structure_constants(params))
+    return ncalg.rewrite_system(params)._once(("constants",), lambda: structure_constants(params))
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +199,7 @@ def iso_image(family: str, u: Element, params: Params) -> NormalForm:
     if u.alphabet != "aw":
         raise ValueError("the subalgebra isomorphisms take K0/K1 words")
     system = ncalg.rewrite_system(params)
-    terms = {word: system._lift(c) for word, c in u.terms.items()}
+    terms = {word: system.carrier.lift(c) for word, c in u.terms.items()}
     return system._normal_form(system._iso_image(family, terms))
 
 

@@ -153,7 +153,7 @@ def _kernel(point, keys, gens) -> tuple[int, list[dict]]:
     # and the images of the keys, block j keyed (j, key), on the kernel's lifted coefficients:
     # [x, g] = xg - gx from the memoized basis products
     system = ncalg.rewrite_system(point)
-    product, zero, images = system._product, system._lift_zero, []
+    product, zero, images = system._product, system.carrier.zero, []
     for x in keys:
         image = {}
         for j, g in enumerate(gens):
@@ -176,7 +176,7 @@ def _k_words(bound: int) -> list[tuple[str, ...]]:
 def _check_iso_rank(family: str, point, bounds, rng) -> str | None:
     system = ncalg.rewrite_system(point)
     words = [w for w in _k_words(4) if len(w) <= 4]  # n + 2l + m <= 4: 21 words
-    one = system._lift_one
+    one = system.carrier.one
     images = {w: system._iso_image(family, {w: one}) for w in words}
     if aw3._rank(images.values(), point) < len(images):
         return None
@@ -298,7 +298,7 @@ def _check_centralizer_t1(point, bounds, rng) -> str | None:
         if rejected(v):
             return f"embedded {' '.join(word)} leaves the box or does not commute with T1"
     # control: Z in place of an embedded word is rejected
-    if not rejected({(1, 0, 0): system._lift_one}):
+    if not rejected({(1, 0, 0): system.carrier.one}):
         return "control: Z accepted in place of an embedded word"
     rank = aw3._rank(embedded, point)
     if rank > kernel:

@@ -9,10 +9,10 @@ denominators (:mod:`rank1daha.laurent`).  The recurrence uses the closed
 forms of Koekoek-Lesky-Swarttouw (14.1.4).
 
 At a point of GF(p) the terms carry the scalars as plain int residues
-(:func:`rank1daha.polyrep._lifted`), and a term also carries the value of
-its factors, so the identity is first summed at the point; it is reduced
-by the factors its terms share only where that sum is nonzero, to show the
-reduced value, or where a factor vanishes there.
+(the point's carrier, :func:`rank1daha.modp._carrier`), and a term also
+carries the value of its factors, so the identity is first summed at the
+point; it is reduced by the factors its terms share only where that sum is
+nonzero, to show the reduced value, or where a factor vanishes there.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ from math import prod
 from typing import Iterator, Sequence
 
 from .field import _ZERO, RatFunc
+from .modp import _carrier, _value_carrier
 from .params import Params
-from .polyrep import Term, _Basis, _Factors, _lifted, _pn_factors, _power
+from .polyrep import Term, _Basis, _Factors, _pn_factors
 
 __all__ = ["recurrence_coeffs", "check_eigen_in_rep"]
 
@@ -54,18 +55,18 @@ def _reduced(terms: Sequence[Term], values: _Factors) -> RatFunc:
     values the terms carry, decides first; the division runs where it is
     nonzero, for the value shown, or where a factor vanishes."""
     terms = [term for term in terms if term[1].get(("1", 0), 0) <= 0]
-    p = values.p
+    p = values.carrier.p
     if p and all(v is not None for *_, v in terms) and not sum(s * v for s, _, v in terms) % p:
         return 0
     keys = set().union(*(f for _, f, _ in terms))
     least = {key: min(f.get(key, 0) for _, f, _ in terms) for key in keys}
-    total = values.zero
+    total = values.carrier.zero
     for s, f, _ in terms:
         for key, low in least.items():
             for _ in range(f.get(key, 0) - low):
                 s = s * values[key]
         total = total + s
-    return total % p if p else total
+    return values.carrier.mod(total)
 
 
 def _pn_terms(n: int, values: _Factors) -> tuple[list[Term], Term]:
@@ -105,7 +106,7 @@ def _swapped(x: str, swap: str) -> str:
 def _coefficients(n: int, values: _Factors, swap: str = "") -> tuple[list[Term], Term]:
     """beta_n as the terms a + a^-1, -A_n, -C_n, and gamma_n, in their
     closed forms with the two letters of ``swap`` exchanged."""
-    a, one = _swapped("a", swap), values.one
+    a, one = _swapped("a", swap), values.carrier.one
 
     def form(name: str, m: int) -> Term:
         power, rows = _CLOSED_FORMS[name]
@@ -125,7 +126,7 @@ def recurrence_coeffs(max_n: int, params: Params) -> list[tuple[RatFunc, RatFunc
     from their closed forms (gamma_0 = 0)."""
     if max_n < 0:
         raise ValueError("recurrence index must be nonnegative")
-    values = _Factors(params.vals)
+    values = _Factors(_value_carrier(params))
     value = lambda term: prod((values[key] ** e for key, e in term[1].items()), start=term[0])
     coeffs = [_coefficients(n, values) for n in range(max_n + 1)]
     return [(sum(map(value, beta), _ZERO), value(gamma) if n else _ZERO)
@@ -141,15 +142,15 @@ def _recurrence_residuals(max_n: int, params: Params):
     ratio of normalisers keeps only the factors that do not cancel."""
     if max_n < 0:
         raise ValueError("recurrence index must be nonnegative")
-    vals, p = _lifted(params)
-    values, basis = _Factors(vals, p), _Basis(vals, p).grow(max_n + 1)
+    carrier = _carrier(params)
+    values, basis = _Factors(carrier), _Basis(carrier).grow(max_n + 1)
     family = [_pn_terms(n, values) for n in range(max_n + 2)]
-    one = values.one
+    one = carrier.one
 
     def ratio(m: int, n: int) -> Term:  # N_m / N_n
         (s, f, _), (s2, f2, _) = family[m][1], family[n][1]
         exponents = ((key, f.get(key, 0) - f2.get(key, 0)) for key in f.keys() | f2.keys())
-        return values.term(s * _power(s2, -1, p), {key: e for key, e in exponents if e})
+        return values.term(s * carrier.inv(s2), {key: e for key, e in exponents if e})
 
     for n in range(max_n + 1):
         beta, gamma = _coefficients(n, values)
@@ -176,8 +177,8 @@ def _swap_residuals(
     (1-abcdq^(2k-2))(1-abcdq^(2k-1))(1-abcdq^(2k)) being symmetric in a, b,
     c, d.  The unswapped closed forms are built once per k.  Raises at a k
     where P_(k+1), which they help fix, does not exist."""
-    values = _Factors(*_lifted(params))
-    minus, unswapped = -values.one, []
+    values = _Factors(_carrier(params))
+    minus, unswapped = -values.carrier.one, []
     for swap in swaps:
         for k in range(max_n):
             if k == len(unswapped):
@@ -199,14 +200,14 @@ def check_eigen_in_rep(max_n: int, params: Params) -> list[tuple[RatFunc, list[R
     factors its terms share.  P_n is symmetric, as every phi_k is.  At a
     point of GF(p) the residuals are int residues.
     """
-    vals, p = _lifted(params)
-    values, basis = _Factors(vals, p), _Basis(vals, p).grow(max_n)
+    carrier = _carrier(params)
+    values, basis = _Factors(carrier), _Basis(carrier).grow(max_n)
     lam, mu = basis.lam, basis.mu
     out = []
     for n in range(max_n + 1):
         coords, norm = _pn_terms(n, values)
-        lead = _power(basis.lead_inv[n], -1, p)  # the z^n coefficient of phi_n
-        monic = _reduced([_term(lead, coords[n]), _term(-values.one, norm)], values)
+        lead = carrier.inv(basis.lead_inv[n])  # the z^n coefficient of phi_n
+        monic = _reduced([_term(lead, coords[n]), _term(-carrier.one, norm)], values)
         eigen = [
             _reduced([_term(lam[k] - lam[n], coords[k]), _term(mu[k + 1], coords[k + 1])], values)
             for k in range(n)

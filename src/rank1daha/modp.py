@@ -11,14 +11,16 @@ EUROSAM 1979), and only then can the identity falsely pass.
 
 from __future__ import annotations
 
+import operator
 import random
 from fractions import Fraction
-from typing import Callable
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .errors import DegenerateParameters, DivisionByZero
-from .field import RatFunc
+from .field import _ONE, _ZERO, RatFunc
 from .laurent import PARAM_NAMES, _new
-from .params import _GENERICITY_BOUND, Params, _check_admissible
+from .params import Params, _check_admissible
 
 __all__ = ["PRIME", "ModP", "random_params_mod_p"]
 
@@ -57,16 +59,47 @@ def _same(x):
     return x
 
 
-def _lifting(params: "Params") -> tuple[Callable, Callable, int]:
-    """(lift, drop, p): how inner loops carry the scalars of ``params``.  At
-    a point of GF(p) a scalar is lifted to its int residue, summed and
-    multiplied as a plain int and reduced mod p where it is read, and
-    dropped back to a ``ModP`` only where one is returned: (_residue,
-    _modp, PRIME).  Elsewhere the RatFunc values are carried as they are,
-    with p = 0."""
-    if isinstance(params.vals[0], ModP):
-        return _residue, _modp, PRIME
-    return _same, _same, 0
+class Carrier(NamedTuple):
+    """How the checks' inner loops carry the scalars of one point, fixed
+    once per point (:func:`_carrier`): its values, zero and one as they are
+    carried, ``lift`` from and ``drop`` back to a scalar, and ``mod``,
+    ``inv`` and ``power`` (an exponent may be negative) on carried ones.
+    ``settle`` reduces a dict of accumulated coefficients and drops its
+    zeros.  ``p`` is 2^61 - 1 at a point of GF(p) and 0 elsewhere."""
+
+    p: int
+    zero: object
+    one: object
+    vals: tuple
+    lift: Callable
+    drop: Callable
+    mod: Callable
+    inv: Callable
+    power: Callable
+    settle: Callable
+
+
+def _value_carrier(params: "Params") -> Carrier:
+    """The carrier of the point's scalars as they are, RatFunc values or
+    ``ModP`` objects: the z-form entry points' at every point."""
+    settle = lambda acc: {key: c for key, c in acc.items() if c}
+    inv = operator.methodcaller("inv")
+    return Carrier(0, _ZERO, _ONE, params.vals, _same, _same, _same, inv, operator.pow, settle)
+
+
+def _carrier(params: "Params") -> Carrier:
+    """The carrier of the checks' paths at ``params``.  At a point of GF(p)
+    a scalar is lifted to its int residue, summed and multiplied as a plain
+    int and reduced mod p where it is read, and dropped back to a ``ModP``
+    only where one is returned.  Elsewhere the values are carried as they
+    are (:func:`_value_carrier`)."""
+    if not isinstance(params.vals[0], ModP):
+        return _value_carrier(params)
+    settle = lambda acc: {key: r for key, c in acc.items() if (r := c % PRIME)}
+    return Carrier(
+        PRIME, 0, 1, tuple(v.v for v in params.vals), _residue, _modp, PRIME.__rmod__,
+        partial(pow, exp=-1, mod=PRIME), partial(pow, mod=PRIME), settle,
+    )
 
 
 class ModP(RatFunc):
@@ -183,17 +216,17 @@ class ModP(RatFunc):
 
 def random_params_mod_p(rng: random.Random) -> Params:
     """A parameter set drawn uniformly from GF(p)^5, resampled until it
-    satisfies the genericity conditions mod p (with the default bound of
-    :func:`rank1daha.params.make_params`) and abcd/q is a quadratic residue, so that the dual
-    family exists."""
+    satisfies the genericity conditions mod p (those of
+    :func:`rank1daha.params.make_params`) and abcd/q is a quadratic residue,
+    so that the dual family exists."""
     while True:
         vals = tuple(_modp(rng.randrange(PRIME)) for _ in PARAM_NAMES)
         try:
-            _check_admissible(vals, _GENERICITY_BOUND)
+            _check_admissible(vals)
         except DegenerateParameters:
             continue
         q, a, b, c, d = vals
         if (a * b * c * d / q).sqrt() is None:
             continue
         label = ",".join(f"{n}={v}" for n, v in zip(PARAM_NAMES, vals)) + " mod 2^61-1"
-        return Params(vals, _GENERICITY_BOUND, label)
+        return Params(vals, label)

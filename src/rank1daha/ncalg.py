@@ -16,8 +16,8 @@ letter and a basis word, and takes what the rule leaves through the memo
 again (:meth:`RewriteSystem.basis_product`); at a point of GF(p) the
 products run on plain int residues, and a ``ModP`` is built only where a
 normal form is returned.  The compressions F Z^m Y^n F, the embedded
-K-words times F and the step table coefficients are memoized per rewrite
-system, so the checks that share a point share them.  :func:`reduce` takes
+K-words times F and the step table coefficients are kept in the system's
+one memo, so the checks that share a point share them.  :func:`reduce` takes
 the same products: it splits a word at a redex into a basis word and a
 shorter word and multiplies their normal forms, so the critical pairs,
 ``idempotents`` (F^2 = eF), ``duality.daha`` and the argument of
@@ -32,11 +32,11 @@ sub-products included; memoized products cost none.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import BudgetExhausted
 from .field import RatFunc
-from .modp import _lifting
+from .modp import _carrier
 from .params import Params, _params_cache_entry
 from .words import (
     _ONE,
@@ -158,19 +158,13 @@ class RewriteSystem:
         self.rules = rules
         # the scalar handling of the product kernel, fixed here: residues at
         # a point of GF(p), the RatFunc values themselves elsewhere
-        self._lift, self._drop, self._prime = _lifting(params)
-        self._lift_zero, self._lift_one = self._lift(one - one), self._lift(one)
+        self.carrier = _carrier(params)
         self._product_cache: dict[tuple, dict] = {}
-        self._prefixes: dict[Word, dict] = {(): {(0, 0, 0): self._lift_one}}
+        self._prefixes: dict[Word, dict] = {(): {(0, 0, 0): self.carrier.one}}
         self._images = {
             letter: self._lifted(nf) for letter, nf in _embedding_images(params).items()
         }
-        self._symmetrizers: dict[str, dict] = {}
-        self._coefs: dict[tuple[tuple, int], object] = {}  # of the step table
-        self._sandwiches: dict[tuple[str, tuple[int, int, int]], dict] = {}
-        self._words_times_f: dict[tuple[str, Word], dict] = {}
-        # the point's structure constants and relation tables (aw3._at_point)
-        self._tables: dict[str, object] = {}
+        self._memo: dict[tuple, object] = {}  # of _once
 
     # -- the relations and their overlaps -----------------------------------
 
@@ -196,7 +190,7 @@ class RewriteSystem:
         of the difference whatever order the steps take.  Given termination
         (:meth:`termination_failures`), Bergman's diamond lemma (Adv. Math.
         29, 1978) makes reduction confluent exactly when each is zero."""
-        rules, lift, zero = self.rules, self._lift, self._lift_zero
+        rules, lift, zero = self.rules, self.carrier.lift, self.carrier.zero
         for x, y in rules:
             for y2, z in rules:
                 if y2 == y:
@@ -256,8 +250,8 @@ class RewriteSystem:
         each word's by :meth:`_word_normal_form`."""
         if strategy not in ("leftmost", "rightmost"):
             raise ValueError(f"unknown strategy {strategy!r}")
-        lift = self._lift
-        lifted = self._settle({tuple(w): lift(c) for w, c in terms.items()})
+        lift = self.carrier.lift
+        lifted = self.carrier.settle({tuple(w): lift(c) for w, c in terms.items()})
         return self._normal_form(
             self._linear((c, self._word_normal_form(w, strategy)) for w, c in lifted.items())
         )
@@ -272,12 +266,12 @@ class RewriteSystem:
         order is a reduction sequence and ends at the same normal form."""
         i = self._find_redex(word, strategy)
         if i is None:
-            return {_basis_key(word): self._lift_one}
+            return {_basis_key(word): self.carrier.one}
         if strategy == "leftmost":
             rest = self._word_normal_form(word[i + 1 :], strategy)
             return self._times(_basis_key(word[: i + 1]), rest, None)
         head = self._word_normal_form(word[: i + 1], strategy)
-        return self._multiply(head, {_basis_key(word[i + 1 :]): self._lift_one})
+        return self._multiply(head, {_basis_key(word[i + 1 :]): self.carrier.one})
 
     def basis_product(self, key1: tuple[int, int, int], key2: tuple[int, int, int]) -> NormalForm:
         """The reduced product of two basis monomials, memoized; products
@@ -307,19 +301,12 @@ class RewriteSystem:
     # the memos hold those.
 
     def _lifted(self, nf: NormalForm) -> dict:
-        lift = self._lift
+        lift = self.carrier.lift
         return {key: lift(c) for key, c in nf.terms.items()}
 
     def _normal_form(self, lifted: dict) -> NormalForm:
-        drop = self._drop
+        drop = self.carrier.drop
         return NormalForm({key: drop(c) for key, c in lifted.items()})
-
-    def _settle(self, acc: dict) -> dict:
-        # accumulated lifted coefficients, reduced mod p and without zeros
-        p = self._prime
-        if p:
-            return {key: r for key, c in acc.items() if (r := c % p)}
-        return {key: c for key, c in acc.items() if c}
 
     def _product(self, key1, key2, spent: list[int] | None = None) -> dict:
         cached = self._product_cache.get((key1, key2))
@@ -344,7 +331,7 @@ class RewriteSystem:
             if i:
                 result = self._product((0, 0, 1), key2, spent)
             else:
-                result = {key2: self._lift_one}
+                result = {key2: self.carrier.one}
             if n:
                 result = self._times((0, n, 0), result, spent)
             if m:
@@ -359,12 +346,12 @@ class RewriteSystem:
         w = _basis_word(*key2)
         rhs = self.rules.get((x, w[0])) if w else None
         if rhs is None:
-            return {_basis_key((x,) + w): self._lift_one}
+            return {_basis_key((x,) + w): self.carrier.one}
         spent[0] += 1
         if spent[0] > DEFAULT_BUDGET:
             raise BudgetExhausted(f"rewriting exceeded {DEFAULT_BUDGET} rule applications")
         rest = _word_key(w[1:])
-        lift, zero = self._lift, self._lift_zero
+        lift, zero = self.carrier.lift, self.carrier.zero
         acc: dict = {}
         for word, coef in rhs:
             if _is_basis_word(word):
@@ -373,17 +360,17 @@ class RewriteSystem:
                 # only a rule table altered after construction has such a
                 # word; it is multiplied letter by letter, so that no memo
                 # key stands for a word it is not
-                terms = {rest: self._lift_one}
+                terms = {rest: self.carrier.one}
                 for letter in reversed(word):
                     terms = self._times(_word_key((letter,)), terms, spent)
             c = lift(coef)
             for key, v in terms.items():
                 acc[key] = acc.get(key, zero) + c * v
-        return self._settle(acc)
+        return self.carrier.settle(acc)
 
     def _times(self, key1, v: dict, spent: list[int] | None) -> dict:
         """The basis monomial key1 times the lifted normal form v."""
-        cache, zero = self._product_cache, self._lift_zero
+        cache, zero = self._product_cache, self.carrier.zero
         acc: dict = {}
         for key2, c in v.items():
             terms = cache.get((key1, key2))
@@ -391,7 +378,7 @@ class RewriteSystem:
                 terms = self._product(key1, key2, spent)
             for key, x in terms.items():
                 acc[key] = acc.get(key, zero) + c * x
-        return self._settle(acc)
+        return self.carrier.settle(acc)
 
     def _multiply(self, u: dict, v: dict) -> dict:
         """u v for lifted normal forms.  The monomials of u are grouped by
@@ -400,7 +387,7 @@ class RewriteSystem:
         groups: dict[tuple[int, int], list] = {}
         for (m, n, i), c in u.items():
             groups.setdefault((n, i), []).append((m, c))
-        zero = self._lift_zero
+        zero = self.carrier.zero
         out: dict = {}
         for (n, i), shifts in groups.items():
             head = self._times((0, n, i), v, None)
@@ -408,17 +395,17 @@ class RewriteSystem:
                 for (k0, k1, k2), c in head.items():
                     key = (k0 + m, k1, k2)
                     out[key] = out.get(key, zero) + c1 * c
-        return self._settle(out)
+        return self.carrier.settle(out)
 
     def _linear(self, terms: Iterable[tuple[object, dict]]) -> dict:
         """The sum of c v over the pairs (c, v) of a lifted scalar c and a
         lifted normal form v."""
-        zero = self._lift_zero
+        zero = self.carrier.zero
         acc: dict = {}
         for c, v in terms:
             for key, x in v.items():
                 acc[key] = acc.get(key, zero) + c * x
-        return self._settle(acc)
+        return self.carrier.settle(acc)
 
     def _embed_word(self, word: Word) -> dict:
         """The embedding of one K0/K1/T1 word, lifted.  The word is read
@@ -433,12 +420,23 @@ class RewriteSystem:
             nf = known
         return nf
 
+    def _once(self, key: tuple, build: Callable):
+        """``build()`` on the first call with ``key``, kept by this system: the
+        point's results that the checks share, such as its compressions, its
+        structure constants and its relations.  They are bounded and released
+        with the system (:data:`_SYSTEMS`)."""
+        out = self._memo.get(key)
+        if out is None:
+            out = self._memo[key] = build()
+        return out
+
     def _symmetrizer(self, family: str) -> dict:
-        """F of ``family``, lifted, from :func:`symmetrizer` on first use."""
-        if family not in self._symmetrizers:  # F = T1+eps is a normal form
+        """F of ``family``, lifted, from :func:`symmetrizer`, memoized."""
+        def build():  # F = T1+eps is a normal form
             f, _ = symmetrizer(family, self.params)
-            self._symmetrizers[family] = {_word_key(w): self._lift(c) for w, c in f.terms.items()}
-        return self._symmetrizers[family]
+            return {_word_key(w): self.carrier.lift(c) for w, c in f.terms.items()}
+
+        return self._once(("symmetrizer", family), build)
 
     def _compress(self, family: str, u: dict) -> dict:
         """F u F for a lifted normal form u."""
@@ -448,11 +446,8 @@ class RewriteSystem:
     def _sandwich(self, family: str, key: tuple[int, int, int]) -> dict:
         """F (basis monomial) F, lifted, memoized: the step rows read at
         one point share their compressions."""
-        out = self._sandwiches.get((family, key))
-        if out is None:
-            out = self._compress(family, {key: self._lift_one})
-            self._sandwiches[(family, key)] = out
-        return out
+        build = lambda: self._compress(family, {key: self.carrier.one})
+        return self._once(("sandwich", family, key), build)
 
     def _embed_times_f(self, family: str, terms: Mapping[Word, object]) -> dict:
         """The embedding of a K0/K1/T1 combination with lifted coefficients
@@ -463,17 +458,14 @@ class RewriteSystem:
 
     def _word_times_f(self, family: str, word: Word) -> dict:
         """The embedding of one K0/K1/T1 word times F, lifted, memoized."""
-        image = self._words_times_f.get((family, word))
-        if image is None:
-            f = self._symmetrizer(family)
-            image = self._words_times_f[(family, word)] = self._multiply(self._embed_word(word), f)
-        return image
+        build = lambda: self._multiply(self._embed_word(word), self._symmetrizer(family))
+        return self._once(("word times F", family, word), build)
 
     def _iso_image(self, family: str, terms: Mapping[Word, object]) -> dict:
         """:func:`rank1daha.aw3.iso_image` of a K0/K1 combination with lifted
         coefficients, lifted: for "asym" each word's coefficient takes q per K0."""
         if family == "asym":
-            q = self._lift(self.params.vals[0])
+            q = self.carrier.vals[0]
             terms = {word: c * q ** word.count("K0") for word, c in terms.items()}
         return self._embed_times_f(family, terms)
 

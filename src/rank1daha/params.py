@@ -42,14 +42,15 @@ _PARAM_INDEX = {name: i for i, name in enumerate(PARAM_NAMES)}
 # Parameter sets
 
 
-def _check_admissible(vals: Sequence[RatFunc], bound: int) -> None:
+def _check_admissible(vals: Sequence[RatFunc]) -> None:
     """Raise DegenerateParameters unless the constant values q, a, b, c, d
-    (rational, or residues mod p) satisfy the genericity conditions."""
+    (rational, or residues mod p) satisfy the genericity conditions, with
+    M = :data:`_GENERICITY_BOUND` (:func:`make_params`)."""
     q, a, b, c, d = vals
     if q.is_zero():
         raise DegenerateParameters("q = 0")
     power = q
-    for m in range(1, bound + 1):
+    for m in range(1, _GENERICITY_BOUND + 1):
         if power == 1:
             raise DegenerateParameters("q^m = 1", m)
         power = power * q
@@ -57,7 +58,7 @@ def _check_admissible(vals: Sequence[RatFunc], bound: int) -> None:
         if v.is_zero():
             raise DegenerateParameters(f"{name} = 0")
     power = a * b * c * d
-    for m in range(0, bound + 1):
+    for m in range(0, _GENERICITY_BOUND + 1):
         if power == 1:
             raise DegenerateParameters("abcd*q^m = 1", m)
         power = power * q
@@ -66,22 +67,20 @@ def _check_admissible(vals: Sequence[RatFunc], bound: int) -> None:
 
 
 class Params:
-    """One parameter set: the values of q, a, b, c, d, the genericity bound
-    M of the admissibility conditions, and a label for reports.
+    """One parameter set: the values of q, a, b, c, d and a label for reports.
 
     ``vals`` holds the five values in :data:`PARAM_NAMES` order, as formal
     indeterminates, rational constants, residues mod p or derived rational
     functions.
-    Equality and hashing read the values and the bound, not the label; the
-    hash is computed once, since parameter sets key the rewrite-system
-    cache on every lookup.
+    Equality and hashing read the values, not the label; the hash is
+    computed once, since parameter sets key the rewrite-system cache on
+    every lookup.
     """
 
-    __slots__ = ("vals", "genericity_bound", "label", "_hash")
+    __slots__ = ("vals", "label", "_hash")
 
-    def __init__(self, vals: tuple[RatFunc, ...], genericity_bound: int, label: str):
-        hashed = hash((vals, genericity_bound))
-        for name, value in zip(self.__slots__, (vals, genericity_bound, label, hashed)):
+    def __init__(self, vals: tuple[RatFunc, ...], label: str):
+        for name, value in zip(self.__slots__, (vals, label, hash(vals))):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, *_):
@@ -93,13 +92,13 @@ class Params:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Params):
             return NotImplemented
-        return self.vals == other.vals and self.genericity_bound == other.genericity_bound
+        return self.vals == other.vals
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"Params({self.vals!r}, {self.genericity_bound!r}, {self.label!r})"
+        return f"Params({self.vals!r}, {self.label!r})"
 
     # -- values ---------------------------------------------------------
 
@@ -120,8 +119,8 @@ class Params:
         ``suffix``; constant values must satisfy the genericity
         conditions."""
         if all(v.is_constant() for v in vals):
-            _check_admissible(vals, self.genericity_bound)
-        return Params(tuple(vals), self.genericity_bound, self.label + suffix)
+            _check_admissible(vals)
+        return Params(tuple(vals), self.label + suffix)
 
     def shifted(self) -> "Params":
         """The same parameters with a -> qa and b -> qb (c, d, q fixed)."""
@@ -195,27 +194,22 @@ def _params_cache_entry(
     return entry
 
 
+# M of the genericity conditions; casimir.scalar reads that q^0..q^16 are distinct
 _GENERICITY_BOUND = 16
 
 
-def make_params(
-    mode: str,
-    assignments: Mapping[str, _Rational] | None = None,
-    genericity_bound: int = _GENERICITY_BOUND,
-) -> Params:
+def make_params(mode: str, assignments: Mapping[str, _Rational] | None = None) -> Params:
     """Validate and build a parameter set.
 
     Symbolic mode takes no assignments.  Specialized mode requires a value
     for each of q, a, b, c, d and enforces the genericity conditions:
     q != 0, q^m != 1 (1 <= m <= M), a,b,c,d != 0, abcd*q^m != 1
-    (0 <= m <= M), and ab != 1, where M is ``genericity_bound``.
+    (0 <= m <= M), and ab != 1, where M is :data:`_GENERICITY_BOUND`.
     """
-    if genericity_bound < 1:
-        raise ValueError("genericity_bound must be a positive integer")
     if mode == "symbolic":
         if assignments:
             raise ValueError("symbolic mode takes no assignments")
-        return Params(tuple(map(RatFunc.gen, PARAM_NAMES)), genericity_bound, "symbolic")
+        return Params(tuple(map(RatFunc.gen, PARAM_NAMES)), "symbolic")
     if mode != "specialized":
         raise ValueError(f"unknown mode {mode!r}")
     if assignments is None:
@@ -228,9 +222,9 @@ def make_params(
         raise ValueError(f"unknown parameter names: {', '.join(sorted(extra))}")
     point = {n: Fraction(assignments[n]) for n in PARAM_NAMES}
     vals = tuple(RatFunc.from_rational(v) for v in point.values())
-    _check_admissible(vals, genericity_bound)
+    _check_admissible(vals)
     label = ",".join(f"{n}={point[n]}" for n in PARAM_NAMES)
-    return Params(vals, genericity_bound, label)
+    return Params(vals, label)
 
 
 # ---------------------------------------------------------------------------

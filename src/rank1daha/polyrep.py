@@ -48,9 +48,10 @@ symmetric Laurent polynomial.  The Casimir relation has words of length
 bound of :func:`rank1daha.params.make_params`).
 
 The checks' paths carry the scalars of a point of GF(p) as plain int
-residues, with no ``ModP`` object per operation (:func:`_lifted`), and
-return their residuals so, reduced mod p: a residual prints as the
-``ModP`` of the same value would.
+residues (:func:`rank1daha.modp._carrier`), with no ``ModP`` object per
+operation, and return their residuals so, reduced mod p: a residual
+prints as the ``ModP`` of the same value would; the z-form entry points
+carry the values as they are.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 from .aw3 import quotient_relations
 from .errors import DegenerateParameters, NotSymmetric
 from .field import _ONE, _ZERO, RatFunc
-from .modp import _lifting
+from .modp import Carrier, _carrier, _value_carrier
 from .params import Params, StructureConstants
 
 __all__ = [
@@ -166,19 +167,6 @@ class LaurentPoly:
 Coords = list[RatFunc]  # c_0..c_K of sum_k c_k phi_k
 
 
-def _lifted(params: Params) -> tuple[tuple, int]:
-    """The values q, a, b, c, d as the checks' paths carry them, and p
-    (:func:`rank1daha.modp._lifting`): int residues and p = 2^61 - 1 at a
-    point of GF(p), else the RatFunc values themselves and 0."""
-    lift, _, p = _lifting(params)
-    return tuple(map(lift, params.vals)), p
-
-
-def _power(x, e: int, p: int):
-    # x^e for a lifted scalar x, reduced mod p where p is set; e may be negative
-    return pow(x, e, p) if p else x**e
-
-
 def _times_factor(half: Coords, lin: RatFunc, aq: RatFunc) -> Coords:
     """The z^0.. coefficients of f (lin - aq (z + z^-1)), given those of a
     symmetric f."""
@@ -191,24 +179,25 @@ class _Basis:
     and lin_k = 1 + aq_k^2, and the inverse of the z^k coefficient of phi_k;
     apart, phi_k by its z^0..z^k coefficients, phi_(k+1) = phi_k (lin_k -
     aq_k (z + z^-1)), which only the z-form conversions read.  Entries are
-    carried as ``vals`` carries the point's scalars (:func:`_lifted`),
-    reduced mod p where p is set, and so are the maps' images."""
+    carried, and reduced, as ``carrier`` carries the point's scalars, and so
+    are the maps' images."""
 
-    def __init__(self, vals: Sequence, p: int = 0):
-        self.vals, self.p = vals, p
-        self.one, self.zero = (1, 0) if p else (_ONE, _ZERO)
+    def __init__(self, carrier: Carrier):
+        self.carrier = carrier
         self.phi = [[_ONE]]
         self.lead_inv, self.aq, self.lin = [], [], []
         self.lam, self.mu, self.k1_diag, self.k1_up = [], [], [], []
 
     def grow(self, size: int) -> "_Basis":
         """Extend the tables of the maps through index ``size``."""
+        carrier = self.carrier
+        (q, a, b, c, d), one, power = carrier.vals, carrier.one, carrier.power
         while len(self.aq) <= size:
-            (q, a, b, c, d), p, one, k = self.vals, self.p, self.one, len(self.aq)
-            qk, qki = _power(q, k, p), _power(q, -k, p)
-            x = qk * _power(q, -1, p)  # q^(k-1)
+            k = len(self.aq)
+            qk, qki = power(q, k), power(q, -k)
+            x = qk * carrier.inv(q)  # q^(k-1)
             aq = a * qk
-            lin, aq_inv = one + aq * aq, _power(aq, -1, p)
+            lin, aq_inv = one + aq * aq, carrier.inv(aq)
             entries = (
                 (self.lead_inv, self.lead_inv[-1] * self.k1_up[-1] if k else one),
                 (self.aq, aq),
@@ -220,13 +209,12 @@ class _Basis:
                 (self.k1_up, -aq_inv),
             )
             for table, value in entries:
-                table.append(value % p if p else value)
+                table.append(carrier.mod(value))
         return self
 
     def settled(self, coords: Coords) -> Coords:
-        """Lifted coordinates reduced mod p where p is set."""
-        p = self.p
-        return [c % p for c in coords] if p else coords
+        """Carried coordinates, reduced."""
+        return list(map(self.carrier.mod, coords))
 
     def z_forms(self, size: int) -> list[Coords]:
         """phi_0..phi_size by their z^0..z^k coefficients."""
@@ -273,7 +261,7 @@ def _from_phi(coords: Coords, basis: _Basis) -> LaurentPoly:
 # coordinate (an int one reduced mod p is mostly the padding zero itself).
 def _dsym(coords: Coords, basis: _Basis) -> Coords:
     basis.grow(len(coords) - 1)
-    zero = basis.zero
+    zero = basis.carrier.zero
     out = [zero if c is zero else lam * c for lam, c in zip(basis.lam, coords)]
     for k in range(1, len(coords)):
         if coords[k] is not zero:
@@ -283,7 +271,7 @@ def _dsym(coords: Coords, basis: _Basis) -> Coords:
 
 def _k1(coords: Coords, basis: _Basis) -> Coords:
     basis.grow(len(coords) - 1)
-    zero = basis.zero
+    zero = basis.carrier.zero
     out = [zero if c is zero else diag * c for diag, c in zip(basis.k1_diag, coords)]
     out.append(zero)
     for k, c in enumerate(coords):
@@ -312,7 +300,7 @@ def _combination(terms: Mapping[tuple[str, ...], RatFunc], images: dict, basis: 
     coefficients carried as the basis carries its scalars; the words share
     the images of their common suffixes."""
     total: Coords = []
-    zero = basis.zero
+    zero = basis.carrier.zero
     for word, coef in terms.items():
         image = _word_image(word, images, basis)
         total.extend([zero] * (len(image) - len(total)))
@@ -335,19 +323,18 @@ def relation_residuals(
     max_degree = 16 the residuals decide every phi_k (module docstring).
     At a point of GF(p) the images and the coordinates are int residues.
     """
-    lift, _, p = _lifting(params)
-    vals = tuple(map(lift, params.vals))
+    carrier = _carrier(params)
     relations = [
-        {name: {w: lift(c) for w, c in rel.terms.items()} for name, rel in rels.items()}
+        {name: {w: carrier.lift(c) for w, c in rel.terms.items()} for name, rel in rels.items()}
         for rels in (quotient_relations(params, sc) for sc in constants or [None])
     ]
-    basis = _Basis(vals, p)
+    basis = _Basis(carrier)
 
     def residual(images: dict, name: str, i: int = 0) -> Coords:
         return _combination(relations[i][name], images, basis)
 
     for k in range(max_degree + 1):
-        yield partial(residual, {(): [basis.zero] * k + [basis.one]})
+        yield partial(residual, {(): [carrier.zero] * k + [carrier.one]})
 
 
 def apply_dsym(f: LaurentPoly, params: Params) -> LaurentPoly:
@@ -367,7 +354,7 @@ def apply_k1(f: LaurentPoly) -> LaurentPoly:
 def apply_word(word: Sequence[str], f: LaurentPoly, params: Params) -> LaurentPoly:
     """Apply a word over {K0, K1} as a composition of operators, the
     rightmost letter acting first."""
-    basis = _Basis(params.vals)
+    basis = _Basis(_value_carrier(params))
     return _from_phi(_word_image(tuple(word), {(): _to_phi(f, basis)}, basis), basis)
 
 
@@ -383,32 +370,31 @@ Term = tuple[RatFunc, Mapping[tuple[str, int], int], "int | None"]
 
 class _Factors(dict):
     """The values of factor keys at one parameter set, each computed once,
-    and the scalars of the terms, carried as ``vals`` is (:func:`_lifted`)."""
+    and the scalars of the terms, carried as ``carrier`` carries them."""
 
-    def __init__(self, vals: Sequence, p: int = 0):
+    def __init__(self, carrier: Carrier):
         super().__init__()
-        self.p, self.powers = p, {}
-        self.one, self.zero = (1, 0) if p else (_ONE, _ZERO)
-        self.letters = dict(zip("q1abcd", (vals[0], self.one, *vals[1:])))
+        self.carrier, self.powers = carrier, {}
+        self.letters = dict(zip("q1abcd", (carrier.vals[0], carrier.one, *carrier.vals[1:])))
 
     def power(self, letter: str, e: int) -> RatFunc:
         """The value of the letter q, a, b, c or d to the power e, memoized."""
         out = self.powers.get((letter, e))
         if out is None:
-            out = self.powers[letter, e] = _power(self.letters[letter], e, self.p)
+            out = self.powers[letter, e] = self.carrier.power(self.letters[letter], e)
         return out
 
     def __missing__(self, key: tuple[str, int]) -> RatFunc:
         x, m = key
-        out = self.one - prod((self.letters[c] for c in x), start=self.power("q", m))
-        self[key] = out = out % self.p if self.p else out
+        out = self.carrier.one - prod((self.letters[c] for c in x), start=self.power("q", m))
+        self[key] = out = self.carrier.mod(out)
         return out
 
     def term(self, scalar: RatFunc, factors: Mapping[tuple[str, int], int]) -> Term:
         """The term ``scalar`` times ``factors``, with the value of the factors
         at a point of GF(p): None where one of them vanishes to a power other
         than 0, and at any other point."""
-        p = self.p
+        p = self.carrier.p
         if not p:
             return scalar, factors, None
         num = den = 1
@@ -455,7 +441,7 @@ def _pn_coords(n: int, params: Params) -> Coords:
     over j >= k as suffix products).  Every factor of a denominator is a
     binomial inverted alone, which the products cancel against the numerator
     factors that share it as they run."""
-    values = _Factors(params.vals)
+    values = _Factors(_value_carrier(params))
     rows = _pn_factors(n, values)
     q, a = params.vals[:2]
     suffix = [a**-n]
@@ -470,7 +456,7 @@ def _pn_coords(n: int, params: Params) -> Coords:
 
 def askey_wilson(n: int, params: Params) -> LaurentPoly:
     """The monic Askey-Wilson polynomial P_n as a symmetric Laurent polynomial."""
-    return _from_phi(_pn_coords(n, params), _Basis(params.vals))
+    return _from_phi(_pn_coords(n, params), _Basis(_value_carrier(params)))
 
 
 def shifted_qn(n: int, params: Params) -> LaurentPoly:

@@ -80,7 +80,7 @@ def _step_verdict(residual: dict, eps, bound, system: RewriteSystem) -> bool:
     of T1 and strictly dominated by ``bound`` = (m, n), or zero where
     ``bound`` is None; eps is lifted too.  One pass over its keys, each T1
     key read with its T1-free partner, reducing only what it reads."""
-    p, zero = system._prime, system._lift_zero
+    zero, mod = system.carrier.zero, system.carrier.mod
     rest = []  # the keys of R
     for (k, l, i), c in residual.items():
         if i:
@@ -89,8 +89,7 @@ def _step_verdict(residual: dict, eps, bound, system: RewriteSystem) -> bool:
             continue  # read with its T1 partner
         else:
             r1, r0 = zero, c
-        if p:
-            r1, r0 = r1 % p, r0 % p
+        r1, r0 = mod(r1), mod(r0)
         if r0:
             return False  # the T1-free part is not eps times the T1 part
         if r1:
@@ -168,11 +167,8 @@ def _coef(terms: Coef, n: int, bases: tuple[RatFunc, ...]) -> RatFunc:
 def _table_coef(system: RewriteSystem, terms: Coef, n: int):
     """A step-table coefficient at exponent n, lifted, memoized on the
     rewrite system."""
-    key = (terms, n)
-    c = system._coefs.get(key)
-    if c is None:
-        c = system._coefs[key] = system._lift(_coef(terms, n, system._bases))
-    return c
+    build = lambda: system.carrier.lift(_coef(terms, n, system._bases))
+    return system._once(("coefficient", terms, n), build)
 
 
 # In catalog order: each spherical row next to its antispherical analogue.
@@ -438,10 +434,10 @@ def check_step_identity(identity: str, m: int, n: int, params: Params) -> tuple[
         lead_f[(k, l, 1)], lead_f[(k, l, 0)] = c, c * eps
     # the left side, memoized, differs from the residual at these keys only
     residual = dict(_lifted_step_lhs(row, m, n, system))
-    zero = system._lift_zero
+    zero, settle = system.carrier.zero, system.carrier.settle
     for key, c in lead_f.items():
         residual[key] = residual.get(key, zero) - c
     uses_m, uses_n = row.uses()
     bound = None if row.kind == "exact" else (m if uses_m else 0, n if uses_n else 0)
     verdict = _step_verdict(residual, eps, bound, system)
-    return _DeferredNormalForm(lambda: system._normal_form(system._settle(residual))), verdict
+    return _DeferredNormalForm(lambda: system._normal_form(settle(residual))), verdict

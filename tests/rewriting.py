@@ -38,9 +38,9 @@ def rewrite_terms(
         raise ValueError(f"unknown strategy {strategy!r}")
     # on the kernel's lifted coefficients (``terms`` may be lifted already),
     # settled once per round
-    lift, zero = system._lift, system._lift_zero
+    lift, zero, settle = system.carrier.lift, system.carrier.zero, system.carrier.settle
     out: dict = {}
-    pending = system._settle({tuple(w): lift(c) for w, c in terms.items()})
+    pending = settle({tuple(w): lift(c) for w, c in terms.items()})
     steps = 0
     while pending:
         next_pending: dict = {}
@@ -61,8 +61,8 @@ def rewrite_terms(
             for repl, rcoef in system.rules[(word[pos], word[pos + 1])]:
                 word2 = head + repl + tail
                 next_pending[word2] = next_pending.get(word2, zero) + coef * lift(rcoef)
-        pending = system._settle(next_pending)
-    return system._normal_form(system._settle(out))
+        pending = settle(next_pending)
+    return system._normal_form(settle(out))
 
 
 def rewrite(
@@ -84,4 +84,4 @@ def step_lhs(row: steps.StepRow, m: int, n: int, params: Params) -> NormalForm:
 def leading_at(row: steps.StepRow, m: int, n: int, params: Params) -> dict[tuple[int, int], RatFunc]:
     """A step identity's leading terms at exponents (m, n): (k, l) -> coefficient."""
     system = rewrite_system(params)
-    return {key: system._drop(c) for key, c in steps._leading(row, m, n, system).items()}
+    return {key: system.carrier.drop(c) for key, c in steps._leading(row, m, n, system).items()}

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import random
 import re
+import weakref
 from collections import OrderedDict
 from fractions import Fraction
 
@@ -22,7 +24,7 @@ from rank1daha.aw3 import (
 from rank1daha.field import RatFunc
 from rank1daha.modp import PRIME, random_params_mod_p
 from rank1daha.ncalg import RewriteSystem, multiply, reduce, rewrite_system
-from rank1daha.params import make_params, structure_constants
+from rank1daha.params import _PARAMS_CACHE_BOUND, make_params, structure_constants
 from rank1daha.steps import _dominated
 from rank1daha.words import Element, NormalForm, _is_basis_word, symmetrizer
 
@@ -217,6 +219,30 @@ def _check_multiply_identity_and_consistency(params):
         v = reduce(w(*[rng.choice(LETTERS) for _ in range(3)]), params)
         assert multiply(one, u, params) == u
         assert multiply(u, v, params) == rewrite(u.as_element() * v.as_element(), params)
+
+
+def test_memo_entry_is_built_once_and_released_with_its_system(monkeypatch, gpoint):
+    monkeypatch.setattr(ncalg, "_SYSTEMS", OrderedDict())
+
+    class Entry:
+        pass
+
+    builds = []
+
+    def build():
+        builds.append(Entry())
+        return builds[-1]
+
+    entry = rewrite_system(gpoint)._once(("entry",), build)
+    assert rewrite_system(gpoint)._once(("entry",), build) is entry and builds == [entry]
+    assert rewrite_system(gpoint)._once(("other",), build) is not entry
+    held = weakref.ref(entry)
+    del entry
+    builds.clear()
+    for seed in range(_PARAMS_CACHE_BOUND):  # evicts gpoint's system
+        rewrite_system(random_params_mod_p(random.Random(seed)))
+    gc.collect()
+    assert gpoint not in ncalg._SYSTEMS and held() is None
 
 
 def test_multiply_identity_and_consistency(gpoint):
@@ -500,7 +526,7 @@ def _planted_rows(rng):
 
 def _as_vectors(rows, point):
     # _rank reads the product kernel's lifted coefficients at the point
-    lift = rewrite_system(point)._lift
+    lift = rewrite_system(point).carrier.lift
     return [{j: lift(RatFunc.from_rational(x)) for j, x in enumerate(row) if x} for row in rows]
 
 

@@ -18,7 +18,7 @@ from rank1daha.errors import (
 )
 from rank1daha.field import RatFunc
 from rank1daha.laurent import _cyclotomic, _expanded, _Keyed, _Lau, _lau, _parts
-from rank1daha.modp import PRIME, ModP, random_params_mod_p
+from rank1daha.modp import PRIME, ModP, _carrier, _value_carrier, random_params_mod_p
 from rank1daha.params import (
     _PARAMS_CACHE_BOUND,
     Params,
@@ -495,7 +495,6 @@ def test_random_params_mod_p_are_generic_with_a_dual():
         again = random_params_mod_p(random.Random(seed))
         assert params == again and params.label == again.label
         assert all(type(v) is ModP for v in params.vals)
-        assert params.genericity_bound == bound
         assert params.label.endswith(" mod 2^61-1")
         q, a, b, c, d = (v.v for v in params.vals)
         assert 0 not in (q, a, b, c, d)
@@ -532,21 +531,48 @@ def test_random_params_mod_p_resamples():
     assert params.dual().value("a") ** 2 == 4
 
 
+@pytest.mark.parametrize("which", ["sym", "gpoint", "modp"])
+def test_carrier_carries_the_scalars_of_its_point(which, request):
+    if which == "modp":
+        point = random_params_mod_p(random.Random(3))
+    else:
+        point = request.getfixturevalue(which)
+    carrier, q = _carrier(point), point.vals[0]
+    assert carrier.p == (PRIME if which == "modp" else 0)
+    assert carrier.vals == tuple(map(carrier.lift, point.vals))
+    assert tuple(map(carrier.drop, carrier.vals)) == point.vals
+    assert (carrier.drop(carrier.zero), carrier.drop(carrier.one)) == (q - q, q**0)
+    x = carrier.vals[0]
+    # mod reduces an unreduced product and a negative residue
+    assert carrier.drop(carrier.mod(x * x * x)) == q**3
+    assert carrier.drop(carrier.mod(-x)) == -q
+    assert carrier.drop(carrier.mod(carrier.inv(x) * x)) == q**0
+    assert carrier.drop(carrier.mod(carrier.power(x, -3))) == q**-3
+    assert carrier.drop(carrier.mod(carrier.power(x, -3) * carrier.power(x, 3))) == q**0
+    # settle reduces, and drops what reduces to zero: at GF(p) x/x - 1 is an
+    # unreduced multiple of p
+    acc = {"zero": x - x, "cancels": carrier.inv(x) * x - carrier.one, "kept": x * x}
+    assert carrier.settle(acc) == {"kept": carrier.mod(x * x)}
+    # the z-form entry points carry the values as they are at every point
+    values = _value_carrier(point)
+    assert (values.p, values.vals, values.lift(q), values.drop(q)) == (0, point.vals, q, q)
+
+
 def test_admissibility_mod_p():
     # a primitive cube root of unity (-1 + sqrt(-3))/2: p = 1 mod 3
     omega = (ModP(-1) + ModP(-3).sqrt()) / 2
     assert omega != 1 and omega**3 == 1
     vals = [omega, *(ModP(v) for v in (2, 3, 5, 7))]
     with pytest.raises(DegenerateParameters) as excinfo:
-        _check_admissible(vals, 16)
+        _check_admissible(vals)
     assert (excinfo.value.clause, excinfo.value.m) == ("q^m = 1", 3)
     vals = [ModP(v) for v in (2, 2, Fraction(1, 2), 5, 7)]
     with pytest.raises(DegenerateParameters, match="ab = 1"):
-        _check_admissible(vals, 16)
+        _check_admissible(vals)
     # derived families are validated mod p, as at the rational points of
     # test_every_rational_family_is_validated
     def point(*vals):
-        return Params(tuple(ModP(v) for v in vals), 16, "mod p")
+        return Params(tuple(ModP(v) for v in vals), "mod p")
 
     shifts_to_ab_one = point(2, Fraction(1, 3), Fraction(3, 4), Fraction(1, 4), Fraction(9, 2))
     with pytest.raises(DegenerateParameters, match="ab = 1"):
@@ -752,20 +778,20 @@ def test_dual_at_a_given_root(spoint):
     assert dual.dual(point.value("a")) == point
 
 
-def test_params_hold_values_bound_and_label(gpoint):
-    same = Params(vals=gpoint.vals, genericity_bound=gpoint.genericity_bound, label=gpoint.label)
-    assert (same.vals, same.genericity_bound, same.label) == (gpoint.vals, 16, gpoint.label)
+def test_params_hold_values_and_label(gpoint):
+    same = Params(vals=gpoint.vals, label=gpoint.label)
+    assert (same.vals, same.label) == (gpoint.vals, gpoint.label)
     assert gpoint.label == "q=3/2,a=2,b=3,c=5,d=7"
     assert [v.as_fraction() for v in gpoint.vals] == [Fraction(3, 2), 2, 3, 5, 7]
     values = gpoint.values()
     values["a"] = RatFunc.one()  # callers may mutate the dict they get
     assert gpoint.value("a").as_fraction() == 2
-    # equality and hashing ignore the label, not the genericity bound
-    relabelled = Params(gpoint.vals, gpoint.genericity_bound, "elsewhere")
+    # equality and hashing ignore the label, not the values
+    relabelled = Params(gpoint.vals, "elsewhere")
     assert relabelled == gpoint and hash(relabelled) == hash(gpoint)
-    assert Params(gpoint.vals, 8, gpoint.label) != gpoint
+    assert Params(gpoint.shifted().vals, gpoint.label) != gpoint
     # parameter sets key caches by a hash computed once, so they stay as built
-    for name in ("vals", "genericity_bound", "label", "_hash"):
+    for name in ("vals", "label", "_hash"):
         with pytest.raises(AttributeError):
             setattr(gpoint, name, None)
         with pytest.raises(AttributeError):

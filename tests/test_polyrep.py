@@ -18,7 +18,7 @@ from rank1daha.errors import DegenerateParameters, NotSymmetric
 from rank1daha.aw3 import quotient_relations
 from rank1daha.family import recurrence_coeffs
 from rank1daha.field import RatFunc
-from rank1daha.params import eigenvalue, make_params, structure_constants
+from rank1daha.params import Params, eigenvalue, make_params, structure_constants
 from rank1daha.polyrep import (
     LaurentPoly,
     apply_dsym,
@@ -228,13 +228,9 @@ def test_pn_negative_degree_rejected(gpoint):
 
 
 def test_pn_divisor_degeneracy_guard():
-    # abcd*q^3 = 1 slips past a genericity bound of 2 but breaks the
-    # normalizing factor of P_4
-    p = make_params(
-        "specialized",
-        {"q": Fraction(1, 2), "a": 2, "b": 2, "c": 2, "d": 1},
-        genericity_bound=2,
-    )
+    # abcd*q^3 = 1, built past make_params, breaks the normalizing factor of P_4
+    vals = tuple(RatFunc.from_rational(v) for v in (Fraction(1, 2), 2, 2, 2, 1))
+    p = Params(vals, "q=1/2,a=2,b=2,c=2,d=1")
     with pytest.raises(DegenerateParameters):
         askey_wilson(4, p)
 

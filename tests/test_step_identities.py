@@ -165,7 +165,7 @@ def test_residual_off_the_right_factor_fails(monkeypatch, request, which):
     else:
         point = request.getfixturevalue(which)
     system = ncalg.rewrite_system(point)
-    one, eps = system._lift_one, system._symmetrizer("sym")[(0, 0, 0)]
+    one, eps = system.carrier.one, system._symmetrizer("sym")[(0, 0, 0)]
     lhs, (base, _) = steps._lifted_step_lhs, check_step_identity("44", 2, 1, point)
 
     def plus(extra):

@@ -193,13 +193,10 @@ def test_prob_mode_draws_admissible_points():
 
 
 def test_check_error_is_captured_not_raised():
-    # abcd*q^3 = 1 slips past a genericity bound of 2; the polynomial
-    # normalization then degenerates inside the check
-    p = make_params(
-        "specialized",
-        {"q": Fraction(1, 2), "a": 2, "b": 2, "c": 2, "d": 1},
-        genericity_bound=2,
-    )
+    # abcd*q^3 = 1, built past make_params; the polynomial normalization
+    # then degenerates inside the check
+    vals = tuple(RatFunc.from_rational(v) for v in (Fraction(1, 2), 2, 2, 2, 1))
+    p = Params(vals, "q=1/2,a=2,b=2,c=2,d=1")
     report = run_checks(RunConfig(checks=["eigen.Pn"], mode="exact", params=p))
     (result,) = report.results
     assert result.verdict == "error"
@@ -733,7 +730,7 @@ def test_rank_certificates_fail_on_planted_defects(monkeypatch, which, request):
     embed_word = system._embed_word
     for key, word in (((3, 0, 0), "K1"), ((1, 0, 0), "K0 K1")):
         wrong = lambda self, w, word=tuple(word.split()), key=key: (
-            {key: self._lift_one} if w == word else embed_word(self, w)
+            {key: self.carrier.one} if w == word else embed_word(self, w)
         )
         monkeypatch.setattr(system, "_embed_word", wrong)
         summary = _rank_summary(monkeypatch, "centralizer.t1", point)
@@ -752,22 +749,22 @@ def test_rank_certificates_fail_on_planted_defects(monkeypatch, which, request):
     # a dependent image is a drop, never a fail
     iso_image = system._iso_image
     dependent = lambda self, family, terms: iso_image(
-        self, family, {("K1",): self._lift_one} if ("K0",) in terms else terms
+        self, family, {("K1",): self.carrier.one} if ("K0",) in terms else terms
     )
     monkeypatch.setattr(system, "_iso_image", dependent)
     with pytest.raises(DegenerateParameters, match="rank drops at"):
         _rank_summary(monkeypatch, "iso.spherical.rank", point)
 
 
-def _counted_settles(monkeypatch):
-    """The number of RewriteSystem._settle calls, as they run."""
-    calls, settle = [0], ncalg.RewriteSystem._settle
+def _counted_settles(monkeypatch, system):
+    """The number of settle calls of the carrier of ``system``, as they run."""
+    calls, settle = [0], system.carrier.settle
 
-    def counted(self, acc):
+    def counted(acc):
         calls[0] += 1
-        return settle(self, acc)
+        return settle(acc)
 
-    monkeypatch.setattr(ncalg.RewriteSystem, "_settle", counted)
+    monkeypatch.setattr(system, "carrier", system.carrier._replace(settle=counted))
     return calls
 
 
@@ -781,7 +778,7 @@ def test_rank_settles_once_per_vector(monkeypatch):
     box = [(m, n, i) for m in span for n in span for i in (0, 1) if abs(m) + abs(n) + i <= 3]
     gens = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     checks._kernel(point, box, gens)  # warm the products
-    settles = _counted_settles(monkeypatch)
+    settles = _counted_settles(monkeypatch, ncalg.rewrite_system(point))
     kernel, images = checks._kernel(point, box, gens)
     assert (len(images), kernel, settles[0]) == (38, 1, 38)
 
@@ -1061,23 +1058,23 @@ def test_point_constants_and_relations_are_built_once_per_point(monkeypatch, sym
     """Work gate: the rows that read a point's structure constants or its
     relations (the embed rows, idempotents and both relation rows on phi_k)
     build each once per distinct point, kept by the point's rewrite system;
-    each perturbed-B control builds its own relations.  Each row building its
-    own took 6 structure_constants and 8 aw_relations builds per point."""
+    the perturbed-B controls share the relations at their constants.  Each
+    row building its own took 6 structure_constants and 8 aw_relations
+    builds per point."""
     monkeypatch.setattr(ncalg, "_SYSTEMS", OrderedDict())
     constants, relations = [], []
-    structure_constants, aw_relations = aw3.structure_constants, aw3.aw_relations
+    structure_constants, build_relations = aw3.structure_constants, aw3._relations
 
     def counted_constants(params):
         constants.append(params)
         return structure_constants(params)
 
-    def counted_relations(params, sc=None):
-        if sc is not None:  # a build; None reads the point's own
-            relations.append(params)
-        return aw_relations(params, sc)
+    def counted_relations(params, sc):
+        relations.append(params)
+        return build_relations(params, sc)
 
     monkeypatch.setattr(aw3, "structure_constants", counted_constants)
-    monkeypatch.setattr(aw3, "aw_relations", counted_relations)
+    monkeypatch.setattr(aw3, "_relations", counted_relations)
     ids = ("embed.rel34", "embed.rel35", "embed.rel36", "embed.t1central", "idempotents",
            "casimir.scalar", "awrel.inrep")
     points = [sym, random_params_mod_p(random.Random(3))]
@@ -1086,7 +1083,7 @@ def test_point_constants_and_relations_are_built_once_per_point(monkeypatch, sym
             runner = verify._CATALOG_BY_ID[check_id].runner
             assert runner(point, {"max_degree": 1, "max_n": 0}, random.Random(0)) == "", check_id
     assert constants == points
-    assert Counter(relations) == {point: 3 for point in points}  # 1 + 2 controls
+    assert Counter(relations) == {point: 2 for point in points}  # its own + the control's
 
 
 def test_family_identities_fall_back_where_a_factor_vanishes_mod_p(monkeypatch):
@@ -1095,8 +1092,8 @@ def test_family_identities_fall_back_where_a_factor_vanishes_mod_p(monkeypatch):
     its terms share instead, as at a rational point.  There the recurrence
     holds and gamma_1 = A_0 C_1 vanishes, as at q=3/2,a=2,b=3,c=1/2,d=7."""
     q, a, b, _, d = random_params_mod_p(random.Random(5)).vals
-    point = Params((q, a, b, a.inv(), d), 16, "ac = 1 mod 2^61-1")
-    values, key = polyrep._Factors(*polyrep._lifted(point)), ("ac", 0)
+    point = Params((q, a, b, a.inv(), d), "ac = 1 mod 2^61-1")
+    values, key = polyrep._Factors(modp._carrier(point)), ("ac", 0)
     assert values[key] == 0
     # one term: its value at the point is 0, its reduced value its scalar
     term = values.term(3, {key: 1})

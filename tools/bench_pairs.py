@@ -16,7 +16,10 @@ which the change read lower.
 The ``in_process`` block measures a whole default-size prob run,
 ``verify run --mode prob --trials 8 --seed 1729``: the ``RewriteSystem``
 constructions of one in-process run per side (a count, which repeats
-exactly), and the peak RSS of 10 alternated pairs of fresh processes (``ru_maxrss`` of the child, as the benchmark reads it).
+exactly), and the peak RSS of 10 alternated pairs of fresh processes: each
+process reports its own ``VmHWM`` from ``/proc/self/status`` as it exits,
+since the ``ru_maxrss`` that ``wait4`` gives for a child also carries the
+high-water mark of the process that started it.
 
 The file goes to ``BENCH_<label>.json`` at the root of the checkout.
 """
@@ -54,6 +57,17 @@ report = verify.run_checks(verify.RunConfig(mode="prob", trials=8, seed=1729))
 print(json.dumps({"built": len(built), "points": len(set(built)), "overall": report.overall}))
 """
 
+# runs one command line of the CLI, then writes the process's own peak RSS
+# (VmHWM, in kB) as the last line of its standard error
+_PEAK_RSS = """
+import sys
+from rank1daha import cli
+code = cli.main(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")), file=sys.stderr)
+sys.exit(code)
+"""
+
 
 def _env(side: Path) -> dict[str, str]:
     return dict(os.environ, PYTHONPATH=str(side / "src"), PYTHONHASHSEED="0",
@@ -80,12 +94,11 @@ def _bench_line(side: Path, seed: int) -> dict:
 
 
 def _peak_rss_mb(side: Path) -> float:
-    proc = subprocess.Popen([sys.executable, "-m", "rank1daha.cli", *PROB_RUN], cwd=side,
-                            env=_env(side), stdout=subprocess.DEVNULL)
-    _, status, usage = os.wait4(proc.pid, 0)
-    if os.waitstatus_to_exitcode(status) != 0:
-        raise RuntimeError(f"{' '.join(PROB_RUN)} failed in {side}")
-    return usage.ru_maxrss / 1024
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS, *PROB_RUN], cwd=side, env=_env(side),
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(PROB_RUN)} failed in {side}: {proc.stderr[-2000:]}")
+    return int(proc.stderr.splitlines()[-1]) / 1024
 
 
 def _spread(values: list[float]) -> dict:
@@ -137,8 +150,8 @@ def _in_process(sides: dict[str, Path]) -> dict:
             **systems,
         },
         "peak_rss_mb": {
-            "what": f"ru_maxrss of a fresh process per side and pair, {PAIRS} alternated pairs, "
-                    "parent first in odd pairs",
+            "what": f"VmHWM of a fresh process per side and pair, read by the process itself "
+                    f"as it exits, {PAIRS} alternated pairs, parent first in odd pairs",
             **rss,
             "summary": {n: _spread(v) for n, v in rss.items()},
             "change_lower_in_pairs": lower,
