@@ -36,6 +36,7 @@ from .aw3 import (
     iso_image,
     quotient_relations,
     shift_operator_identities,
+    symmetrizer,
 )
 from .checks import CheckSpec
 from .expression import parse_expression
@@ -64,7 +65,7 @@ from .polyrep import (
 from .reports import CheckResult, Report, RunConfig, load_report
 from .steps import check_step_identity
 from .verify import TOOL_VERSION, check_ids, emit_report, run_checks
-from .words import AW_ALPHABET, DAHA_ALPHABET, Element, NormalForm, symmetrizer
+from .words import AW_ALPHABET, DAHA_ALPHABET, Element, NormalForm
 
 __version__ = TOOL_VERSION
 

@@ -2,26 +2,32 @@
 
 The relations of the three-generator central extension and of its
 two-generator quotient (:func:`aw_relations`, :func:`quotient_relations`),
-one table of words with coefficients; the embedding K0 -> Y + (abcd/q) Y^-1,
+one table of words with coefficients; the embedding J: K0 -> Y + (abcd/q) Y^-1,
 K1 -> Z + Z^-1, T1 -> T1 (:func:`embed_aw`); the spherical and antispherical
 maps in cleared form: :func:`compress` returns F u F, e^2 times the
 compression by the idempotent e^-1 F, and :func:`iso_image` returns U~ F,
 e times the subalgebra isomorphism U -> e^-1 U~ F, so no coefficient is
-divided by e (F and e from :func:`rank1daha.words.symmetrizer`); the
-duality anti-maps; the shift-operator identities; and :func:`_rank`, the
-rank routine of the catalog's rank certificates.
+divided by e; the duality anti-maps; the shift-operator identities; and
+:func:`_rank`, the rank routine of the catalog's rank certificates.
+
+Two kinds of elements are fixed at a point and read by the maps and the
+step rows: J's images of K0, K1 and T1, and the symmetrizers.  Only
+:func:`symmetrizer` writes F = T1+1 ("sym") or F = T1+ab ("asym") and knows
+e, F^2 = eF.  Both are built on first use and kept, lifted, in the memo of
+the point's rewrite system (:meth:`rank1daha.ncalg.RewriteSystem._once`).
 
 The maps are products of reduced factors through the memoized basis
-products of the point's rewrite system: :func:`embed_aw` reads each K-word
-left to right, its prefix times the next letter's image, :func:`compress`
-multiplies F (reduced u) F, and :func:`iso_image` sums embedded K-words
-times F, so they never expand a product into its words.  The rank
+products of that system, in private functions of the system that the step
+rows of :mod:`rank1daha.steps` and the rank certificates share:
+:func:`_embed_word` reads a K-word left to right, its embedded prefix,
+kept in the memo, times the next letter's image; :func:`_compress`
+multiplies F (reduced u) F; and :func:`_iso_image` sums embedded K-words
+times F, so no map expands a product into its words.  The rank
 certificates read commutators [x, g] = xg - gx of basis monomials from the
-memoized products and the isomorphism's images through
-:meth:`rank1daha.ncalg.RewriteSystem._iso_image`, and :func:`_rank`
+memoized products and the isomorphism's images, and :func:`_rank`
 eliminates those lifted vectors in place.  A point's structure constants,
-and its relations at each set of constants, are built once and kept in
-its rewrite system's memo, so the checks that share a point share them.
+and its relations at each set of constants, are kept in the same memo, so
+the checks that share a point share them.
 """
 
 from __future__ import annotations
@@ -29,11 +35,14 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from . import ncalg
-from .field import RatFunc
+from .errors import DegenerateParameters
+from .field import _ONE, RatFunc
+from .ncalg import RewriteSystem
 from .params import Params, StructureConstants, structure_constants
-from .words import _ONE, Element, NormalForm, Word, _acc, _coerce_scalar, _embedding_images
+from .words import Element, NormalForm, Word, _acc, _coerce_scalar, _word_key
 
 __all__ = [
+    "symmetrizer",
     "embed_element",
     "embed_aw",
     "aw_relations",
@@ -73,7 +82,95 @@ def _rank(vectors: Iterable[Mapping], params: Params) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The central-extension embedding
+# The embedding J and the symmetrizers F
+
+
+def _embedding_images(params: Params) -> dict[str, NormalForm]:
+    vals = params.values()
+    u = vals["a"] * vals["b"] * vals["c"] * vals["d"] / vals["q"]
+    return {
+        "K0": NormalForm({(0, 1, 0): _ONE, (0, -1, 0): u}),
+        "K1": NormalForm({(1, 0, 0): _ONE, (-1, 0, 0): _ONE}),
+        "T1": NormalForm({(0, 0, 1): _ONE}),
+    }
+
+
+def symmetrizer(family: str, params: Params) -> tuple[Element, RatFunc]:
+    """The symmetrizer F and its scalar e, with F^2 = eF: F = T1+1 and
+    e = 1-ab for the spherical family ("sym"), F = T1+ab and e = ab-1 for
+    the antispherical one ("asym").  The orthogonal idempotents e^-1 F sum
+    to 1."""
+    ab = params.value("a") * params.value("b")
+    if ab == _ONE:
+        raise DegenerateParameters("ab = 1")
+    if family == "sym":
+        eps, e = _ONE, _ONE - ab
+    elif family == "asym":
+        eps, e = ab, ab - _ONE
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    return Element("daha", {("T1",): _ONE, (): eps}), e
+
+
+def _images(system: RewriteSystem) -> dict:
+    """J's letter images at the system's point, lifted, kept in its memo."""
+    build = lambda: {k: system._lifted(nf) for k, nf in _embedding_images(system.params).items()}
+    return system._once(("images",), build)
+
+
+def _embed_word(system: RewriteSystem, word: Word) -> dict:
+    """The embedding of one K0/K1/T1 word, lifted: its prefix times its last
+    letter's image, each embedded prefix kept in the memo; a one-letter
+    word's is that letter's image."""
+    if len(word) < 2:
+        return _images(system)[word[0]] if word else {(0, 0, 0): system.carrier.one}
+    build = lambda: system._multiply(_embed_word(system, word[:-1]), _images(system)[word[-1]])
+    return system._once(("embedded", word), build)
+
+
+def _symmetrizer(system: RewriteSystem, family: str) -> dict:
+    """F of ``family``, lifted, from :func:`symmetrizer`, kept in the memo."""
+    def build():  # F = T1+eps is a normal form
+        f, _ = symmetrizer(family, system.params)
+        return {_word_key(w): system.carrier.lift(c) for w, c in f.terms.items()}
+
+    return system._once(("symmetrizer", family), build)
+
+
+def _compress(system: RewriteSystem, family: str, u: dict) -> dict:
+    """F u F for a lifted normal form u."""
+    f = _symmetrizer(system, family)
+    return system._multiply(system._multiply(f, u), f)
+
+
+def _sandwich(system: RewriteSystem, family: str, key: tuple[int, int, int]) -> dict:
+    """F (basis monomial) F, lifted, kept in the memo: the step rows read at
+    one point share their compressions."""
+    build = lambda: _compress(system, family, {key: system.carrier.one})
+    return system._once(("sandwich", family, key), build)
+
+
+def _embed_times_f(system: RewriteSystem, family: str, terms: Mapping[Word, object]) -> dict:
+    """The embedding of a K0/K1/T1 combination with lifted coefficients
+    times F, lifted, as the sum of its words' images times F; those are
+    kept in the memo, so the step rows and rank certificates read at one
+    point share them."""
+    return system._linear((c, _word_times_f(system, family, w)) for w, c in terms.items())
+
+
+def _word_times_f(system: RewriteSystem, family: str, word: Word) -> dict:
+    """The embedding of one K0/K1/T1 word times F, lifted, kept in the memo."""
+    build = lambda: system._multiply(_embed_word(system, word), _symmetrizer(system, family))
+    return system._once(("word times F", family, word), build)
+
+
+def _iso_image(system: RewriteSystem, family: str, terms: Mapping[Word, object]) -> dict:
+    """:func:`iso_image` of a K0/K1 combination with lifted coefficients,
+    lifted: for "asym" each word's coefficient takes q per K0."""
+    if family == "asym":
+        q = system.carrier.vals[0]
+        terms = {word: c * q ** word.count("K0") for word, c in terms.items()}
+    return _embed_times_f(system, family, terms)
 
 
 def embed_element(e: Element, params: Params) -> Element:
@@ -89,15 +186,15 @@ def embed_aw(e: Element, params: Params) -> NormalForm:
     """Embed K0 -> Y + (abcd/q) Y^-1, K1 -> Z + Z^-1, T1 -> T1, in normal
     form.  Each K-word is read left to right, its reduced prefix multiplied
     by the next letter's image as in :func:`rank1daha.ncalg.multiply`; the
-    prefixes are memoized on the rewrite system of ``params``, so every call
-    at that point shares them.
+    prefixes are kept in the memo of the rewrite system of ``params``, so
+    every call at that point shares them.
 
     The embedding is injective, so equal normal forms certify equality in
     the three-generator algebra."""
     if e.alphabet != "aw":
         raise ValueError("embed expects an element over the K0/K1/T1 alphabet")
     system = ncalg.rewrite_system(params)
-    words = ((system.carrier.lift(c), system._embed_word(word)) for word, c in e.terms.items())
+    words = ((system.carrier.lift(c), _embed_word(system, word)) for word, c in e.terms.items())
     return system._normal_form(system._linear(words))
 
 
@@ -186,7 +283,7 @@ def compress(family: str, u: Element, params: Params) -> NormalForm:
     idempotent e^-1 F is e^-2 times this."""
     system = ncalg.rewrite_system(params)
     u_nf = system._lifted(ncalg.reduce(u, params))
-    return system._normal_form(system._compress(family, u_nf))
+    return system._normal_form(_compress(system, family, u_nf))
 
 
 def iso_image(family: str, u: Element, params: Params) -> NormalForm:
@@ -200,7 +297,7 @@ def iso_image(family: str, u: Element, params: Params) -> NormalForm:
         raise ValueError("the subalgebra isomorphisms take K0/K1 words")
     system = ncalg.rewrite_system(params)
     terms = {word: system.carrier.lift(c) for word, c in u.terms.items()}
-    return system._normal_form(system._iso_image(family, terms))
+    return system._normal_form(_iso_image(system, family, terms))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .laurent import PARAM_NAMES
 from .modp import random_params_mod_p
 from .params import eigenvalue, make_params
 from .reports import RunConfig
-from .words import AW_ALPHABET, Element, NormalForm, symmetrizer
+from .words import AW_ALPHABET, Element, NormalForm
 
 __all__ = ["CheckSpec", "CHECK_CATALOG"]
 
@@ -82,28 +82,24 @@ def _check_relations_daha(params, bounds, rng) -> str:
     return ""
 
 
-def _embed_check(name: str):
+def _embed_check(*names: str):
+    # the embedded relations; a failure names its relation where there are several
     def run(params, bounds, rng) -> str:
-        nf = aw3.embed_aw(aw3.aw_relations(params)[name], params)
-        return "" if nf.is_zero() else _fmt_nf(nf)
+        rels = aw3.aw_relations(params)
+        for name in names:
+            nf = aw3.embed_aw(rels[name], params)
+            if not nf.is_zero():
+                return f"{name}: {_fmt_nf(nf)}" if len(names) > 1 else _fmt_nf(nf)
+        return ""
 
     return run
-
-
-def _check_t1central(params, bounds, rng) -> str:
-    rels = aw3.aw_relations(params)
-    for name in ("central0", "central1"):
-        nf = aw3.embed_aw(rels[name], params)
-        if not nf.is_zero():
-            return f"{name}: {_fmt_nf(nf)}"
-    return ""
 
 
 def _check_idempotents(params, bounds, rng) -> str:
     # in cleared form: e^-1 F is idempotent exactly when F^2 = eF, and the
     # two idempotents sum to 1 exactly when F_sym - F_asym = 1-ab
-    f_sym, e_sym = symmetrizer("sym", params)
-    f_asym, e_asym = symmetrizer("asym", params)
+    f_sym, e_sym = aw3.symmetrizer("sym", params)
+    f_asym, e_asym = aw3.symmetrizer("asym", params)
     cases = {
         "sym F^2 = eF": ncalg.reduce(f_sym * f_sym - f_sym.scale(e_sym), params),
         "asym F^2 = eF": ncalg.reduce(f_asym * f_asym - f_asym.scale(e_asym), params),
@@ -177,7 +173,7 @@ def _check_iso_rank(family: str, point, bounds, rng) -> str | None:
     system = ncalg.rewrite_system(point)
     words = [w for w in _k_words(4) if len(w) <= 4]  # n + 2l + m <= 4: 21 words
     one = system.carrier.one
-    images = {w: system._iso_image(family, {w: one}) for w in words}
+    images = {w: aw3._iso_image(system, family, {w: one}) for w in words}
     if aw3._rank(images.values(), point) < len(images):
         return None
     # control: with J(K0) replaced by 2 J(K1) the rank drops by one
@@ -195,10 +191,12 @@ def _check_steps(names: Sequence[str]):
             broken = steps._scaling_break(steps.STEP_IDENTITIES[name])
             if broken:
                 return where[name] + broken
+        system = ncalg.rewrite_system(params)
         for name in names:
-            residual, ok = steps.check_step_identity(name, 1, 1, params)
-            if not ok:
-                return f"{where[name]}(m,n)=(1,1): {_fmt_nf(residual)}"
+            residual, ok = steps._step_residual(steps.STEP_IDENTITIES[name], 1, 1, system)
+            if not ok:  # only a failing row's residual is settled and dropped
+                nf = system._normal_form(system.carrier.settle(residual))
+                return f"{where[name]}(m,n)=(1,1): {_fmt_nf(nf)}"
         return ""
 
     return run
@@ -293,7 +291,7 @@ def _check_centralizer_t1(point, bounds, rng) -> str | None:
         return outside or bool(system._linear((c, commutators[key]) for key, c in v.items()))
 
     words = [w + t for w in _k_words(2) for t in ((), ("T1",))]
-    embedded = [system._embed_word(w) for w in words]
+    embedded = [aw3._embed_word(system, w) for w in words]
     for word, v in zip(words, embedded):
         if rejected(v):
             return f"embedded {' '.join(word)} leaves the box or does not commute with T1"
@@ -437,7 +435,7 @@ def _build_catalog() -> list[CheckSpec]:
             "embed.t1central",
             "T1 commutes with the images of K0 and K1",
             "exact",
-            _check_t1central,
+            _embed_check("central0", "central1"),
         ),
         CheckSpec(
             "idempotents",

@@ -7,26 +7,24 @@ Z-letters.  Every element has a unique expansion in the basis
 Z^m Y^n T1^i (m, n integers, i in {0, 1}); :func:`reduce` computes it
 through the memoized products of basis monomials, as every map does.
 
-:func:`multiply` folds two normal forms through the memoized products of
-basis monomials, and the maps of :mod:`rank1daha.aw3` and the step rows of
-:mod:`rank1daha.steps` multiply F, basis monomials and the images of single
-letters that way, so they never expand a product into its words.  A basis
-product not yet memoized applies one rule at a time, at the junction of a
-letter and a basis word, and takes what the rule leaves through the memo
-again (:meth:`RewriteSystem.basis_product`); at a point of GF(p) the
-products run on plain int residues, and a ``ModP`` is built only where a
-normal form is returned.  The compressions F Z^m Y^n F, the embedded
-K-words times F and the step table coefficients are kept in the system's
-one memo, so the checks that share a point share them.  :func:`reduce` takes
-the same products: it splits a word at a redex into a basis word and a
-shorter word and multiplies their normal forms, so the critical pairs,
-``idempotents`` (F^2 = eF), ``duality.daha`` and the argument of
-:func:`rank1daha.aw3.compress` share the memo too.  Each kernel step
-applies one rule in context, so every result is a reduct of its input, and
-Bergman's diamond lemma needs no particular reduction strategy.  One
-constant, :data:`DEFAULT_BUDGET`, read at call time, bounds the rule
-applications behind each basis product not yet memoized, its new
-sub-products included; memoized products cost none.
+:func:`multiply` folds two normal forms through those products, so no
+caller expands a product into its words.  A basis product not yet memoized
+applies one rule at a time, at the junction of a letter and a basis word,
+and takes what the rule leaves through the memo again
+(:meth:`RewriteSystem.basis_product`); at a point of GF(p) the products run
+on plain int residues, and a ``ModP`` is built only where a normal form is
+returned.  :func:`reduce` takes the same products: it splits a word at a
+redex into a basis word and a shorter word and multiplies their normal
+forms.  Each kernel step applies one rule in context, so every result is a
+reduct of its input, and Bergman's diamond lemma needs no particular
+reduction strategy.  One constant, :data:`DEFAULT_BUDGET`, read at call
+time, bounds the rule applications behind each basis product not yet
+memoized, its new sub-products included; memoized products cost none.
+
+A point's rewrite system keeps two stores: the basis products, and one
+memo (:meth:`RewriteSystem._once`) of whatever else the checks at that
+point share, such as the maps of :mod:`rank1daha.aw3` and the step table
+coefficients of :mod:`rank1daha.steps`.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 from .errors import BudgetExhausted
 from .field import RatFunc
 from .modp import _carrier
-from .params import Params, _params_cache_entry
+from .params import Params
 from .words import (
     _ONE,
     DAHA_ALPHABET,
@@ -46,12 +44,9 @@ from .words import (
     Word,
     _basis_key,
     _basis_word,
-    _embedding_images,
     _is_basis_word,
-    _one,
     _order_key,
     _word_key,
-    symmetrizer,
 )
 
 __all__ = [
@@ -83,11 +78,10 @@ class RewriteSystem:
     def __init__(self, params: Params):
         self.params = params
         q, a, b, c, d = params.vals
-        one = self.one = _one(params)
+        one = self.one = _ONE  # a ModP operand reduces it on contact
         ab = a * b
         cd = c * d
         u = self.u = ab * cd / q  # the recurring scalar q^-1 abcd
-        self._bases = (q, a, b, u)  # the bases of the step-table coefficients
         ui = u.inv()
         qi = q.inv()
         rules: dict[tuple[str, str], tuple[tuple[Word, RatFunc], ...]] = {
@@ -160,10 +154,6 @@ class RewriteSystem:
         # a point of GF(p), the RatFunc values themselves elsewhere
         self.carrier = _carrier(params)
         self._product_cache: dict[tuple, dict] = {}
-        self._prefixes: dict[Word, dict] = {(): {(0, 0, 0): self.carrier.one}}
-        self._images = {
-            letter: self._lifted(nf) for letter, nf in _embedding_images(params).items()
-        }
         self._memo: dict[tuple, object] = {}  # of _once
 
     # -- the relations and their overlaps -----------------------------------
@@ -407,76 +397,38 @@ class RewriteSystem:
                 acc[key] = acc.get(key, zero) + c * x
         return self.carrier.settle(acc)
 
-    def _embed_word(self, word: Word) -> dict:
-        """The embedding of one K0/K1/T1 word, lifted.  The word is read
-        left to right, its prefix times the next letter's image; the
-        prefixes are memoized on the system, like the products."""
-        prefixes, images = self._prefixes, self._images
-        nf = prefixes[()]
-        for end in range(1, len(word) + 1):
-            known = prefixes.get(word[:end])
-            if known is None:
-                known = prefixes[word[:end]] = self._multiply(nf, images[word[end - 1]])
-            nf = known
-        return nf
-
     def _once(self, key: tuple, build: Callable):
         """``build()`` on the first call with ``key``, kept by this system: the
-        point's results that the checks share, such as its compressions, its
-        structure constants and its relations.  They are bounded and released
-        with the system (:data:`_SYSTEMS`)."""
+        point's results that the checks share, such as its embedded K-words,
+        its compressions, its structure constants and its relations.  They
+        are bounded and released with the system (:data:`_SYSTEMS`)."""
         out = self._memo.get(key)
         if out is None:
             out = self._memo[key] = build()
         return out
 
-    def _symmetrizer(self, family: str) -> dict:
-        """F of ``family``, lifted, from :func:`symmetrizer`, memoized."""
-        def build():  # F = T1+eps is a normal form
-            f, _ = symmetrizer(family, self.params)
-            return {_word_key(w): self.carrier.lift(c) for w, c in f.terms.items()}
 
-        return self._once(("symmetrizer", family), build)
-
-    def _compress(self, family: str, u: dict) -> dict:
-        """F u F for a lifted normal form u."""
-        f = self._symmetrizer(family)
-        return self._multiply(self._multiply(f, u), f)
-
-    def _sandwich(self, family: str, key: tuple[int, int, int]) -> dict:
-        """F (basis monomial) F, lifted, memoized: the step rows read at
-        one point share their compressions."""
-        build = lambda: self._compress(family, {key: self.carrier.one})
-        return self._once(("sandwich", family, key), build)
-
-    def _embed_times_f(self, family: str, terms: Mapping[Word, object]) -> dict:
-        """The embedding of a K0/K1/T1 combination with lifted coefficients
-        times F, lifted, as the sum of its words' images times F; those
-        are memoized, so the step rows and rank certificates read at one
-        point share them."""
-        return self._linear((c, self._word_times_f(family, w)) for w, c in terms.items())
-
-    def _word_times_f(self, family: str, word: Word) -> dict:
-        """The embedding of one K0/K1/T1 word times F, lifted, memoized."""
-        build = lambda: self._multiply(self._embed_word(word), self._symmetrizer(family))
-        return self._once(("word times F", family, word), build)
-
-    def _iso_image(self, family: str, terms: Mapping[Word, object]) -> dict:
-        """:func:`rank1daha.aw3.iso_image` of a K0/K1 combination with lifted
-        coefficients, lifted: for "asym" each word's coefficient takes q per K0."""
-        if family == "asym":
-            q = self.carrier.vals[0]
-            terms = {word: c * q ** word.count("K0") for word, c in terms.items()}
-        return self._embed_times_f(family, terms)
-
-
+# The rewrite systems of the most recently used parameter sets, at most
+# _SYSTEMS_BOUND of them.  That bounds the points of exact mode: the rank
+# certificates' witness points at symbolic parameters, and the points of
+# successive runs in one process.  A prob run empties it as each of its
+# later trials starts.
 _SYSTEMS: OrderedDict[Params, RewriteSystem] = OrderedDict()
+_SYSTEMS_BOUND = 8
 
 
 def rewrite_system(params: Params) -> RewriteSystem:
     """The shared rewrite system for one parameter set, built once and kept
-    while the parameter set is among the most recently used."""
-    return _params_cache_entry(_SYSTEMS, params, RewriteSystem)
+    while the parameter set is among the most recently used; the least
+    recently used one beyond the bound is released."""
+    system = _SYSTEMS.get(params)
+    if system is None:
+        system = _SYSTEMS[params] = RewriteSystem(params)
+        if len(_SYSTEMS) > _SYSTEMS_BOUND:
+            _SYSTEMS.popitem(last=False)
+    else:
+        _SYSTEMS.move_to_end(params)
+    return system
 
 
 def reduce(e: Element, params: Params, strategy: str = "leftmost") -> NormalForm:

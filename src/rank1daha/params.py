@@ -18,9 +18,8 @@ computed from the values by a single code path.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DegenerateParameters, ExtensionDisabled, MissingAssignment
 from .field import _ONE, RatFunc, _Rational
@@ -168,30 +167,6 @@ class Params:
 
     def __str__(self) -> str:
         return self.label
-
-
-# The rewrite-system cache keeps only this many most recently used parameter
-# sets.  That bounds the points of exact mode: the rank certificates' witness
-# points at symbolic parameters, and the points of successive runs in one
-# process.  A prob run empties the cache as each of its later trials starts.
-_PARAMS_CACHE_BOUND = 8
-
-_T = TypeVar("_T")
-
-
-def _params_cache_entry(
-    cache: OrderedDict[Params, _T], params: Params, build: Callable[[Params], _T]
-) -> _T:
-    """The cached entry for ``params``, built on a miss; evicts the least
-    recently used parameter set beyond the bound."""
-    entry = cache.get(params)
-    if entry is None:
-        entry = cache[params] = build(params)
-        if len(cache) > _PARAMS_CACHE_BOUND:
-            cache.popitem(last=False)
-    else:
-        cache.move_to_end(params)
-    return entry
 
 
 # M of the genericity conditions; casimir.scalar reads that q^0..q^16 are distinct

@@ -36,21 +36,21 @@ own.  So every key at (m, n) has |k| <= m, |l| <= n, and a corner is reached
 only through extreme coefficients, free of m and homogeneous in n (deg Y = 1,
 deg u = 2): corner(m, n) = corner(1, 1) u^((sn - sl)(n - 1)/2).
 
-:func:`check_step_identity` forms its residual, the T1 factorisation and the
-dominance test in one pass on the product kernel's lifted coefficients, and
-builds the residual's normal form only when it is read.
+:func:`_step_residual` forms a row's residual, the T1 factorisation and the
+dominance test in one pass on the product kernel's lifted coefficients, so
+the catalog builds a residual's normal form only where a row fails.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping, NamedTuple
 
-from . import ncalg
+from . import aw3, ncalg
 from .errors import UnknownIdentity
 from .field import RatFunc
 from .ncalg import RewriteSystem
 from .params import Params
-from .words import NormalForm, Word, _DeferredNormalForm
+from .words import NormalForm, Word
 
 __all__ = ["STEP_IDENTITIES", "StepRow", "check_step_identity"]
 
@@ -167,7 +167,7 @@ def _coef(terms: Coef, n: int, bases: tuple[RatFunc, ...]) -> RatFunc:
 def _table_coef(system: RewriteSystem, terms: Coef, n: int):
     """A step-table coefficient at exponent n, lifted, memoized on the
     rewrite system."""
-    build = lambda: system.carrier.lift(_coef(terms, n, system._bases))
+    build = lambda: system.carrier.lift(_coef(terms, n, (*system.params.vals[:3], system.u)))
     return system._once(("coefficient", terms, n), build)
 
 
@@ -383,21 +383,40 @@ def _lifted_step_lhs(row: StepRow, m: int, n: int, system: RewriteSystem) -> dic
     m, n = _step_exponents(row, m, n)
     sm, sn = row.signs
     if row.kind in ("sandwich", "exact", "step3"):
-        sandwich = system._sandwich(row.family, (sm * m, sn * n, 0))
+        sandwich = aw3._sandwich(system, row.family, (sm * m, sn * n, 0))
         if row.kind != "step3":
             return sandwich
     if row.kind == "embed":  # one word, coefficient 1: the memoized image itself
         word = ("K1",) * (abs(sm) * m) + ("K0",) * (abs(sn) * n)
-        return system._word_times_f(row.family, word)
+        return aw3._word_times_f(system, row.family, word)
     k_word = {
         ("K1",) * (m - 1) + w + ("K0",) * (n - 1): _table_coef(system, coef, n)
         for w, coef in row.middle.items()
     }
     if row.kind != "step3":
-        return system._embed_times_f(row.family, k_word)
+        return aw3._embed_times_f(system, row.family, k_word)
     c1, c2 = _table_coef(system, _ONE_MINUS_Q2, n), _table_coef(system, row.scalar, n)
-    images = ((-c2 * c, system._word_times_f(row.family, w)) for w, c in k_word.items())
+    images = ((-c2 * c, aw3._word_times_f(system, row.family, w)) for w, c in k_word.items())
     return system._linear(((c1, sandwich), *images))
+
+
+def _step_residual(row: StepRow, m: int, n: int, system: RewriteSystem) -> tuple[dict, bool]:
+    """The lifted residual of ``row`` at exponents (m, n), not yet settled,
+    and its verdict (:func:`check_step_identity`).  The residual is the left
+    side with the leading terms times F subtracted at their keys, and the
+    verdict reads it in one pass."""
+    eps = aw3._symmetrizer(system, row.family)[(0, 0, 0)]
+    lead_f: dict = {}  # the leading terms times F = T1+eps
+    for (k, l), c in _leading(row, m, n, system).items():
+        lead_f[(k, l, 1)], lead_f[(k, l, 0)] = c, c * eps
+    # the left side, memoized, differs from the residual at these keys only
+    residual = dict(_lifted_step_lhs(row, m, n, system))
+    zero = system.carrier.zero
+    for key, c in lead_f.items():
+        residual[key] = residual.get(key, zero) - c
+    uses_m, uses_n = row.uses()
+    bound = None if row.kind == "exact" else (m if uses_m else 0, n if uses_n else 0)
+    return residual, _step_verdict(residual, eps, bound, system)
 
 
 def check_step_identity(identity: str, m: int, n: int, params: Params) -> tuple[NormalForm, bool]:
@@ -414,11 +433,9 @@ def check_step_identity(identity: str, m: int, n: int, params: Params) -> tuple[
     decides every exponent; the general (m, n) is the tests' oracle.
 
     Everything up to the verdict runs on the product kernel's lifted
-    coefficients, int residues at a point of GF(p): the residual is the
-    left side with the leading terms subtracted at their keys, read in one
-    pass, and its normal form is built when its terms are first read.  The
-    table coefficients, the compressions and the embedded K-words times F
-    are memoized on the rewrite system.
+    coefficients, int residues at a point of GF(p) (:func:`_step_residual`).
+    The table coefficients, the compressions and the embedded K-words
+    times F are memoized on the rewrite system.
     """
     row = STEP_IDENTITIES.get(identity)
     if row is None:
@@ -428,16 +445,5 @@ def check_step_identity(identity: str, m: int, n: int, params: Params) -> tuple[
     if m < 1 or n < 1:
         raise ValueError("step identities take positive exponents")
     system = ncalg.rewrite_system(params)
-    eps = system._symmetrizer(row.family)[(0, 0, 0)]
-    lead_f: dict = {}  # the leading terms times F = T1+eps
-    for (k, l), c in _leading(row, m, n, system).items():
-        lead_f[(k, l, 1)], lead_f[(k, l, 0)] = c, c * eps
-    # the left side, memoized, differs from the residual at these keys only
-    residual = dict(_lifted_step_lhs(row, m, n, system))
-    zero, settle = system.carrier.zero, system.carrier.settle
-    for key, c in lead_f.items():
-        residual[key] = residual.get(key, zero) - c
-    uses_m, uses_n = row.uses()
-    bound = None if row.kind == "exact" else (m if uses_m else 0, n if uses_n else 0)
-    verdict = _step_verdict(residual, eps, bound, system)
-    return _DeferredNormalForm(lambda: system._normal_form(settle(residual))), verdict
+    residual, verdict = _step_residual(row, m, n, system)
+    return system._normal_form(system.carrier.settle(residual)), verdict

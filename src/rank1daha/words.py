@@ -6,35 +6,23 @@ Askey-Wilson algebra.  An :class:`Element` is a finite linear combination
 of words over one alphabet, multiplied by concatenation; a
 :class:`NormalForm` is the unique expansion of a five-letter element in the
 basis Z^m Y^n T1^i, keyed by (m, n, i), which :mod:`rank1daha.ncalg`
-computes.
-
-Two kinds of elements are fixed at a point and read by every layer: the
-images of K0, K1 and T1 under the embedding, and the symmetrizers.  Only
-:func:`symmetrizer` writes F = T1+1 ("sym") or F = T1+ab ("asym") and knows
-e, F^2 = eF; a point's rewrite system keeps each F, built once.
+computes.  The helpers below key, order and check the words of the
+basis; no type here knows a parameter point.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .errors import DegenerateParameters
 from .field import _ONE, RatFunc
-from .params import Params
 
-__all__ = ["DAHA_ALPHABET", "AW_ALPHABET", "Element", "NormalForm", "symmetrizer"]
+__all__ = ["DAHA_ALPHABET", "AW_ALPHABET", "Element", "NormalForm"]
 
 
 DAHA_ALPHABET = ("T1", "Y", "Yi", "Z", "Zi")
 AW_ALPHABET = ("K0", "K1", "T1")
 
 Word = tuple[str, ...]
-
-
-def _one(params: Params) -> RatFunc:
-    # the one of the parameters' field, a residue at a point of GF(p):
-    # products seeded with it take no rational-constant arithmetic there
-    return params.vals[0] ** 0
 
 
 def _acc(terms: dict, key, coef: RatFunc) -> None:
@@ -309,22 +297,6 @@ class NormalForm:
         return f"NormalForm({'; '.join(str(self).splitlines())})"
 
 
-class _DeferredNormalForm(NormalForm):
-    """The normal form ``build()`` returns, built on the first read of its
-    terms: the residual of a passing step row is seldom read."""
-
-    __slots__ = ("_build",)
-
-    def __init__(self, build):
-        self._build = build
-
-    def __getattr__(self, name):  # reached only while the terms slot is unset
-        if name != "terms":
-            raise AttributeError(name)
-        self.terms = self._build().terms
-        return self.terms
-
-
 def _is_basis_word(word: Word) -> bool:
     return word == _basis_word(*_word_key(word))
 
@@ -366,32 +338,3 @@ def _word_key(word: Word) -> tuple[int, int, int]:
         else:
             i += 1
     return (m, n, i)
-
-
-def _embedding_images(params: Params) -> dict[str, NormalForm]:
-    vals = params.values()
-    u = vals["a"] * vals["b"] * vals["c"] * vals["d"] / vals["q"]
-    one = _one(params)
-    return {
-        "K0": NormalForm({(0, 1, 0): one, (0, -1, 0): u}),
-        "K1": NormalForm({(1, 0, 0): one, (-1, 0, 0): one}),
-        "T1": NormalForm({(0, 0, 1): one}),
-    }
-
-
-def symmetrizer(family: str, params: Params) -> tuple[Element, RatFunc]:
-    """The symmetrizer F and its scalar e, with F^2 = eF: F = T1+1 and
-    e = 1-ab for the spherical family ("sym"), F = T1+ab and e = ab-1 for
-    the antispherical one ("asym").  The orthogonal idempotents e^-1 F sum
-    to 1."""
-    ab = params.value("a") * params.value("b")
-    if ab == _ONE:
-        raise DegenerateParameters("ab = 1")
-    one = _one(params)
-    if family == "sym":
-        eps, e = one, one - ab
-    elif family == "asym":
-        eps, e = ab, ab - one
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    return Element("daha", {("T1",): one, (): eps}), e

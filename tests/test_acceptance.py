@@ -22,6 +22,7 @@ from rank1daha.aw3 import (
     embed_aw,
     iso_image,
     shift_operator_identities,
+    symmetrizer,
 )
 from rank1daha.field import RatFunc
 from rank1daha.ncalg import multiply, reduce
@@ -30,7 +31,7 @@ from rank1daha.polyrep import apply_dsym, askey_wilson, relation_residuals
 from rank1daha.reports import RunConfig
 from rank1daha.steps import check_step_identity
 from rank1daha.verify import run_checks
-from rank1daha.words import Element, NormalForm, symmetrizer
+from rank1daha.words import Element, NormalForm
 
 ONE = RatFunc.one()
 DAHA_LETTERS = ("T1", "Y", "Yi", "Z", "Zi")

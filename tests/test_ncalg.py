@@ -1,3 +1,4 @@
+import ast
 import gc
 import itertools
 import random
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 from rewriting import rewrite
 
-from rank1daha import ncalg
+from rank1daha import aw3, ncalg, verify, words
 from rank1daha.errors import BudgetExhausted, DegenerateParameters
 from rank1daha.aw3 import (
     _rank,
@@ -20,13 +21,14 @@ from rank1daha.aw3 import (
     iso_image,
     quotient_relations,
     shift_operator_identities,
+    symmetrizer,
 )
 from rank1daha.field import RatFunc
 from rank1daha.modp import PRIME, random_params_mod_p
 from rank1daha.ncalg import RewriteSystem, multiply, reduce, rewrite_system
-from rank1daha.params import _PARAMS_CACHE_BOUND, make_params, structure_constants
+from rank1daha.params import make_params, structure_constants
 from rank1daha.steps import _dominated
-from rank1daha.words import Element, NormalForm, _is_basis_word, symmetrizer
+from rank1daha.words import Element, NormalForm, _is_basis_word
 
 LETTERS = ("T1", "Y", "Yi", "Z", "Zi")
 
@@ -239,10 +241,50 @@ def test_memo_entry_is_built_once_and_released_with_its_system(monkeypatch, gpoi
     held = weakref.ref(entry)
     del entry
     builds.clear()
-    for seed in range(_PARAMS_CACHE_BOUND):  # evicts gpoint's system
+    for seed in range(ncalg._SYSTEMS_BOUND):  # evicts gpoint's system
         rewrite_system(random_params_mod_p(random.Random(seed)))
     gc.collect()
     assert gpoint not in ncalg._SYSTEMS and held() is None
+
+
+def test_rewrite_system_keeps_two_stores_and_builds_j_and_f_on_first_use(monkeypatch):
+    """A rewrite system keeps its rules and two stores, the basis products
+    and one memo.  J's letter images and F are built in the memo where a map
+    first reads them: relations-daha reads neither, and one embedded
+    relation builds the images once."""
+    monkeypatch.setattr(ncalg, "_SYSTEMS", OrderedDict())
+    point = random_params_mod_p(random.Random(21))
+    stores = {name for name, value in vars(RewriteSystem(point)).items() if isinstance(value, dict)}
+    assert stores == {"rules", "_product_cache", "_memo"}
+    calls = dict.fromkeys(("_embedding_images", "symmetrizer"), 0)
+    for name in calls:
+        def counted(*args, _build=getattr(aw3, name), _name=name):
+            calls[_name] += 1
+            return _build(*args)
+
+        monkeypatch.setattr(aw3, name, counted)
+    bounds = {"max_mn": 1, "max_degree": 0, "max_n": 0}
+    run = lambda check_id: verify._CATALOG_BY_ID[check_id].runner(point, bounds, random.Random(0))
+    assert run("relations-daha") == ""
+    assert calls == {"_embedding_images": 0, "symmetrizer": 0}
+    assert run("embed.rel34") == ""
+    assert calls == {"_embedding_images": 1, "symmetrizer": 0}
+
+
+def test_words_imports_from_the_field_alone():
+    # the data types know no parameter point, rewrite system or map
+    tree = ast.parse(open(words.__file__, encoding="utf-8").read())
+    package = {
+        "." * node.level + (node.module or "")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("rank1daha"))
+    }
+    package |= {
+        alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name.startswith("rank1daha")
+    }
+    assert package == {".field"}
 
 
 def test_multiply_identity_and_consistency(gpoint):

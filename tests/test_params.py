@@ -9,6 +9,7 @@ from hypothesis import Phase, assume, given, settings, strategies as st
 from sympy import QQ, Poly, Symbol, cyclotomic_poly
 from sympy.polys.fields import field
 
+from rank1daha import ncalg
 from rank1daha.errors import (
     DegenerateParameters,
     DivisionByZero,
@@ -20,10 +21,8 @@ from rank1daha.field import RatFunc
 from rank1daha.laurent import _cyclotomic, _expanded, _Keyed, _Lau, _lau, _parts
 from rank1daha.modp import PRIME, ModP, _carrier, _value_carrier, random_params_mod_p
 from rank1daha.params import (
-    _PARAMS_CACHE_BOUND,
     Params,
     _check_admissible,
-    _params_cache_entry,
     eigenvalue,
     elementary_symmetric,
     make_params,
@@ -432,10 +431,10 @@ def test_ground_arithmetic_matches_fraction(x, y, n):
     assert str(gx) == str(_FIELD(QQ(x.numerator, x.denominator)))
 
 
-def test_params_cache_keeps_the_most_recently_used():
+def test_params_cache_keeps_the_most_recently_used(monkeypatch):
     points = [
         make_params("specialized", {"q": Fraction(3, 2), "a": 2, "b": 3, "c": 5, "d": 7 + i})
-        for i in range(_PARAMS_CACHE_BOUND + 1)
+        for i in range(ncalg._SYSTEMS_BOUND + 1)
     ]
     cache = OrderedDict()
     built = []
@@ -444,12 +443,14 @@ def test_params_cache_keeps_the_most_recently_used():
         built.append(params)
         return object()
 
-    first = _params_cache_entry(cache, points[0], build)
+    monkeypatch.setattr(ncalg, "_SYSTEMS", cache)
+    monkeypatch.setattr(ncalg, "RewriteSystem", build)
+    first = ncalg.rewrite_system(points[0])
     for p in points[1:-1]:
-        _params_cache_entry(cache, p, build)
-    assert _params_cache_entry(cache, points[0], build) is first  # a hit
-    _params_cache_entry(cache, points[-1], build)  # evicts points[1]
-    assert len(cache) == _PARAMS_CACHE_BOUND
+        ncalg.rewrite_system(p)
+    assert ncalg.rewrite_system(points[0]) is first  # a hit
+    ncalg.rewrite_system(points[-1])  # evicts points[1]
+    assert len(cache) == ncalg._SYSTEMS_BOUND
     assert points[0] in cache and points[1] not in cache
     assert built == points
 

@@ -16,7 +16,7 @@ import random
 import pytest
 from rewriting import step_lhs
 
-from rank1daha import ncalg, steps, verify
+from rank1daha import aw3, ncalg, steps, verify
 from rank1daha.modp import random_params_mod_p
 from rank1daha.reports import RunConfig
 from rank1daha.steps import STEP_IDENTITIES, check_step_identity
@@ -76,7 +76,7 @@ def _closed_form(system, family, m, n):
     total = {}
     for a, kz in zip(_split(m, one, one), (0, 1)):  # Z^2 = K1 Z - 1
         for b, ly in zip(_split(n, u, one), (0, 1)):  # Y^2 = K~0 Y - u
-            base = system._normal_form(system._sandwich(family, (kz, ly, 0))).terms
+            base = system._normal_form(aw3._sandwich(system, family, (kz, ly, 0))).terms
             inner = _polynomial(b, base, [(0, 1, one), (0, -1, u)])  # times K~0 on the right
             _add(total, _polynomial(a, inner, [(1, 0, one), (-1, 0, one)]), one)  # K1 times
     return NormalForm(total)
@@ -87,7 +87,7 @@ def _check_closed_form(params, bound):
     for family in ("sym", "asym"):
         for m in range(-bound, bound + 1):
             for n in range(-bound, bound + 1):
-                kernel = system._normal_form(system._sandwich(family, (m, n, 0)))
+                kernel = system._normal_form(aw3._sandwich(system, family, (m, n, 0)))
                 assert _closed_form(system, family, m, n) == kernel, (family, m, n)
 
 
@@ -196,13 +196,13 @@ def test_wrong_middle_exponent_fails(monkeypatch, gpoint):
 
 def _step_calls(monkeypatch):
     calls = []
-    check = steps.check_step_identity
+    residual = steps._step_residual
 
-    def counted(identity, m, n, params):
+    def counted(row, m, n, system):
         calls.append((m, n))
-        return check(identity, m, n, params)
+        return residual(row, m, n, system)
 
-    monkeypatch.setattr(steps, "check_step_identity", counted)
+    monkeypatch.setattr(steps, "_step_residual", counted)
     return calls
 
 

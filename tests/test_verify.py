@@ -654,7 +654,7 @@ def test_multiplicativity_controls_catch_a_vacuous_map(monkeypatch, gpoint):
     # a map that sends everything to zero satisfies every multiplicativity
     # identity (test_acceptance.py::test_05 has the compression's control);
     # under the rank certificates its images have rank 0, which proves nothing
-    monkeypatch.setattr(ncalg.RewriteSystem, "_iso_image", lambda self, family, terms: {})
+    monkeypatch.setattr(aw3, "_iso_image", lambda system, family, terms: {})
     bounds = {"max_mn": 1, "max_degree": 0, "max_n": 0}
     for check_id in RANK_CHECKS[:2]:
         with pytest.raises(DegenerateParameters, match=f"rank drops at {gpoint.label}$"):
@@ -727,15 +727,15 @@ def test_rank_certificates_fail_on_planted_defects(monkeypatch, which, request):
     )
     monkeypatch.setattr(aw3, "_rank", rank)
     # embedded words that leave the box or do not commute with T1
-    embed_word = system._embed_word
+    embed_word = aw3._embed_word
     for key, word in (((3, 0, 0), "K1"), ((1, 0, 0), "K0 K1")):
-        wrong = lambda self, w, word=tuple(word.split()), key=key: (
-            {key: self.carrier.one} if w == word else embed_word(self, w)
+        wrong = lambda system, w, word=tuple(word.split()), key=key: (
+            {key: system.carrier.one} if w == word else embed_word(system, w)
         )
-        monkeypatch.setattr(system, "_embed_word", wrong)
+        monkeypatch.setattr(aw3, "_embed_word", wrong)
         summary = _rank_summary(monkeypatch, "centralizer.t1", point)
         assert summary == f"embedded {word} leaves the box or does not commute with T1"
-    monkeypatch.setattr(system, "_embed_word", embed_word)
+    monkeypatch.setattr(aw3, "_embed_word", embed_word)
     # basis products under which everything commutes accept Z, and make the
     # center everything
     product = system._product
@@ -747,11 +747,11 @@ def test_rank_certificates_fail_on_planted_defects(monkeypatch, which, request):
         _rank_summary(monkeypatch, "center.daha", point)
     monkeypatch.setattr(system, "_product", product)
     # a dependent image is a drop, never a fail
-    iso_image = system._iso_image
-    dependent = lambda self, family, terms: iso_image(
-        self, family, {("K1",): self.carrier.one} if ("K0",) in terms else terms
+    iso_image = aw3._iso_image
+    dependent = lambda system, family, terms: iso_image(
+        system, family, {("K1",): system.carrier.one} if ("K0",) in terms else terms
     )
-    monkeypatch.setattr(system, "_iso_image", dependent)
+    monkeypatch.setattr(aw3, "_iso_image", dependent)
     with pytest.raises(DegenerateParameters, match="rank drops at"):
         _rank_summary(monkeypatch, "iso.spherical.rank", point)
 
